@@ -19,6 +19,11 @@ Structure (paper Section 3):
   an inner loop of ``2δ⁻¹k`` QuantileMatch calls, with ``k = ⌈8/ε⌉``
   and ``δ = ε/8``.
 
+:class:`ASMEngine` writes this schedule once; the per-player state and
+the steps of one ProposalRound come from a backend with a shared method
+set — the stdlib ``_PyState`` below or the numpy
+:class:`repro.vec.engine.VecState`.
+
 Guarantees reproduced (and checked by the test suite):
 
 * Theorem 3 — the output has at most ``ε·|E|`` blocking pairs.
@@ -32,7 +37,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple, Union
+from typing import (
+    TYPE_CHECKING,
+    Dict,
+    FrozenSet,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 from repro.core.matching import Matching
 from repro.core.preferences import PreferenceProfile
@@ -50,6 +65,9 @@ from repro.mm.oracles import MMOracle, deterministic_oracle
 from repro.mm.result import MMResult
 from repro.mm.verify import violating_vertices
 from repro.obs.telemetry import NULL_TELEMETRY, Telemetry
+
+if TYPE_CHECKING:
+    from repro.vec.engine import VecState
 
 __all__ = [
     "params_for_eps",
@@ -236,8 +254,341 @@ class ASMObserver:
         """Called after each outer-loop iteration of Algorithm 3."""
 
 
+def _check_optimized(optimized: object) -> None:
+    """Validate an ``optimized=`` backend choice (``True`` or ``"vec"``).
+
+    Shared by :class:`ASMEngine` and every caller that forwards the
+    value to it later, so a bad choice fails where it is made.
+    """
+    if optimized is not True and optimized != "vec":
+        raise InvalidParameterError(
+            "optimized must be True (pure-Python backend) or 'vec' "
+            f"(numpy backend), got {optimized!r}"
+        )
+    if optimized == "vec":
+        from repro.vec import require_numpy
+
+        require_numpy()
+
+
+class _PyState:
+    """Pure-Python ProposalRound / QuantileMatch state (the default backend).
+
+    The stdlib sibling of :class:`repro.vec.engine.VecState`, with the
+    same method names, so :class:`ASMEngine` runs one schedule over
+    either.  Per-player state keeps Section 3.1's form: a
+    :class:`QuantizedList` per player, partners as ``Optional[int]``
+    lists, and active sets ``A`` as insertion-ordered dicts built
+    ascending — deletions preserve order, so ``A`` is iterated in the
+    canonical sorted order without a per-round sort (DET001 stays
+    satisfied structurally).  A *participating* value is a list of men.
+
+    The ProposalRound steps avoid per-round allocation:
+
+    * suitor lists live in per-woman buffers reused across every round
+      of the run (cleared lazily at round start);
+    * only men in ``_active_men`` (set by :meth:`activate`, compacted
+      as men drain) are scanned, not all men;
+    * each woman's live quantile table is bound once and probed once
+      per suitor (no ``contains`` + ``quantile_of`` pairs);
+    * Step 4 rejects via one pre-sorted list per newly matched woman
+      instead of frozenset algebra.
+    """
+
+    def __init__(
+        self,
+        prefs: PreferenceProfile,
+        k: int,
+        remove_unmatched_violators: bool,
+        check_invariants: bool,
+    ) -> None:
+        self.n_men = prefs.n_men
+        self.remove_unmatched_violators = remove_unmatched_violators
+        self.check_invariants = check_invariants
+        self.men_q: List[QuantizedList] = [
+            QuantizedList(prefs.man_list(m), k) for m in range(prefs.n_men)
+        ]
+        self.women_q: List[QuantizedList] = [
+            QuantizedList(prefs.woman_list(w), k)
+            for w in range(prefs.n_women)
+        ]
+        # Partners p(v); None = unmatched.
+        self.man_partner: List[Optional[int]] = [None] * prefs.n_men
+        self.woman_partner: List[Optional[int]] = [None] * prefs.n_women
+        self.active: List[Dict[int, None]] = [{} for _ in range(prefs.n_men)]
+        # Almost-regular mode: men removed from play.
+        self.removed: List[bool] = [False] * prefs.n_men
+        self._suitor_buf: List[List[int]] = [[] for _ in range(prefs.n_women)]
+        self._touched_women: List[int] = []
+        self._active_men: List[int] = []
+        # Per-round intermediates (valid between the step_* calls of one
+        # ProposalRound).
+        self._g0 = Graph()
+        self._mm_result = MMResult(partner={}, rounds=0)
+
+    # ------------------------------------------------------------------
+    # Outer-loop queries and classification (Section 4)
+    # ------------------------------------------------------------------
+
+    def participating(self, threshold: int) -> List[int]:
+        """Men with ``|Q| >= threshold`` (Algorithm 3's ``2^i`` gate),
+        not removed."""
+        men_q, removed = self.men_q, self.removed
+        return [
+            m
+            for m in range(self.n_men)
+            if not removed[m] and men_q[m].remaining >= threshold
+        ]
+
+    def count(self, participating: Sequence[int]) -> int:
+        """How many men ``participating`` holds."""
+        return len(participating)
+
+    def count_bad(self, participating: Sequence[int]) -> int:
+        """How many of ``participating`` are bad."""
+        return sum(1 for m in participating if not self.man_is_good(m))
+
+    def needs_run(self, participating: Sequence[int]) -> bool:
+        """Whether any participating man would actually propose."""
+        return any(
+            self.man_partner[m] is None and self.men_q[m].remaining > 0
+            for m in participating
+        )
+
+    def man_is_good(self, m: int) -> bool:
+        """Good = matched, or rejected by every acceptable partner."""
+        return self.man_partner[m] is not None or self.men_q[m].remaining == 0
+
+    def good_men(self) -> List[int]:
+        """Good men, not removed, ascending."""
+        return [
+            m
+            for m in range(self.n_men)
+            if not self.removed[m] and self.man_is_good(m)
+        ]
+
+    def bad_men(self) -> List[int]:
+        """Bad men, not removed, ascending."""
+        return [
+            m
+            for m in range(self.n_men)
+            if not self.removed[m] and not self.man_is_good(m)
+        ]
+
+    def removed_men(self) -> List[int]:
+        """Men removed from play, ascending."""
+        return [m for m in range(self.n_men) if self.removed[m]]
+
+    def matching_pairs(self) -> Iterator[Tuple[int, int]]:
+        """Current ``(man, woman)`` pairs."""
+        return (
+            (m, w) for w, m in enumerate(self.woman_partner) if m is not None
+        )
+
+    # ------------------------------------------------------------------
+    # QuantileMatch activation
+    # ------------------------------------------------------------------
+
+    def activate(self, participating: Sequence[int]) -> None:
+        """Unmatched participating men activate their best nonempty
+        quantile."""
+        active_men: List[int] = []
+        for m in participating:
+            if self.removed[m] or self.man_partner[m] is not None:
+                continue
+            best = self.men_q[m].best_nonempty_quantile()
+            if best is not None:
+                self.active[m] = dict.fromkeys(
+                    self.men_q[m].members_of_sorted(best)
+                )
+                active_men.append(m)
+            else:
+                self.active[m] = {}
+        self._active_men = active_men
+
+    def lemma2_holds(self) -> bool:
+        """Whether every man's ``A`` is empty (post-QuantileMatch check)."""
+        return not any(self.active)
+
+    # ------------------------------------------------------------------
+    # Algorithm 1: the four engine-visible phases
+    # ------------------------------------------------------------------
+
+    def step_propose(self) -> Optional[Tuple[int, int]]:
+        """Step 1: men propose to every woman in ``A``.
+
+        Returns ``(n_proposals, max_work)``, or ``None`` when nobody
+        proposes.
+        """
+        active = self.active
+        removed = self.removed
+        suitor_buf = self._suitor_buf
+        touched = self._touched_women
+        for w in touched:  # lazy clear of last round's buffers
+            suitor_buf[w].clear()
+        touched.clear()
+        n_proposals = 0
+        max_work = 0  # Remark 4: max per-processor work this round
+        still_active: List[int] = []
+        for m in self._active_men:
+            a = active[m]
+            if removed[m] or not a:
+                continue
+            still_active.append(m)
+            for w in a:  # insertion-ordered ascending
+                buf = suitor_buf[w]
+                if not buf:
+                    touched.append(w)
+                buf.append(m)
+            n_proposals += len(a)
+            if len(a) > max_work:
+                max_work = len(a)
+        self._active_men = still_active
+        if not touched:
+            return None
+        return n_proposals, max_work
+
+    def step_accept(self) -> Tuple[int, int]:
+        """Step 2: each woman accepts her best proposing quantile.
+
+        Returns ``(n_accepts, step_max_work)``; the accepted-proposal
+        graph ``G₀`` is held for Step 3.
+        """
+        suitor_buf = self._suitor_buf
+        women_q = self.women_q
+        g0 = Graph()
+        n_accepts = 0
+        step_max = 0
+        for w in self._touched_women:
+            suitors = suitor_buf[w]
+            if len(suitors) > step_max:
+                step_max = len(suitors)
+            present = women_q[w].present_map()
+            if self.check_invariants:
+                for m in suitors:
+                    if m not in present:
+                        raise SimulationError(
+                            f"man {m} proposed to woman {w} after "
+                            f"removal from her list"
+                        )
+            best: Optional[int] = None
+            for m in suitors:
+                q = present.get(m)
+                if q is not None and (best is None or q < best):
+                    best = q
+            if best is None:
+                raise SimulationError(
+                    f"woman {w} received proposals only from removed men"
+                )
+            wn = woman_node(w)
+            for m in suitors:
+                if present.get(m) == best:
+                    g0.add_edge(man_node(m), wn)
+                    n_accepts += 1
+        self._g0 = g0
+        return n_accepts, step_max
+
+    def step_maximal_matching(
+        self, mm_oracle: MMOracle
+    ) -> Tuple[MMResult, Graph, int, int]:
+        """Step 3: ``mm_oracle`` on ``G₀``, then the almost-regular
+        removal.
+
+        Returns ``(mm_result, g0, mm_work, men_removed)`` where
+        ``mm_work`` is the Remark-4 proxy for the subroutine's
+        per-processor work.
+        """
+        g0 = self._g0
+        mm_result: MMResult = mm_oracle(g0)
+        self._mm_result = mm_result
+        # Remark 4 proxy for subroutine-local work: each MM round
+        # costs a processor at most its G0 degree.
+        mm_work = 0
+        if g0.num_nodes:
+            max_g0_deg = max(g0.degree(v) for v in g0.nodes())
+            mm_work = mm_result.rounds * max_g0_deg
+
+        # Almost-regular mode (Theorem 6 footnote): men violating
+        # Definition 3 after an almost-maximal matching leave the game.
+        men_removed = 0
+        if self.remove_unmatched_violators:
+            for v in violating_vertices(g0, mm_result.partner):
+                if is_man_node(v):
+                    mi = node_index(v)
+                    if not self.removed[mi]:
+                        self.removed[mi] = True
+                        self.active[mi] = {}
+                        men_removed += 1
+        return mm_result, g0, mm_work, men_removed
+
+    def step_reject(self) -> Tuple[int, int, int]:
+        """Steps 4–5: matched women reject; men process rejections.
+
+        Returns ``(n_rejects, matched_in_m0, step_max_work)``.
+        """
+        active = self.active
+        women_q = self.women_q
+        man_partner = self.man_partner
+        woman_partner = self.woman_partner
+        # Step 4: newly matched women reject all weakly-worse suitors.
+        rejections: Dict[int, List[int]] = {}
+        n_rejects = 0
+        matched_in_m0 = 0
+        step_max = 0
+        for u, v in self._mm_result.pairs():
+            m0, w = (
+                (node_index(u), node_index(v))
+                if is_man_node(u)
+                else (node_index(v), node_index(u))
+            )
+            matched_in_m0 += 1
+            wq = women_q[w]
+            q0 = wq.quantile_of(m0)
+            rejected = wq.members_at_least_sorted(q0)  # includes m0
+            old = woman_partner[w]
+            if self.check_invariants and old is not None and (
+                old == m0
+                or not wq.contains(old)
+                or wq.quantile_of(old) < q0
+            ):
+                raise SimulationError(
+                    f"woman {w} traded up to man {m0} but did not "
+                    f"reject previous partner {old}"
+                )
+            rejected_count = 0
+            for m in rejected:  # ascending
+                if m == m0:
+                    continue
+                wq.remove(m)
+                rejections.setdefault(m, []).append(w)
+                rejected_count += 1
+            n_rejects += rejected_count
+            if rejected_count > step_max:
+                step_max = rejected_count
+            woman_partner[w] = m0
+            man_partner[m0] = w
+            active[m0] = {}
+
+        # Step 5: men process rejections.
+        for m, rejecting in rejections.items():
+            mq = self.men_q[m]
+            a = active[m]
+            for w in rejecting:
+                mq.remove(w)
+                a.pop(w, None)
+                if man_partner[m] == w:
+                    man_partner[m] = None
+        return n_rejects, matched_in_m0, step_max
+
+
 class ASMEngine:
     """Executable state of one ASM run (see module docstring).
+
+    The engine owns the schedule — Algorithm 3's threshold loop around
+    QuantileMatch around ProposalRound — plus round and message
+    accounting, telemetry and observers.  The per-player state and the
+    steps of one ProposalRound live in a backend picked once, from
+    ``optimized``.
 
     Parameters
     ----------
@@ -251,7 +602,9 @@ class ASMEngine:
         (used by ablations and the almost-regular variant).
     mm_oracle:
         Maximal-matching subroutine for Step 3 (default: deterministic
-        oracle — the paper's choice for ASM).
+        oracle — the paper's choice for ASM).  The pure-Python backend
+        looks it up on every round, so replacing the attribute after
+        construction takes effect.
     mm_cost_model:
         How scheduled rounds charge each oracle call (default:
         :class:`~repro.core.rounds.HKPCost`, the bound of Theorem 2).
@@ -273,15 +626,15 @@ class ASMEngine:
         ``asm.phase.maximal_matching`` histograms).  Defaults to the
         shared no-op bundle, which costs (nearly) nothing.
     optimized:
-        Three-way engine selector; all paths produce bit-identical
+        Backend selector; both backends produce bit-identical
         :class:`ASMResult` bundles:
 
-        * ``True`` (default) — the allocation-free fast ProposalRound
-          path: per-woman suitor buffers reused across rounds, active
-          sets as pre-sorted insertion-ordered dicts, one quantile-table
-          probe per suitor.
-        * ``False`` — the seed reference path, which rebuilds its dicts
-          per round exactly as the seed implementation did.
+        * ``True`` (default) — the stdlib backend: per-player
+          :class:`QuantizedList` state, per-woman suitor buffers reused
+          across rounds, active sets as pre-sorted insertion-ordered
+          dicts.  Observers see ``men_q``, ``women_q``, ``active``,
+          ``removed``, ``man_partner`` and ``woman_partner`` (``None``
+          = unmatched).
         * ``"vec"`` — the numpy struct-of-arrays backend
           (:mod:`repro.vec`): the profile is compiled to flat CSR /
           quantile arrays and every ProposalRound step runs as batched
@@ -290,13 +643,13 @@ class ASMEngine:
           :class:`~repro.errors.VecUnavailableError` without it),
           supports only the deterministic maximal-matching oracle
           (its tie-breaking is compiled in) and not
-          ``remove_unmatched_violators``.  Observers receive the
-          engine as usual, but its mutable state is array-form
-          (``man_partner`` is an int array with ``-1`` = unmatched,
-          not a list of ``Optional[int]``).
+          ``remove_unmatched_violators``.  Observers see only
+          ``man_partner`` / ``woman_partner``, as int arrays with
+          ``-1`` = unmatched.
 
-        The equivalence suites run the paths over the workload grid and
-        assert identical result bundles
+        Any other value raises :class:`InvalidParameterError`.  The
+        equivalence suites pin both backends against a test-only copy
+        of the seed ProposalRound over the workload grid
         (``tests/test_perf_equivalence.py``,
         ``tests/test_vec_equivalence.py``).
     """
@@ -343,19 +696,14 @@ class ASMEngine:
 
         self.n_men = prefs.n_men
         self.n_women = prefs.n_women
-        if not isinstance(optimized, bool) and optimized != "vec":
-            raise InvalidParameterError(
-                "optimized must be True, False, or 'vec', "
-                f"got {optimized!r}"
-            )
+        _check_optimized(optimized)
+        self._state: Union[_PyState, "VecState"]
         if optimized == "vec":
-            # Struct-of-arrays backend: compile once (cached on the
-            # profile), skip the per-player Python state entirely.
             if remove_unmatched_violators:
                 raise InvalidParameterError(
                     "optimized='vec' does not support "
                     "remove_unmatched_violators; use the pure-Python "
-                    "paths for the almost-regular variant"
+                    "backend for the almost-regular variant"
                 )
             if self.mm_oracle is not deterministic_maximal_matching:
                 raise InvalidParameterError(
@@ -364,46 +712,23 @@ class ASMEngine:
                     "compiled into the struct-of-arrays form); leave "
                     "mm_oracle unset"
                 )
-            from repro.vec import require_numpy
-
-            require_numpy()
             from repro.vec.compile import compile_profile
             from repro.vec.engine import VecState
 
-            self._vec: Optional["VecState"] = VecState(
-                compile_profile(prefs, self.k), check_invariants
-            )
-            # Observer-visible aliases of the array state (documented in
-            # the class docstring: -1 means unmatched here, not None).
-            self.man_partner = self._vec.man_partner
-            self.woman_partner = self._vec.woman_partner
+            # Compiled once per (profile, k), cached on the profile.
+            self._state = VecState(compile_profile(prefs, self.k), check_invariants)
         else:
-            self._vec = None
-            # Quantized preferences (Section 3.1 state).
-            self.men_q: List[QuantizedList] = [
-                QuantizedList(prefs.man_list(m), self.k)
-                for m in range(self.n_men)
-            ]
-            self.women_q: List[QuantizedList] = [
-                QuantizedList(prefs.woman_list(w), self.k)
-                for w in range(self.n_women)
-            ]
-            # Partners p(v); None = unmatched.
-            self.man_partner: List[Optional[int]] = [None] * self.n_men
-            self.woman_partner: List[Optional[int]] = [None] * self.n_women
-            # Active proposal sets A (men only), kept as insertion-ordered
-            # dicts built ascending — deletions preserve order, so both
-            # engine paths iterate A in the canonical sorted order without
-            # a per-round sort (DET001 stays satisfied structurally).
-            self.active: List[Dict[int, None]] = [{} for _ in range(self.n_men)]
-            # Almost-regular mode: men removed from play.
-            self.removed: List[bool] = [False] * self.n_men
-            # Fast-path buffers, reused across every ProposalRound of the
-            # run: per-woman suitor lists plus the list of women touched in
-            # the current round, and the men whose A might be nonempty.
-            self._suitor_buf: List[List[int]] = [[] for _ in range(self.n_women)]
-            self._touched_women: List[int] = []
-            self._active_men: List[int] = []
+            self._state = py = _PyState(
+                prefs, self.k, remove_unmatched_violators, check_invariants
+            )
+            # Observer-visible aliases: the very objects the backend
+            # mutates.
+            self.men_q = py.men_q
+            self.women_q = py.women_q
+            self.active = py.active
+            self.removed = py.removed
+        self.man_partner = self._state.man_partner
+        self.woman_partner = self._state.woman_partner
 
         self.counter = RoundCounter()
         self.messages = MessageStats()
@@ -422,48 +747,23 @@ class ASMEngine:
 
     def man_is_good(self, m: int) -> bool:
         """Good = matched, or rejected by every acceptable partner."""
-        if self._vec is not None:
-            return bool(
-                self._vec.man_partner[m] != -1
-                or self._vec.m_remaining[m] == 0
-            )
-        return self.man_partner[m] is not None or self.men_q[m].remaining == 0
+        return self._state.man_is_good(m)
 
     def good_men(self) -> FrozenSet[int]:
         """All currently good men (excluding removed men)."""
-        if self._vec is not None:
-            return self._vec.good_men_set()
-        return frozenset(
-            m
-            for m in range(self.n_men)
-            if not self.removed[m] and self.man_is_good(m)
-        )
+        return frozenset(self._state.good_men())
 
     def bad_men(self) -> FrozenSet[int]:
         """All currently bad men (excluding removed men)."""
-        if self._vec is not None:
-            return self._vec.bad_men_set()
-        return frozenset(
-            m
-            for m in range(self.n_men)
-            if not self.removed[m] and not self.man_is_good(m)
-        )
+        return frozenset(self._state.bad_men())
 
     def removed_men(self) -> FrozenSet[int]:
         """Men removed from play (almost-regular mode only)."""
-        if self._vec is not None:
-            return frozenset()  # vec mode rejects the almost-regular flag
-        return frozenset(m for m in range(self.n_men) if self.removed[m])
+        return frozenset(self._state.removed_men())
 
     def current_matching(self) -> Matching:
         """The partial matching ``M = {(p(w), w) | p(w) ≠ ∅}``."""
-        if self._vec is not None:
-            return Matching(self._vec.matching_pairs())
-        return Matching(
-            (m, w)
-            for w, m in enumerate(self.woman_partner)
-            if m is not None
-        )
+        return Matching(self._state.matching_pairs())
 
     # ------------------------------------------------------------------
     # Algorithm 1: ProposalRound
@@ -476,44 +776,25 @@ class ASMEngine:
         (since active sets only shrink between QuantileMatch calls) no
         state can change — callers charge the scheduled rounds and skip.
 
-        Dispatches to the vectorized, allocation-free fast, or seed
-        reference path per the ``optimized`` flag; all produce
-        bit-identical state transitions and stats.
-        """
-        if self._vec is not None:
-            return self._proposal_round_vec()
-        if self.optimized:
-            return self._proposal_round_fast()
-        return self._proposal_round_reference()
-
-    def _proposal_round_vec(self) -> Optional[ProposalRoundStats]:
-        """Batched ProposalRound over the struct-of-arrays state.
-
-        The five steps run as whole-array operations in
-        :class:`repro.vec.engine.VecState`; this wrapper owns what the
-        other paths own — phase timers, message/round accounting, the
-        profiler counter, and the observer hook — so all three paths
-        share one implementation of the instrumentation contract.
+        The backend runs the steps; this method owns what both backends
+        share — phase timers, message/round accounting, the profiler
+        counter, and the observer hook.
         """
         telemetry = self.telemetry
-        vec = self._vec
+        state = self._state
         with telemetry.timer("asm.phase.propose"):
-            step1 = vec.step_propose()
+            step1 = state.step_propose()
         if step1 is None:
             return None
         n_proposals, max_work = step1
         with telemetry.timer("asm.phase.accept_reject"):
-            n_accepts, step_max = vec.step_accept()
-            if step_max > max_work:
-                max_work = step_max
+            n_accepts, accept_work = state.step_accept()
         with telemetry.timer("asm.phase.maximal_matching"):
-            mm_result, g0, mm_work = vec.step_maximal_matching()
-            if mm_work > max_work:
-                max_work = mm_work
+            mm_result, g0, mm_work, men_removed = state.step_maximal_matching(
+                self.mm_oracle
+            )
         with telemetry.timer("asm.phase.accept_reject"):
-            n_rejects, matched_in_m0, step_max = vec.step_reject()
-            if step_max > max_work:
-                max_work = step_max
+            n_rejects, matched_in_m0, reject_work = state.step_reject()
         return self._finalize_round(
             n_proposals,
             n_accepts,
@@ -521,36 +802,9 @@ class ASMEngine:
             g0,
             mm_result,
             matched_in_m0,
-            0,
-            max_work,
+            men_removed,
+            max(max_work, accept_work, mm_work, reject_work),
         )
-
-    def _mm_phase(self, g0: Graph) -> Tuple[MMResult, int, int]:
-        """Step 3 (shared by both paths): maximal matching on ``G₀``.
-
-        Returns ``(mm_result, men_removed, mm_work)`` where ``mm_work``
-        is the Remark-4 proxy for the subroutine's per-processor work.
-        """
-        mm_result: MMResult = self.mm_oracle(g0)
-        # Remark 4 proxy for subroutine-local work: each MM round
-        # costs a processor at most its G0 degree.
-        mm_work = 0
-        if g0.num_nodes:
-            max_g0_deg = max(g0.degree(v) for v in g0.nodes())
-            mm_work = mm_result.rounds * max_g0_deg
-
-        # Almost-regular mode (Theorem 6 footnote): men violating
-        # Definition 3 after an almost-maximal matching leave the game.
-        men_removed = 0
-        if self.remove_unmatched_violators:
-            for v in violating_vertices(g0, mm_result.partner):
-                if is_man_node(v):
-                    mi = node_index(v)
-                    if not self.removed[mi]:
-                        self.removed[mi] = True
-                        self.active[mi] = {}
-                        men_removed += 1
-        return mm_result, men_removed, mm_work
 
     def _finalize_round(
         self,
@@ -595,265 +849,6 @@ class ASMEngine:
             self.observer.on_proposal_round_end(self, stats)
         return stats
 
-    def _proposal_round_reference(self) -> Optional[ProposalRoundStats]:
-        """The seed implementation: per-round dict rebuilds throughout.
-
-        Kept verbatim (modulo the active-set container change) as the
-        equivalence oracle for the fast path.
-        """
-        telemetry = self.telemetry
-        # Step 1: men propose to every woman in A.
-        with telemetry.timer("asm.phase.propose"):
-            proposals: Dict[int, List[int]] = {}
-            n_proposals = 0
-            max_work = 0  # Remark 4: max per-processor work this round
-            for m in range(self.n_men):
-                if self.removed[m] or not self.active[m]:
-                    continue
-                # Canonical (sorted) proposal order: the run must replay
-                # identically regardless of how A was assembled (DET001).
-                for w in sorted(self.active[m]):
-                    proposals.setdefault(w, []).append(m)
-                n_proposals += len(self.active[m])
-                max_work = max(max_work, len(self.active[m]))
-        if not proposals:
-            return None
-
-        # Step 2: each woman accepts her best proposing quantile.
-        with telemetry.timer("asm.phase.accept_reject"):
-            g0 = Graph()
-            n_accepts = 0
-            for w, suitors in proposals.items():
-                max_work = max(max_work, len(suitors))
-                wq = self.women_q[w]
-                if self.check_invariants:
-                    for m in suitors:
-                        if not wq.contains(m):
-                            raise SimulationError(
-                                f"man {m} proposed to woman {w} after "
-                                f"removal from her list"
-                            )
-                best = wq.best_nonempty_among(suitors)
-                if best is None:
-                    raise SimulationError(
-                        f"woman {w} received proposals only from removed men"
-                    )
-                for m in suitors:
-                    if wq.contains(m) and wq.quantile_of(m) == best:
-                        g0.add_edge(man_node(m), woman_node(w))
-                        n_accepts += 1
-
-        with telemetry.timer("asm.phase.maximal_matching"):
-            # Step 3: maximal matching on the accepted-proposal graph G0.
-            mm_result, men_removed, mm_work = self._mm_phase(g0)
-            max_work = max(max_work, mm_work)
-
-        with telemetry.timer("asm.phase.accept_reject"):
-            # Step 4: newly matched women reject all weakly-worse suitors.
-            rejections: Dict[int, List[int]] = {}
-            n_rejects = 0
-            matched_pairs: List[Tuple[int, int]] = []
-            for u, v in mm_result.pairs():
-                m0, w = (
-                    (node_index(u), node_index(v))
-                    if is_man_node(u)
-                    else (node_index(v), node_index(u))
-                )
-                matched_pairs.append((m0, w))
-            for m0, w in matched_pairs:
-                wq = self.women_q[w]
-                q0 = wq.quantile_of(m0)
-                rejected = wq.members_at_least(q0) - {m0}
-                max_work = max(max_work, len(rejected))
-                old = self.woman_partner[w]
-                if (
-                    self.check_invariants
-                    and old is not None
-                    and old not in rejected
-                ):
-                    raise SimulationError(
-                        f"woman {w} traded up to man {m0} but did not "
-                        f"reject previous partner {old}"
-                    )
-                # Sorted so the rejections dict has canonical insertion
-                # order no matter how the quantile sets hash (DET001).
-                for m in sorted(rejected):
-                    wq.remove(m)
-                    rejections.setdefault(m, []).append(w)
-                n_rejects += len(rejected)
-                self.woman_partner[w] = m0
-                self.man_partner[m0] = w
-                self.active[m0] = {}
-
-            # Step 5: men process rejections.
-            for m, rejecting in rejections.items():
-                mq = self.men_q[m]
-                for w in rejecting:
-                    mq.remove(w)
-                    self.active[m].pop(w, None)
-                    if self.man_partner[m] == w:
-                        self.man_partner[m] = None
-
-        return self._finalize_round(
-            n_proposals,
-            n_accepts,
-            n_rejects,
-            g0,
-            mm_result,
-            len(matched_pairs),
-            men_removed,
-            max_work,
-        )
-
-    def _proposal_round_fast(self) -> Optional[ProposalRoundStats]:
-        """Allocation-free ProposalRound (same transitions as reference).
-
-        Differences are purely mechanical:
-
-        * suitor lists live in per-woman buffers reused across every
-          round of the run (cleared lazily at round start);
-        * only men in ``_active_men`` (maintained by QuantileMatch
-          activation, compacted as men drain) are scanned, not all men;
-        * active sets are pre-sorted insertion-ordered dicts, so no
-          per-round ``sorted()``;
-        * each woman's live quantile table is bound once and probed
-          once per suitor (no ``contains`` + ``quantile_of`` pairs);
-        * Step 4 rejects via one pre-sorted list per newly matched
-          woman instead of frozenset algebra.
-
-        Orders of all state mutations match the reference path exactly,
-        which is what makes the two paths bit-identical.
-        """
-        telemetry = self.telemetry
-        active = self.active
-        removed = self.removed
-        suitor_buf = self._suitor_buf
-        touched = self._touched_women
-        # Step 1: men propose to every woman in A.
-        with telemetry.timer("asm.phase.propose"):
-            for w in touched:  # lazy clear of last round's buffers
-                suitor_buf[w].clear()
-            touched.clear()
-            n_proposals = 0
-            max_work = 0  # Remark 4: max per-processor work this round
-            still_active: List[int] = []
-            for m in self._active_men:
-                a = active[m]
-                if removed[m] or not a:
-                    continue
-                still_active.append(m)
-                for w in a:  # insertion-ordered ascending
-                    buf = suitor_buf[w]
-                    if not buf:
-                        touched.append(w)
-                    buf.append(m)
-                n_proposals += len(a)
-                if len(a) > max_work:
-                    max_work = len(a)
-            self._active_men = still_active
-        if not touched:
-            return None
-
-        # Step 2: each woman accepts her best proposing quantile.
-        with telemetry.timer("asm.phase.accept_reject"):
-            g0 = Graph()
-            n_accepts = 0
-            women_q = self.women_q
-            for w in touched:
-                suitors = suitor_buf[w]
-                if len(suitors) > max_work:
-                    max_work = len(suitors)
-                present = women_q[w].present_map()
-                if self.check_invariants:
-                    for m in suitors:
-                        if m not in present:
-                            raise SimulationError(
-                                f"man {m} proposed to woman {w} after "
-                                f"removal from her list"
-                            )
-                best: Optional[int] = None
-                for m in suitors:
-                    q = present.get(m)
-                    if q is not None and (best is None or q < best):
-                        best = q
-                if best is None:
-                    raise SimulationError(
-                        f"woman {w} received proposals only from removed men"
-                    )
-                wn = woman_node(w)
-                for m in suitors:
-                    if present.get(m) == best:
-                        g0.add_edge(man_node(m), wn)
-                        n_accepts += 1
-
-        with telemetry.timer("asm.phase.maximal_matching"):
-            # Step 3: maximal matching on the accepted-proposal graph G0.
-            mm_result, men_removed, mm_work = self._mm_phase(g0)
-            if mm_work > max_work:
-                max_work = mm_work
-
-        with telemetry.timer("asm.phase.accept_reject"):
-            # Step 4: newly matched women reject all weakly-worse suitors.
-            rejections: Dict[int, List[int]] = {}
-            n_rejects = 0
-            matched_in_m0 = 0
-            man_partner = self.man_partner
-            woman_partner = self.woman_partner
-            for u, v in mm_result.pairs():
-                m0, w = (
-                    (node_index(u), node_index(v))
-                    if is_man_node(u)
-                    else (node_index(v), node_index(u))
-                )
-                matched_in_m0 += 1
-                wq = women_q[w]
-                q0 = wq.quantile_of(m0)
-                rejected = wq.members_at_least_sorted(q0)  # includes m0
-                old = woman_partner[w]
-                if self.check_invariants and old is not None and (
-                    old == m0
-                    or not wq.contains(old)
-                    or wq.quantile_of(old) < q0
-                ):
-                    raise SimulationError(
-                        f"woman {w} traded up to man {m0} but did not "
-                        f"reject previous partner {old}"
-                    )
-                rejected_count = 0
-                for m in rejected:  # ascending, matching the reference
-                    if m == m0:
-                        continue
-                    wq.remove(m)
-                    rejections.setdefault(m, []).append(w)
-                    rejected_count += 1
-                n_rejects += rejected_count
-                if rejected_count > max_work:
-                    max_work = rejected_count
-                woman_partner[w] = m0
-                man_partner[m0] = w
-                active[m0] = {}
-
-            # Step 5: men process rejections.
-            for m, rejecting in rejections.items():
-                mq = self.men_q[m]
-                a = active[m]
-                for w in rejecting:
-                    mq.remove(w)
-                    a.pop(w, None)
-                    if man_partner[m] == w:
-                        man_partner[m] = None
-
-        return self._finalize_round(
-            n_proposals,
-            n_accepts,
-            n_rejects,
-            g0,
-            mm_result,
-            matched_in_m0,
-            men_removed,
-            max_work,
-        )
-
     def _charge_executed(self, mm_result: MMResult) -> None:
         """Round accounting for one executed ProposalRound."""
         self.proposal_rounds_executed += 1
@@ -897,32 +892,21 @@ class ASMEngine:
         with scheduled rounds still charged — once no proposals remain).
         Returns whether any communication happened.
 
-        In vec mode ``participating`` may also be a boolean mask over
-        men (the outer loop's native form); integer sequences are
-        accepted on every path.
+        ``participating`` is in the backend's native form: a list of
+        men for the pure-Python backend, a boolean mask over men for
+        vec (as the outer loop produces it).
         """
-        if self._vec is not None:
-            mask = self._vec.as_mask(participating)
-            count = int(mask.sum())
-            profiler = self.telemetry.profiler
-            if profiler is not None:
-                with profiler.phase(
-                    "asm.quantile_match", participating=count
-                ):
-                    return self._quantile_match_vec(mask)
-            return self._quantile_match_vec(mask)
         profiler = self.telemetry.profiler
         if profiler is not None:
             with profiler.phase(
-                "asm.quantile_match", participating=len(participating)
+                "asm.quantile_match",
+                participating=self._state.count(participating),
             ):
                 return self._quantile_match_impl(participating)
         return self._quantile_match_impl(participating)
 
-    def _quantile_match_vec(self, part_mask: object) -> bool:
-        """Vec-mode QuantileMatch body (activation + ``k`` rounds)."""
-        vec = self._vec
-        vec.activate(part_mask)
+    def _quantile_match_impl(self, participating: Sequence[int]) -> bool:
+        self._state.activate(participating)
         self.quantile_match_calls_executed += 1
         self.quantile_match_calls_scheduled += 1
         any_communication = False
@@ -932,46 +916,10 @@ class ASMEngine:
                 self._charge_skipped_proposal_rounds(self.k - j)
                 break
             any_communication = True
-        if self.check_invariants and not vec.lemma2_holds():
+        if self.check_invariants and not self._state.lemma2_holds():
             raise SimulationError(
                 "Lemma 2 violated: some man has A ≠ ∅ after QuantileMatch"
             )
-        if self.observer is not None:
-            self.observer.on_quantile_match_end(self)
-        return any_communication
-
-    def _quantile_match_impl(self, participating: Sequence[int]) -> bool:
-        active_men: List[int] = []
-        for m in participating:
-            if self.removed[m] or self.man_partner[m] is not None:
-                continue
-            best = self.men_q[m].best_nonempty_quantile()
-            if best is not None:
-                # Ascending insertion order: deletions preserve it, so
-                # the fast path iterates A without a per-round sort.
-                self.active[m] = dict.fromkeys(
-                    self.men_q[m].members_of_sorted(best)
-                )
-                active_men.append(m)
-            else:
-                self.active[m] = {}
-        self._active_men = active_men
-        self.quantile_match_calls_executed += 1
-        self.quantile_match_calls_scheduled += 1
-        any_communication = False
-        for j in range(self.k):
-            stats = self.proposal_round()
-            if stats is None:
-                self._charge_skipped_proposal_rounds(self.k - j)
-                break
-            any_communication = True
-        if self.check_invariants:
-            for m in range(self.n_men):
-                if self.active[m]:
-                    raise SimulationError(
-                        f"Lemma 2 violated: man {m} has A ≠ ∅ after "
-                        f"QuantileMatch"
-                    )
         if self.observer is not None:
             self.observer.on_quantile_match_end(self)
         return any_communication
@@ -1000,21 +948,6 @@ class ASMEngine:
             return self._inner_iterations_override
         return math.ceil(2.0 * self.k / self.delta)
 
-    def _participating(self, threshold: int) -> List[int]:
-        """Men active in this outer iteration: ``|Q| ≥ 2^i``, not removed."""
-        return [
-            m
-            for m in range(self.n_men)
-            if not self.removed[m] and self.men_q[m].remaining >= threshold
-        ]
-
-    def _needs_run(self, participating: Sequence[int]) -> bool:
-        """Whether any participating man would actually propose."""
-        return any(
-            self.man_partner[m] is None and self.men_q[m].remaining > 0
-            for m in participating
-        )
-
     def run_outer_iteration(self, i: int) -> OuterIterationStats:
         """One iteration of Algorithm 3's outer loop (threshold ``2^i``)."""
         profiler = self.telemetry.profiler
@@ -1026,33 +959,19 @@ class ASMEngine:
         return self._run_outer_iteration_impl(i)
 
     def _run_outer_iteration_impl(self, i: int) -> OuterIterationStats:
-        if self._vec is not None:
-            return self._run_outer_iteration_vec(i)
+        state = self._state
         threshold = 2 ** i
         inner = self.inner_iteration_count()
-        participating_start = self._participating(threshold)
-        executed = 0
-        for j in range(inner):
-            participating = self._participating(threshold)
-            if not self._needs_run(participating):
-                # No proposals can occur: the state is frozen for the
-                # rest of the inner loop; charge the fixed schedule.
-                self._charge_skipped_quantile_matches(inner - j)
-                break
-            self.quantile_match(participating)
-            executed += 1
-        participating_end = self._participating(threshold)
+        participating_start = state.participating(threshold)
+        executed = self._quantile_matches(threshold, inner)
+        participating_end = state.participating(threshold)
         stats = OuterIterationStats(
             index=i,
             threshold=threshold,
-            participating_men_start=len(participating_start),
-            participating_men_end=len(participating_end),
-            bad_participating_men_end=sum(
-                1 for m in participating_end if not self.man_is_good(m)
-            ),
-            bad_in_start_set_end=sum(
-                1 for m in participating_start if not self.man_is_good(m)
-            ),
+            participating_men_start=state.count(participating_start),
+            participating_men_end=state.count(participating_end),
+            bad_participating_men_end=state.count_bad(participating_end),
+            bad_in_start_set_end=state.count_bad(participating_start),
             quantile_match_calls_executed=executed,
             quantile_match_calls_scheduled=inner,
         )
@@ -1061,38 +980,19 @@ class ASMEngine:
             self.observer.on_outer_iteration_end(self, stats)
         return stats
 
-    def _run_outer_iteration_vec(self, i: int) -> OuterIterationStats:
-        """Vec-mode outer iteration: O(n) array scans replace the
-        per-man Python loops of the generic implementation (which would
-        dominate the run at n >= 10^5)."""
-        vec = self._vec
-        threshold = 2 ** i
-        inner = self.inner_iteration_count()
-        start_mask = vec.participating_mask(threshold)
-        executed = 0
-        for j in range(inner):
-            part = vec.participating_mask(threshold)
-            if not vec.needs_run(part):
-                self._charge_skipped_quantile_matches(inner - j)
-                break
-            self.quantile_match(part)
-            executed += 1
-        end_mask = vec.participating_mask(threshold)
-        bad = vec.bad_mask()
-        stats = OuterIterationStats(
-            index=i,
-            threshold=threshold,
-            participating_men_start=int(start_mask.sum()),
-            participating_men_end=int(end_mask.sum()),
-            bad_participating_men_end=int((end_mask & bad).sum()),
-            bad_in_start_set_end=int((start_mask & bad).sum()),
-            quantile_match_calls_executed=executed,
-            quantile_match_calls_scheduled=inner,
-        )
-        self.outer_stats.append(stats)
-        if self.observer is not None:
-            self.observer.on_outer_iteration_end(self, stats)
-        return stats
+    def _quantile_matches(self, threshold: int, calls: int) -> int:
+        """Up to ``calls`` QuantileMatch calls over the men with
+        ``|Q| >= threshold``; returns how many ran."""
+        state = self._state
+        for j in range(calls):
+            participating = state.participating(threshold)
+            if not state.needs_run(participating):
+                # No proposals can occur: the state is frozen for the
+                # rest of the loop; charge the fixed schedule.
+                self._charge_skipped_quantile_matches(calls - j)
+                return j
+            self.quantile_match(participating)
+        return calls
 
     def run(self) -> ASMResult:
         """Execute ASM to completion and return the result bundle."""
@@ -1112,26 +1012,7 @@ class ASMEngine:
             raise InvalidParameterError(
                 f"iterations must be >= 1, got {iterations}"
             )
-        executed = 0
-        if self._vec is not None:
-            vec = self._vec
-            all_mask = vec.participating_mask(0)  # every man participates
-            for j in range(iterations):
-                if not vec.needs_run(all_mask):
-                    self._charge_skipped_quantile_matches(iterations - j)
-                    break
-                self.quantile_match(all_mask)
-                executed += 1
-        else:
-            for j in range(iterations):
-                participating = [
-                    m for m in range(self.n_men) if not self.removed[m]
-                ]
-                if not self._needs_run(participating):
-                    self._charge_skipped_quantile_matches(iterations - j)
-                    break
-                self.quantile_match(participating)
-                executed += 1
+        executed = self._quantile_matches(0, iterations)  # every man
         self.outer_stats.append(
             OuterIterationStats(
                 index=0,
@@ -1167,7 +1048,6 @@ class ASMEngine:
             synchronous_time=self.synchronous_time,
             outer_iterations=list(self.outer_stats),
         )
-
 
 def asm(
     prefs: PreferenceProfile,

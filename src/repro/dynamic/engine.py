@@ -42,7 +42,7 @@ import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from repro.core.asm import asm, params_for_eps
+from repro.core.asm import _check_optimized, asm, params_for_eps
 from repro.core.matching import Matching, MutableMatching
 from repro.core.preferences import PreferenceProfile
 from repro.errors import InvalidParameterError
@@ -138,12 +138,12 @@ class DynamicMatchingEngine:
         bench uses to replay a stream and time full re-runs against.
     solver_optimized:
         Forwarded as ``optimized=`` to every full ASM solve (warm
-        start and SLO fallbacks): ``True``/``False`` select the
-        pure-Python fast/reference paths, ``"vec"`` the numpy
-        struct-of-arrays engine — at n ≥ 10⁵ the vec solver keeps
-        fallback latency in seconds instead of minutes.  All three
-        produce bit-identical matchings, so the choice never changes
-        the trajectory.
+        start and SLO fallbacks): ``True`` selects the pure-Python
+        backend, ``"vec"`` the numpy struct-of-arrays backend — at
+        n ≥ 10⁵ the vec solver keeps fallback latency in seconds
+        instead of minutes.  Both produce bit-identical matchings, so
+        the choice never changes the trajectory.  Validated at
+        construction, including numpy's presence for ``"vec"``.
 
     Examples
     --------
@@ -169,6 +169,7 @@ class DynamicMatchingEngine:
         solver_optimized: Union[bool, str] = True,
     ) -> None:
         params_for_eps(eps)  # validates 0 < eps <= 1
+        _check_optimized(solver_optimized)
         if repair_radius < 0:
             raise InvalidParameterError(
                 f"repair_radius must be >= 0, got {repair_radius}"

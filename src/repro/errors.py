@@ -53,7 +53,7 @@ class VecUnavailableError(ReproError):
 
     The struct-of-arrays backend (:mod:`repro.vec`) needs numpy, which
     is an optional extra (``pip install repro[fast]``).  Stdlib-only
-    installs keep the pure-Python ``optimized=True/False`` paths; asking
+    installs keep the pure-Python backend (``optimized=True``); asking
     for ``optimized="vec"`` raises this error so callers can fall back
     explicitly instead of silently running a different engine.
     """

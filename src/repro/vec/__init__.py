@@ -15,7 +15,7 @@ into flat arrays (:mod:`repro.vec.compile`) and re-implements
 all active men at once (:mod:`repro.vec.engine`).  It is selected with
 ``ASMEngine(optimized="vec")`` and is bit-identical — matching, good /
 bad sets, message counts, round charges, synchronous time — to the
-pure-Python reference engine; ``tests/test_vec_equivalence.py`` pins
+pure-Python backend; ``tests/test_vec_equivalence.py`` pins
 the contract over the full workload grid.
 """
 
@@ -39,5 +39,5 @@ def require_numpy() -> None:
         raise VecUnavailableError(
             "the vectorized engine (optimized='vec') requires numpy; "
             "install it with `pip install repro[fast]` or use "
-            "optimized=True/False for the pure-Python paths"
+            "optimized=True for the pure-Python backend"
         )

@@ -1,10 +1,11 @@
 """Batched ProposalRound / QuantileMatch state over a :class:`VecProfile`.
 
-:class:`VecState` is the mutable struct-of-arrays twin of the per-player
-state the pure-Python :class:`~repro.core.asm.ASMEngine` keeps in
-``QuantizedList``/dict form.  One bool array ``present`` replaces both
-sides' removal sets (edge removals are always paired: Step 4 removes a
-man from a woman's list exactly when Step 5 removes her from his), and a
+:class:`VecState` is the mutable struct-of-arrays twin of the pure-Python
+backend of :class:`~repro.core.asm.ASMEngine`, which keeps per-player
+state in ``QuantizedList``/dict form; both expose the same methods.
+One bool array ``present`` replaces both sides' removal sets (edge
+removals are always paired: Step 4 removes a man from a woman's list
+exactly when Step 5 removes her from his), and a
 man's active set ``A`` is represented implicitly as *the present edges
 of his activated quantile* (``active_q[m]``; ``-1`` = empty).
 
@@ -28,13 +29,13 @@ State-transition order mirrors the reference engine exactly where order
 matters (partner assignment before rejection clears); everywhere else
 the reference's per-player loops are order-independent, which is what
 makes the batched version bit-identical.  The equivalence suite
-(``tests/test_vec_equivalence.py``) pins this against the reference
-path over the full workload grid.
+(``tests/test_vec_equivalence.py``) pins this against the seed
+reference ProposalRound, kept in the tests, over the full workload grid.
 
 This module is internal to :class:`~repro.core.asm.ASMEngine`'s
 ``optimized="vec"`` mode; it deliberately knows nothing about
 telemetry, observers, or round accounting — the engine owns those so
-all three paths share one implementation of the contract.
+both backends share one implementation of the contract.
 """
 
 from __future__ import annotations
@@ -113,45 +114,45 @@ class VecState:
     # Outer-loop queries
     # ------------------------------------------------------------------
 
-    def participating_mask(self, threshold: int) -> "np.ndarray":
+    def participating(self, threshold: int) -> "np.ndarray":
         """Men with ``|Q| >= threshold`` (Algorithm 3's ``2^i`` gate)."""
         return self.m_remaining >= threshold
 
+    def count(self, part_mask: "np.ndarray") -> int:
+        """How many men ``part_mask`` holds."""
+        return int(part_mask.sum())
+
+    def count_bad(self, part_mask: "np.ndarray") -> int:
+        """How many of the masked men are bad."""
+        return int((part_mask & self.bad_mask()).sum())
+
     def needs_run(self, part_mask: "np.ndarray") -> bool:
         """Whether any participating man would actually propose."""
-        return bool(
-            (part_mask & (self.man_partner == -1) & (self.m_remaining > 0)).any()
-        )
+        return bool((part_mask & self.bad_mask()).any())
 
     def bad_mask(self) -> "np.ndarray":
         """Bad men: unmatched with partners left to propose to."""
         return (self.man_partner == -1) & (self.m_remaining > 0)
 
-    def as_mask(self, participating: object) -> "np.ndarray":
-        """Coerce a participating-men spec to a boolean mask over men.
-
-        Accepts a boolean mask (returned as-is) or any integer sequence
-        (the pure-Python engines' native form).
-        """
-        if isinstance(participating, np.ndarray) and participating.dtype == bool:
-            return participating
-        mask = np.zeros(self.profile.n_men, dtype=bool)
-        idx = np.asarray(list(participating), dtype=np.int64)
-        if idx.size:
-            mask[idx] = True
-        return mask
-
     # ------------------------------------------------------------------
-    # Result-bundle conversions (array state -> Python containers)
+    # Classification and result conversions (array state -> Python ints)
     # ------------------------------------------------------------------
 
-    def good_men_set(self) -> frozenset:
-        """Good men (matched or fully rejected) as a frozenset of ints."""
-        return frozenset(np.flatnonzero(~self.bad_mask()).tolist())
+    def man_is_good(self, m: int) -> bool:
+        """Good = matched, or rejected by every acceptable partner."""
+        return bool(self.man_partner[m] != -1 or self.m_remaining[m] == 0)
 
-    def bad_men_set(self) -> frozenset:
-        """Bad men as a frozenset of Python ints."""
-        return frozenset(np.flatnonzero(self.bad_mask()).tolist())
+    def good_men(self) -> List[int]:
+        """Good men (matched or fully rejected), ascending."""
+        return np.flatnonzero(~self.bad_mask()).tolist()
+
+    def bad_men(self) -> List[int]:
+        """Bad men, ascending."""
+        return np.flatnonzero(self.bad_mask()).tolist()
+
+    def removed_men(self) -> List[int]:
+        """Always empty: the almost-regular removal is Python-only."""
+        return []
 
     def matching_pairs(self):
         """Current ``(man, woman)`` pairs as Python-int tuples."""
@@ -240,10 +241,18 @@ class VecState:
         self._acc_w = pw[acc]
         return int(self._acc_m.size), step_max
 
-    def step_maximal_matching(self) -> Tuple[MMResult, G0Stats, int]:
+    def step_maximal_matching(
+        self, mm_oracle: object
+    ) -> Tuple[MMResult, G0Stats, int, int]:
         """Step 3: deterministic mutual-pointer MM on the accepted graph.
 
-        Returns ``(mm_result, g0_stats, mm_work)``.  ``mm_result`` is a
+        ``mm_oracle`` is the engine's Step-3 subroutine; the engine only
+        builds this backend for the deterministic oracle, whose protocol
+        is compiled in here, so it is not called.
+
+        Returns ``(mm_result, g0_stats, mm_work, men_removed)``, with
+        ``men_removed`` always 0 (no almost-regular removal here).
+        ``mm_result`` is a
         shim carrying the exact simulated round count (identical to the
         Python oracle's — same iterations, same ×2 rounds factor); its
         ``partner`` map is empty and ``per_iteration_active`` is not
@@ -298,7 +307,7 @@ class VecState:
         self._mm_pos = np.concatenate(matched_pos) if matched_pos else apos[:0]
         rounds = iterations * ROUNDS_PER_POINTER_ROUND
         mm_result = MMResult(partner={}, rounds=rounds)
-        return mm_result, g0, rounds * max_g0_deg
+        return mm_result, g0, rounds * max_g0_deg, 0
 
     def step_reject(self) -> Tuple[int, int, int]:
         """Steps 4–5: matched women reject; men process rejections.

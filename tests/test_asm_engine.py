@@ -303,6 +303,41 @@ class TestOverridesAndOracles:
         with pytest.raises(InvalidParameterError):
             ASMEngine(prefs, 0.5).run_flat(0)
 
+    def test_step3_reads_mm_oracle_at_call_time(self):
+        """Replacing ``mm_oracle`` after construction takes effect: the
+        pure-Python backend looks it up on every ProposalRound."""
+        prefs = complete_uniform(10, seed=4)
+        engine = ASMEngine(prefs, 0.5)
+        original = engine.mm_oracle
+        seen = []
+
+        def recording(g0):
+            seen.append(g0.num_edges)
+            return original(g0)
+
+        engine.mm_oracle = recording
+        run = engine.run()
+        assert len(seen) == run.proposal_rounds_executed > 0
+        assert run == asm(prefs, 0.5)
+
+    def test_observer_aliases_are_backend_state(self):
+        """The observer-visible aliases are the very objects the
+        backend mutates, so observers see every update."""
+        prefs = gnp_incomplete(12, 0.5, seed=3)
+        aliases = (
+            "men_q", "women_q", "active", "removed",
+            "man_partner", "woman_partner",
+        )
+        engine = ASMEngine(prefs, 0.5)
+        before = {name: getattr(engine, name) for name in aliases}
+        run = engine.run()
+        for name in aliases:
+            assert getattr(engine, name) is before[name]
+            assert getattr(engine, name) is getattr(engine._state, name)
+        assert sorted(
+            (m, w) for m, w in enumerate(engine.man_partner) if w is not None
+        ) == sorted(run.matching.pairs())
+
 
 class TestEdgeCases:
     def test_empty_instance(self):

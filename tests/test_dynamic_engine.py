@@ -96,6 +96,19 @@ class TestValidation:
                 complete_uniform(3, seed=0), 0.5, repair_passes=0
             )
 
+    @pytest.mark.parametrize("solver", ["fast", False])
+    def test_bad_solver_rejected_at_construction(self, solver):
+        """Without a warm start no solve runs in the constructor, so
+        the choice must be checked there, before any delta lands."""
+        with pytest.raises(InvalidParameterError):
+            DynamicMatchingEngine(
+                bounded_degree(200, 5, seed=1),
+                0.5,
+                solver_optimized=solver,
+                warm_start=False,
+                slo=StabilitySLO(1e-4, 0),
+            )
+
     def test_unknown_delta_type(self):
         engine = DynamicMatchingEngine(complete_uniform(3, seed=0), 0.5)
         with pytest.raises(InvalidParameterError):

@@ -26,6 +26,7 @@ from repro.baselines.gale_shapley import gale_shapley, parallel_gale_shapley
 from repro.core.asm import asm
 from repro.core.matching import Matching
 from repro.core.preferences import PreferenceProfile
+from tests.reference_asm import reference_asm
 
 
 def all_complete_profiles(n: int):
@@ -205,7 +206,7 @@ class TestExhaustiveAsymmetric2x3:
         checked = 0
         for prefs in all_incomplete_profiles(2, 3):
             fast = asm(prefs, eps, check_invariants=True)
-            reference = asm(prefs, eps, optimized=False)
+            reference = reference_asm(prefs, eps)
             assert fast == reference
             fast.matching.validate_against(prefs)
             assert count_blocking_pairs(prefs, fast.matching) <= (

@@ -1,12 +1,12 @@
-"""Seeded equivalence: the optimized engine path is bit-identical.
+"""Seeded equivalence: the pure-Python backend matches the seed oracle.
 
-The ASM engine keeps two ProposalRound implementations — the seed
-reference (``optimized=False``) and the allocation-free fast path
-(``optimized=True``, the default).  These tests assert the *entire*
-:class:`~repro.core.asm.ASMResult` (matching, good/bad/removed sets,
-round counters, message stats, per-iteration stats) is identical
-across the workload generator grid, under invariant checking, and
-under the almost-regular removal mode.
+The ASM engine's default backend (``optimized=True``) is the
+allocation-free pure-Python one; the seed ProposalRound survives only as
+the test oracle :class:`tests.reference_asm.ReferenceASMEngine`.  These
+tests assert the *entire* :class:`~repro.core.asm.ASMResult` (matching,
+good/bad/removed sets, round counters, message stats, per-iteration
+stats) is identical across the workload generator grid, under invariant
+checking, and under the almost-regular removal mode.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from repro.workloads.generators import (
     adversarial_gale_shapley,
     complete_uniform,
 )
+from tests.reference_asm import ReferenceASMEngine, reference_asm
 
 # (generator name, kwargs) — one representative point per family.
 GRID = [
@@ -40,7 +41,7 @@ GRID = [
 
 def _both(prefs, eps, **kwargs):
     fast = asm(prefs, eps, optimized=True, **kwargs)
-    reference = asm(prefs, eps, optimized=False, **kwargs)
+    reference = reference_asm(prefs, eps, **kwargs)
     return fast, reference
 
 
@@ -76,20 +77,19 @@ class TestEngineEquivalence:
         prefs = complete_uniform(14, seed=13)
         rec_fast, rec_ref = Recorder(), Recorder()
         asm(prefs, 0.5, optimized=True, observer=rec_fast)
-        asm(prefs, 0.5, optimized=False, observer=rec_ref)
+        reference_asm(prefs, 0.5, observer=rec_ref)
         assert rec_fast.rounds == rec_ref.rounds
 
     def test_identical_under_removal_mode(self):
         """The almost-regular (Theorem 6) engine configuration."""
         prefs = complete_uniform(12, seed=17)
         results = []
-        for optimized in (True, False):
-            engine = ASMEngine(
+        for engine_cls in (ASMEngine, ReferenceASMEngine):
+            engine = engine_cls(
                 prefs,
                 0.5,
                 mm_oracle=israeli_itai_oracle(seed=3),
                 remove_unmatched_violators=True,
-                optimized=optimized,
             )
             results.append(engine.run_flat(6))
         assert results[0] == results[1]

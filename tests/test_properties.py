@@ -11,9 +11,9 @@ instances per invariant:
 * **Theorem 3** — the final matching has at most ``ε·|E|`` blocking
   pairs.
 
-Each invariant is checked on both ``ASMEngine`` paths (optimized and
-reference — they must also agree exactly) and, on a reduced pinned
-subset, on the fault-free CONGEST protocol.  Instances are generated
+Each invariant is checked on the pure-Python ``ASMEngine`` backend and
+on the seed-reference test oracle (they must also agree exactly) and,
+on a reduced pinned subset, on the fault-free CONGEST protocol.  Instances are generated
 with the stdlib ``random`` module from a fixed root seed, so the sweep
 is deterministic; crank ``REPRO_PROPERTY_TRIALS`` up for a deeper
 soak.
@@ -32,6 +32,7 @@ from repro.core.asm import ASMEngine, ASMObserver
 from repro.faults import FaultPlan
 from repro.mm.deterministic import deterministic_maximal_matching
 from repro.workloads.generators import complete_uniform, gnp_incomplete
+from tests.reference_asm import ReferenceASMEngine
 
 #: Instances per invariant; the CI fault-smoke job reduces this.
 TRIALS = int(os.environ.get("REPRO_PROPERTY_TRIALS", "200"))
@@ -94,27 +95,28 @@ class InvariantObserver(ASMObserver):
                 )
 
 
-def _run_engine(prefs, eps, optimized):
+def _run_engine(prefs, eps, engine_cls):
     observer = InvariantObserver(prefs)
-    engine = ASMEngine(
+    engine = engine_cls(
         prefs,
         eps,
         check_invariants=True,
         observer=observer,
-        optimized=optimized,
     )
     result = engine.run()
     return result, observer
 
 
-@pytest.mark.parametrize("optimized", [True, False], ids=["opt", "ref"])
-def test_engine_invariants_hold_over_sweep(optimized):
+@pytest.mark.parametrize(
+    "engine_cls", [ASMEngine, ReferenceASMEngine], ids=["opt", "ref"]
+)
+def test_engine_invariants_hold_over_sweep(engine_cls):
     """Lemmas 1-2 and the Theorem 3 bound over the randomized sweep."""
     for n, eps, seed, incomplete in _CASES:
         prefs = _profile(n, seed, incomplete)
         if prefs.num_edges == 0:
             continue
-        result, observer = _run_engine(prefs, eps, optimized)
+        result, observer = _run_engine(prefs, eps, engine_cls)
         assert not observer.violations, (
             f"invariant violations on n={n} eps={eps} seed={seed} "
             f"incomplete={incomplete}: {observer.violations[:3]}"
@@ -127,13 +129,13 @@ def test_engine_invariants_hold_over_sweep(optimized):
 
 
 def test_engine_paths_agree_over_sweep():
-    """The optimized and reference ProposalRound paths are bit-equal."""
+    """The pure-Python backend and the reference oracle are bit-equal."""
     for n, eps, seed, incomplete in _CASES:
         prefs = _profile(n, seed, incomplete)
         if prefs.num_edges == 0:
             continue
-        fast = ASMEngine(prefs, eps, optimized=True).run()
-        ref = ASMEngine(prefs, eps, optimized=False).run()
+        fast = ASMEngine(prefs, eps).run()
+        ref = ReferenceASMEngine(prefs, eps).run()
         assert fast.matching == ref.matching, (
             f"paths diverge on n={n} eps={eps} seed={seed}"
         )
@@ -159,7 +161,7 @@ def _congest_cases():
 
 def test_congest_matches_engine_and_eps_bound():
     """Differential grid: message-level ASM equals the logical engine
-    (both paths) on the same truncated schedule, and its output
+    (backend and oracle) on the same truncated schedule, and its output
     respects the ε-bound on every pinned instance."""
     for n, eps, seed in _congest_cases():
         prefs = complete_uniform(n, seed)
@@ -167,8 +169,8 @@ def test_congest_matches_engine_and_eps_bound():
         congest = run_congest_asm(
             prefs, eps, mm_iterations=mm_iters, **_CONGEST_SCHED
         )
-        for optimized in (True, False):
-            engine = ASMEngine(
+        for engine_cls in (ASMEngine, ReferenceASMEngine):
+            engine = engine_cls(
                 prefs,
                 eps,
                 k=_CONGEST_SCHED["k"],
@@ -177,11 +179,10 @@ def test_congest_matches_engine_and_eps_bound():
                 mm_oracle=lambda g: deterministic_maximal_matching(
                     g, max_iterations=mm_iters
                 ),
-                optimized=optimized,
             )
             logical = engine.run()
             assert congest.matching == logical.matching, (
-                f"congest != engine(optimized={optimized}) on "
+                f"congest != {engine_cls.__name__} on "
                 f"n={n} eps={eps} seed={seed}"
             )
         blocking = count_blocking_pairs(prefs, congest.matching)

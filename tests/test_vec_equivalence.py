@@ -2,9 +2,10 @@
 
 ``ASMEngine(optimized="vec")`` compiles the profile to flat arrays and
 replays ProposalRound / QuantileMatch as batched array operations.  The
-contract is *bit-identity* with the pure-Python reference engine — the
-entire :class:`~repro.core.asm.ASMResult` (matching, good/bad/removed
-sets, message stats, round charges by category, per-round and per-outer
+contract is *bit-identity* with the seed ProposalRound kept as the test
+oracle :mod:`tests.reference_asm` — the entire
+:class:`~repro.core.asm.ASMResult` (matching, good/bad/removed sets,
+message stats, round charges by category, per-round and per-outer
 stats, synchronous time) must be equal on every instance.  These tests
 pin that contract over the workload generator grid, a seeded property
 sweep (``REPRO_PROPERTY_TRIALS``, default 200), the Theorem 3 ε-bound
@@ -38,6 +39,7 @@ from repro.workloads.generators import (
     complete_uniform,
     gnp_incomplete,
 )
+from tests.reference_asm import ReferenceASMEngine, reference_asm
 
 needs_numpy = pytest.mark.skipif(
     not HAS_NUMPY, reason="numpy not installed (repro[fast] extra)"
@@ -86,21 +88,19 @@ class TestVecEquivalence:
     @pytest.mark.parametrize("eps", [0.25, 0.5, 1.0])
     def test_identical_results_across_grid(self, name, kwargs, eps):
         prefs = GENERATORS[name](**kwargs)
-        reference = asm(prefs, eps, optimized=False)
+        reference = reference_asm(prefs, eps)
         vec = asm(prefs, eps, optimized="vec")
         assert vec == reference
 
     def test_identical_with_invariant_checking(self):
         prefs = complete_uniform(16, seed=11)
-        reference = asm(prefs, 0.4, optimized=False, check_invariants=True)
+        reference = reference_asm(prefs, 0.4, check_invariants=True)
         vec = asm(prefs, 0.4, optimized="vec", check_invariants=True)
         assert vec == reference
 
     def test_identical_on_adversarial_instance(self):
         prefs = adversarial_gale_shapley(14)
-        assert asm(prefs, 0.3, optimized="vec") == asm(
-            prefs, 0.3, optimized=False
-        )
+        assert asm(prefs, 0.3, optimized="vec") == reference_asm(prefs, 0.3)
 
     def test_identical_on_asymmetric_markets(self):
         profiles = [
@@ -111,18 +111,14 @@ class TestVecEquivalence:
             PreferenceProfile([[], []], [[], []]),
         ]
         for prefs in profiles:
-            reference = asm(
-                prefs, 0.5, optimized=False, check_invariants=True
-            )
+            reference = reference_asm(prefs, 0.5, check_invariants=True)
             vec = asm(prefs, 0.5, optimized="vec", check_invariants=True)
             assert vec == reference
 
     @pytest.mark.parametrize("iterations", [1, 4, 12])
     def test_identical_run_flat(self, iterations):
         prefs = gnp_incomplete(24, 0.3, seed=19)
-        reference = ASMEngine(prefs, 0.5, optimized=False).run_flat(
-            iterations
-        )
+        reference = ReferenceASMEngine(prefs, 0.5).run_flat(iterations)
         vec = ASMEngine(prefs, 0.5, optimized="vec").run_flat(iterations)
         assert vec == reference
 
@@ -130,7 +126,7 @@ class TestVecEquivalence:
         prefs = complete_uniform(10, seed=2)
         a = ASMEngine(prefs, 0.5, optimized="vec")
         b = ASMEngine(prefs, 0.5, optimized="vec")
-        assert a._vec.profile is b._vec.profile  # same cached VecProfile
+        assert a._state.profile is b._state.profile  # same cached VecProfile
 
 
 @needs_numpy
@@ -144,7 +140,7 @@ class TestVecPropertySweep:
         from repro.vec.stability import count_blocking_pairs_vec
 
         prefs = _fuzz_profile(family, n, seed)
-        reference = asm(prefs, eps, optimized=False, check_invariants=True)
+        reference = reference_asm(prefs, eps, check_invariants=True)
         vec = asm(prefs, eps, optimized="vec", check_invariants=True)
         assert vec == reference
 
@@ -306,8 +302,9 @@ class TestFrozenCaches:
 class TestVecParameterValidation:
     def test_unknown_optimized_value_rejected(self):
         prefs = complete_uniform(4, seed=0)
-        with pytest.raises(InvalidParameterError):
-            ASMEngine(prefs, 0.5, optimized="fast")
+        for optimized in ("fast", False):
+            with pytest.raises(InvalidParameterError):
+                ASMEngine(prefs, 0.5, optimized=optimized)
 
     @needs_numpy
     def test_vec_rejects_removal_mode(self):
@@ -341,9 +338,7 @@ class TestVecParameterValidation:
 
         monkeypatch.setattr(vec_pkg, "HAS_NUMPY", False)
         prefs = complete_uniform(6, seed=1)
-        assert asm(prefs, 0.5, optimized=True) == asm(
-            prefs, 0.5, optimized=False
-        )
+        assert asm(prefs, 0.5) == reference_asm(prefs, 0.5)
 
 
 class TestQuantileBoundaryCache:
