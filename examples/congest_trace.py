@@ -5,19 +5,24 @@ Runs the message-level CONGEST implementation of ASM on a small
 instance — every player is an independent node program exchanging
 O(log n)-bit PROPOSE / ACCEPT / REJECT / MM_POINT / MM_TAKEN messages
 through the synchronous simulator — and verifies the outcome matches
-the logical engine exactly (DESIGN.md §4 cross-validation).
+the logical engine exactly (DESIGN.md §4 cross-validation).  A causal
+tracer keeps one record per message (round, sender, recipient, kind,
+fate), which the tables below summarize.
 
 Run:  python examples/congest_trace.py
 """
 
 from __future__ import annotations
 
+from collections import Counter
+
 from repro import complete_uniform, instability
 from repro.analysis.tables import format_table
-from repro.congest.recorder import MessageRecorder
 from repro.congest.protocols import run_congest_asm
 from repro.core.asm import ASMEngine
 from repro.mm.deterministic import deterministic_maximal_matching
+from repro.obs import Telemetry
+from repro.trace import CausalTrace, CausalTracer
 
 
 def main() -> None:
@@ -26,7 +31,7 @@ def main() -> None:
     k, inner, outer, mm_iters = 4, 6, 4, 2 * n
 
     print(f"Running message-level ASM on n={n} (k={k}) ...")
-    recorder = MessageRecorder(max_events=500)
+    tracer = CausalTracer()
     congest = run_congest_asm(
         prefs,
         eps,
@@ -34,7 +39,7 @@ def main() -> None:
         inner_iterations=inner,
         outer_iterations=outer,
         mm_iterations=mm_iters,
-        recorder=recorder,
+        telemetry=Telemetry.tracing(tracer),
     )
     stats = congest.stats
 
@@ -48,10 +53,20 @@ def main() -> None:
     print(f"  busiest round        : #{busiest + 1} "
           f"({stats.messages_per_round[busiest]} messages)")
 
+    messages = CausalTrace(tracer.records).messages()
+    by_kind = Counter(r["kind"] for r in messages)
     print("\nmessages by kind:")
-    print(format_table(recorder.summary_rows()))
-    print("\nfirst recorded messages:")
-    print(recorder.sequence_table(limit=8))
+    print(format_table(
+        [{"kind": kind, "messages": by_kind[kind]} for kind in sorted(by_kind)]
+    ))
+    print("\nfirst traced messages:")
+    print(format_table(
+        [
+            {key: r[key] for key in ("round", "from", "to", "kind", "fate")}
+            for r in messages[:8]
+        ],
+        title="message sequence",
+    ))
 
     engine = ASMEngine(
         prefs,

@@ -216,21 +216,16 @@ def _add_transport_flags(parser: argparse.ArgumentParser) -> None:
     group = parser.add_argument_group(
         "transport",
         "delivery transport: when sent messages land in inboxes "
-        "(default sync lockstep; see docs/transport.md)",
-    )
-    group.add_argument(
-        "--transport",
-        choices=["sync", "async", "sharded"],
-        default="sync",
-        help="delivery backend (default sync)",
+        "(lockstep unless --latency-dist is nonzero; see "
+        "docs/transport.md)",
     )
     group.add_argument(
         "--latency-dist",
         default="zero",
         metavar="SPEC",
         help="per-link latency model: zero, fixed:K, uniform:LO-HI, "
-        "perlink:LO-HI, geometric:P:CAP (async/sharded only; "
-        "default zero)",
+        "perlink:LO-HI, geometric:P:CAP; a nonzero model selects the "
+        "async event transport (default zero = lockstep)",
     )
     group.add_argument(
         "--link-seed",
@@ -238,38 +233,22 @@ def _add_transport_flags(parser: argparse.ArgumentParser) -> None:
         default=0,
         help="root seed for latency draws (default 0)",
     )
-    group.add_argument(
-        "--transport-workers",
-        type=int,
-        default=2,
-        metavar="N",
-        help="worker processes for sharded latency draws (default 2)",
-    )
 
 
 def _build_transport(args: argparse.Namespace):
-    """Instantiate the requested transport, or None for plain sync.
+    """The async transport for a nonzero latency model, else None (sync).
 
-    A fresh instance per call: transports bind to exactly one
-    simulator run.
+    Zero latency needs no transport object: async at zero latency is
+    bit-identical to lockstep.  A fresh instance per call: transports
+    bind to exactly one simulator run.
     """
-    from repro.congest.transport import AsyncEventTransport, ShardedTransport
+    from repro.congest.transport import AsyncEventTransport
     from repro.workloads.latency import parse_latency
 
     latency = parse_latency(args.latency_dist)
-    if args.transport == "sync":
-        if latency.bound() > 0:
-            raise InvalidParameterError(
-                f"--latency-dist {args.latency_dist!r} needs "
-                f"--transport async or sharded (sync delivery has no "
-                f"latency)"
-            )
-        return None
-    if args.transport == "async":
+    if latency.bound() > 0:
         return AsyncEventTransport(latency, link_seed=args.link_seed)
-    return ShardedTransport(
-        latency, link_seed=args.link_seed, workers=args.transport_workers
-    )
+    return None
 
 
 def _add_telemetry_flags(parser: argparse.ArgumentParser) -> None:

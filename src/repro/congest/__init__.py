@@ -11,17 +11,23 @@ statement is one synchronous round.  Subprotocols compose with
 ``yield from``, which is how the ASM protocol nests its
 maximal-matching phase.
 
+Delivery has two rules: :class:`SyncTransport` (lockstep, the
+default) and :class:`AsyncEventTransport` (seeded per-link latency for
+robustness runs; bit-identical to lockstep at zero latency).  The
+per-message record — round, sender, recipient, kind, fate — is kept by
+:class:`~repro.trace.span.CausalTracer` (pass
+``telemetry=Telemetry.tracing(CausalTracer())``) and read through
+:class:`~repro.trace.analysis.CausalTrace`.
+
 :mod:`repro.congest.protocols` contains true message-level
 implementations of distributed Gale–Shapley, the maximal-matching
 algorithms, and ASM itself, cross-validated against the logical engine.
 """
 
 from repro.congest.message import MESSAGE_SCHEMAS, Message, MessageSchema
-from repro.congest.recorder import MessageEvent, MessageRecorder
 from repro.congest.simulator import SimulationStats, Simulator
 from repro.congest.transport import (
     AsyncEventTransport,
-    ShardedTransport,
     SyncTransport,
     Transport,
 )
@@ -30,10 +36,7 @@ __all__ = [
     "MESSAGE_SCHEMAS",
     "AsyncEventTransport",
     "Message",
-    "MessageEvent",
-    "MessageRecorder",
     "MessageSchema",
-    "ShardedTransport",
     "SimulationStats",
     "Simulator",
     "SyncTransport",

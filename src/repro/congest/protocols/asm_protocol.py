@@ -309,7 +309,6 @@ def run_congest_asm(
     mm_iterations: Optional[int] = None,
     mm_kind: str = "pointer",
     seed: int = 0,
-    recorder=None,
     telemetry=None,
     faults: Optional[FaultPlan] = None,
     transport=None,
@@ -352,7 +351,7 @@ def run_congest_asm(
         seed=seed,
     )
     return _run_with_schedule(
-        prefs, sched, recorder=recorder, telemetry=telemetry, faults=faults,
+        prefs, sched, telemetry=telemetry, faults=faults,
         transport=transport,
     )
 
@@ -366,7 +365,6 @@ def run_congest_rand_asm(
     inner_iterations: Optional[int] = None,
     outer_iterations: Optional[int] = None,
     mm_iterations: Optional[int] = None,
-    recorder=None,
     telemetry=None,
     faults: Optional[FaultPlan] = None,
     transport=None,
@@ -396,7 +394,6 @@ def run_congest_rand_asm(
         ),
         mm_kind="israeli_itai",
         seed=seed,
-        recorder=recorder,
         telemetry=telemetry,
         faults=faults,
         transport=transport,
@@ -413,7 +410,6 @@ def run_congest_almost_regular_asm(
     quantile_match_iterations: Optional[int] = None,
     mm_iterations: Optional[int] = None,
     mm_kind: str = "israeli_itai",
-    recorder=None,
     telemetry=None,
     faults: Optional[FaultPlan] = None,
     transport=None,
@@ -449,7 +445,7 @@ def run_congest_almost_regular_asm(
         remove_violators=True,
     )
     return _run_with_schedule(
-        prefs, sched, recorder=recorder, telemetry=telemetry, faults=faults,
+        prefs, sched, telemetry=telemetry, faults=faults,
         transport=transport,
     )
 
@@ -457,7 +453,6 @@ def run_congest_almost_regular_asm(
 def _run_with_schedule(
     prefs: PreferenceProfile,
     sched: ASMSchedule,
-    recorder=None,
     telemetry=None,
     faults: Optional[FaultPlan] = None,
     transport=None,
@@ -481,7 +476,7 @@ def _run_with_schedule(
             w, prefs.woman_list(w), sched, rng, tally
         )
     sim = Simulator(
-        graph, programs, recorder=recorder, telemetry=telemetry,
+        graph, programs, telemetry=telemetry,
         faults=faults, transport=transport,
     )
     # A reordering transport (nonzero latency) degrades runs the same

@@ -111,7 +111,6 @@ def run_congest_gale_shapley(
     prefs: PreferenceProfile,
     iterations: Optional[int] = None,
     *,
-    recorder=None,
     telemetry=None,
     faults: Optional[FaultPlan] = None,
     transport=None,
@@ -143,7 +142,7 @@ def run_congest_gale_shapley(
         rank = {m: prefs.rank_of_man(w, m) for m in prefs.woman_list(w)}
         programs[woman_node(w)] = _woman_program(w, rank, iterations, tally)
     sim = Simulator(
-        graph, programs, recorder=recorder, telemetry=telemetry,
+        graph, programs, telemetry=telemetry,
         faults=faults, transport=transport,
     )
     # Reordered delivery (nonzero transport latency) degrades runs the

@@ -9,8 +9,14 @@ round.  The simulator:
   configured bit cap (:class:`~repro.errors.ProtocolViolationError`
   otherwise),
 * delivers each round's messages as ``{sender: Message}`` dicts,
+  through a :class:`~repro.congest.transport.Transport` (lockstep by
+  default, seeded per-link latency with
+  :class:`~repro.congest.transport.AsyncEventTransport`),
 * collects per-run statistics (rounds, messages, bits), and
 * captures each program's return value as the node's local output.
+
+Per-message records (round, sender, recipient, kind, fate) are kept by
+a :class:`~repro.trace.span.CausalTracer` on the telemetry bundle.
 
 Round semantics: the outbox a program yields in round ``t`` is
 delivered at the *same* yield's return — i.e. ``inbox = yield outbox``
@@ -86,9 +92,6 @@ class Simulator:
     bit_cap_factor:
         The ``O(·)`` constant of the ``O(log n)`` cap: messages may use
         at most ``bit_cap_factor · (⌈log₂ n⌉ + 1)`` bits.
-    recorder:
-        Optional :class:`~repro.congest.recorder.MessageRecorder` (any
-        object with ``on_message(round, sender, recipient, message)``).
     telemetry:
         Optional :class:`~repro.obs.telemetry.Telemetry` bundle; when
         enabled, every round is timed (``congest.round_seconds``
@@ -120,7 +123,6 @@ class Simulator:
         programs: Mapping[NodeId, NodeProgram],
         *,
         bit_cap_factor: int = 8,
-        recorder: Optional[Any] = None,
         telemetry: Optional[Telemetry] = None,
         faults: Optional[FaultPlan] = None,
         transport: Optional[Transport] = None,
@@ -156,9 +158,6 @@ class Simulator:
             v: i for i, v in enumerate(sorted(self.programs, key=repr))
         }
         self._started_map: Dict[NodeId, bool] = {}
-        # Optional message recorder (see repro.congest.recorder): any
-        # object with on_message(round, sender, recipient, message).
-        self.recorder = recorder
         # Optional telemetry bundle (see repro.obs): per-round timings
         # and message counts flow into its registry and event log.
         self.telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
@@ -206,21 +205,15 @@ class Simulator:
             return None
 
     def _deposit(
-        self,
-        executing_round: int,
-        sender: NodeId,
-        recipient: NodeId,
-        msg: Message,
+        self, sender: NodeId, recipient: NodeId, msg: Message
     ) -> None:
-        """Place one message in the recipient's inbox (+ recorder)."""
+        """Place one message in the recipient's inbox."""
         inboxes = self._inboxes
         if recipient in inboxes:
             box = inboxes[recipient]
             if not box:
                 self._touched_inboxes.append(recipient)
             box[sender] = msg
-        if self.recorder is not None:
-            self.recorder.on_message(executing_round, sender, recipient, msg)
 
     def _validate(
         self,
@@ -419,10 +412,6 @@ class Simulator:
             self.stats.crashed_nodes = len(self.crashed)
             return self.stats
         finally:
-            # Release transport resources (worker pools); idempotent,
-            # and in-flight messages stay countable via
-            # ``transport.in_flight()``.
-            self.transport.close()
             if sid is not None:
                 tracer.close_span(
                     sid,

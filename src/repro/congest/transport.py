@@ -7,7 +7,7 @@ message lands in its recipient's inbox.  Programs always advance one
 yield per round (CONGEST nodes cannot skip rounds), so a transport
 changes message timing, never the round structure.
 
-Three implementations:
+Two implementations:
 
 :class:`SyncTransport`
     Today's canonical-order lockstep delivery — every message lands in
@@ -27,14 +27,6 @@ Three implementations:
     replays byte-identically everywhere.  With zero latency every
     event takes the synchronous fast path and the transport is
     bit-identical to :class:`SyncTransport`.
-:class:`ShardedTransport`
-    :class:`AsyncEventTransport` with the per-round latency draws
-    fanned out across worker processes, chunked by the same
-    :meth:`~repro.parallel.pool.TrialPool.chunk_layout` rule the
-    parallel layer uses (layout is a pure function of the pair count,
-    never the worker count).  Draws are pure functions of
-    ``(link_seed, round, link)``, so the merged plan — and therefore
-    the whole run — is byte-identical for any ``workers``.
 
 Determinism contract (``docs/transport.md``): a run is a pure function
 of ``(programs, plan, transport kind, latency model, link_seed)``.
@@ -43,12 +35,6 @@ duplicate faults) first, then transport-deferred messages, then fresh
 sends in canonical node order — each group internally deterministic,
 and a fresh send overwrites a stale copy from the same sender
 (last-write-wins, exactly like the lockstep loop).
-
-This module is, alongside :mod:`repro.parallel.pool`, a sanctioned
-home for ``concurrent.futures`` (lint rule DET003 exempts it): the
-sharded backend manages its own process pool because draws are
-per-round, far too fine-grained for ``TrialPool.run``'s per-trial
-contract.
 """
 
 from __future__ import annotations
@@ -56,19 +42,14 @@ from __future__ import annotations
 import heapq
 from typing import Any, Dict, List, Optional, Tuple
 
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
-
-from repro.errors import InvalidParameterError, SimulationError
+from repro.errors import SimulationError
 from repro.graphs import NodeId
-from repro.parallel.pool import TrialPool
 from repro.workloads.latency import ZERO_LATENCY
 
 __all__ = [
     "Transport",
     "SyncTransport",
     "AsyncEventTransport",
-    "ShardedTransport",
 ]
 
 
@@ -104,9 +85,6 @@ class Transport:
                 f"create one transport per run"
             )
         self._sim = sim
-
-    def close(self) -> None:
-        """Release any resources (idempotent; called after every run)."""
 
     # ------------------------------------------------------------------
     # Introspection
@@ -162,7 +140,7 @@ class Transport:
             for sender, recipient, msg in injector.due(
                 executing_round, sim.crashed
             ):
-                sim._deposit(executing_round, sender, recipient, msg)
+                sim._deposit(sender, recipient, msg)
                 if tracer is not None:
                     tracer.on_deferred_delivery(
                         executing_round, repr(sender), repr(recipient),
@@ -246,7 +224,7 @@ class Transport:
         edge in the same round.
         """
         sim = self._sim
-        sim._deposit(executing_round, sender, recipient, msg)
+        sim._deposit(sender, recipient, msg)
         if tid is not None:
             sim.telemetry.tracer.on_delivered(recipient, tid)
 
@@ -360,162 +338,10 @@ class AsyncEventTransport(Transport):
                 if tracer is not None:
                     tracer.on_transport_drop(executing_round, tid)
                 continue
-            sim._deposit(executing_round, sender, recipient, msg)
+            sim._deposit(sender, recipient, msg)
             self.delivered_late += 1
             if tracer is not None:
                 tracer.on_transport_delivery(
                     executing_round, tid, repr(recipient)
                 )
 
-
-def _draw_latency_chunk(
-    latency: Any,
-    link_seed: int,
-    round_index: int,
-    pairs: List[Tuple[str, str]],
-) -> List[int]:
-    """Worker-side batch draw (module-level so it pickles).
-
-    Pure function of its arguments — each draw is a ``derive_seed``
-    evaluation — so results are independent of which worker runs the
-    chunk.
-    """
-    return [
-        latency.draw(link_seed, round_index, sender, recipient)
-        for sender, recipient in pairs
-    ]
-
-
-class ShardedTransport(AsyncEventTransport):
-    """Async transport with multi-process latency draws for large n.
-
-    Each round's links are collected in canonical order and their
-    latency draws fanned out across worker processes — chunked by
-    :meth:`TrialPool.chunk_layout`, merged by chunk start index —
-    before delivery proceeds exactly as in
-    :class:`AsyncEventTransport`.  Because every draw is a pure
-    ``derive_seed`` function, the merged plan is byte-identical for
-    any ``workers`` (including 1, which never spawns a process).
-
-    Parameters
-    ----------
-    workers:
-        Worker processes for the draw fan-out (1 = in-process).
-    min_batch:
-        Rounds with fewer links than this draw inline — process
-        round-trips cost more than small batches save.
-    chunk_size:
-        Links per chunk; defaults to ``TrialPool``'s layout rule.
-    """
-
-    kind = "sharded"
-
-    def __init__(
-        self,
-        latency: Any = ZERO_LATENCY,
-        *,
-        link_seed: int = 0,
-        workers: int = 2,
-        min_batch: int = 64,
-        chunk_size: Optional[int] = None,
-    ) -> None:
-        super().__init__(latency, link_seed=link_seed)
-        if workers < 1:
-            raise InvalidParameterError(
-                f"workers must be >= 1, got {workers}"
-            )
-        self.workers = workers
-        self.min_batch = min_batch
-        # Reuse the parallel layer's chunking rule: layout is a pure
-        # function of the pair count, never the worker count.
-        self._layout_pool = TrialPool(workers=1, chunk_size=chunk_size)
-        self._executor: Optional[ProcessPoolExecutor] = None
-        # Current round's precomputed draws: (sender, recipient) repr
-        # pair -> latency.
-        self._plan: Dict[Tuple[str, str], int] = {}
-
-    def describe(self) -> Dict[str, Any]:
-        info = super().describe()
-        info["workers"] = self.workers
-        return info
-
-    def close(self) -> None:
-        if self._executor is not None:
-            self._executor.shutdown()
-            self._executor = None
-
-    def deliver_round(
-        self,
-        executing_round: int,
-        outboxes: Dict[NodeId, Dict[NodeId, Any]],
-        kind_counts: Optional[Dict[str, int]] = None,
-    ) -> Tuple[int, int]:
-        self._plan = self._draw_round(executing_round, outboxes)
-        try:
-            return super().deliver_round(
-                executing_round, outboxes, kind_counts
-            )
-        finally:
-            self._plan = {}
-
-    def _latency_of(
-        self, executing_round: int, sender: NodeId, recipient: NodeId
-    ) -> int:
-        key = (repr(sender), repr(recipient))
-        plan = self._plan
-        if key in plan:
-            return plan[key]
-        # A link outside the precomputed plan (only possible if a hook
-        # routes a message the round scan did not see) falls back to
-        # the direct draw — same pure function, same answer.
-        return super()._latency_of(executing_round, sender, recipient)
-
-    def _draw_round(
-        self,
-        executing_round: int,
-        outboxes: Dict[NodeId, Dict[NodeId, Any]],
-    ) -> Dict[Tuple[str, str], int]:
-        if self.latency.bound() <= 0:
-            return {}
-        node_order = self._sim._order
-        pairs: List[Tuple[str, str]] = []
-        for sender, outbox in outboxes.items():
-            s = repr(sender)
-            for recipient in sorted(outbox, key=node_order.__getitem__):
-                pairs.append((s, repr(recipient)))
-        if not pairs:
-            return {}
-        if self.workers == 1 or len(pairs) < self.min_batch:
-            draws = _draw_latency_chunk(
-                self.latency, self.link_seed, executing_round, pairs
-            )
-            return dict(zip(pairs, draws))
-        layout = self._layout_pool.chunk_layout(len(pairs))
-        if self._executor is None:
-            self._executor = ProcessPoolExecutor(max_workers=self.workers)
-        futures = [
-            (
-                start,
-                self._executor.submit(
-                    _draw_latency_chunk,
-                    self.latency,
-                    self.link_seed,
-                    executing_round,
-                    pairs[start:start + size],
-                ),
-            )
-            for start, size in layout
-        ]
-        plan: Dict[Tuple[str, str], int] = {}
-        try:
-            # Merge by chunk start index: completion order is invisible.
-            for start, future in sorted(futures, key=lambda sf: sf[0]):
-                for offset, draw in enumerate(future.result()):
-                    plan[pairs[start + offset]] = draw
-        except BrokenProcessPool as exc:
-            raise SimulationError(
-                "a latency-draw worker process died (killed by the OS, "
-                "out of memory, or a crash in C code); re-run with "
-                "workers=1 to reproduce the draws in-process"
-            ) from exc
-        return plan

@@ -65,13 +65,8 @@ DEFAULT_EXEMPT: Dict[str, Tuple[str, ...]] = {
         "src/repro/obs",
     ),
     # repro.parallel is the sanctioned home for process pools (DET003
-    # sends everything else there), plus the transport layer's sharded
-    # backend, whose per-round draw fan-out reuses the same chunking
-    # discipline (see docs/transport.md).
-    "parallelism": (
-        "src/repro/parallel",
-        "src/repro/congest/transport.py",
-    ),
+    # sends everything else there).
+    "parallelism": ("src/repro/parallel",),
     # The analyzer's own machinery manipulates rule/report sets and is
     # not part of any replayed run.
     "flow": ("src/repro/lint",),

@@ -2,9 +2,23 @@
 
 from __future__ import annotations
 
+import re
+
 import pytest
 
 from repro.cli import build_parser, main
+
+
+# A congest run small enough to finish in well under a second.
+_CONGEST_SMALL = [
+    "congest", "--n", "5", "--inner", "3", "--outer", "2",
+    "--mm-iterations", "8",
+]
+
+
+def _strip_seconds(out):
+    """Drop each table line's last column (the wall-clock seconds)."""
+    return re.sub(r"[|+][^|+\n]*$", "", out, flags=re.MULTILINE)
 
 
 class TestParser:
@@ -233,6 +247,42 @@ class TestCommands:
             r["messages"] for r in records if r["kind"] == "congest_round"
         )
         assert round_total == counters["congest.messages"]
+
+    def test_congest_latency_dist_selects_async_transport(
+        self, tmp_path, capsys
+    ):
+        from repro.io import load_metrics
+
+        args = _CONGEST_SMALL + ["--latency-dist", "uniform:0-2",
+                                 "--link-seed", "5"]
+        outs = []
+        for run in range(2):
+            path = tmp_path / f"m{run}.json"
+            assert main(args + ["--metrics-out", str(path)]) == 0
+            outs.append(_strip_seconds(capsys.readouterr().out))
+            transport = load_metrics(path)["manifest"]["extra"]["transport"]
+            assert transport == {
+                "kind": "async",
+                "latency": {"kind": "uniform", "low": 0, "high": 2},
+                "link_seed": 5,
+            }
+        assert outs[0] == outs[1]
+        assert "async" in outs[0]
+
+    def test_congest_zero_latency_is_the_default_sync_run(
+        self, tmp_path, capsys
+    ):
+        from repro.io import load_metrics
+
+        assert main(_CONGEST_SMALL) == 0
+        default = _strip_seconds(capsys.readouterr().out)
+        path = tmp_path / "m.json"
+        assert main(
+            _CONGEST_SMALL
+            + ["--latency-dist", "zero", "--metrics-out", str(path)]
+        ) == 0
+        assert _strip_seconds(capsys.readouterr().out) == default
+        assert "transport" not in load_metrics(path)["manifest"]["extra"]
 
     def test_report_quick(self, capsys):
         assert main(["report", "--quick"]) == 0

@@ -178,7 +178,8 @@ class TestDeliveryProperty:
         exactly the right node in the right round."""
         import random as _random
 
-        from repro.congest.recorder import MessageRecorder
+        from repro.obs.telemetry import Telemetry
+        from repro.trace.span import CausalTracer
 
         for seed in range(5):
             rng = _random.Random(seed)
@@ -214,9 +215,10 @@ class TestDeliveryProperty:
 
                 return run()
 
-            rec = MessageRecorder()
+            tracer = CausalTracer()
             sim = Simulator(
-                g, {v: program(v) for v in nodes}, recorder=rec
+                g, {v: program(v) for v in nodes},
+                telemetry=Telemetry.tracing(tracer),
             )
             sim.run()
             # Check exact delivery.
@@ -227,7 +229,11 @@ class TestDeliveryProperty:
                         expected_total += 1
                         assert received[u][t][v] == msg
             assert sim.stats.messages == expected_total
-            assert rec.total_messages == expected_total
+            delivered = [
+                r for r in tracer.records
+                if r["type"] == "message" and r["fate"] == "delivered"
+            ]
+            assert len(delivered) == expected_total
 
 
 class TestBitCap:

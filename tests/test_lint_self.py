@@ -318,22 +318,17 @@ def test_det003_exempts_the_parallel_package(tmp_path):
     assert not any(v.rule == "DET003" for v in inside.violations)
 
 
-def test_det003_exempts_the_transport_module(tmp_path):
-    """The sharded transport's per-round latency fan-out is the other
-    sanctioned process-pool site — but only that one file: its siblings
-    under repro.congest stay in scope."""
+def test_det003_flags_a_pool_in_the_transport_module(tmp_path):
+    """Only repro.parallel may own a process pool: the CONGEST
+    transport module is back in DET003's scope like its siblings."""
     source = (
         "from concurrent.futures import ProcessPoolExecutor\n"
         "import multiprocessing\n"
     )
-    sibling = _lint_snippet(
-        tmp_path, "src/repro/congest/fixture_fanout.py", source
-    )
-    assert any(v.rule == "DET003" for v in sibling.violations)
     transport = _lint_snippet(
         tmp_path, "src/repro/congest/transport.py", source
     )
-    assert not any(v.rule == "DET003" for v in transport.violations)
+    assert any(v.rule == "DET003" for v in transport.violations)
 
 
 @pytest.mark.parametrize("family", REQUIRED_FAMILIES)

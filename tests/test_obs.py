@@ -3,13 +3,13 @@
 from __future__ import annotations
 
 import json
+from collections import Counter
 
 import pytest
 
 from repro.analysis.trace import TraceObserver
 from repro.congest.message import Message
 from repro.congest.protocols import run_congest_asm
-from repro.congest.recorder import MessageRecorder
 from repro.congest.simulator import Simulator
 from repro.core.asm import asm
 from repro.core.almost_regular import almost_regular_asm
@@ -28,7 +28,23 @@ from repro.obs import (
     histogram_summary,
     percentile,
 )
+from repro.trace.analysis import CausalTrace
+from repro.trace.span import CausalTracer
 from repro.workloads.generators import complete_uniform, gnp_incomplete
+
+
+def _traced_kind_counts(tracer):
+    """Per-kind counts of the tracer's message records (one per send)."""
+    messages = CausalTrace(tracer.records).messages()
+    return dict(Counter(r["kind"] for r in messages))
+
+
+def _summed_kinds(kind_counts):
+    """Sum of ``message_batch`` ``kinds`` dicts, per kind."""
+    total = Counter()
+    for kinds in kind_counts:
+        total.update(kinds)
+    return dict(total)
 
 
 class TestMetricsRegistry:
@@ -300,7 +316,7 @@ class TestMetricsObserver:
 
 
 class TestSimulatorTelemetry:
-    def _run_ping(self, telemetry=None, recorder=None):
+    def _run_ping(self, telemetry=None):
         g = Graph()
         g.add_edge("a", "b")
 
@@ -313,8 +329,7 @@ class TestSimulatorTelemetry:
                 yield {}
 
         sim = Simulator(
-            g, {"a": pinger(), "b": listener()},
-            recorder=recorder, telemetry=telemetry,
+            g, {"a": pinger(), "b": listener()}, telemetry=telemetry
         )
         sim.run()
         return sim
@@ -335,16 +350,14 @@ class TestSimulatorTelemetry:
         hist = tel.metrics.histogram_summaries()["congest.round_seconds"]
         assert hist["count"] == sim.stats.rounds
 
-    def test_message_batches_match_recorder(self):
-        tel = Telemetry.create()
-        rec = MessageRecorder()
-        self._run_ping(telemetry=tel, recorder=rec)
-        batches = tel.events.by_kind("message_batch")
-        total_by_kind = {}
-        for e in batches:
-            for kind, count in e.fields["kinds"].items():
-                total_by_kind[kind] = total_by_kind.get(kind, 0) + count
-        assert total_by_kind == dict(rec.counts_by_kind)
+    def test_message_batches_match_tracer(self):
+        tracer = CausalTracer()
+        tel = Telemetry.create(tracer=tracer)
+        self._run_ping(telemetry=tel)
+        total_by_kind = _summed_kinds(
+            e.fields["kinds"] for e in tel.events.by_kind("message_batch")
+        )
+        assert total_by_kind == _traced_kind_counts(tracer) == {"PING": 3}
 
     def test_no_telemetry_default(self):
         sim = self._run_ping()
@@ -362,37 +375,6 @@ class TestSimulatorTelemetry:
         assert tel.metrics.counters["congest.messages"] == (
             result.stats.messages
         )
-
-
-class TestRecorderEventBridge:
-    def test_emit_events_exact_despite_cap_and_filter(self):
-        g = Graph()
-        g.add_edge("a", "b")
-
-        def pinger():
-            for _ in range(4):
-                yield {"b": Message("PING")}
-
-        def ponger():
-            outbox = {}
-            for _ in range(5):
-                inbox = yield outbox
-                outbox = (
-                    {"a": Message("PONG")}
-                    if any(m.kind == "PING" for m in inbox.values())
-                    else {}
-                )
-
-        rec = MessageRecorder(max_events=1, kinds=["PONG"])
-        sim = Simulator(g, {"a": pinger(), "b": ponger()}, recorder=rec)
-        sim.run()
-        log = EventLog()
-        emitted = rec.emit_events(log)
-        assert emitted == len(log.by_kind("message_batch"))
-        total = 0
-        for e in log.by_kind("message_batch"):
-            total += sum(e.fields["kinds"].values())
-        assert total == rec.total_messages == sim.stats.messages
 
 
 class TestIORoundTrip:
@@ -431,26 +413,24 @@ class TestIORoundTrip:
         )
         assert loaded_rounds[-1]["matching_size"] == len(result.matching)
 
-    def test_events_round_trip_cross_checks_recorder(self, tmp_path):
+    def test_events_round_trip_cross_checks_tracer(self, tmp_path):
+        tracer = CausalTracer()
         tel = Telemetry.create(
-            RunManifest.capture(algorithm="congest-asm", n=4)
+            RunManifest.capture(algorithm="congest-asm", n=4), tracer=tracer
         )
-        rec = MessageRecorder()
         result = run_congest_asm(
             complete_uniform(4, seed=1), eps=0.5,
             inner_iterations=2, outer_iterations=2, mm_iterations=4,
-            recorder=rec, telemetry=tel,
+            telemetry=tel,
         )
         path = tmp_path / "events.jsonl"
         save_events(tel.events, path, tel.manifest)
         _, records = load_events(path)
-        batch_total = sum(
-            count
-            for r in records
-            if r["kind"] == "message_batch"
-            for count in r["kinds"].values()
+        batch_by_kind = _summed_kinds(
+            r["kinds"] for r in records if r["kind"] == "message_batch"
         )
-        assert batch_total == rec.total_messages == result.stats.messages
+        assert batch_by_kind == _traced_kind_counts(tracer)
+        assert sum(batch_by_kind.values()) == result.stats.messages
         round_total = sum(
             r["messages"] for r in records if r["kind"] == "congest_round"
         )

@@ -2,16 +2,15 @@
 
 Three families of guarantees, in decreasing strictness:
 
-1. **Zero-latency identity** — :class:`AsyncEventTransport` and
-   :class:`ShardedTransport` with a zero-bound latency model are
-   *bit-identical* to the default :class:`SyncTransport` lockstep
-   delivery: same matching, same ``SimulationStats``, same telemetry
-   counters/events, same causal-trace ids.  The async code path with
-   ``latency == 0`` must be indistinguishable from sync.
+1. **Zero-latency identity** — :class:`AsyncEventTransport` with a
+   zero-bound latency model is *bit-identical* to the default
+   :class:`SyncTransport` lockstep delivery: same matching, same
+   ``SimulationStats``, same telemetry counters/events, same
+   causal-trace ids.  The async code path with ``latency == 0`` must
+   be indistinguishable from sync.
 2. **Seeded determinism** — under nonzero latency the run is still a
    pure function of ``(instance, schedule, latency model, link_seed)``:
-   repeated runs are identical, and the sharded backend matches the
-   single-process async backend for every worker count.
+   repeated runs are identical.
 3. **Theorem-3 under latency** — with *sparse* latency (the
    ``geometric:0.1:2`` envelope, mirroring the ``delay_rate=0.1``
    precedent in ``tests/test_faults.py``) the ASM output still
@@ -33,11 +32,7 @@ from dataclasses import asdict
 import pytest
 
 from repro.analysis.stability import count_blocking_pairs
-from repro.congest import (
-    AsyncEventTransport,
-    ShardedTransport,
-    SyncTransport,
-)
+from repro.congest import AsyncEventTransport, SyncTransport
 from repro.congest.protocols.asm_protocol import (
     run_congest_almost_regular_asm,
     run_congest_asm,
@@ -138,7 +133,6 @@ _ZERO_TRANSPORTS = {
     "sync-explicit": lambda: SyncTransport(),
     "async-zero": lambda: AsyncEventTransport(),
     "async-fixed0": lambda: AsyncEventTransport(FixedLatency(0)),
-    "sharded-zero": lambda: ShardedTransport(workers=2),
 }
 
 
@@ -186,7 +180,7 @@ def _snapshot(runner, prefs, transport):
 
 
 # ----------------------------------------------------------------------
-# 1. Zero-latency identity: async/sharded(0) ≡ sync, bit for bit
+# 1. Zero-latency identity: async(0) ≡ sync, bit for bit
 # ----------------------------------------------------------------------
 
 
@@ -206,7 +200,7 @@ class TestZeroLatencyIdentity:
         assert SyncTransport().reorders is False
         assert AsyncEventTransport().reorders is False
         assert AsyncEventTransport(UniformLatency(0, 2)).reorders is True
-        assert ShardedTransport(FixedLatency(1)).reorders is True
+        assert AsyncEventTransport(FixedLatency(1)).reorders is True
 
     def test_zero_latency_async_defers_nothing(self):
         transport = AsyncEventTransport()
@@ -244,22 +238,6 @@ class TestSeededDeterminism:
             for _ in range(2)
         ]
         assert runs[0] == runs[1]
-
-    @pytest.mark.parametrize("workers", [1, 3])
-    def test_sharded_matches_async_any_worker_count(self, workers):
-        prefs = complete_uniform(6, seed=4)
-        latency = UniformLatency(0, 2)
-        base = _snapshot(
-            _run_asm, prefs, AsyncEventTransport(latency, link_seed=7)
-        )
-        sharded = ShardedTransport(
-            latency, link_seed=7, workers=workers, min_batch=1
-        )
-        try:
-            got = _snapshot(_run_asm, prefs, sharded)
-        finally:
-            sharded.close()
-        assert got == base
 
     def test_latency_perturbs_the_run(self):
         prefs = complete_uniform(6, seed=4)
@@ -304,10 +282,6 @@ class TestSeededDeterminism:
         assert desc["kind"] == "async"
         assert desc["latency"] == UniformLatency(1, 3).to_dict()
         assert desc["link_seed"] == 9
-        sharded = ShardedTransport(FixedLatency(2), workers=4)
-        desc = sharded.describe()
-        assert desc["kind"] == "sharded"
-        assert desc["workers"] == 4
 
 
 # ----------------------------------------------------------------------

@@ -7,7 +7,7 @@ redeliveries, then transport-due redeliveries, then fresh sends), so:
   trace *byte-identical* to the sync lockstep path under the same
   :class:`FaultPlan` — including the committed golden trace;
 * under nonzero latency the combined run is still deterministic
-  (same plan + seeds → same trace, sharded ≡ async);
+  (same plan + seeds → same trace);
 * crashes and partitions keep their semantics when deliveries arrive
   out of order: a transport-deferred message to a node that has since
   crashed or gone down is dropped late, never delivered.
@@ -24,17 +24,14 @@ from __future__ import annotations
 import dataclasses
 from pathlib import Path
 
+from repro import cli
 from repro.cli import main
-from repro.congest import (
-    AsyncEventTransport,
-    ShardedTransport,
-    Simulator,
-)
+from repro.congest import AsyncEventTransport, Simulator
 from repro.congest.message import Message
 from repro.congest.protocols.asm_protocol import run_congest_asm
 from repro.faults import FaultInjector, FaultPlan, NodeCrash, PartitionWindow
 from repro.graphs import Graph
-from repro.workloads import FixedLatency, GeometricLatency, UniformLatency
+from repro.workloads import FixedLatency, GeometricLatency
 from repro.workloads.generators import complete_uniform
 
 # Mirrors tests/test_faults.py: the committed golden trace and the CLI
@@ -107,30 +104,27 @@ class TestZeroLatencyFaultIdentity:
         zero = _fault_run(prefs, AsyncEventTransport())
         assert _trace_fingerprint(zero) == _trace_fingerprint(sync)
 
-    def test_sharded_zero_fault_trace_identical_to_sync(self):
-        prefs = complete_uniform(6, seed=1)
-        sync = _fault_run(prefs, None)
-        sharded = ShardedTransport(workers=2)
-        try:
-            zero = _fault_run(prefs, sharded)
-        finally:
-            sharded.close()
-        assert _trace_fingerprint(zero) == _trace_fingerprint(sync)
-
     def test_golden_trace_reproduced_through_async_transport(
-        self, tmp_path
+        self, tmp_path, monkeypatch
     ):
+        # The CLI only builds an async transport for a nonzero latency
+        # model; force a zero-latency one through the same CLI path.
+        built = []
+
+        def build_async(args):
+            built.append(AsyncEventTransport())
+            return built[-1]
+
+        monkeypatch.setattr(cli, "_build_transport", build_async)
         out = tmp_path / "trace.json"
-        code = main(
-            GOLDEN_ARGS
-            + ["--transport", "async", "--fault-trace-out", str(out)]
-        )
+        code = main(GOLDEN_ARGS + ["--fault-trace-out", str(out)])
         assert code == 0
+        assert len(built) == 1 and built[0].kind == "async"
         assert out.read_bytes() == GOLDEN.read_bytes()
 
 
 # ----------------------------------------------------------------------
-# Nonzero latency: deterministic composition, sharded ≡ async
+# Nonzero latency: deterministic composition
 # ----------------------------------------------------------------------
 
 
@@ -149,21 +143,6 @@ class TestLatencyFaultComposition:
             for _ in range(2)
         ]
         assert runs[0] == runs[1]
-
-    def test_sharded_with_faults_matches_async(self):
-        prefs = complete_uniform(6, seed=2)
-        latency = UniformLatency(0, 2)
-        base = _trace_fingerprint(
-            _fault_run(prefs, AsyncEventTransport(latency, link_seed=9))
-        )
-        sharded = ShardedTransport(
-            latency, link_seed=9, workers=3, min_batch=1
-        )
-        try:
-            got = _trace_fingerprint(_fault_run(prefs, sharded))
-        finally:
-            sharded.close()
-        assert got == base
 
     def test_fault_decisions_unchanged_by_transport_latency(self):
         # The injector decides fates at *send* time, before routing, so
