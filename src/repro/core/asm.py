@@ -41,7 +41,6 @@ from typing import (
     TYPE_CHECKING,
     Dict,
     FrozenSet,
-    Iterator,
     List,
     Optional,
     Sequence,
@@ -344,16 +343,15 @@ class _PyState:
         """How many men ``participating`` holds."""
         return len(participating)
 
-    def count_bad(self, participating: Sequence[int]) -> int:
-        """How many of ``participating`` are bad."""
-        return sum(1 for m in participating if not self.man_is_good(m))
-
-    def needs_run(self, participating: Sequence[int]) -> bool:
-        """Whether any participating man would actually propose."""
-        return any(
-            self.man_partner[m] is None and self.men_q[m].remaining > 0
+    def candidates(self, participating: Sequence[int]) -> List[int]:
+        """The participating men who would propose: unmatched, with
+        ``|Q| > 0``."""
+        man_partner, men_q = self.man_partner, self.men_q
+        return [
+            m
             for m in participating
-        )
+            if man_partner[m] is None and men_q[m].remaining > 0
+        ]
 
     def man_is_good(self, m: int) -> bool:
         """Good = matched, or rejected by every acceptable partner."""
@@ -379,9 +377,9 @@ class _PyState:
         """Men removed from play, ascending."""
         return [m for m in range(self.n_men) if self.removed[m]]
 
-    def matching_pairs(self) -> Iterator[Tuple[int, int]]:
-        """Current ``(man, woman)`` pairs."""
-        return (
+    def matching(self) -> Matching:
+        """The current matching ``{(p(w), w) | p(w) ≠ ∅}``."""
+        return Matching(
             (m, w) for w, m in enumerate(self.woman_partner) if m is not None
         )
 
@@ -389,21 +387,18 @@ class _PyState:
     # QuantileMatch activation
     # ------------------------------------------------------------------
 
-    def activate(self, participating: Sequence[int]) -> None:
-        """Unmatched participating men activate their best nonempty
-        quantile."""
+    def activate(self, candidates: Sequence[int]) -> None:
+        """Candidate men (see :meth:`candidates`) activate their best
+        nonempty quantile; removed men sit out."""
         active_men: List[int] = []
-        for m in participating:
-            if self.removed[m] or self.man_partner[m] is not None:
+        for m in candidates:
+            if self.removed[m]:
                 continue
-            best = self.men_q[m].best_nonempty_quantile()
-            if best is not None:
-                self.active[m] = dict.fromkeys(
-                    self.men_q[m].members_of_sorted(best)
-                )
-                active_men.append(m)
-            else:
-                self.active[m] = {}
+            mq = self.men_q[m]
+            self.active[m] = dict.fromkeys(
+                mq.members_of_sorted(mq.best_nonempty_quantile())
+            )
+            active_men.append(m)
         self._active_men = active_men
 
     def lemma2_holds(self) -> bool:
@@ -763,7 +758,7 @@ class ASMEngine:
 
     def current_matching(self) -> Matching:
         """The partial matching ``M = {(p(w), w) | p(w) ≠ ∅}``."""
-        return Matching(self._state.matching_pairs())
+        return self._state.matching()
 
     # ------------------------------------------------------------------
     # Algorithm 1: ProposalRound
@@ -884,7 +879,11 @@ class ASMEngine:
     # Algorithm 2: QuantileMatch
     # ------------------------------------------------------------------
 
-    def quantile_match(self, participating: Sequence[int]) -> bool:
+    def quantile_match(
+        self,
+        participating: Sequence[int],
+        candidates: Optional[Sequence[int]] = None,
+    ) -> bool:
         """One QuantileMatch over ``participating`` men.
 
         Unmatched participating men activate their best nonempty
@@ -894,19 +893,23 @@ class ASMEngine:
 
         ``participating`` is in the backend's native form: a list of
         men for the pure-Python backend, a boolean mask over men for
-        vec (as the outer loop produces it).
+        vec (as the outer loop produces it).  ``candidates`` is the
+        backend's ``candidates(participating)``, when the caller's gate
+        already computed it.
         """
+        if candidates is None:
+            candidates = self._state.candidates(participating)
         profiler = self.telemetry.profiler
         if profiler is not None:
             with profiler.phase(
                 "asm.quantile_match",
                 participating=self._state.count(participating),
             ):
-                return self._quantile_match_impl(participating)
-        return self._quantile_match_impl(participating)
+                return self._quantile_match_impl(candidates)
+        return self._quantile_match_impl(candidates)
 
-    def _quantile_match_impl(self, participating: Sequence[int]) -> bool:
-        self._state.activate(participating)
+    def _quantile_match_impl(self, candidates: Sequence[int]) -> bool:
+        self._state.activate(candidates)
         self.quantile_match_calls_executed += 1
         self.quantile_match_calls_scheduled += 1
         any_communication = False
@@ -970,8 +973,12 @@ class ASMEngine:
             threshold=threshold,
             participating_men_start=state.count(participating_start),
             participating_men_end=state.count(participating_end),
-            bad_participating_men_end=state.count_bad(participating_end),
-            bad_in_start_set_end=state.count_bad(participating_start),
+            bad_participating_men_end=state.count(
+                state.candidates(participating_end)
+            ),
+            bad_in_start_set_end=state.count(
+                state.candidates(participating_start)
+            ),
             quantile_match_calls_executed=executed,
             quantile_match_calls_scheduled=inner,
         )
@@ -986,12 +993,13 @@ class ASMEngine:
         state = self._state
         for j in range(calls):
             participating = state.participating(threshold)
-            if not state.needs_run(participating):
+            candidates = state.candidates(participating)
+            if not state.count(candidates):
                 # No proposals can occur: the state is frozen for the
                 # rest of the loop; charge the fixed schedule.
                 self._charge_skipped_quantile_matches(calls - j)
                 return j
-            self.quantile_match(participating)
+            self.quantile_match(participating, candidates)
         return calls
 
     def run(self) -> ASMResult:

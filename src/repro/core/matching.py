@@ -65,6 +65,21 @@ class Matching:
         self._man_to_woman = dict(sorted(man_to_woman.items()))
         self._woman_to_man = dict(sorted(woman_to_man.items()))
 
+    @classmethod
+    def _adopt(
+        cls, man_to_woman: Dict[int, int], woman_to_man: Dict[int, int]
+    ) -> "Matching":
+        """A matching that takes ownership of two already-checked dicts.
+
+        For builders that validate their pairs themselves: the dicts
+        must be mutual inverses over ``int`` players, each inserted in
+        ascending key order — the canonical form ``__init__`` builds.
+        """
+        matching = cls.__new__(cls)
+        matching._man_to_woman = man_to_woman
+        matching._woman_to_man = woman_to_man
+        return matching
+
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------

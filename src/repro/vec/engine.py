@@ -42,7 +42,8 @@ from __future__ import annotations
 
 from typing import List, Optional, Tuple
 
-from repro.errors import SimulationError
+from repro.core.matching import Matching
+from repro.errors import InvalidMatchingError, SimulationError
 from repro.mm.deterministic import ROUNDS_PER_POINTER_ROUND
 from repro.mm.result import MMResult
 from repro.vec.compile import VecProfile
@@ -122,13 +123,13 @@ class VecState:
         """How many men ``part_mask`` holds."""
         return int(part_mask.sum())
 
-    def count_bad(self, part_mask: "np.ndarray") -> int:
-        """How many of the masked men are bad."""
-        return int((part_mask & self.bad_mask()).sum())
+    def candidates(self, part_mask: "np.ndarray") -> "np.ndarray":
+        """The masked men who would propose: unmatched, with ``|Q| > 0``.
 
-    def needs_run(self, part_mask: "np.ndarray") -> bool:
-        """Whether any participating man would actually propose."""
-        return bool((part_mask & self.bad_mask()).any())
+        One QuantileMatch gate computes this once and passes it on to
+        :meth:`activate`.
+        """
+        return part_mask & self.bad_mask()
 
     def bad_mask(self) -> "np.ndarray":
         """Bad men: unmatched with partners left to propose to."""
@@ -154,42 +155,69 @@ class VecState:
         """Always empty: the almost-regular removal is Python-only."""
         return []
 
-    def matching_pairs(self):
-        """Current ``(man, woman)`` pairs as Python-int tuples."""
+    def matching(self) -> Matching:
+        """The current matching, built from ``woman_partner`` as arrays.
+
+        Raises :class:`InvalidMatchingError` if a man is seated with two
+        women, naming the man :class:`Matching` itself would name.
+        """
         ws = np.flatnonzero(self.woman_partner >= 0)
-        return zip(self.woman_partner[ws].tolist(), ws.tolist())
+        ms = self.woman_partner[ws]
+        seats = np.bincount(ms, minlength=self.profile.n_men)
+        if ms.size and int(seats.max()) > 1:
+            # Matching(pairs) scans in woman order and stops at the
+            # first man it has already seen.
+            _, first = np.unique(ms, return_index=True)
+            repeat = np.ones(ms.size, dtype=bool)
+            repeat[first] = False
+            m = int(ms[np.flatnonzero(repeat)[0]])
+            raise InvalidMatchingError(f"man {m} is matched more than once")
+        men = np.flatnonzero(seats)
+        woman_of = np.empty(self.profile.n_men, dtype=np.int64)
+        woman_of[ms] = ws
+        return Matching._adopt(
+            dict(zip(men.tolist(), woman_of[men].tolist())),
+            dict(zip(ws.tolist(), ms.tolist())),
+        )
 
     # ------------------------------------------------------------------
     # QuantileMatch activation
     # ------------------------------------------------------------------
 
-    def activate(self, part_mask: "np.ndarray") -> None:
-        """Unmatched participating men activate their best nonempty quantile.
+    def activate(self, cand: "np.ndarray") -> None:
+        """Candidate men activate their best nonempty quantile.
 
-        Matches the reference: every other man's ``A`` is (and stays)
-        empty — Lemma 2 guarantees all sets are empty on entry.
+        ``cand`` is the mask :meth:`candidates` returns.  Only the
+        candidates' CSR segments are read, so a call costs
+        O(Σ deg(candidates)), not O(|E|).  A man's first present
+        position is his best remaining rank, whose quantile is his best
+        nonempty quantile (quantiles are non-decreasing along a list);
+        ``A`` is the present positions of that quantile.  Every other
+        man's ``A`` is (and stays) empty — Lemma 2 guarantees all sets
+        are empty on entry.
         """
         p = self.profile
         active_q = self.active_q
         active_q.fill(-1)
-        cand = part_mask & (self.man_partner == -1) & (self.m_remaining > 0)
-        pos = np.flatnonzero(self.present)
-        if not pos.size or not cand.any():
+        men = np.flatnonzero(cand)
+        if not men.size:
             self._P = np.empty(0, dtype=np.int64)
             return
-        owners = p.m_owner[pos]
-        # First present position per man: owners is non-decreasing
-        # (CSR order), so firsts are the run boundaries — and the first
-        # present position is the best remaining rank, whose quantile is
-        # the best nonempty quantile (quantiles are non-decreasing).
-        first = np.empty(owners.size, dtype=bool)
-        first[0] = True
-        np.not_equal(owners[1:], owners[:-1], out=first[1:])
-        f_pos = pos[first]
-        f_own = owners[first]
-        sel = cand[f_own]
-        active_q[f_own[sel]] = p.m_quant[f_pos[sel]]
-        self._P = pos[active_q[owners] == p.m_quant[pos]]
+        # The candidates' segments, concatenated: segment i starts at
+        # offs[i] in idx and at m_indptr[men[i]] in the CSR arrays.
+        lens = p.m_degree[men]
+        offs = np.cumsum(lens)
+        idx = np.arange(int(offs[-1]), dtype=np.int64)
+        offs -= lens
+        idx += np.repeat(p.m_indptr[men] - offs, lens)
+        pos = idx[self.present[idx]]  # present positions, ascending
+        del idx
+        # A man's |Q| is his count of present positions (>= 1 for a
+        # candidate), so his first one sits at the exclusive prefix sum.
+        counts = self.m_remaining[men]
+        q = p.m_quant[pos[np.cumsum(counts) - counts]]
+        active_q[men] = q
+        self._P = pos[p.m_quant[pos] == np.repeat(q, counts)]
 
     def lemma2_holds(self) -> bool:
         """Whether every man's ``A`` is empty (post-QuantileMatch check)."""

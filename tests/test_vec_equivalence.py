@@ -29,7 +29,11 @@ from repro.core.asm import ASMEngine, asm
 from repro.core.matching import Matching
 from repro.core.preferences import PreferenceProfile
 from repro.core.quantile import quantile_boundaries
-from repro.errors import InvalidParameterError, VecUnavailableError
+from repro.errors import (
+    InvalidMatchingError,
+    InvalidParameterError,
+    VecUnavailableError,
+)
 from repro.mm.oracles import israeli_itai_oracle
 from repro.vec import HAS_NUMPY
 from repro.workloads.generators import (
@@ -149,6 +153,65 @@ class TestVecPropertySweep:
         assert blocking <= eps * prefs.num_edges, (
             f"Theorem 3 violated on vec path ({family}, n={n}, "
             f"seed={seed}): {blocking} > {eps * prefs.num_edges}"
+        )
+
+
+@needs_numpy
+class TestVecMatchingConstruction:
+    """The vec backend builds its :class:`Matching` from arrays."""
+
+    @staticmethod
+    def _raised(engine, women):
+        """Messages of ``current_matching()`` and of ``Matching(pairs)``."""
+        wp = engine._state.woman_partner
+        with pytest.raises(InvalidMatchingError) as expected:
+            Matching([(int(wp[w]), w) for w in women])
+        with pytest.raises(InvalidMatchingError) as got:
+            engine.current_matching()
+        return str(got.value), str(expected.value)
+
+    def test_man_seated_twice_raises(self):
+        engine = ASMEngine(complete_uniform(8, seed=3), 0.5, optimized="vec")
+        engine.run()
+        wp = engine._state.woman_partner
+        women = [w for w in range(8) if wp[w] >= 0]
+        wp[women[-1]] = wp[women[0]]
+        got, expected = self._raised(engine, women)
+        assert got == expected
+
+    def test_first_repeat_in_woman_order_is_named(self):
+        engine = ASMEngine(complete_uniform(8, seed=3), 0.5, optimized="vec")
+        engine.run()
+        wp = engine._state.woman_partner
+        w0, w1, w2, w3 = [w for w in range(8) if wp[w] >= 0][:4]
+        low, high = sorted((int(wp[w0]), int(wp[w1])))
+        # The larger man repeats first (at w2), the smaller later (w3).
+        wp[w2] = high
+        wp[w3] = low
+        got, expected = self._raised(engine, [w0, w1, w2, w3])
+        assert got == expected == f"man {high} is matched more than once"
+
+    @pytest.mark.parametrize("name,kwargs", GRID)
+    def test_same_matching_as_built_from_pairs(self, name, kwargs):
+        prefs = GENERATORS[name](**kwargs)
+        engine = ASMEngine(prefs, 0.5, optimized="vec")
+        engine.run()
+        built = engine.current_matching()
+        wp = engine._state.woman_partner.tolist()
+        pairs = [(m, w) for w, m in enumerate(wp) if m >= 0]
+        plain = Matching(pairs)
+        assert built == plain
+        assert list(built.pairs()) == list(plain.pairs())
+        assert list(built) == sorted(pairs)
+        for w in range(prefs.n_women):
+            assert built.partner_of_woman(w) == plain.partner_of_woman(w)
+        assert built.matched_women() == plain.matched_women()
+        assert built.to_dict() == plain.to_dict()
+        assert repr(built) == repr(plain)
+        assert all(
+            type(v) is int
+            for pair in built.pairs()
+            for v in pair
         )
 
 
