@@ -22,7 +22,6 @@ import tempfile
 from pathlib import Path
 
 from repro import (
-    MetricsObserver,
     RunManifest,
     Telemetry,
     complete_uniform,
@@ -41,9 +40,8 @@ def run_asm(prefs, eps: float, path: Path) -> None:
         params={"eps": eps},
     )
     telemetry = Telemetry.create(manifest)
-    observer = MetricsObserver(telemetry)
     with telemetry.timer("run.wall_seconds"):
-        result = asm(prefs, eps, observer=observer, telemetry=telemetry)
+        result = asm(prefs, eps, telemetry=telemetry)
     telemetry.metrics.set_gauge(
         "run.instability", instability(prefs, result.matching)
     )

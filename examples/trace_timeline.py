@@ -1,11 +1,12 @@
 #!/usr/bin/env python3
 """Scenario: inspect how an ASM run converges, round by round.
 
-Attaches a :class:`~repro.analysis.trace.TraceObserver` to an ASM run
-and prints the proposal-round timeline: proposals/accepts/rejects, the
-accepted-proposal graph G₀'s size, the matching size, and the good/bad
-men counts after every round — the mechanics of Lemmas 1, 2 and 6 made
-visible.
+Runs ASM with an enabled :class:`~repro.obs.telemetry.Telemetry`
+bundle, reads the engine's event log through
+:class:`~repro.analysis.trace.Timeline`, and prints the proposal-round
+timeline: proposals/accepts/rejects, the accepted-proposal graph G₀'s
+size, the matching size, and the good/bad men counts after every round
+— the mechanics of Lemmas 1, 2 and 6 made visible.
 
 Run:  python examples/trace_timeline.py [n] [eps]
 """
@@ -14,9 +15,9 @@ from __future__ import annotations
 
 import sys
 
-from repro import asm, gnp_incomplete, instability
+from repro import Telemetry, asm, gnp_incomplete, instability
 from repro.analysis.tables import format_table
-from repro.analysis.trace import TraceObserver
+from repro.analysis.trace import Timeline
 
 
 def main() -> None:
@@ -24,8 +25,9 @@ def main() -> None:
     eps = float(sys.argv[2]) if len(sys.argv) > 2 else 0.25
 
     prefs = gnp_incomplete(n, 0.3, seed=1)
-    trace = TraceObserver()
-    run = asm(prefs, eps, observer=trace)
+    telemetry = Telemetry.create()
+    run = asm(prefs, eps, telemetry=telemetry)
+    trace = Timeline(telemetry.events)
 
     print(trace.timeline_table(max_rows=25))
 

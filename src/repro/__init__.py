@@ -36,12 +36,11 @@ from repro.analysis import (
     is_stable,
     stability_report,
 )
-from repro.analysis.trace import TraceObserver
+from repro.analysis.trace import Timeline
 from repro.analysis.welfare import welfare_report
 from repro.obs.events import EventLog
 from repro.obs.manifest import RunManifest
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.observer import MetricsObserver
 from repro.obs.telemetry import Telemetry
 from repro.trace import (
     CausalTrace,
@@ -106,11 +105,10 @@ __all__ = [
     "is_stable",
     "stability_report",
     # analysis extras
-    "TraceObserver",
+    "Timeline",
     "welfare_report",
     # observability (repro.obs)
     "EventLog",
-    "MetricsObserver",
     "MetricsRegistry",
     "RunManifest",
     "Telemetry",

@@ -1,27 +1,24 @@
-"""Execution tracing for ASM runs.
+"""Per-round timeline of an ASM run, read from its event log.
 
-:class:`TraceObserver` plugs into the engine's observer hooks and
-records a structured timeline: one record per executed ProposalRound
-(proposals, accepts, rejects, the accepted-proposal graph size, the
-matching size so far) plus per-outer-iteration summaries.  The
-timeline renders as an ASCII table for inspection and can be exported
-as plain dicts for downstream analysis.
-
-Since the telemetry layer landed, ``TraceObserver`` is a thin
-projection over :class:`repro.obs.observer.MetricsObserver`: the hooks
-write ``proposal_round`` / ``quantile_match`` / ``outer_iteration``
-records into a shared :class:`repro.obs.events.EventLog`, and the
-legacy views (``proposal_rounds``, ``records()``, the timeline table)
-are derived from that log — one capture path, two presentations.  The
-pre-telemetry API is preserved exactly.
+:class:`~repro.core.asm.ASMEngine` writes one ``proposal_round`` /
+``quantile_match`` / ``outer_iteration`` record per executed step into
+its telemetry's :class:`~repro.obs.events.EventLog`.  :class:`Timeline`
+is a read-only view over such a log: one record per executed
+ProposalRound (proposals, accepts, rejects, the accepted-proposal graph
+size, the matching size so far) plus per-outer-iteration summaries,
+rendered as an ASCII table or exported as plain dicts.  A live
+``telemetry.events`` and a log reloaded from an ``--events-out`` file
+(:meth:`EventLog.from_records` over :func:`repro.io.load_events`) give
+the same timeline.
 
 Example
 -------
 >>> from repro.core.asm import asm
+>>> from repro.obs.telemetry import Telemetry
 >>> from repro.workloads.generators import complete_uniform
->>> trace = TraceObserver()
->>> _ = asm(complete_uniform(16, seed=0), eps=0.5, observer=trace)
->>> len(trace.proposal_rounds) > 0
+>>> tel = Telemetry.create()
+>>> _ = asm(complete_uniform(16, seed=0), eps=0.5, telemetry=tel)
+>>> len(Timeline(tel.events).proposal_rounds) > 0
 True
 """
 
@@ -32,10 +29,9 @@ from typing import Any, Dict, List, Optional
 
 from repro.analysis.tables import format_table
 from repro.core.asm import OuterIterationStats
-from repro.obs.observer import MetricsObserver
-from repro.obs.telemetry import Telemetry
+from repro.obs.events import EventLog
 
-__all__ = ["ProposalRoundRecord", "TraceObserver"]
+__all__ = ["ProposalRoundRecord", "Timeline"]
 
 
 @dataclass(frozen=True)
@@ -60,19 +56,20 @@ _RECORD_FIELDS = tuple(f.name for f in fields(ProposalRoundRecord))
 _OUTER_FIELDS = tuple(f.name for f in fields(OuterIterationStats))
 
 
-class TraceObserver(MetricsObserver):
-    """Records a per-round timeline of an ASM (or variant) run.
+class Timeline:
+    """The per-round timeline of an ASM (or variant) run.
 
-    All capture happens through the inherited
-    :class:`~repro.obs.observer.MetricsObserver` hooks; the properties
-    below reconstruct the legacy record types from the event log.
+    Parameters
+    ----------
+    events:
+        The run's event log; read on every access, never written.
     """
 
-    def __init__(self, telemetry: Optional[Telemetry] = None) -> None:
-        super().__init__(telemetry)
+    def __init__(self, events: EventLog) -> None:
+        self.events = events
 
     # ------------------------------------------------------------------
-    # Legacy views over the event log
+    # Views over the event log
     # ------------------------------------------------------------------
 
     @property
@@ -82,7 +79,7 @@ class TraceObserver(MetricsObserver):
             ProposalRoundRecord(
                 **{name: e.fields[name] for name in _RECORD_FIELDS}
             )
-            for e in self.telemetry.events.by_kind("proposal_round")
+            for e in self.events.by_kind("proposal_round")
         ]
 
     @property
@@ -90,7 +87,7 @@ class TraceObserver(MetricsObserver):
         """Cumulative ProposalRound count at each QuantileMatch end."""
         return [
             e.fields["proposal_rounds_so_far"]
-            for e in self.telemetry.events.by_kind("quantile_match")
+            for e in self.events.by_kind("quantile_match")
         ]
 
     @property
@@ -100,7 +97,7 @@ class TraceObserver(MetricsObserver):
             OuterIterationStats(
                 **{name: e.fields[name] for name in _OUTER_FIELDS}
             )
-            for e in self.telemetry.events.by_kind("outer_iteration")
+            for e in self.events.by_kind("outer_iteration")
         ]
 
     # ------------------------------------------------------------------

@@ -309,33 +309,23 @@ def _cmd_run(args: argparse.Namespace) -> int:
     else:
         prefs = _make_workload(args.workload, args.n, args.seed)
 
-    asm_variants = ("asm", "rand-asm", "almost-regular-asm")
-    if args.algorithm in asm_variants:
+    if args.algorithm in ("asm", "rand-asm", "almost-regular-asm"):
         params: Dict[str, Any] = {"eps": args.eps}
     elif args.algorithm == "truncated-gs":
         params = {"iterations": args.gs_iterations}
     else:
         params = {}
     telemetry = _telemetry_for(args, args.algorithm, params)
-    observer = None
-    if telemetry is not None and args.algorithm in asm_variants:
-        from repro.obs.observer import MetricsObserver
-
-        observer = MetricsObserver(telemetry)
 
     t0 = time.perf_counter()
     rows: List[Dict[str, Any]] = []
     if args.algorithm == "asm":
-        result = asm(prefs, args.eps, observer=observer, telemetry=telemetry)
+        result = asm(prefs, args.eps, telemetry=telemetry)
     elif args.algorithm == "rand-asm":
-        result = rand_asm(
-            prefs, args.eps, seed=args.seed,
-            observer=observer, telemetry=telemetry,
-        )
+        result = rand_asm(prefs, args.eps, seed=args.seed, telemetry=telemetry)
     elif args.algorithm == "almost-regular-asm":
         result = almost_regular_asm(
-            prefs, args.eps, seed=args.seed,
-            observer=observer, telemetry=telemetry,
+            prefs, args.eps, seed=args.seed, telemetry=telemetry
         )
     elif args.algorithm == "gale-shapley":
         gs = gale_shapley(prefs)

@@ -36,7 +36,7 @@ Guarantees reproduced (and checked by the test suite):
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import (
     TYPE_CHECKING,
     Dict,
@@ -618,8 +618,12 @@ class ASMEngine:
         accept-reject / maximal-matching phases of every executed
         ProposalRound into its metrics registry
         (``asm.phase.propose`` / ``asm.phase.accept_reject`` /
-        ``asm.phase.maximal_matching`` histograms).  Defaults to the
-        shared no-op bundle, which costs (nearly) nothing.
+        ``asm.phase.maximal_matching`` histograms), and writes the
+        ``asm.*`` counters and gauges plus one ``proposal_round`` /
+        ``quantile_match`` / ``outer_iteration`` event per executed
+        step (read back by :class:`repro.analysis.trace.Timeline`).
+        Defaults to the shared no-op bundle, which costs (nearly)
+        nothing.
     optimized:
         Backend selector; both backends produce bit-identical
         :class:`ASMResult` bundles:
@@ -840,9 +844,34 @@ class ASMEngine:
                 mm_rounds=mm_result.rounds,
                 matched=matched_in_m0,
             )
+        if self.telemetry.enabled:
+            self._emit_round(stats)
         if self.observer is not None:
             self.observer.on_proposal_round_end(self, stats)
         return stats
+
+    def _emit_round(self, stats: ProposalRoundStats) -> None:
+        """``asm.*`` counters/gauges and the ``proposal_round`` event."""
+        matching_size = len(self.current_matching())
+        good = len(self._state.good_men())
+        bad = len(self._state.bad_men())
+        metrics = self.telemetry.metrics
+        metrics.inc("asm.proposal_rounds")
+        metrics.inc("asm.messages.proposes", stats.proposals)
+        metrics.inc("asm.messages.accepts", stats.accepts)
+        metrics.inc("asm.messages.rejects", stats.rejects)
+        metrics.inc("asm.men_removed", stats.men_removed)
+        metrics.set_gauge("asm.matching_size", matching_size)
+        metrics.set_gauge("asm.good_men", good)
+        metrics.set_gauge("asm.bad_men", bad)
+        self.telemetry.events.emit(
+            "proposal_round",
+            index=self.proposal_rounds_executed - 1,
+            **asdict(stats),
+            matching_size=matching_size,
+            good_men=good,
+            bad_men=bad,
+        )
 
     def _charge_executed(self, mm_result: MMResult) -> None:
         """Round accounting for one executed ProposalRound."""
@@ -923,6 +952,14 @@ class ASMEngine:
             raise SimulationError(
                 "Lemma 2 violated: some man has A ≠ ∅ after QuantileMatch"
             )
+        telemetry = self.telemetry
+        if telemetry.enabled:
+            telemetry.metrics.inc("asm.quantile_match_calls")
+            telemetry.events.emit(
+                "quantile_match",
+                index=self.quantile_match_calls_executed - 1,
+                proposal_rounds_so_far=self.proposal_rounds_executed,
+            )
         if self.observer is not None:
             self.observer.on_quantile_match_end(self)
         return any_communication
@@ -983,6 +1020,10 @@ class ASMEngine:
             quantile_match_calls_scheduled=inner,
         )
         self.outer_stats.append(stats)
+        telemetry = self.telemetry
+        if telemetry.enabled:
+            telemetry.metrics.inc("asm.outer_iterations")
+            telemetry.events.emit("outer_iteration", **asdict(stats))
         if self.observer is not None:
             self.observer.on_outer_iteration_end(self, stats)
         return stats

@@ -43,7 +43,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.core.asm import _check_optimized, asm, params_for_eps
-from repro.core.matching import Matching, MutableMatching
+from repro.core.matching import Matching
 from repro.core.preferences import PreferenceProfile
 from repro.errors import InvalidParameterError
 from repro.obs import NULL_TELEMETRY, Telemetry
@@ -191,7 +191,6 @@ class DynamicMatchingEngine:
         self.telemetry = telemetry or NULL_TELEMETRY
         self.market = DynamicMarket(prefs)
         self.index = DynamicBlockingIndex(self.market)
-        self.matching = MutableMatching()
         self.deltas_applied = 0
         self.fallbacks = 0
         self.marriages = 0
@@ -319,9 +318,7 @@ class DynamicMatchingEngine:
             )
             return [delta.man], [delta.woman]
         if isinstance(delta, RemoveEdge):
-            was_matched = index.remove_edge(delta.man, delta.woman)
-            if was_matched:
-                self.matching.unmatch_man(delta.man)
+            index.remove_edge(delta.man, delta.woman)
             return [delta.man], [delta.woman]
         if isinstance(delta, SwapManPrefs):
             women = index.swap_man_prefs(delta.man, delta.pos)
@@ -338,13 +335,11 @@ class DynamicMatchingEngine:
         if isinstance(delta, DepartMan):
             ex = index.depart_man(delta.man)
             if ex is not None:
-                self.matching.unmatch_man(delta.man)
                 return [], [ex]
             return [], []
         if isinstance(delta, DepartWoman):
             ex = index.depart_woman(delta.woman)
             if ex is not None:
-                self.matching.unmatch_woman(delta.woman)
                 return [ex], []
             return [], []
         raise InvalidParameterError(
@@ -422,9 +417,6 @@ class DynamicMatchingEngine:
                 displaced_w = index.man_partner(best)
                 displaced_m = index.woman_partner(w)
                 index.satisfy(best, w)
-                self.matching.unmatch_man(best)
-                self.matching.unmatch_woman(w)
-                self.matching.match(best, w)
                 marriages += 1
                 if displaced_m is not None and displaced_m not in region_men:
                     region_men[displaced_m] = None
@@ -461,7 +453,6 @@ class DynamicMatchingEngine:
             for m in range(self.market.n_men)
         ]
         self.index.update_from_partner_lists(partner)
-        self.matching = MutableMatching(result.matching.pairs())
         if self.telemetry.profiler is not None:
             self.telemetry.profiler.count("dynamic.full_solve", solves=1)
 

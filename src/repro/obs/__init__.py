@@ -13,11 +13,9 @@ One subsystem carries every quantitative claim the repo makes:
 * :class:`~repro.obs.manifest.RunManifest` — provenance embedded in
   every exported artifact;
 * :class:`~repro.obs.telemetry.Telemetry` — the bundle instrumented
-  components accept (engine, CONGEST simulator, CLI), defaulting to
-  the shared no-op :data:`~repro.obs.telemetry.NULL_TELEMETRY`;
-* :class:`~repro.obs.observer.MetricsObserver` — the
-  :class:`~repro.core.asm.ASMObserver` feeding the bundle from engine
-  hooks (imported lazily here to avoid a cycle with ``repro.core``).
+  components accept (ASM engine, CONGEST simulator, dynamic engine,
+  trial pool, CLI) and write into directly, defaulting to the shared
+  no-op :data:`~repro.obs.telemetry.NULL_TELEMETRY`.
 
 Exports flow through :func:`repro.io.save_metrics` /
 :func:`repro.io.save_events`; the CLI exposes them as
@@ -26,8 +24,6 @@ See ``docs/observability.md``.
 """
 
 from __future__ import annotations
-
-from typing import Any
 
 from repro.obs.events import EVENT_KINDS, Event, EventLog
 from repro.obs.manifest import RunManifest, git_describe
@@ -43,7 +39,6 @@ __all__ = [
     "EVENT_KINDS",
     "Event",
     "EventLog",
-    "MetricsObserver",
     "MetricsRegistry",
     "NULL_TELEMETRY",
     "RunManifest",
@@ -54,13 +49,3 @@ __all__ = [
     "percentile",
 ]
 
-
-def __getattr__(name: str) -> Any:
-    # MetricsObserver subclasses ASMObserver, and repro.core.asm itself
-    # imports repro.obs for Telemetry — resolve lazily to break the
-    # import cycle.
-    if name == "MetricsObserver":
-        from repro.obs.observer import MetricsObserver
-
-        return MetricsObserver
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

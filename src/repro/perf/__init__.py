@@ -8,10 +8,9 @@ the paper-fidelity semantics of :mod:`repro.core`:
   maintained incrementally from matching deltas in ``O(deg)`` per
   change instead of the ``O(|E|)`` full rescan of
   :func:`repro.analysis.stability.find_blocking_pairs` (which is kept
-  as the cross-check oracle).
-* :class:`InstabilityTraceObserver` — an ASM observer recording the
-  exact blocking-pair count after every ProposalRound at incremental
-  cost.
+  as the cross-check oracle); :class:`repro.trace.slo.SLOMonitor`
+  uses it to record the exact blocking-pair count after every
+  ProposalRound at incremental cost.
 * :mod:`repro.perf.bench` — the pinned benchmark matrix behind the
   ``repro-asm bench`` CLI subcommand and the CI regression gate.
 """
@@ -22,12 +21,11 @@ from repro.perf.bench import (
     compare_reports,
     run_bench,
 )
-from repro.perf.blocking_index import BlockingPairIndex, InstabilityTraceObserver
+from repro.perf.blocking_index import BlockingPairIndex
 
 __all__ = [
     "BENCH_KIND",
     "BlockingPairIndex",
-    "InstabilityTraceObserver",
     "WORKLOAD_MATRIX",
     "compare_reports",
     "run_bench",

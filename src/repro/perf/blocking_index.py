@@ -24,12 +24,11 @@ from __future__ import annotations
 import random
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.core.asm import ASMEngine, ASMObserver, ProposalRoundStats
 from repro.core.matching import Matching
 from repro.core.preferences import PreferenceProfile
 from repro.errors import InvalidParameterError
 
-__all__ = ["BlockingPairIndex", "InstabilityTraceObserver"]
+__all__ = ["BlockingPairIndex"]
 
 
 class _PairPool:
@@ -376,28 +375,3 @@ class BlockingPairIndex:
             f"index={mine[:10]}..., oracle={sorted(oracle)[:10]}..."
         )
 
-
-class InstabilityTraceObserver(ASMObserver):
-    """ASM observer recording blocking-pair counts incrementally.
-
-    Plugs into :class:`repro.core.asm.ASMEngine` as an observer; after
-    every ProposalRound it diffs the engine's partner table into a
-    :class:`BlockingPairIndex` and records the exact blocking-pair
-    count — the measurement ``TraceObserver`` performs with a full
-    ``O(|E|)`` scan per round, here at ``O(n + deg·changes)``.
-
-    Attributes
-    ----------
-    counts:
-        Blocking-pair count after each ProposalRound, in order.
-    """
-
-    def __init__(self, prefs: PreferenceProfile) -> None:
-        self.index = BlockingPairIndex(prefs)
-        self.counts: List[int] = []
-
-    def on_proposal_round_end(
-        self, engine: ASMEngine, stats: ProposalRoundStats
-    ) -> None:
-        self.index.update_from_partner_lists(engine.man_partner)
-        self.counts.append(len(self.index))

@@ -7,9 +7,12 @@ by which it must hold) and attach an :class:`SLOMonitor` as an ASM
 observer.  After every ProposalRound it measures
 ε(round) = blocking_pairs / |E| with an incrementally maintained
 :class:`~repro.perf.blocking_index.BlockingPairIndex` (O(n + deg·Δ)
-per round, not a full edge scan), records the trajectory, and emits
-``slo_sample`` / ``slo_violation`` events into the run's
-:class:`~repro.obs.events.EventLog` when one is supplied.
+per round, not a full edge scan), records the trajectory and the
+blocking-pair counts, and emits ``slo_sample`` / ``slo_violation``
+events into the engine's telemetry event log (a no-op unless that log
+is enabled).  It reads the matching through the backend-neutral
+:meth:`~repro.core.asm.ASMEngine.current_matching`, so it works on
+both the stdlib and the vec backend.
 
 This is the ROADMAP's dynamic-engine groundwork: a dynamic engine
 re-stabilizing after preference churn needs exactly this signal —
@@ -72,6 +75,9 @@ class SLOMonitor(ASMObserver):
     ----------
     trajectory:
         ``(round, eps)`` after each ProposalRound, in order.
+    blocking_counts:
+        The exact blocking-pair count after each ProposalRound, in
+        order.
     violations:
         One dict per round where the SLO was binding and breached:
         ``{"round", "eps", "target_eps", "blocking_pairs"}``.
@@ -82,62 +88,36 @@ class SLOMonitor(ASMObserver):
         The instance being solved (fixes |E| and the rank tables).
     slo:
         The objective to check.
-    events:
-        Optional :class:`~repro.obs.events.EventLog`; violations are
-        emitted as ``slo_violation`` events, and every
-        ``sample_every``-th round as ``slo_sample``.
-    sample_every:
-        Cadence of ``slo_sample`` events (1 = every round).
-    inner:
-        Optional observer to delegate every hook to, so the monitor
-        can wrap an existing observer chain.
     """
 
-    def __init__(
-        self,
-        prefs: PreferenceProfile,
-        slo: StabilitySLO,
-        *,
-        events: Optional[Any] = None,
-        sample_every: int = 1,
-        inner: Optional[ASMObserver] = None,
-    ) -> None:
-        if sample_every < 1:
-            raise InvalidParameterError(
-                f"sample_every must be >= 1, got {sample_every}"
-            )
+    def __init__(self, prefs: PreferenceProfile, slo: StabilitySLO) -> None:
         self.slo = slo
         self.index = BlockingPairIndex(prefs)
         self.trajectory: List[Tuple[int, float]] = []
+        self.blocking_counts: List[int] = []
         self.violations: List[Dict[str, Any]] = []
-        self._events = events
-        self._sample_every = sample_every
-        self._inner = inner
         self._rounds = 0
         self._num_edges = prefs.num_edges
-
-    # -- observer hooks ------------------------------------------------
 
     def on_proposal_round_end(
         self, engine: ASMEngine, stats: ProposalRoundStats
     ) -> None:
         self._rounds += 1
-        self.index.update_from_partner_lists(engine.man_partner)
+        self.index.update_to(engine.current_matching())
         blocking = len(self.index)
         eps = blocking / self._num_edges if self._num_edges else 0.0
         self.trajectory.append((self._rounds, eps))
+        self.blocking_counts.append(blocking)
         binding = self.slo.in_effect(self._rounds)
-        if self._events is not None and (
-            self._rounds % self._sample_every == 0
-        ):
-            self._events.emit(
-                "slo_sample",
-                round=self._rounds,
-                eps=eps,
-                blocking_pairs=blocking,
-                target_eps=self.slo.target_eps,
-                binding=binding,
-            )
+        events = engine.telemetry.events
+        events.emit(
+            "slo_sample",
+            round=self._rounds,
+            eps=eps,
+            blocking_pairs=blocking,
+            target_eps=self.slo.target_eps,
+            binding=binding,
+        )
         if binding and eps > self.slo.target_eps:
             violation = {
                 "round": self._rounds,
@@ -146,18 +126,7 @@ class SLOMonitor(ASMObserver):
                 "blocking_pairs": blocking,
             }
             self.violations.append(violation)
-            if self._events is not None:
-                self._events.emit("slo_violation", **violation)
-        if self._inner is not None:
-            self._inner.on_proposal_round_end(engine, stats)
-
-    def on_quantile_match_end(self, engine: ASMEngine) -> None:
-        if self._inner is not None:
-            self._inner.on_quantile_match_end(engine)
-
-    def on_outer_iteration_end(self, engine: ASMEngine, stats: Any) -> None:
-        if self._inner is not None:
-            self._inner.on_outer_iteration_end(engine, stats)
+            events.emit("slo_violation", **violation)
 
     # -- reporting -----------------------------------------------------
 

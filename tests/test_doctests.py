@@ -13,6 +13,7 @@ import pytest
 MODULE_NAMES = [
     "repro",
     "repro.analysis.tables",
+    "repro.analysis.trace",
     "repro.baselines.gale_shapley",
     "repro.baselines.random_greedy",
     "repro.baselines.truncated_gs",
@@ -32,7 +33,6 @@ MODULE_NAMES = [
     "repro.obs.events",
     "repro.obs.manifest",
     "repro.obs.metrics",
-    "repro.obs.observer",
     "repro.obs.telemetry",
 ]
 

@@ -141,12 +141,7 @@ def _drive(prefs, deltas, *, target_eps, **kwargs):
         outcome = engine.apply(delta)
         # 1. index exactness (vs fresh index + full-scan oracle)
         engine.index.verify()
-        # 2. matching mirror agrees with the index partner state
-        assert (
-            sorted(engine.matching.freeze().pairs())
-            == sorted(engine.current_matching().pairs())
-        )
-        # 3. stability contract: never worse than what a full re-run
+        # 2. stability contract: never worse than what a full re-run
         #    would certify
         frozen = engine.market.freeze()
         if frozen.num_edges:

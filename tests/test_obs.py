@@ -7,7 +7,7 @@ from collections import Counter
 
 import pytest
 
-from repro.analysis.trace import TraceObserver
+from repro.analysis.trace import Timeline
 from repro.congest.message import Message
 from repro.congest.protocols import run_congest_asm
 from repro.congest.simulator import Simulator
@@ -20,7 +20,6 @@ from repro.io import load_events, load_metrics, save_events, save_metrics
 from repro.obs import (
     EVENT_KINDS,
     EventLog,
-    MetricsObserver,
     MetricsRegistry,
     NULL_TELEMETRY,
     RunManifest,
@@ -126,11 +125,8 @@ class TestEventLog:
         log = EventLog()
         with pytest.raises(InvalidParameterError):
             log.emit("not_a_kind")
-
-    def test_extra_kinds_extend_schema(self):
-        log = EventLog(extra_kinds=["custom"])
-        log.emit("custom", x=1)
-        assert log.events[0].fields == {"x": 1}
+        with pytest.raises(InvalidParameterError):
+            EventLog.from_records([{"kind": "not_a_kind", "seq": 0}])
 
     def test_timestamps_monotone_and_seq_dense(self):
         log = EventLog()
@@ -271,11 +267,13 @@ class TestEnginePhaseTiming:
             assert "asm.phase.propose" in tel.metrics.histograms
 
 
+# The class keeps its name so the test ids stay stable; the engine
+# itself now writes these counters, gauges and events.
 class TestMetricsObserver:
     def test_counters_match_result(self):
-        obs = MetricsObserver()
-        result = asm(complete_uniform(16, seed=2), eps=0.4, observer=obs)
-        counters = obs.telemetry.metrics.counters
+        tel = Telemetry.create()
+        result = asm(complete_uniform(16, seed=2), eps=0.4, telemetry=tel)
+        counters = tel.metrics.counters
         assert counters["asm.messages.proposes"] == result.messages.proposes
         assert counters["asm.messages.accepts"] == result.messages.accepts
         assert counters["asm.messages.rejects"] == result.messages.rejects
@@ -290,9 +288,9 @@ class TestMetricsObserver:
         )
 
     def test_event_stream_schema(self):
-        obs = MetricsObserver()
-        result = asm(complete_uniform(12, seed=3), eps=0.5, observer=obs)
-        log = obs.telemetry.events
+        tel = Telemetry.create()
+        result = asm(complete_uniform(12, seed=3), eps=0.5, telemetry=tel)
+        log = tel.events
         assert len(log.by_kind("proposal_round")) == (
             result.proposal_rounds_executed
         )
@@ -308,11 +306,18 @@ class TestMetricsObserver:
         )
 
     def test_final_gauges(self):
-        obs = MetricsObserver()
-        result = asm(complete_uniform(12, seed=4), eps=0.5, observer=obs)
-        gauges = obs.telemetry.metrics.gauges
+        tel = Telemetry.create()
+        result = asm(complete_uniform(12, seed=4), eps=0.5, telemetry=tel)
+        gauges = tel.metrics.gauges
         assert gauges["asm.matching_size"] == len(result.matching)
         assert gauges["asm.good_men"] == len(result.good_men)
+        assert gauges["asm.bad_men"] == len(result.bad_men)
+
+    def test_disabled_bundle_records_nothing(self):
+        tel = Telemetry.disabled()
+        asm(complete_uniform(12, seed=4), eps=0.5, telemetry=tel)
+        assert tel.metrics.counters == {} and tel.metrics.gauges == {}
+        assert len(tel.events) == 0
 
 
 class TestSimulatorTelemetry:
@@ -382,11 +387,7 @@ class TestIORoundTrip:
         tel = Telemetry.create(
             RunManifest.capture(algorithm="asm", n=12, params={"eps": 0.5})
         )
-        obs = MetricsObserver(tel)
-        result = asm(
-            complete_uniform(12, seed=5), eps=0.5,
-            observer=obs, telemetry=tel,
-        )
+        result = asm(complete_uniform(12, seed=5), eps=0.5, telemetry=tel)
         tel.manifest.finish()
         path = tmp_path / "metrics.json"
         save_metrics(tel.metrics, path, tel.manifest)
@@ -400,8 +401,8 @@ class TestIORoundTrip:
 
     def test_events_round_trip_cross_checks_trace(self, tmp_path):
         tel = Telemetry.create(RunManifest.capture(algorithm="asm", n=16))
-        trace = TraceObserver(tel)
-        result = asm(complete_uniform(16, seed=6), eps=0.4, observer=trace)
+        result = asm(complete_uniform(16, seed=6), eps=0.4, telemetry=tel)
+        trace = Timeline(tel.events)
         path = tmp_path / "events.jsonl"
         save_events(tel.events, path, tel.manifest)
         manifest, records = load_events(path)

@@ -161,8 +161,9 @@ class TestTrajectoryHelpers:
         assert got == want
 
     def test_trace_observer_counts_match_full_scan(self):
+        """SLOMonitor's per-round incremental counts equal full scans."""
         from repro.core.asm import ASMObserver
-        from repro.perf import InstabilityTraceObserver
+        from repro.trace.slo import SLOMonitor, StabilitySLO
 
         prefs = complete_uniform(10, seed=5)
 
@@ -178,9 +179,9 @@ class TestTrajectoryHelpers:
                 )
                 self.counts.append(count_blocking_pairs(prefs, matching))
 
-        incremental = InstabilityTraceObserver(prefs)
+        incremental = SLOMonitor(prefs, StabilitySLO(0.5))
         asm(prefs, 0.5, observer=incremental)
         oracle = FullScan()
         asm(prefs, 0.5, observer=oracle)
-        assert incremental.counts == oracle.counts
-        assert len(incremental.counts) > 0
+        assert incremental.blocking_counts == oracle.counts
+        assert len(incremental.blocking_counts) > 0

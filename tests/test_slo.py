@@ -9,16 +9,15 @@ import pytest
 
 from repro.core.asm import asm
 from repro.errors import InvalidParameterError
-from repro.obs.events import EventLog
+from repro.obs.telemetry import Telemetry
 from repro.trace.slo import SLOMonitor, StabilitySLO
 from repro.workloads.generators import complete_uniform
 
 
-def _run(n=12, eps=0.25, seed=0, **monitor_kwargs):
+def _run(n=12, eps=0.25, seed=0, slo=None, telemetry=None):
     prefs = complete_uniform(n, seed=seed)
-    slo = monitor_kwargs.pop("slo", StabilitySLO(eps))
-    monitor = SLOMonitor(prefs, slo, **monitor_kwargs)
-    result = asm(prefs, eps, observer=monitor)
+    monitor = SLOMonitor(prefs, slo or StabilitySLO(eps))
+    result = asm(prefs, eps, observer=monitor, telemetry=telemetry)
     return prefs, result, monitor
 
 
@@ -36,11 +35,6 @@ class TestStabilitySLO:
         slo = StabilitySLO(0.2, deadline_rounds=3)
         assert not slo.in_effect(3)
         assert slo.in_effect(4)
-
-    def test_monitor_rejects_bad_cadence(self):
-        prefs = complete_uniform(4, seed=0)
-        with pytest.raises(InvalidParameterError):
-            SLOMonitor(prefs, StabilitySLO(0.2), sample_every=0)
 
 
 class TestSLOMonitor:
@@ -72,53 +66,31 @@ class TestSLOMonitor:
         assert violation["eps"] > violation["target_eps"]
 
     def test_events_emitted(self):
-        events = EventLog(enabled=True)
+        tel = Telemetry.create()
         _, _, monitor = _run(
-            slo=StabilitySLO(0.001, deadline_rounds=0), events=events
+            slo=StabilitySLO(0.001, deadline_rounds=0), telemetry=tel
         )
+        events = tel.events
         kinds = [e.kind for e in events.events]
         assert "slo_sample" in kinds
         assert "slo_violation" in kinds
-        sample = next(e for e in events.events if e.kind == "slo_sample")
-        assert sample.fields["binding"] is True
-
-    def test_sample_every_thins_samples(self):
-        events_all = EventLog(enabled=True)
-        _, _, monitor_all = _run(events=events_all)
-        events_thin = EventLog(enabled=True)
-        _, _, monitor_thin = _run(events=events_thin, sample_every=3)
-        n_all = sum(
-            1 for e in events_all.events if e.kind == "slo_sample"
+        samples = events.by_kind("slo_sample")
+        assert len(samples) == len(monitor.trajectory)
+        assert samples[0].fields["binding"] is True
+        assert [e.fields["blocking_pairs"] for e in samples] == (
+            monitor.blocking_counts
         )
-        n_thin = sum(
-            1 for e in events_thin.events if e.kind == "slo_sample"
+        assert len(events.by_kind("slo_violation")) == len(
+            monitor.violations
         )
-        assert n_all == len(monitor_all.trajectory)
-        assert n_thin == len(monitor_thin.trajectory) // 3
+        # Each round's sample follows the engine's proposal_round record.
+        assert kinds[kinds.index("slo_sample") - 1] == "proposal_round"
 
     def test_vacuous_without_observation(self):
         prefs = complete_uniform(4, seed=0)
         monitor = SLOMonitor(prefs, StabilitySLO(0.2))
         assert monitor.final_eps is None
         assert monitor.satisfied
-
-    def test_inner_observer_delegation(self):
-        calls = []
-
-        class Probe:
-            def on_proposal_round_end(self, engine, stats):
-                calls.append("proposal")
-
-            def on_quantile_match_end(self, engine):
-                calls.append("qm")
-
-            def on_outer_iteration_end(self, engine, stats):
-                calls.append("outer")
-
-        _run(inner=Probe())
-        assert "proposal" in calls
-        assert "qm" in calls
-        assert "outer" in calls
 
     def test_report_is_json_safe(self):
         _, _, monitor = _run()

@@ -1,17 +1,29 @@
-"""Tests for the TraceObserver timeline instrumentation."""
+"""Tests for the :class:`Timeline` view over an ASM run's event log."""
 
 from __future__ import annotations
 
-from repro.analysis.trace import ProposalRoundRecord, TraceObserver
+from dataclasses import fields
+
+from repro.analysis.trace import ProposalRoundRecord, Timeline
 from repro.core.asm import asm
 from repro.core.rand_asm import rand_asm
+from repro.obs.events import EventLog
+from repro.obs.telemetry import Telemetry
 from repro.workloads.generators import complete_uniform, gnp_incomplete
 
 
+def _timeline(prefs, eps, runner=asm, **kwargs):
+    """Run ``runner`` with an enabled bundle; return (result, timeline)."""
+    tel = Telemetry.create()
+    result = runner(prefs, eps, telemetry=tel, **kwargs)
+    return result, Timeline(tel.events)
+
+
+# The class keeps its name so the test ids stay stable; it exercises
+# the engine's event stream through Timeline.
 class TestTraceObserver:
     def test_records_proposal_rounds(self):
-        trace = TraceObserver()
-        run = asm(complete_uniform(16, seed=0), eps=0.5, observer=trace)
+        run, trace = _timeline(complete_uniform(16, seed=0), 0.5)
         assert len(trace.proposal_rounds) == run.proposal_rounds_executed
         assert all(
             isinstance(r, ProposalRoundRecord) for r in trace.proposal_rounds
@@ -19,21 +31,18 @@ class TestTraceObserver:
 
     def test_matching_size_monotone(self):
         """Lemma 1 seen through the trace: |M| never decreases."""
-        trace = TraceObserver()
-        asm(gnp_incomplete(20, 0.4, seed=1), eps=0.3, observer=trace)
+        _, trace = _timeline(gnp_incomplete(20, 0.4, seed=1), 0.3)
         sizes = [r.matching_size for r in trace.proposal_rounds]
         assert sizes == sorted(sizes)
 
     def test_good_men_monotone(self):
         """Good men never become bad (Lemma 6's proof observation)."""
-        trace = TraceObserver()
-        asm(complete_uniform(20, seed=2), eps=0.4, observer=trace)
+        _, trace = _timeline(complete_uniform(20, seed=2), 0.4)
         goods = [r.good_men for r in trace.proposal_rounds]
         assert goods == sorted(goods)
 
     def test_quantile_match_boundaries(self):
-        trace = TraceObserver()
-        run = asm(complete_uniform(12, seed=3), eps=0.5, observer=trace)
+        run, trace = _timeline(complete_uniform(12, seed=3), 0.5)
         assert (
             len(trace.quantile_match_boundaries)
             == run.quantile_match_calls_executed
@@ -41,25 +50,26 @@ class TestTraceObserver:
         assert trace.quantile_match_boundaries == sorted(
             trace.quantile_match_boundaries
         )
+        assert trace.quantile_match_boundaries[-1] == (
+            run.proposal_rounds_executed
+        )
 
     def test_outer_iteration_stats(self):
-        trace = TraceObserver()
-        run = asm(complete_uniform(12, seed=3), eps=0.5, observer=trace)
-        assert len(trace.outer_iterations) == len(run.outer_iterations)
+        run, trace = _timeline(complete_uniform(12, seed=3), 0.5)
+        assert trace.outer_iterations == run.outer_iterations
 
     def test_records_and_table(self):
-        trace = TraceObserver()
-        asm(complete_uniform(12, seed=4), eps=0.5, observer=trace)
+        _, trace = _timeline(complete_uniform(12, seed=4), 0.5)
         records = trace.records()
         assert records and isinstance(records[0], dict)
+        assert [r["index"] for r in records] == list(range(len(records)))
         text = trace.timeline_table(max_rows=3)
         assert "timeline" in text
         if len(trace.proposal_rounds) > 3:
             assert "more rounds" in text
 
     def test_convergence_summary(self):
-        trace = TraceObserver()
-        asm(complete_uniform(16, seed=5), eps=0.3, observer=trace)
+        _, trace = _timeline(complete_uniform(16, seed=5), 0.3)
         summary = trace.convergence_summary()
         assert summary["final_matching_size"] == 16
         assert 1 <= summary["rounds_to_90pct_matched"] <= summary[
@@ -68,37 +78,50 @@ class TestTraceObserver:
         assert summary["total_proposals"] > 0
 
     def test_empty_trace_summary(self):
-        summary = TraceObserver().convergence_summary()
+        summary = Timeline(EventLog()).convergence_summary()
         assert summary["proposal_rounds"] == 0
         assert summary["rounds_to_90pct_matched"] is None
 
     def test_observer_does_not_change_behavior(self):
+        """An enabled telemetry bundle leaves the result untouched."""
         prefs = gnp_incomplete(16, 0.5, seed=7)
         plain = asm(prefs, 0.3)
-        traced = asm(prefs, 0.3, observer=TraceObserver())
-        assert plain.matching == traced.matching
-        assert plain.rounds_active == traced.rounds_active
+        traced, _ = _timeline(prefs, 0.3)
+        assert plain == traced
 
     def test_works_with_rand_asm(self):
-        trace = TraceObserver()
-        rand_asm(complete_uniform(12, seed=6), 0.4, seed=1, observer=trace)
+        _, trace = _timeline(
+            complete_uniform(12, seed=6), 0.4, runner=rand_asm, seed=1
+        )
         assert trace.proposal_rounds
 
     def test_all_unmatched_summary_has_no_90pct_round(self):
         """Regression: a run whose final matching is empty must report
         ``rounds_to_90pct_matched = None``, not round 1 (0.9 * 0 == 0 is
         trivially reached immediately)."""
-        from dataclasses import fields
-
-        from repro.analysis.trace import ProposalRoundRecord
-
-        trace = TraceObserver()
+        log = EventLog()
         zeros = {f.name: 0 for f in fields(ProposalRoundRecord)}
         for i in range(3):
-            trace.telemetry.events.emit(
-                "proposal_round", **{**zeros, "index": i}
-            )
-        summary = trace.convergence_summary()
+            log.emit("proposal_round", **{**zeros, "index": i})
+        summary = Timeline(log).convergence_summary()
         assert summary["proposal_rounds"] == 3
         assert summary["final_matching_size"] == 0
         assert summary["rounds_to_90pct_matched"] is None
+
+    def test_reloaded_event_file_gives_the_same_timeline(self, tmp_path):
+        from repro.io import load_events, save_events
+
+        tel = Telemetry.create()
+        asm(gnp_incomplete(18, 0.4, seed=8), 0.4, telemetry=tel)
+        path = tmp_path / "events.jsonl"
+        save_events(tel.events, path)
+        _, records = load_events(path)
+        live = Timeline(tel.events)
+        loaded = Timeline(EventLog.from_records(records))
+        assert loaded.records() == live.records()
+        assert loaded.timeline_table() == live.timeline_table()
+        assert loaded.convergence_summary() == live.convergence_summary()
+        assert loaded.outer_iterations == live.outer_iterations
+        assert loaded.quantile_match_boundaries == (
+            live.quantile_match_boundaries
+        )

@@ -35,6 +35,8 @@ from repro.errors import (
     VecUnavailableError,
 )
 from repro.mm.oracles import israeli_itai_oracle
+from repro.obs.telemetry import Telemetry
+from repro.trace.slo import SLOMonitor, StabilitySLO
 from repro.vec import HAS_NUMPY
 from repro.workloads.generators import (
     GENERATORS,
@@ -125,6 +127,39 @@ class TestVecEquivalence:
         reference = ReferenceASMEngine(prefs, 0.5).run_flat(iterations)
         vec = ASMEngine(prefs, 0.5, optimized="vec").run_flat(iterations)
         assert vec == reference
+
+    @pytest.mark.parametrize("name,kwargs", GRID)
+    def test_identical_telemetry_across_grid(self, name, kwargs):
+        """The engine's counters, gauges and event records (``t``
+        excluded) do not depend on the backend."""
+        prefs = GENERATORS[name](**kwargs)
+        captured = []
+        for optimized in (True, "vec"):
+            tel = Telemetry.create()
+            asm(prefs, 0.5, optimized=optimized, telemetry=tel)
+            records = tel.events.to_records()
+            for record in records:
+                del record["t"]
+            captured.append(
+                (tel.metrics.counters, tel.metrics.gauges, records)
+            )
+        assert captured[0] == captured[1]
+        assert captured[0][2]
+
+    @pytest.mark.parametrize("name,kwargs", GRID)
+    def test_slo_monitor_identical_across_grid(self, name, kwargs):
+        """SLOMonitor reads the matching backend-neutrally: its ε
+        trajectory and blocking-pair counts match on vec."""
+        prefs = GENERATORS[name](**kwargs)
+        monitors = []
+        for optimized in (True, "vec"):
+            monitor = SLOMonitor(prefs, StabilitySLO(0.5))
+            asm(prefs, 0.5, optimized=optimized, observer=monitor)
+            monitors.append(monitor)
+        python, vec = monitors
+        assert vec.trajectory == python.trajectory
+        assert vec.blocking_counts == python.blocking_counts
+        assert vec.blocking_counts
 
     def test_engines_share_one_compiled_profile(self):
         prefs = complete_uniform(10, seed=2)
