@@ -281,8 +281,8 @@ def blocking_pair_trajectory(
     Equivalent to ``[count_blocking_pairs(prefs, M) for M in matchings]``
     but maintained by a :class:`BlockingPairIndex` diffed from one
     matching to the next: ``O(n + deg·changes)`` per step instead of a
-    fresh ``O(|E|)`` scan — the speedup the ``repro-asm bench``
-    index-vs-oracle case measures.
+    fresh ``O(|E|)`` scan.  The ``repro-asm bench`` index-vs-oracle
+    case checks that the two count sequences agree.
     """
     index = BlockingPairIndex(prefs)
     out: List[int] = []

@@ -1013,35 +1013,20 @@ def _git_rev() -> str:
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
-    """Run the pinned benchmark matrix; optionally gate vs. a baseline."""
+    """Run the pinned counter matrix; optionally gate vs. a baseline."""
     from repro.io import load_bench, save_bench
-    from repro.perf.bench import (
-        compare_reports,
-        provenance_warnings,
-        run_bench,
-    )
+    from repro.perf.bench import compare_reports, run_bench
 
     rev = _git_rev()
-    telemetry = _telemetry_for(
-        args, "bench", {"scale": args.scale, "repeats": args.repeats}
-    )
-    report = run_bench(
-        scale=args.scale,
-        repeats=args.repeats,
-        workers=args.workers,
-        telemetry=telemetry,
-    )
-    _export_telemetry(args, telemetry)
+    report = run_bench(scale=args.scale)
     out = args.out if args.out else f"BENCH_{rev}.json"
-    save_bench(report, out, metadata={"rev": rev, "workers": args.workers})
+    save_bench(report, out, metadata={"rev": rev})
 
     rows: List[Dict[str, Any]] = []
     for case in report["cases"]:
         rows.append(
             {
                 "case": case["name"],
-                "wall_s": round(case["wall_seconds"], 4),
-                "alloc_kb": case["alloc_peak_bytes"] // 1024,
                 "messages": case["counters"]["messages"],
                 "rounds": case["counters"]["rounds_active"],
                 "blocking": case["counters"]["blocking_pairs"],
@@ -1052,21 +1037,11 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     ivo = report["index_vs_oracle"]
     print(
         f"index vs oracle (n={ivo['n']}, {ivo['steps']} steps): "
-        f"{ivo['index_seconds']:.4f}s incremental vs "
-        f"{ivo['oracle_seconds']:.4f}s full-scan = "
-        f"{ivo['speedup']:.1f}x speedup, "
+        f"final blocking pairs={ivo['final_blocking_pairs']}, "
         f"agreement={'exact' if ivo['agree'] else 'BROKEN'}"
     )
     dvf = report["dynamic_vs_full"]
-    print(
-        f"dynamic vs full re-run (n={dvf['n']}, {dvf['deltas']} deltas): "
-        f"{dvf['per_delta_incremental_seconds'] * 1e3:.3f}ms/delta "
-        f"incremental vs {dvf['per_delta_full_seconds'] * 1e3:.1f}ms/delta "
-        f"full ASM = {dvf['speedup_per_delta']:.1f}x speedup, "
-        f"fallbacks={dvf['fallbacks']}, "
-        f"eps_ok={'yes' if dvf['eps_ok'] else 'NO'}, "
-        f"index={'exact' if dvf['index_agrees'] else 'BROKEN'}"
-    )
+    print(_dynamic_line("dynamic engine", dvf))
     vec = report.get("vec") or {}
     vec_broken = False
     if vec.get("available"):
@@ -1074,14 +1049,11 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         for case in vec.get("cases", []):
             row: Dict[str, Any] = {
                 "case": case["name"],
-                "wall_s": round(case["wall_seconds"], 4),
-                "cold_s": round(case["cold_wall_seconds"], 4),
                 "messages": case["counters"]["messages"],
                 "blocking": case["counters"]["blocking_pairs"],
                 "matched": case["counters"]["matching_size"],
             }
             if case.get("mode") == "dual":
-                row["speedup"] = f"{case['speedup']:.1f}x"
                 identical = case.get("results_identical", False)
                 row["identical"] = "yes" if identical else "BROKEN"
                 vec_broken = vec_broken or not identical
@@ -1090,16 +1062,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             print(format_table(rows=vrows, title="vec engine suite"))
         dvfv = vec.get("dynamic_vs_full_vec")
         if dvfv:
-            print(
-                f"dynamic vs full re-run, vec solver (n={dvfv['n']}, "
-                f"{dvfv['deltas']} deltas): "
-                f"{dvfv['per_delta_incremental_seconds'] * 1e3:.3f}ms/delta "
-                f"incremental vs "
-                f"{dvfv['per_delta_full_seconds'] * 1e3:.1f}ms/delta "
-                f"full ASM = {dvfv['speedup_per_delta']:.1f}x speedup, "
-                f"eps_ok={'yes' if dvfv['eps_ok'] else 'NO'}, "
-                f"index={'exact' if dvfv['index_agrees'] else 'BROKEN'}"
-            )
+            print(_dynamic_line("dynamic engine, vec solver", dvfv))
     else:
         print(
             "vec engine suite: skipped "
@@ -1126,7 +1089,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 1
-    dvfv = (report.get("vec") or {}).get("dynamic_vs_full_vec")
+    dvfv = vec.get("dynamic_vs_full_vec")
     if dvfv and (not dvfv["index_agrees"] or not dvfv["eps_ok"]):
         print(
             "FAIL: dynamic engine broke its stability contract on the "
@@ -1135,27 +1098,23 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         )
         return 1
     if args.baseline:
-        baseline = load_bench(args.baseline)
-        # Provenance mismatches (different machine shape, python, or
-        # worker count) make wall times incomparable but are not a
-        # regression by themselves: warn, never fail.
-        for warning in provenance_warnings(report, baseline):
-            print(f"WARNING: {warning}", file=sys.stderr)
-        violations = compare_reports(
-            report,
-            baseline,
-            tolerance=args.tolerance,
-            min_wall_seconds=args.min_wall,
-        )
+        violations = compare_reports(report, load_bench(args.baseline))
         if violations:
             for violation in violations:
                 print(f"REGRESSION: {violation}", file=sys.stderr)
             return 1
-        print(
-            f"baseline gate: PASS (vs {args.baseline}, "
-            f"tolerance {args.tolerance:.0%})"
-        )
+        print(f"baseline gate: PASS (vs {args.baseline})")
     return 0
+
+
+def _dynamic_line(title: str, dvf: Dict[str, Any]) -> str:
+    """One summary line for a bench dynamic-engine section."""
+    return (
+        f"{title} (n={dvf['n']}, {dvf['deltas']} deltas): "
+        f"marriages={dvf['marriages']}, fallbacks={dvf['fallbacks']}, "
+        f"eps_ok={'yes' if dvf['eps_ok'] else 'NO'}, "
+        f"index={'exact' if dvf['index_agrees'] else 'BROKEN'}"
+    )
 
 
 def _cmd_lint(args: argparse.Namespace) -> int:
@@ -1489,19 +1448,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     bench_p = sub.add_parser(
         "bench",
-        help="run the pinned perf matrix and write BENCH_<rev>.json",
+        help="run the pinned counter matrix and write BENCH_<rev>.json",
     )
     bench_p.add_argument(
         "--scale",
         choices=["full", "smoke"],
         default="full",
-        help="full = committed-baseline sizes; smoke = CI sizes",
-    )
-    bench_p.add_argument(
-        "--repeats",
-        type=int,
-        default=3,
-        help="timing repetitions per case (minimum is reported)",
+        help="full = committed-report sizes; smoke = CI sizes",
     )
     bench_p.add_argument(
         "--out",
@@ -1513,23 +1466,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--baseline",
         default=None,
         metavar="FILE",
-        help="compare against this committed report and fail on regression",
+        help="compare counters against this committed report and fail "
+        "on any drift",
     )
-    bench_p.add_argument(
-        "--tolerance",
-        type=float,
-        default=0.25,
-        help="allowed relative wall-time regression (default 0.25)",
-    )
-    bench_p.add_argument(
-        "--min-wall",
-        type=float,
-        default=0.05,
-        help="skip wall-time comparison for baseline cases faster than "
-        "this many seconds (noise floor)",
-    )
-    _add_workers_flag(bench_p)
-    _add_telemetry_flags(bench_p)
     bench_p.set_defaults(func=_cmd_bench)
 
     lint_p = sub.add_parser(

@@ -108,7 +108,9 @@ class DynamicMatchingEngine:
     Parameters
     ----------
     prefs:
-        The initial market (``None`` starts empty).
+        The initial market (``None`` starts empty).  A market with
+        edges gets one full ASM solve (the warm start) at
+        construction.
     eps:
         Target instability: the ASM approximation parameter for the
         initial solve and every fallback, and (unless ``slo``
@@ -128,14 +130,6 @@ class DynamicMatchingEngine:
         ``dynamic_delta`` / ``dynamic_fallback`` / ``slo_sample`` /
         ``slo_violation`` events and profiler counts under
         ``dynamic.*``.
-    warm_start:
-        Run a full ASM solve on the initial market (default).  With
-        ``False`` the engine starts from the empty matching and the
-        first deltas bear the stabilization cost.
-    auto_repair:
-        With ``False`` the engine applies structural deltas only — no
-        repair, no fallback.  This is the measurement control the
-        bench uses to replay a stream and time full re-runs against.
     solver_optimized:
         Forwarded as ``optimized=`` to every full ASM solve (warm
         start and SLO fallbacks): ``True`` selects the pure-Python
@@ -164,8 +158,6 @@ class DynamicMatchingEngine:
         repair_passes: Optional[int] = None,
         slo: Optional[StabilitySLO] = None,
         telemetry: Optional[Telemetry] = None,
-        warm_start: bool = True,
-        auto_repair: bool = True,
         solver_optimized: Union[bool, str] = True,
     ) -> None:
         params_for_eps(eps)  # validates 0 < eps <= 1
@@ -186,7 +178,6 @@ class DynamicMatchingEngine:
             else math.ceil(8.0 / eps)
         )
         self.slo = slo or StabilitySLO(target_eps=eps, deadline_rounds=0)
-        self.auto_repair = auto_repair
         self.solver_optimized = solver_optimized
         self.telemetry = telemetry or NULL_TELEMETRY
         self.market = DynamicMarket(prefs)
@@ -197,7 +188,7 @@ class DynamicMatchingEngine:
         self.trajectory: List[Tuple[int, float]] = []
         if self.telemetry.profiler is not None:
             self.index.attach_profiler(self.telemetry.profiler)
-        if warm_start and self.market.num_edges:
+        if self.market.num_edges:
             self._full_restabilize()
 
     # -- read access ---------------------------------------------------
@@ -243,13 +234,13 @@ class DynamicMatchingEngine:
         passes = marriages = 0
         region_men: Dict[int, None] = {}
         region_women: Dict[int, None] = {}
-        if self.auto_repair and len(self.index):
+        if len(self.index):
             region_men, region_women = self._region(dirty_men, dirty_women)
             passes, marriages = self._repair(region_men, region_women)
             self.marriages += marriages
         eps_after = self.current_eps()
         fallback = False
-        if self.auto_repair and eps_after > self.slo.target_eps:
+        if eps_after > self.slo.target_eps:
             self._emit(
                 "slo_violation",
                 round=self.deltas_applied,

@@ -388,26 +388,15 @@ def save_bench(
 ) -> None:
     """Write a ``repro.perf.bench`` report as versioned JSON.
 
-    ``metadata`` (e.g. the git revision and worker count the CLI
-    stamps) is stored under the ``"metadata"`` key for provenance.
-    The environment that produced the report — Python version and CPU
-    count — is stamped automatically (caller-provided keys win), so
-    every saved benchmark records where its wall times came from.
+    ``metadata`` (e.g. the git revision the CLI stamps) is stored
+    under the ``"metadata"`` key for provenance.
     """
-    import os
-    import platform
-
     from repro.perf.bench import BENCH_KIND
 
-    stamped: Dict[str, Any] = {
-        "python_version": platform.python_version(),
-        "cpu_count": os.cpu_count(),
-    }
-    stamped.update(metadata or {})
     _write(
         path,
         BENCH_KIND,
-        {"metadata": stamped, "report": report},
+        {"metadata": metadata or {}, "report": report},
     )
 
 

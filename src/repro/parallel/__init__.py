@@ -3,7 +3,7 @@
 The paper's subject is distributed parallelism; this layer applies the
 same idea to the repo's own embarrassingly parallel workloads — the
 experiment trial grids of :mod:`repro.analysis.experiments`, the
-``repro-asm report`` sweep, and the :mod:`repro.perf.bench` matrix —
+``repro-asm report`` sweep, and the ``repro-asm dynamic`` churn trials —
 without giving up the bit-exact determinism the rest of the system is
 built on:
 

@@ -6,7 +6,7 @@ be importable at top level (``ProcessPoolExecutor`` pickles only the
 ``runner`` string is resolved with :func:`resolve_runner` at execution
 time — lazily, by module path — so the parallel layer never imports
 the sweep consumers (``repro.analysis.experiments``,
-``repro.perf.bench``) and stays cycle-free.
+``repro.dynamic.harness``) and stays cycle-free.
 
 Results travel back to the parent as one :class:`dict` per chunk:
 trial results in spec order, the worker's

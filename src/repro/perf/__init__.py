@@ -11,7 +11,7 @@ the paper-fidelity semantics of :mod:`repro.core`:
   as the cross-check oracle); :class:`repro.trace.slo.SLOMonitor`
   uses it to record the exact blocking-pair count after every
   ProposalRound at incremental cost.
-* :mod:`repro.perf.bench` — the pinned benchmark matrix behind the
+* :mod:`repro.perf.bench` — the pinned counter matrix behind the
   ``repro-asm bench`` CLI subcommand and the CI regression gate.
 """
 

@@ -1,15 +1,12 @@
 """Regression tests pinning the PR-7 portability/clock bugfix sweep.
 
-Three bugs, three pins:
+Two bugs, two pins:
 
 1. CLI wall-time measurement used ``time.time()`` — not monotonic, so
    an NTP step mid-run could yield negative or wildly wrong durations.
    Durations now come from ``time.perf_counter()``; the test makes
    ``time.time()`` explode to prove no duration path touches it.
-2. ``repro.perf.bench`` imported the Unix-only ``resource`` module at
-   module scope (ImportError on Windows) and reported ``ru_maxrss``
-   raw, which is KiB on Linux but *bytes* on macOS.
-3. ``cli._git_rev`` swallowed *every* exception, hiding programming
+2. ``cli._git_rev`` swallowed *every* exception, hiding programming
    errors behind a silent ``"dev"`` fallback; it now catches only
    ``(OSError, subprocess.SubprocessError)``.
 """
@@ -22,7 +19,6 @@ import time
 import pytest
 
 import repro.cli as cli
-import repro.perf.bench as bench
 
 
 class TestMonotonicClock:
@@ -44,39 +40,6 @@ class TestMonotonicClock:
         import inspect
 
         assert "time.time()" not in inspect.getsource(cli)
-
-
-class TestMaxRssPortability:
-    def test_absent_resource_module_reports_none(self, monkeypatch):
-        monkeypatch.setattr(bench, "resource", None)
-        assert bench._max_rss_kb() is None
-
-    def _fake_resource(self, ru_maxrss):
-        class FakeUsage:
-            pass
-
-        class FakeResource:
-            RUSAGE_SELF = 0
-
-            @staticmethod
-            def getrusage(_who):
-                usage = FakeUsage()
-                usage.ru_maxrss = ru_maxrss
-                return usage
-
-        return FakeResource()
-
-    def test_linux_reports_kib_unchanged(self, monkeypatch):
-        monkeypatch.setattr(bench, "resource", self._fake_resource(4096))
-        monkeypatch.setattr(bench.sys, "platform", "linux")
-        assert bench._max_rss_kb() == 4096
-
-    def test_darwin_bytes_normalized_to_kib(self, monkeypatch):
-        monkeypatch.setattr(
-            bench, "resource", self._fake_resource(4096 * 1024)
-        )
-        monkeypatch.setattr(bench.sys, "platform", "darwin")
-        assert bench._max_rss_kb() == 4096
 
 
 class TestGitRevErrorNarrowing:

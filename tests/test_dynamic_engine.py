@@ -98,16 +98,10 @@ class TestValidation:
 
     @pytest.mark.parametrize("solver", ["fast", False])
     def test_bad_solver_rejected_at_construction(self, solver):
-        """Without a warm start no solve runs in the constructor, so
-        the choice must be checked there, before any delta lands."""
+        """An empty market runs no solve in the constructor, so the
+        choice must be checked there, before any delta lands."""
         with pytest.raises(InvalidParameterError):
-            DynamicMatchingEngine(
-                bounded_degree(200, 5, seed=1),
-                0.5,
-                solver_optimized=solver,
-                warm_start=False,
-                slo=StabilitySLO(1e-4, 0),
-            )
+            DynamicMatchingEngine(None, 0.5, solver_optimized=solver)
 
     def test_unknown_delta_type(self):
         engine = DynamicMatchingEngine(complete_uniform(3, seed=0), 0.5)
@@ -120,13 +114,6 @@ class TestWarmStart:
         engine = DynamicMatchingEngine(complete_uniform(8, seed=1), 0.25)
         assert engine.current_eps() <= 0.25
         engine.index.verify()
-
-    def test_cold_start_is_unstable(self):
-        engine = DynamicMatchingEngine(
-            complete_uniform(8, seed=1), 0.25, warm_start=False
-        )
-        assert engine.current_eps() == 1.0
-        assert not list(engine.current_matching().pairs())
 
 
 def _drive(prefs, deltas, *, target_eps, **kwargs):
@@ -191,18 +178,6 @@ class TestEquivalenceUnderChurn:
         assert engine.fallbacks == sum(1 for o in outcomes if o.fallback)
         assert engine.fallbacks > 0
         assert all(o.eps_after <= 0.01 + 1e-12 for o in outcomes)
-
-    def test_auto_repair_off_is_pure_replay(self):
-        # the bench control arm: structural updates only
-        prefs = complete_uniform(8, seed=5)
-        deltas = churn_stream(prefs, ChurnConfig(steps=15), 5)
-        engine = DynamicMatchingEngine(
-            prefs, 0.5, warm_start=False, auto_repair=False
-        )
-        engine.apply_stream(deltas)
-        assert engine.fallbacks == 0
-        assert engine.marriages == 0
-        engine.index.verify()
 
 
 class TestDeterminism:

@@ -1,8 +1,8 @@
 """Parallel-vs-serial bit-identity: the determinism contract, end to end.
 
 ``docs/parallel.md`` promises that ``--workers N`` never changes any
-result: experiment rows, verdicts, JSON documents, bench counters, and
-merged deterministic telemetry are byte-identical to the serial run.
+result: experiment rows, verdicts, JSON documents, and merged
+deterministic telemetry are byte-identical to the serial run.
 This suite is that promise under test, over a pinned experiment subset
 (kept small — every experiment's serial arithmetic is separately
 pinned by ``test_experiments.py``, and the CI ``parallel-smoke`` job
@@ -19,7 +19,6 @@ from repro.analysis.experiments import run_experiment
 from repro.cli import main
 from repro.obs.telemetry import Telemetry
 from repro.parallel import TrialPool
-from repro.perf.bench import run_bench
 
 # Pinned subset spanning the different grid shapes: plain (workload, n,
 # eps) grids, the plan+trials interleaving of e3, the per-n extra
@@ -55,34 +54,6 @@ def test_default_pool_argument_matches_explicit_serial_pool():
         run_experiment("e1", **kwargs).to_dict()
         == run_experiment("e1", pool=TrialPool(workers=1), **kwargs).to_dict()
     )
-
-
-def test_bench_deterministic_outputs_identical_across_worker_counts():
-    serial = run_bench(scale="smoke", repeats=1, workers=1)
-    parallel = run_bench(scale="smoke", repeats=1, workers=2)
-
-    def deterministic(report):
-        return {
-            "cases": [
-                {
-                    "name": case["name"],
-                    "params": case["params"],
-                    "eps": case["eps"],
-                    "counters": case["counters"],
-                }
-                for case in report["cases"]
-            ],
-            "index_vs_oracle": {
-                key: report["index_vs_oracle"][key]
-                for key in ("n", "p", "steps", "seed", "agree",
-                            "final_blocking_pairs")
-            },
-        }
-
-    assert deterministic(serial) == deterministic(parallel)
-    # Provenance honestly records what differed.
-    assert serial["provenance"]["workers"] == 1
-    assert parallel["provenance"]["workers"] == 2
 
 
 def test_merged_metrics_identical_across_worker_counts():

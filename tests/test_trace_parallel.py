@@ -205,27 +205,6 @@ class TestCLISurface:
         assert payload["matching_size"] == 12
         assert "asm.quantile_match" in payload["profile_summary"]
 
-    def test_bench_telemetry_flags(self, tmp_path, capsys):
-        # Satellite parity: bench accepts the same telemetry exports
-        # as run/congest.
-        metrics = tmp_path / "m.json"
-        events = tmp_path / "e.jsonl"
-        code = main(
-            [
-                "bench",
-                "--scale", "smoke",
-                "--repeats", "1",
-                "--out", str(tmp_path / "bench.json"),
-                "--metrics-out", str(metrics),
-                "--events-out", str(events),
-            ]
-        )
-        assert code == 0
-        assert metrics.exists()
-        assert events.exists()
-        header = json.loads(events.read_text().splitlines()[0])
-        assert header["manifest"]["algorithm"] == "bench"
-
 
 if __name__ == "__main__":  # pragma: no cover
     import sys
