@@ -201,6 +201,14 @@ class PreferenceProfile:
         """Woman ``w``'s preference list, best first."""
         return self._women_prefs[w]
 
+    def men_lists(self) -> Tuple[Tuple[int, ...], ...]:
+        """Every man's preference list, indexed by man (immutable)."""
+        return self._men_prefs
+
+    def women_lists(self) -> Tuple[Tuple[int, ...], ...]:
+        """Every woman's preference list, indexed by woman (immutable)."""
+        return self._women_prefs
+
     def deg_man(self, m: int) -> int:
         """``deg(m)`` — the length of man ``m``'s preference list."""
         return len(self._men_prefs[m])

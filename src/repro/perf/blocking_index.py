@@ -111,12 +111,8 @@ class BlockingPairIndex:
         matching: Optional[Matching] = None,
     ) -> None:
         self._prefs = prefs
-        self._man_lists = tuple(
-            prefs.man_list(m) for m in range(prefs.n_men)
-        )
-        self._woman_lists = tuple(
-            prefs.woman_list(w) for w in range(prefs.n_women)
-        )
+        self._man_lists = prefs.men_lists()
+        self._woman_lists = prefs.women_lists()
         self._men_rank = prefs.men_rank_tables()
         self._women_rank = prefs.women_rank_tables()
         self._man_partner: List[Optional[int]] = [None] * prefs.n_men

@@ -78,7 +78,7 @@ def _csr_from_lists(
 ) -> Tuple["np.ndarray", "np.ndarray", "np.ndarray", "np.ndarray"]:
     """``(indptr, targets, owner, quant)`` for one side's preference lists."""
     n = len(lists)
-    lens = np.fromiter((len(lst) for lst in lists), dtype=np.int64, count=n)
+    lens = np.fromiter(map(len, lists), dtype=np.int64, count=n)
     num_edges = int(lens.sum())
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(lens, out=indptr[1:])
@@ -135,22 +135,27 @@ class VecProfile:
         self.num_edges = prefs.num_edges
         self.k = k
 
-        men_lists = [prefs.man_list(m) for m in range(self.n_men)]
-        women_lists = [prefs.woman_list(w) for w in range(self.n_women)]
         self.m_indptr, self.m_woman, self.m_owner, self.m_quant = _csr_from_lists(
-            men_lists, k
+            prefs.men_lists(), k
         )
         self.w_indptr, self.w_man, self.w_owner, self.w_quant = _csr_from_lists(
-            women_lists, k
+            prefs.women_lists(), k
         )
         self.m_degree = np.diff(self.m_indptr)
         self.w_degree = np.diff(self.w_indptr)
 
         # Align the two CSR views of each edge by sorting both sides by
-        # (woman, man); matching sort positions are the same edge.
+        # (woman, man); matching sort positions are the same edge.  The
+        # pair packs into one int64 key, woman * n_men + man, which is
+        # unique (a profile has no duplicate edges), so any argsort of it
+        # is exactly the (woman, man) lexicographic permutation.  The
+        # woman side is already sorted by woman, so a stable sort there
+        # only merges the runs of each segment.
         e = self.num_edges
-        order_m = np.lexsort((self.m_owner, self.m_woman))
-        order_w = np.lexsort((self.w_man, self.w_owner))
+        order_m = np.argsort(self.m_woman * self.n_men + self.m_owner)
+        order_w = np.argsort(
+            self.w_owner * self.n_men + self.w_man, kind="stable"
+        )
         self.m2w_pos = np.empty(e, dtype=np.int64)
         self.w2m_pos = np.empty(e, dtype=np.int64)
         self.m2w_pos[order_m] = order_w

@@ -55,11 +55,19 @@ def count_blocking_pairs_vec(
     profile:
         An existing compilation of ``prefs`` to reuse (any ``k``; the
         quantile tables are not consulted).  Defaults to the cached
-        ``k=1`` compilation.
+        compilation with the smallest ``k``, so counting after a vec
+        solve reuses the solve's arrays; ``k=1`` is compiled only when
+        the profile has no compilation yet.
     """
     require_numpy()
     if profile is None:
-        profile = compile_profile(prefs, 1)
+        cached = [
+            c for c in prefs.soa_cache().values() if isinstance(c, VecProfile)
+        ]
+        if cached:
+            profile = min(cached, key=lambda c: c.k)
+        else:
+            profile = compile_profile(prefs, 1)
     p = profile
 
     # Partner rank per vertex, with "unmatched" = degree + 1.

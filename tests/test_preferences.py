@@ -89,6 +89,13 @@ class TestQueries:
         assert sum(p.deg_man(m) for m in range(p.n_men)) == p.num_edges
         assert sum(p.deg_woman(w) for w in range(p.n_women)) == p.num_edges
 
+    def test_side_lists_match_per_player_lists(self, small_incomplete):
+        p = small_incomplete
+        assert p.men_lists() == tuple(p.man_list(m) for m in range(p.n_men))
+        assert p.women_lists() == tuple(
+            p.woman_list(w) for w in range(p.n_women)
+        )
+
 
 class TestStructure:
     def test_complete_detection(self):

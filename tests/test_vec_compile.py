@@ -1,0 +1,156 @@
+"""The one-key CSR alignment of :class:`VecProfile` ≡ the lexsort it replaced.
+
+``VecProfile.__init__`` aligns the men's and women's CSR views of each
+edge by sorting both sides by (woman, man).  The seed implementation
+did that with two ``np.lexsort`` calls; it is kept here verbatim as
+:func:`lexsort_alignment`, a test-only oracle in the manner of
+:mod:`tests.reference_asm`.  The product argsorts one packed key,
+``woman * n_men + man``, per side, and must give exactly the oracle's
+cross-position maps, woman quantile per edge and quantile-run starts
+on every market of the grid — including ``n_men != n_women`` (a wrong
+key multiplier would collide keys there), players with empty lists,
+and profiles without a single edge.
+
+Also pins that the vectorized stability counter reuses a cached
+compilation instead of compiling its own.
+
+Skipped as a whole when numpy is absent.
+"""
+
+from __future__ import annotations
+
+import pytest
+
+from repro.vec import HAS_NUMPY
+
+if not HAS_NUMPY:
+    pytest.skip(
+        "numpy not installed (repro[fast] extra)", allow_module_level=True
+    )
+
+import numpy as np  # noqa: E402
+
+from repro.analysis.stability import count_blocking_pairs  # noqa: E402
+from repro.core.asm import asm  # noqa: E402
+from repro.core.preferences import PreferenceProfile  # noqa: E402
+from repro.core.quantile import quantile_index  # noqa: E402
+from repro.vec.compile import VecProfile, compile_profile  # noqa: E402
+from repro.vec.stability import count_blocking_pairs_vec  # noqa: E402
+from repro.workloads.generators import (  # noqa: E402
+    almost_regular,
+    bounded_degree,
+    complete_uniform,
+    gnp_incomplete,
+    master_list,
+)
+
+
+def lexsort_alignment(p: VecProfile):
+    """``(m2w_pos, w2m_pos, wq_of_edge, w_first_same_q)`` by lexsort.
+
+    The seed alignment: sort both CSR views by (woman, man); matching
+    sort positions are the same edge.  Quantile-run starts come from a
+    plain walk over each woman's segment.
+    """
+    e = p.num_edges
+    order_m = np.lexsort((p.m_owner, p.m_woman))
+    order_w = np.lexsort((p.w_man, p.w_owner))
+    m2w_pos = np.empty(e, dtype=np.int64)
+    w2m_pos = np.empty(e, dtype=np.int64)
+    m2w_pos[order_m] = order_w
+    w2m_pos[order_w] = order_m
+    first = []
+    for w in range(p.n_women):
+        lo, hi = int(p.w_indptr[w]), int(p.w_indptr[w + 1])
+        for pos in range(lo, hi):
+            same = pos > lo and p.w_quant[pos] == p.w_quant[pos - 1]
+            first.append(first[-1] if same else pos)
+    first_same_q = np.array(first, dtype=np.int64)
+    return m2w_pos, w2m_pos, p.w_quant[m2w_pos], first_same_q
+
+
+MARKETS = [
+    ("bounded", lambda: bounded_degree(30, 5, seed=1)),
+    ("complete", lambda: complete_uniform(12, seed=2)),
+    ("gnp", lambda: gnp_incomplete(25, 0.2, seed=3)),
+    ("master_list", lambda: master_list(12, 0.1, seed=4)),
+    ("almost_regular", lambda: almost_regular(24, 2, 6, seed=5)),
+    ("complete_more_women", lambda: complete_uniform(7, seed=6, n_women=11)),
+    ("gnp_more_men", lambda: gnp_incomplete(19, 0.3, seed=7, n_women=6)),
+    ("gnp_sparse", lambda: gnp_incomplete(20, 0.05, seed=8, n_women=13)),
+    (
+        "empty_lists",
+        lambda: PreferenceProfile(
+            [[2, 0], [], [0], []], [[2, 0], [], [0], [], []]
+        ),
+    ),
+    ("no_edges", lambda: PreferenceProfile([[], []], [[], [], []])),
+    ("no_players", lambda: PreferenceProfile([], [])),
+]
+
+
+@pytest.mark.parametrize("k", [1, 3, 16])
+@pytest.mark.parametrize("name,build", MARKETS, ids=[m[0] for m in MARKETS])
+class TestAlignment:
+    def test_matches_lexsort_oracle(self, name, build, k):
+        p = VecProfile(build(), k)
+        m2w_pos, w2m_pos, wq_of_edge, w_first_same_q = lexsort_alignment(p)
+        assert np.array_equal(p.m2w_pos, m2w_pos)
+        assert np.array_equal(p.w2m_pos, w2m_pos)
+        assert np.array_equal(p.wq_of_edge, wq_of_edge)
+        assert np.array_equal(p.w_first_same_q, w_first_same_q)
+
+    def test_invariants(self, name, build, k):
+        p = VecProfile(build(), k)
+        e = p.num_edges
+        assert np.array_equal(p.w2m_pos[p.m2w_pos], np.arange(e))
+        assert np.array_equal(p.w_man[p.m2w_pos], p.m_owner)
+        assert np.array_equal(p.w_owner[p.m2w_pos], p.m_woman)
+
+    def test_csr_views_follow_the_lists(self, name, build, k):
+        prefs = build()
+        p = VecProfile(prefs, k)
+        sides = (
+            (p.m_indptr, p.m_woman, p.m_quant, prefs.men_lists()),
+            (p.w_indptr, p.w_man, p.w_quant, prefs.women_lists()),
+        )
+        for indptr, targets, quant, lists in sides:
+            assert len(indptr) == len(lists) + 1
+            for v, lst in enumerate(lists):
+                lo, hi = int(indptr[v]), int(indptr[v + 1])
+                assert targets[lo:hi].tolist() == list(lst)
+                assert quant[lo:hi].tolist() == [
+                    quantile_index(r, len(lst), k)
+                    for r in range(1, len(lst) + 1)
+                ]
+
+
+class TestStabilityReusesCompilation:
+    def test_count_after_solve_compiles_nothing(self):
+        prefs = bounded_degree(40, 5, seed=9)
+        result = asm(prefs, 0.5, optimized="vec")
+        assert list(prefs.soa_cache()) == [16]
+        count_blocking_pairs_vec(prefs, result.matching.pairs())
+        assert list(prefs.soa_cache()) == [16]
+
+    def test_any_cached_k_gives_the_oracle_count(self):
+        prefs = gnp_incomplete(14, 0.4, seed=10)
+        result = asm(prefs, 0.5, optimized="vec")
+        expected = count_blocking_pairs(prefs, result.matching)
+        for k in (8, 3):
+            compile_profile(prefs, k)
+            assert count_blocking_pairs_vec(
+                prefs, result.matching.pairs()
+            ) == expected
+        assert sorted(prefs.soa_cache()) == [3, 8, 16]
+
+    def test_empty_cache_compiles_k1(self):
+        prefs = complete_uniform(5, seed=11)
+        count_blocking_pairs_vec(prefs, [(0, 0)])
+        assert list(prefs.soa_cache()) == [1]
+
+    def test_non_compilation_entries_are_ignored(self):
+        prefs = complete_uniform(5, seed=12)
+        prefs.soa_cache()[4] = "garbage"  # not a VecProfile
+        count_blocking_pairs_vec(prefs, [(0, 0)])
+        assert sorted(prefs.soa_cache()) == [1, 4]
