@@ -7,9 +7,10 @@ and sends an ``O(log n)``-bit message to each neighbor (possibly a
 different message per neighbor).
 
 Node programs are Python generators: each ``inbox = yield outbox``
-statement is one synchronous round.  Subprotocols compose with
-``yield from``, which is how the ASM protocol nests its
-maximal-matching phase.
+statement is one synchronous round, and ``yield Sleep(n)`` is ``n``
+rounds whose inboxes the node ignores (the simulator does not resume
+it meanwhile).  Subprotocols compose with ``yield from``, which is how
+the ASM protocol nests its maximal-matching phase.
 
 Delivery has two rules: :class:`SyncTransport` (lockstep, the
 default) and :class:`AsyncEventTransport` (seeded per-link latency for
@@ -24,7 +25,12 @@ implementations of distributed Gale–Shapley, the maximal-matching
 algorithms, and ASM itself, cross-validated against the logical engine.
 """
 
-from repro.congest.message import MESSAGE_SCHEMAS, Message, MessageSchema
+from repro.congest.message import (
+    MESSAGE_SCHEMAS,
+    Message,
+    MessageSchema,
+    Sleep,
+)
 from repro.congest.simulator import SimulationStats, Simulator
 from repro.congest.transport import (
     AsyncEventTransport,
@@ -39,6 +45,7 @@ __all__ = [
     "MessageSchema",
     "SimulationStats",
     "Simulator",
+    "Sleep",
     "SyncTransport",
     "Transport",
 ]

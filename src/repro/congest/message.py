@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 from typing import Dict, Tuple
 
-__all__ = ["TAG_BITS", "Message", "MessageSchema", "MESSAGE_SCHEMAS"]
+__all__ = ["TAG_BITS", "Message", "MessageSchema", "MESSAGE_SCHEMAS", "Sleep"]
 
 # A small fixed tag space suffices for all protocol message kinds.
 TAG_BITS = 8
@@ -109,3 +109,24 @@ class Message:
         static rule ``MSG003``.
         """
         return MESSAGE_SCHEMAS[self.kind]
+
+
+@dataclass(frozen=True)
+class Sleep:
+    """Yielded by a node program in place of ``rounds`` empty rounds.
+
+    ``yield Sleep(n)`` stands for exactly ``n`` consecutive
+    ``yield {}`` whose inboxes the program ignores: the node sends
+    nothing for ``n`` rounds, mail addressed to it in those rounds is
+    delivered and then cleared unread, and the simulator does not
+    resume the program again until the round after the last one.  The
+    ``yield`` evaluates to ``None`` (lint rule ``CONGEST004`` flags a
+    program that binds or uses it).  ``n`` must be a positive ``int``;
+    the simulator raises :class:`~repro.errors.ProtocolViolationError`
+    otherwise.
+
+    >>> Sleep(3)
+    Sleep(rounds=3)
+    """
+
+    rounds: int

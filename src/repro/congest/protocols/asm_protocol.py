@@ -124,7 +124,7 @@ def _man_program(
             for _ in range(sched.k):
                 # --- ProposalRound slot 1: propose.
                 inbox = yield {
-                    woman_node(w): Message("PROPOSE") for w in active
+                    woman_node(w): Message("PROPOSE") for w in sorted(active)
                 }
                 # --- slot 2: receive ACCEPTs.
                 inbox = yield {}
@@ -203,7 +203,7 @@ def _woman_program(
                 )
                 # --- slot 2: send ACCEPTs.
                 inbox = yield {
-                    man_node(m): Message("ACCEPT") for m in accepted
+                    man_node(m): Message("ACCEPT") for m in sorted(accepted)
                 }
                 # --- maximal-matching phase on G0.
                 g0_nbrs = {man_node(m) for m in accepted}
@@ -215,7 +215,8 @@ def _woman_program(
                     free_outbox: Dict[NodeId, Message] = {}
                     if mm_partner is None:
                         free_outbox = {
-                            man_node(m): Message("MM_FREE") for m in accepted
+                            man_node(m): Message("MM_FREE")
+                            for m in sorted(accepted)
                         }
                     yield free_outbox
                 # --- final slot: reject weakly-worse suitors.
@@ -229,7 +230,7 @@ def _woman_program(
                     m0 = node_index(mm_partner)
                     q0 = q.quantile_of(m0)
                     rejected = q.members_at_least(q0) - {m0}
-                    for m in rejected:
+                    for m in sorted(rejected):
                         q.remove(m)
                         outbox[man_node(m)] = Message("REJECT")
                     partner = m0

@@ -23,6 +23,21 @@ delivered at the *same* yield's return — i.e. ``inbox = yield outbox``
 sends ``outbox`` and then receives everything the neighbors sent in
 that round.  A program that needs to "think" without sending yields an
 empty dict.
+
+Sleeping: a program that will ignore its next ``n`` inboxes yields
+:class:`~repro.congest.message.Sleep` ``(n)`` instead of ``n`` empty
+dicts.  The two are observably the same run — every round is still
+executed and counted, the node sends nothing in those rounds, and mail
+addressed to it still passes through the transport, the fault injector
+and the tracer and lands in its inbox — but the simulator does not
+resume a sleeping program: its inbox is cleared unread each round, and
+in round ``t + n`` (for a ``Sleep(n)`` yielded in round ``t``) the
+program resumes with ``None``, so one that reads a slept inbox fails
+loudly.  A crash during sleep closes the program at the crash round,
+as it would a waiting one.  ``n`` must be a positive ``int``
+(:class:`~repro.errors.ProtocolViolationError` otherwise).  Each round
+thus costs one resumption per *awake* program rather than one per
+node.
 """
 
 from __future__ import annotations
@@ -32,7 +47,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, Generator, List, Mapping, Optional
 
-from repro.congest.message import Message
+from repro.congest.message import Message, Sleep
 from repro.congest.transport import SyncTransport, Transport
 from repro.errors import (
     InvalidParameterError,
@@ -46,8 +61,9 @@ from repro.obs.telemetry import NULL_TELEMETRY, Telemetry
 
 __all__ = ["NodeProgram", "SimulationStats", "Simulator"]
 
-# A node program yields {neighbor: Message} and receives {sender: Message}.
-NodeProgram = Generator[Dict[NodeId, Message], Dict[NodeId, Message], Any]
+# A node program yields {neighbor: Message} (or a Sleep) and receives
+# {sender: Message} (None after a Sleep).
+NodeProgram = Generator[Any, Optional[Dict[NodeId, Message]], Any]
 
 
 @dataclass
@@ -157,7 +173,12 @@ class Simulator:
         self._order: Dict[NodeId, int] = {
             v: i for i, v in enumerate(sorted(self.programs, key=repr))
         }
-        self._started_map: Dict[NodeId, bool] = {}
+        # The schedule: programs resumed with last round's inbox, in
+        # canonical order, and the rest of the live programs bucketed
+        # by the round they next resume in (with None).  Every program
+        # starts in round 1's bucket: a fresh generator takes None.
+        self._awake: List[NodeId] = []
+        self._wake: Dict[int, List[NodeId]] = {1: list(self._order)}
         # Optional telemetry bundle (see repro.obs): per-round timings
         # and message counts flow into its registry and event log.
         self.telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
@@ -188,21 +209,28 @@ class Simulator:
         """Whether every surviving program has returned."""
         return len(self.results) + len(self.crashed) == len(self.programs)
 
-    def _advance(self, v: NodeId) -> Optional[Dict[NodeId, Message]]:
-        """Advance one program a single round; capture its return value."""
-        gen = self.programs[v]
-        try:
-            if not self._started_map.get(v, False):
-                self._started_map[v] = True
-                return next(gen)
-            return gen.send(self._inboxes[v])
-        except StopIteration as stop:
-            self.results[v] = stop.value
-            # The program may have returned (a structure holding) its
-            # final inbox dict; detach it from the pool so recycling
-            # never mutates a captured result.
-            self._inboxes[v] = {}
-            return None
+    def _sleep(self, v: NodeId, sleep: Sleep, executing_round: int) -> None:
+        """Park ``v`` until the round after its ``Sleep`` ends."""
+        rounds = sleep.rounds
+        if type(rounds) is not int or rounds < 1:
+            raise ProtocolViolationError(
+                f"round {executing_round}: node {v!r} yielded "
+                f"Sleep({rounds!r}); a sleep lasts a positive int number "
+                f"of rounds"
+            )
+        self._wake.setdefault(executing_round + rounds, []).append(v)
+
+    def _unschedule(self, v: NodeId) -> None:
+        """Drop a crashed program from the awake list or its wake bucket."""
+        if v in self._awake:
+            self._awake.remove(v)
+            return
+        for wake, bucket in self._wake.items():
+            if v in bucket:
+                bucket.remove(v)
+                if not bucket:
+                    del self._wake[wake]
+                return
 
     def _deposit(
         self, sender: NodeId, recipient: NodeId, msg: Message
@@ -277,32 +305,51 @@ class Simulator:
                 ):
                     self.programs[v].close()
                     self.crashed[v] = executing_round
+                    self._unschedule(v)
                     # Detach the inbox so nothing queued there leaks
                     # into a captured result.
                     self._inboxes[v] = {}
             if tracer is not None:
                 for record in injector.records[fault_mark:]:
                     tracer.on_node_fault(record)
-        live = [
-            v
-            for v in self.programs
-            if v not in self.results and v not in self.crashed
-        ]
-        if not live:
+        awake = self._awake
+        woken = self._wake.pop(executing_round, None)
+        if woken is not None:
+            awake = awake + woken
+            awake.sort(key=self._order.__getitem__)
+        elif not awake and not self._wake:
             return False
         observing = telemetry.enabled
         profiling = profiler is not None
         t0 = time.perf_counter() if (observing or profiling) else 0.0
         outboxes: Dict[NodeId, Dict[NodeId, Message]] = {}
-        live.sort(key=self._order.__getitem__)
-        for v in live:
-            out = self._advance(v)
-            if out is not None:
-                outboxes[v] = out
-        # Last round's messages have now been consumed (every live
-        # program advanced past the yield that received them); recycle
-        # the touched inbox pools before delivering this round.
+        programs = self.programs
         inboxes = self._inboxes
+        woken_set = set(woken) if woken is not None else ()
+        still_awake: List[NodeId] = []
+        for v in awake:
+            try:
+                out = programs[v].send(
+                    None if v in woken_set else inboxes[v]
+                )
+            except StopIteration as stop:
+                self.results[v] = stop.value
+                # The program may have returned (a structure holding)
+                # its final inbox dict; detach it from the pool so
+                # recycling never mutates a captured result.
+                inboxes[v] = {}
+                continue
+            if isinstance(out, Sleep):
+                self._sleep(v, out, executing_round)
+                continue
+            still_awake.append(v)
+            if out:
+                outboxes[v] = out
+        self._awake = still_awake
+        # Last round's messages have now been consumed (every awake
+        # program advanced past the yield that received them, and a
+        # sleeper never reads its inbox); recycle the touched inbox
+        # pools before delivering this round.
         for v in self._touched_inboxes:
             inboxes[v].clear()
         self._touched_inboxes.clear()
@@ -366,7 +413,7 @@ class Simulator:
         Parameters
         ----------
         max_rounds:
-            Round cap; ``None`` runs to completion.
+            Round cap (``>= 0``); ``None`` runs to completion.
         on_timeout:
             ``"raise"`` (default) raises :class:`SimulationError` when
             the cap elapses with programs still running; ``"stop"``
@@ -383,6 +430,10 @@ class Simulator:
             raise InvalidParameterError(
                 f"on_timeout must be 'raise' or 'stop', got {on_timeout!r}"
             )
+        if max_rounds is not None and max_rounds < 0:
+            raise InvalidParameterError(
+                f"max_rounds must be >= 0, got {max_rounds}"
+            )
         tracer = self.telemetry.tracer
         sid = (
             tracer.open_span("congest.run", max_rounds=max_rounds)
@@ -390,7 +441,9 @@ class Simulator:
             else None
         )
         try:
-            while self.step():
+            # The cap is checked before each round, so a run never
+            # executes more than max_rounds of them.
+            while True:
                 if max_rounds is not None and self.stats.rounds >= max_rounds:
                     unfinished = [
                         v
@@ -408,6 +461,8 @@ class Simulator:
                                 f"{unfinished[0]!r}"
                             )
                         return self.stats
+                if not self.step():
+                    break
             self.stats.outcome = "degraded" if self.crashed else "converged"
             self.stats.crashed_nodes = len(self.crashed)
             return self.stats

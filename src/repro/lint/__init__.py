@@ -4,8 +4,8 @@ An AST-based analyzer (stdlib :mod:`ast` only) that machine-checks the
 model assumptions the paper's guarantees rest on, *before* a single
 simulated round runs:
 
-* **CONGEST-locality** (``CONGEST001–003``) — node programs act on
-  node-local state only.
+* **CONGEST-locality** (``CONGEST001–004``) — node programs act on
+  node-local state only, and never read the inbox of a slept round.
 * **Bounded messages** (``MSG001–003``) — every
   :class:`~repro.congest.message.Message` site is statically boundable
   against the declared schemas at ``O(log n)`` bits.

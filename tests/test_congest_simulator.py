@@ -4,10 +4,17 @@ from __future__ import annotations
 
 import pytest
 
-from repro.congest.message import TAG_BITS, Message
+from repro.congest.message import TAG_BITS, Message, Sleep
 from repro.congest.simulator import Simulator
-from repro.errors import ProtocolViolationError, SimulationError
+from repro.errors import (
+    InvalidParameterError,
+    ProtocolViolationError,
+    SimulationError,
+)
+from repro.faults import FaultPlan, NodeCrash
 from repro.graphs import Graph
+from repro.obs import Telemetry
+from repro.trace import CausalTracer
 
 
 def line_graph():
@@ -248,3 +255,174 @@ class TestBitCap:
             bit_cap_factor=16,
         )
         assert b.max_message_bits == 8 * a.max_message_bits
+
+
+def scripted(outboxes):
+    """A program sending ``outboxes[t]`` in round ``t + 1``."""
+
+    def program():
+        for out in outboxes:
+            yield out
+
+    return program()
+
+
+class TestSleep:
+    def test_mail_to_a_sleeper_is_delivered_traced_and_cleared_unread(self):
+        g = line_graph()
+
+        def sleeper():
+            resumed = yield Sleep(2)
+            inbox = yield {}
+            return resumed, dict(inbox)
+
+        # a writes to b in rounds 1-3, c only in round 2: had the
+        # round-2 inbox not been cleared, c's message would still sit
+        # in b's round-3 inbox.
+        programs = {
+            "a": scripted([{"b": Message("POINT", (t,))} for t in (1, 2, 3)]),
+            "b": sleeper(),
+            "c": scripted([{}, {"b": Message("POINT", (2,))}, {}]),
+        }
+        tracer = CausalTracer()
+        sim = Simulator(g, programs, telemetry=Telemetry.tracing(tracer))
+        stats = sim.run()
+        assert sim.results["b"] == (None, {"a": Message("POINT", (3,))})
+        assert stats.messages == 4
+        to_b = [
+            (r["round"], r["from"], r["fate"])
+            for r in tracer.records
+            if r["type"] == "message"
+        ]
+        assert to_b == [
+            (1, "'a'", "delivered"),
+            (2, "'a'", "delivered"),
+            (2, "'c'", "delivered"),
+            (3, "'a'", "delivered"),
+        ]
+
+    def test_reading_a_slept_inbox_fails_loudly(self):
+        g = line_graph()
+
+        def reader():
+            inbox = yield Sleep(1)
+            return list(inbox.items())
+
+        programs = {"a": silent(2), "b": reader(), "c": silent(2)}
+        with pytest.raises(AttributeError):
+            Simulator(g, programs).run()
+
+    def test_crash_during_sleep_closes_the_program_at_the_crash_round(self):
+        g = line_graph()
+        events = []
+
+        def sleeper():
+            try:
+                yield Sleep(5)
+                events.append("resumed")
+            except GeneratorExit:
+                events.append("closed")
+                raise
+
+        programs = {"a": silent(6), "b": sleeper(), "c": silent(6)}
+        plan = FaultPlan(crashes=(NodeCrash("b", 3),))
+        sim = Simulator(g, programs, faults=plan)
+        for _ in range(2):
+            sim.step()
+        assert events == []
+        sim.step()
+        assert events == ["closed"]
+        assert sim.crashed == {"b": 3}
+        stats = sim.run()
+        assert events == ["closed"]
+        assert "b" not in sim.results
+        assert stats.outcome == "degraded"
+        assert stats.rounds == 7
+
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    def test_return_after_sleep_is_seen_in_the_same_round(self, n):
+        def after_sleep():
+            yield Sleep(n)
+            return "done"
+
+        def after_empty_yields():
+            for _ in range(n):
+                yield {}
+            return "done"
+
+        def finish_round(program):
+            g = line_graph()
+            sim = Simulator(
+                g, {"a": program, "b": silent(n + 3), "c": silent(n + 3)}
+            )
+            while "a" not in sim.results:
+                sim.step()
+            return sim.stats.rounds
+
+        assert finish_round(after_sleep()) == n + 1
+        assert finish_round(after_empty_yields()) == n + 1
+
+    def test_all_asleep_rounds_still_count(self):
+        g = line_graph()
+
+        def nap():
+            yield Sleep(4)
+
+        sim = Simulator(g, {"a": nap(), "b": nap(), "c": nap()})
+        assert sim.run().rounds == 5
+        assert sim.stats.messages_per_round == [0] * 5
+
+    @pytest.mark.parametrize("bad", [0, -1, 1.5, "2", True, None])
+    def test_invalid_sleep_is_a_protocol_violation(self, bad):
+        g = line_graph()
+
+        def program():
+            yield {}
+            yield Sleep(bad)
+
+        programs = {"a": silent(3), "b": program(), "c": silent(3)}
+        with pytest.raises(ProtocolViolationError) as info:
+            Simulator(g, programs).run()
+        message = str(info.value)
+        assert "round 2" in message
+        assert "'b'" in message
+        assert f"Sleep({bad!r})" in message
+
+
+class TestRunCap:
+    def forever_programs(self):
+        def forever():
+            while True:
+                yield {}
+
+        return {"a": forever(), "b": forever(), "c": forever()}
+
+    def test_zero_cap_executes_no_round(self):
+        sim = Simulator(line_graph(), self.forever_programs())
+        stats = sim.run(max_rounds=0, on_timeout="stop")
+        assert stats.rounds == 0
+        assert stats.outcome == "timeout"
+        assert stats.unfinished_nodes == 3
+
+    def test_zero_cap_raises_by_default(self):
+        sim = Simulator(line_graph(), self.forever_programs())
+        with pytest.raises(SimulationError, match="after 0 rounds"):
+            sim.run(max_rounds=0)
+        assert sim.stats.rounds == 0
+
+    def test_negative_cap_rejected(self):
+        sim = Simulator(line_graph(), self.forever_programs())
+        with pytest.raises(InvalidParameterError, match="max_rounds"):
+            sim.run(max_rounds=-1)
+        assert sim.stats.rounds == 0
+
+    @pytest.mark.parametrize("cap", [1, 2, 5])
+    def test_positive_cap_executes_exactly_cap_rounds(self, cap):
+        sim = Simulator(line_graph(), self.forever_programs())
+        stats = sim.run(max_rounds=cap, on_timeout="stop")
+        assert (stats.rounds, stats.outcome) == (cap, "timeout")
+
+    def test_cap_equal_to_schedule_converges(self):
+        programs = {"a": silent(2), "b": silent(2), "c": silent(2)}
+        stats = Simulator(line_graph(), programs).run(max_rounds=3)
+        assert (stats.rounds, stats.outcome) == (3, "converged")
