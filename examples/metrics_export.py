@@ -40,7 +40,7 @@ def run_asm(prefs, eps: float, path: Path) -> None:
         params={"eps": eps},
     )
     telemetry = Telemetry.create(manifest)
-    with telemetry.timer("run.wall_seconds"):
+    with telemetry.metrics.timer("run.wall_seconds"):
         result = asm(prefs, eps, telemetry=telemetry)
     telemetry.metrics.set_gauge(
         "run.instability", instability(prefs, result.matching)
@@ -55,7 +55,7 @@ def run_gs(prefs, path: Path) -> None:
         algorithm="gale-shapley", workload="complete", n=prefs.n_men,
     )
     telemetry = Telemetry.create(manifest)
-    with telemetry.timer("run.wall_seconds"):
+    with telemetry.metrics.timer("run.wall_seconds"):
         result = gale_shapley(prefs)
     telemetry.metrics.inc("gs.proposals", result.proposals)
     telemetry.metrics.inc("gs.rounds", result.rounds)

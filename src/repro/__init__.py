@@ -45,7 +45,6 @@ from repro.obs.telemetry import Telemetry
 from repro.trace import (
     CausalTrace,
     CausalTracer,
-    PhaseProfiler,
     SLOMonitor,
     StabilitySLO,
     derive_trace_id,
@@ -112,10 +111,9 @@ __all__ = [
     "MetricsRegistry",
     "RunManifest",
     "Telemetry",
-    # trace & profiling (repro.trace)
+    # causal trace & SLOs (repro.trace)
     "CausalTrace",
     "CausalTracer",
-    "PhaseProfiler",
     "SLOMonitor",
     "StabilitySLO",
     "derive_trace_id",

@@ -21,8 +21,8 @@ Subcommands
     (``--profile-out``, Chrome trace-event JSON); can explain how a
     blocking pair came to be (``--explain M W``).
 ``profile``
-    Run an ASM variant with the deterministic phase profiler (and an
-    optional ε-stability SLO) and print the op-count summary.
+    Run an ASM variant with its timings and op counts recorded (and an
+    optional ε-stability SLO) and print the wall-free summary.
 ``dynamic``
     Drive the online dynamic matching engine over seeded churn streams
     of arrivals, departures, and preference edits; localized repair
@@ -651,13 +651,9 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     """Run traced message-level trials; export trace + wall profile."""
     import json
 
+    from repro.obs.metrics import chrome_trace_document
     from repro.parallel.spec import TrialSpec, derive_seed
-    from repro.trace import (
-        CausalTrace,
-        TRACE_TRIAL_RUNNER,
-        chrome_trace_document,
-        merge_trace_trials,
-    )
+    from repro.trace import CausalTrace, TRACE_TRIAL_RUNNER, merge_trace_trials
 
     if args.explain is not None and args.trials != 1:
         print(
@@ -726,9 +722,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     if args.profile_out:
         from repro.io import save_chrome_trace
 
-        document = chrome_trace_document(
-            merged["profile_records"], metadata=metadata
-        )
+        document = chrome_trace_document(merged["spans"], metadata=metadata)
         save_chrome_trace(document, args.profile_out)
         print(
             f"wrote {len(document['traceEvents'])} profile events to "
@@ -787,14 +781,14 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
 
 def _cmd_profile(args: argparse.Namespace) -> int:
-    """Run one ASM variant under the phase profiler (+ optional SLO)."""
+    """Run one ASM variant with timings and op counts (+ optional SLO)."""
     import json
 
-    from repro.trace import PhaseProfiler, SLOMonitor, StabilitySLO
+    from repro.obs.metrics import chrome_trace_document
+    from repro.trace import SLOMonitor, StabilitySLO
 
     prefs = _make_workload(args.workload, args.n, args.seed)
-    profiler = PhaseProfiler()
-    telemetry = Telemetry.tracing(profiler=profiler)
+    telemetry = Telemetry.create()
     monitor: Optional[SLOMonitor] = None
     if args.slo_eps is not None:
         monitor = SLOMonitor(
@@ -821,19 +815,20 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         )
     wall = time.perf_counter() - t0
     rep = stability_report(prefs, result.matching)
-    summary = profiler.deterministic_summary()
+    summary = telemetry.metrics.summary()
 
     if args.profile_out:
         from repro.io import save_chrome_trace
 
-        document = profiler.to_chrome_trace(
+        document = chrome_trace_document(
+            telemetry.metrics.spans,
             metadata={
                 "algorithm": args.algorithm,
                 "workload": args.workload,
                 "n": args.n,
                 "eps": args.eps,
                 "seed": args.seed,
-            }
+            },
         )
         save_chrome_trace(document, args.profile_out)
         print(
@@ -854,16 +849,9 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         print(json.dumps(payload, indent=2))
         return 0 if monitor is None or monitor.satisfied else 1
     rows = [
-        {
-            "phase": name,
-            "calls": entry["calls"],
-            "counts": ", ".join(
-                f"{key}={value}"
-                for key, value in entry["counts"].items()
-            )
-            or "-",
-        }
-        for name, entry in summary.items()
+        {"kind": kind, "name": name, "value": value}
+        for kind in ("calls", "counters")
+        for name, value in summary[kind].items()
     ]
     print(
         format_table(
@@ -1357,8 +1345,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     prof_p = sub.add_parser(
         "profile",
-        help="run an ASM variant under the deterministic phase "
-        "profiler (optionally against an eps-stability SLO)",
+        help="run an ASM variant with its timings and op counts "
+        "recorded (optionally against an eps-stability SLO)",
     )
     prof_p.add_argument(
         "--algorithm",

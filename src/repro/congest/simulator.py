@@ -43,7 +43,6 @@ node.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, Generator, List, Mapping, Optional
 
@@ -97,17 +96,14 @@ class Simulator:
     graph:
         The communication graph; every program's node id must be a node.
     programs:
-        ``{node_id: generator}`` — one program per node.  Nodes of the
-        graph without a program are passive (never send; messages to
-        them are silently delivered nowhere) — by default every node
-        must have a program.
-    max_message_bits:
-        Per-message bit cap (default ``8·(⌈log₂ n⌉ + 1) + TAG_BITS``-ish
-        via ``bit_cap_factor``); violations raise
-        :class:`ProtocolViolationError`.
+        ``{node_id: generator}`` — exactly one program per node of the
+        graph; a program for an unknown node, or a node without one,
+        raises :class:`SimulationError`.
     bit_cap_factor:
         The ``O(·)`` constant of the ``O(log n)`` cap: messages may use
-        at most ``bit_cap_factor · (⌈log₂ n⌉ + 1)`` bits.
+        at most ``bit_cap_factor · (⌈log₂ n⌉ + 1)`` bits (the
+        ``max_message_bits`` attribute); violations raise
+        :class:`ProtocolViolationError`.
     telemetry:
         Optional :class:`~repro.obs.telemetry.Telemetry` bundle; when
         enabled, every round is timed (``congest.round_seconds``
@@ -116,10 +112,8 @@ class Simulator:
         a ``message_batch`` record (per-kind counts) for every round
         that carried messages.  A bundle carrying a
         :class:`~repro.trace.span.CausalTracer` gets every validated
-        send recorded with a causal trace id (fault fates included),
-        and one carrying a :class:`~repro.trace.profiler.PhaseProfiler`
-        gets a ``congest.round`` wall/ops record per round; both hooks
-        are skipped entirely when absent.
+        send recorded with a causal trace id (fault fates included);
+        the hook is skipped entirely when absent.
     faults:
         Optional :class:`~repro.faults.plan.FaultPlan`; when given, a
         :class:`~repro.faults.injector.FaultInjector` mediates every
@@ -235,13 +229,15 @@ class Simulator:
     def _deposit(
         self, sender: NodeId, recipient: NodeId, msg: Message
     ) -> None:
-        """Place one message in the recipient's inbox."""
-        inboxes = self._inboxes
-        if recipient in inboxes:
-            box = inboxes[recipient]
-            if not box:
-                self._touched_inboxes.append(recipient)
-            box[sender] = msg
+        """Place one message in the recipient's inbox.
+
+        ``recipient`` passed :meth:`_validate`'s edge check, and every
+        graph node has a program and so an inbox.
+        """
+        box = self._inboxes[recipient]
+        if not box:
+            self._touched_inboxes.append(recipient)
+        box[sender] = msg
 
     def _validate(
         self,
@@ -288,7 +284,6 @@ class Simulator:
         injector = self.faults
         telemetry = self.telemetry
         tracer = telemetry.tracer
-        profiler = telemetry.profiler
         # 1-based index of the round being executed, used so runtime
         # diagnostics can name where the protocol went wrong and point
         # at the static rule that would have caught it pre-run.
@@ -320,73 +315,63 @@ class Simulator:
         elif not awake and not self._wake:
             return False
         observing = telemetry.enabled
-        profiling = profiler is not None
-        t0 = time.perf_counter() if (observing or profiling) else 0.0
-        outboxes: Dict[NodeId, Dict[NodeId, Message]] = {}
-        programs = self.programs
-        inboxes = self._inboxes
-        woken_set = set(woken) if woken is not None else ()
-        still_awake: List[NodeId] = []
-        for v in awake:
-            try:
-                out = programs[v].send(
-                    None if v in woken_set else inboxes[v]
-                )
-            except StopIteration as stop:
-                self.results[v] = stop.value
-                # The program may have returned (a structure holding)
-                # its final inbox dict; detach it from the pool so
-                # recycling never mutates a captured result.
-                inboxes[v] = {}
-                continue
-            if isinstance(out, Sleep):
-                self._sleep(v, out, executing_round)
-                continue
-            still_awake.append(v)
-            if out:
-                outboxes[v] = out
-        self._awake = still_awake
-        # Last round's messages have now been consumed (every awake
-        # program advanced past the yield that received them, and a
-        # sleeper never reads its inbox); recycle the touched inbox
-        # pools before delivering this round.
-        for v in self._touched_inboxes:
-            inboxes[v].clear()
-        self._touched_inboxes.clear()
-        # Delivery is the transport's job (docs/transport.md): injector
-        # deferrals land first, then transport deferrals, then fresh
-        # sends in canonical node order.
-        kind_counts: Optional[Dict[str, int]] = (
-            {} if (observing or profiling) else None
-        )
-        round_messages, round_bits = self.transport.deliver_round(
-            executing_round, outboxes, kind_counts
-        )
-        self.stats.rounds += 1
-        self.stats.messages_per_round.append(round_messages)
-        if tracer is not None:
-            tracer.end_round(executing_round)
-        if profiling:
-            profiler.record(
-                "congest.round",
-                time.perf_counter() - t0,
-                messages=round_messages,
-                bits=round_bits,
+        metrics = telemetry.metrics
+        with metrics.timer("congest.round_seconds") as round_timer:
+            outboxes: Dict[NodeId, Dict[NodeId, Message]] = {}
+            programs = self.programs
+            inboxes = self._inboxes
+            woken_set = set(woken) if woken is not None else ()
+            still_awake: List[NodeId] = []
+            for v in awake:
+                try:
+                    out = programs[v].send(
+                        None if v in woken_set else inboxes[v]
+                    )
+                except StopIteration as stop:
+                    self.results[v] = stop.value
+                    # The program may have returned (a structure
+                    # holding) its final inbox dict; detach it from the
+                    # pool so recycling never mutates a captured result.
+                    inboxes[v] = {}
+                    continue
+                if isinstance(out, Sleep):
+                    self._sleep(v, out, executing_round)
+                    continue
+                still_awake.append(v)
+                if out:
+                    outboxes[v] = out
+            self._awake = still_awake
+            # Last round's messages have now been consumed (every awake
+            # program advanced past the yield that received them, and a
+            # sleeper never reads its inbox); recycle the touched inbox
+            # pools before delivering this round.
+            for v in self._touched_inboxes:
+                inboxes[v].clear()
+            self._touched_inboxes.clear()
+            # Delivery is the transport's job (docs/transport.md):
+            # injector deferrals land first, then transport deferrals,
+            # then fresh sends in canonical node order.
+            kind_counts: Optional[Dict[str, int]] = (
+                {} if observing else None
             )
+            round_messages, round_bits = self.transport.deliver_round(
+                executing_round, outboxes, kind_counts
+            )
+            self.stats.rounds += 1
+            self.stats.messages_per_round.append(round_messages)
+            if tracer is not None:
+                tracer.end_round(executing_round)
         if observing:
-            elapsed = time.perf_counter() - t0
-            metrics = telemetry.metrics
             metrics.inc("congest.rounds")
             metrics.inc("congest.messages", round_messages)
             metrics.inc("congest.bits", round_bits)
-            metrics.observe("congest.round_seconds", elapsed)
             metrics.observe("congest.messages_per_round", round_messages)
             telemetry.events.emit(
                 "congest_round",
                 round=self.stats.rounds,
                 messages=round_messages,
                 bits=round_bits,
-                seconds=round(elapsed, 9),
+                seconds=round(round_timer.elapsed, 9),
             )
             if kind_counts:
                 telemetry.events.emit(

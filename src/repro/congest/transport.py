@@ -22,7 +22,7 @@ Two implementations:
     (:mod:`repro.workloads.latency`).  A message drawn latency ``L``
     lands at the start of *virtual round* ``send_round + L`` — rounds
     remain the clock, so Theorem-3 ε accounting, trace spans, and the
-    profiler keep their meaning.  Event order is deterministic: the
+    per-round timings keep their meaning.  Event order is deterministic: the
     queue is keyed ``(delivery round, send sequence)`` where the
     sequence number follows the canonical send order, so the same run
     replays byte-identically everywhere.  With zero latency every
@@ -125,7 +125,7 @@ class Transport:
         injection and latency never change them for the same protocol
         evolution.  ``kind_counts``, when given, accumulates per-kind
         send counts (the simulator passes a dict only when telemetry
-        or profiling is on).
+        is on).
         """
         sim = self._sim
         if sim is None:

@@ -776,23 +776,23 @@ class ASMEngine:
         state can change — callers charge the scheduled rounds and skip.
 
         The backend runs the steps; this method owns what both backends
-        share — phase timers, message/round accounting, the profiler
-        counter, and the observer hook.
+        share — phase timers, message/round accounting, and the
+        observer hook.
         """
-        telemetry = self.telemetry
+        metrics = self.telemetry.metrics
         state = self._state
-        with telemetry.timer("asm.phase.propose"):
+        with metrics.timer("asm.phase.propose"):
             step1 = state.step_propose()
         if step1 is None:
             return None
         n_proposals, max_work = step1
-        with telemetry.timer("asm.phase.accept_reject"):
+        with metrics.timer("asm.phase.accept_reject"):
             n_accepts, accept_work = state.step_accept()
-        with telemetry.timer("asm.phase.maximal_matching"):
+        with metrics.timer("asm.phase.maximal_matching"):
             mm_result, g0, mm_work, men_removed = state.step_maximal_matching(
                 self.mm_oracle
             )
-        with telemetry.timer("asm.phase.accept_reject"):
+        with metrics.timer("asm.phase.accept_reject"):
             n_rejects, matched_in_m0, reject_work = state.step_reject()
         return self._finalize_round(
             n_proposals,
@@ -833,17 +833,6 @@ class ASMEngine:
             max_player_work=max_work,
         )
         self._charge_executed(mm_result)
-        profiler = self.telemetry.profiler
-        if profiler is not None:
-            profiler.count(
-                "asm.proposal_round",
-                proposals=n_proposals,
-                accepts=n_accepts,
-                rejects=n_rejects,
-                g0_edges=g0.num_edges,
-                mm_rounds=mm_result.rounds,
-                matched=matched_in_m0,
-            )
         if self.telemetry.enabled:
             self._emit_round(stats)
         if self.observer is not None:
@@ -861,6 +850,9 @@ class ASMEngine:
         metrics.inc("asm.messages.accepts", stats.accepts)
         metrics.inc("asm.messages.rejects", stats.rejects)
         metrics.inc("asm.men_removed", stats.men_removed)
+        metrics.inc("asm.g0_edges", stats.g0_edges)
+        metrics.inc("asm.mm_rounds", stats.mm_rounds)
+        metrics.inc("asm.matched_in_m0", stats.matched_in_m0)
         metrics.set_gauge("asm.matching_size", matching_size)
         metrics.set_gauge("asm.good_men", good)
         metrics.set_gauge("asm.bad_men", bad)
@@ -926,43 +918,39 @@ class ASMEngine:
         backend's ``candidates(participating)``, when the caller's gate
         already computed it.
         """
+        state = self._state
         if candidates is None:
-            candidates = self._state.candidates(participating)
-        profiler = self.telemetry.profiler
-        if profiler is not None:
-            with profiler.phase(
-                "asm.quantile_match",
-                participating=self._state.count(participating),
-            ):
-                return self._quantile_match_impl(candidates)
-        return self._quantile_match_impl(candidates)
-
-    def _quantile_match_impl(self, candidates: Sequence[int]) -> bool:
-        self._state.activate(candidates)
-        self.quantile_match_calls_executed += 1
-        self.quantile_match_calls_scheduled += 1
-        any_communication = False
-        for j in range(self.k):
-            stats = self.proposal_round()
-            if stats is None:
-                self._charge_skipped_proposal_rounds(self.k - j)
-                break
-            any_communication = True
-        if self.check_invariants and not self._state.lemma2_holds():
-            raise SimulationError(
-                "Lemma 2 violated: some man has A ≠ ∅ after QuantileMatch"
-            )
+            candidates = state.candidates(participating)
         telemetry = self.telemetry
-        if telemetry.enabled:
-            telemetry.metrics.inc("asm.quantile_match_calls")
-            telemetry.events.emit(
-                "quantile_match",
-                index=self.quantile_match_calls_executed - 1,
-                proposal_rounds_so_far=self.proposal_rounds_executed,
-            )
-        if self.observer is not None:
-            self.observer.on_quantile_match_end(self)
-        return any_communication
+        with telemetry.metrics.timer("asm.quantile_match"):
+            state.activate(candidates)
+            self.quantile_match_calls_executed += 1
+            self.quantile_match_calls_scheduled += 1
+            any_communication = False
+            for j in range(self.k):
+                stats = self.proposal_round()
+                if stats is None:
+                    self._charge_skipped_proposal_rounds(self.k - j)
+                    break
+                any_communication = True
+            if self.check_invariants and not state.lemma2_holds():
+                raise SimulationError(
+                    "Lemma 2 violated: some man has A ≠ ∅ after "
+                    "QuantileMatch"
+                )
+            if telemetry.enabled:
+                telemetry.metrics.inc("asm.quantile_match_calls")
+                telemetry.metrics.inc(
+                    "asm.participating_men", state.count(participating)
+                )
+                telemetry.events.emit(
+                    "quantile_match",
+                    index=self.quantile_match_calls_executed - 1,
+                    proposal_rounds_so_far=self.proposal_rounds_executed,
+                )
+            if self.observer is not None:
+                self.observer.on_quantile_match_end(self)
+            return any_communication
 
     def _charge_skipped_quantile_matches(self, count: int) -> None:
         """Scheduled-only accounting for entire no-op QuantileMatch calls."""
@@ -990,43 +978,35 @@ class ASMEngine:
 
     def run_outer_iteration(self, i: int) -> OuterIterationStats:
         """One iteration of Algorithm 3's outer loop (threshold ``2^i``)."""
-        profiler = self.telemetry.profiler
-        if profiler is not None:
-            # The iteration index is implicit in call order; passing it
-            # as a count would pollute the deterministic counters.
-            with profiler.phase("asm.outer_iteration"):
-                return self._run_outer_iteration_impl(i)
-        return self._run_outer_iteration_impl(i)
-
-    def _run_outer_iteration_impl(self, i: int) -> OuterIterationStats:
         state = self._state
-        threshold = 2 ** i
-        inner = self.inner_iteration_count()
-        participating_start = state.participating(threshold)
-        executed = self._quantile_matches(threshold, inner)
-        participating_end = state.participating(threshold)
-        stats = OuterIterationStats(
-            index=i,
-            threshold=threshold,
-            participating_men_start=state.count(participating_start),
-            participating_men_end=state.count(participating_end),
-            bad_participating_men_end=state.count(
-                state.candidates(participating_end)
-            ),
-            bad_in_start_set_end=state.count(
-                state.candidates(participating_start)
-            ),
-            quantile_match_calls_executed=executed,
-            quantile_match_calls_scheduled=inner,
-        )
-        self.outer_stats.append(stats)
         telemetry = self.telemetry
-        if telemetry.enabled:
-            telemetry.metrics.inc("asm.outer_iterations")
-            telemetry.events.emit("outer_iteration", **asdict(stats))
-        if self.observer is not None:
-            self.observer.on_outer_iteration_end(self, stats)
-        return stats
+        with telemetry.metrics.timer("asm.outer_iteration"):
+            threshold = 2 ** i
+            inner = self.inner_iteration_count()
+            participating_start = state.participating(threshold)
+            executed = self._quantile_matches(threshold, inner)
+            participating_end = state.participating(threshold)
+            stats = OuterIterationStats(
+                index=i,
+                threshold=threshold,
+                participating_men_start=state.count(participating_start),
+                participating_men_end=state.count(participating_end),
+                bad_participating_men_end=state.count(
+                    state.candidates(participating_end)
+                ),
+                bad_in_start_set_end=state.count(
+                    state.candidates(participating_start)
+                ),
+                quantile_match_calls_executed=executed,
+                quantile_match_calls_scheduled=inner,
+            )
+            self.outer_stats.append(stats)
+            if telemetry.enabled:
+                telemetry.metrics.inc("asm.outer_iterations")
+                telemetry.events.emit("outer_iteration", **asdict(stats))
+            if self.observer is not None:
+                self.observer.on_outer_iteration_end(self, stats)
+            return stats
 
     def _quantile_matches(self, threshold: int, calls: int) -> int:
         """Up to ``calls`` QuantileMatch calls over the men with

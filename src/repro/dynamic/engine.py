@@ -128,8 +128,7 @@ class DynamicMatchingEngine:
     telemetry:
         Optional :class:`~repro.obs.Telemetry`; the engine emits
         ``dynamic_delta`` / ``dynamic_fallback`` / ``slo_sample`` /
-        ``slo_violation`` events and profiler counts under
-        ``dynamic.*``.
+        ``slo_violation`` events.
     solver_optimized:
         Forwarded as ``optimized=`` to every full ASM solve (warm
         start and SLO fallbacks): ``True`` selects the pure-Python
@@ -186,8 +185,6 @@ class DynamicMatchingEngine:
         self.fallbacks = 0
         self.marriages = 0
         self.trajectory: List[Tuple[int, float]] = []
-        if self.telemetry.profiler is not None:
-            self.index.attach_profiler(self.telemetry.profiler)
         if self.market.num_edges:
             self._full_restabilize()
 
@@ -282,14 +279,6 @@ class DynamicMatchingEngine:
             target_eps=self.slo.target_eps,
             binding=self.slo.in_effect(self.deltas_applied),
         )
-        if self.telemetry.profiler is not None:
-            self.telemetry.profiler.count(
-                "dynamic.delta",
-                deltas=1,
-                repair_passes=passes,
-                marriages=marriages,
-                fallbacks=1 if fallback else 0,
-            )
         return outcome
 
     def apply_stream(self, deltas: Sequence[Delta]) -> List[DeltaOutcome]:
@@ -444,8 +433,6 @@ class DynamicMatchingEngine:
             for m in range(self.market.n_men)
         ]
         self.index.update_from_partner_lists(partner)
-        if self.telemetry.profiler is not None:
-            self.telemetry.profiler.count("dynamic.full_solve", solves=1)
 
     # -- telemetry -----------------------------------------------------
 

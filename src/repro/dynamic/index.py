@@ -90,7 +90,6 @@ class DynamicBlockingIndex(BlockingPairIndex):
                 self._man_partner[m] = w
                 self._woman_partner[w] = m
         self._pool = _PairPool()
-        self._profiler = None
         for m in range(market.n_men):
             self._rescan_man(m)
 
@@ -215,8 +214,10 @@ class DynamicBlockingIndex(BlockingPairIndex):
         fresh = BlockingPairIndex(frozen, self.current_matching())
         mine = self.pairs()
         theirs = fresh.pairs()
-        assert mine == theirs, (
-            f"DynamicBlockingIndex diverged from fresh index: "
-            f"dynamic={mine[:10]}..., fresh={theirs[:10]}..."
-        )
+        # An explicit raise, not ``assert``: the check must survive -O.
+        if mine != theirs:
+            raise AssertionError(
+                f"DynamicBlockingIndex diverged from fresh index: "
+                f"dynamic={mine[:10]}..., fresh={theirs[:10]}..."
+            )
         fresh.verify()

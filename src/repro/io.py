@@ -22,7 +22,7 @@ Plain JSON on disk so experiments are reproducible and shareable:
   (:meth:`repro.trace.span.CausalTracer.to_records`); timestamp-free
   like the fault trace, so the trace-smoke CI job can diff it against
   a committed golden file.
-* :func:`save_chrome_trace` — a profiler's wall-clock records in the
+* :func:`save_chrome_trace` — a metrics registry's timer spans in the
   Chrome trace-event format, loadable directly in ``chrome://tracing``
   or Perfetto (raw Chrome JSON, intentionally **not** wrapped in the
   repro envelope).
@@ -369,7 +369,7 @@ def save_chrome_trace(
     path: PathLike,
 ) -> None:
     """Write a Chrome trace-event document produced by
-    :meth:`repro.trace.profiler.PhaseProfiler.to_chrome_trace`.
+    :func:`repro.obs.metrics.chrome_trace_document`.
 
     The file is raw Chrome JSON — no repro envelope — so it loads
     directly in ``chrome://tracing`` and https://ui.perfetto.dev.

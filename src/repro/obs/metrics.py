@@ -8,6 +8,14 @@ A :class:`MetricsRegistry` is a named bag of
 * **histograms** — streams of float observations summarized as
   count / sum / min / mean / p50 / p95 / max (phase wall-times).
 
+Every enabled :meth:`MetricsRegistry.timer` also appends one
+``{name, ts, dur, depth}`` wall-clock span to
+:attr:`MetricsRegistry.spans`, which :func:`chrome_trace_document`
+turns into Chrome trace-event JSON.  :meth:`MetricsRegistry.summary`
+is the wall-free view: counters plus the number of observations per
+histogram, bit-identical across runs and worker counts for the same
+seeded work.
+
 A disabled registry (``MetricsRegistry(enabled=False)``) turns every
 operation into a near-zero-cost no-op — ``timer()`` returns a shared
 do-nothing context manager and ``inc``/``set_gauge``/``observe``
@@ -30,14 +38,20 @@ Example
 from __future__ import annotations
 
 import time
-from typing import Any, Dict, List, Optional, Union
+from typing import Any, Dict, Iterable, List, Optional, Union
 
 __all__ = [
     "MetricsRegistry",
     "Timer",
+    "chrome_trace_document",
     "histogram_summary",
     "percentile",
 ]
+
+
+def _us(seconds: float) -> float:
+    """Seconds → microseconds, rounded (Chrome's ``ts``/``dur`` unit)."""
+    return round(seconds * 1e6, 3)
 
 
 def percentile(sorted_values: List[float], q: float) -> float:
@@ -85,7 +99,9 @@ class Timer:
     """Context manager recording a wall-time observation on exit.
 
     Built on :func:`time.perf_counter`; the elapsed seconds land in the
-    registry histogram named at construction.
+    registry histogram named at construction, and one span (start and
+    duration in microseconds since the registry was created, nesting
+    depth among the registry's open timers) lands in its ``spans``.
     """
 
     __slots__ = ("_registry", "_name", "_t0", "elapsed")
@@ -97,12 +113,23 @@ class Timer:
         self.elapsed: Optional[float] = None
 
     def __enter__(self) -> "Timer":
+        self._registry._depth += 1
         self._t0 = time.perf_counter()
         return self
 
     def __exit__(self, *exc: Any) -> bool:
         self.elapsed = time.perf_counter() - self._t0
-        self._registry.observe(self._name, self.elapsed)
+        registry = self._registry
+        registry._depth -= 1
+        registry.observe(self._name, self.elapsed)
+        registry.spans.append(
+            {
+                "name": self._name,
+                "ts": _us(self._t0 - registry._t0),
+                "dur": _us(self.elapsed),
+                "depth": registry._depth,
+            }
+        )
         return False
 
 
@@ -121,6 +148,11 @@ class MetricsRegistry:
         self.counters: Dict[str, int] = {}
         self.gauges: Dict[str, float] = {}
         self.histograms: Dict[str, List[float]] = {}
+        #: Completed timer spans; merged registries tag theirs with a
+        #: Chrome ``tid`` lane (see :meth:`merge`).
+        self.spans: List[Dict[str, Any]] = []
+        self._t0 = time.perf_counter()
+        self._depth = 0
 
     # ------------------------------------------------------------------
     # Mutation
@@ -145,7 +177,8 @@ class MetricsRegistry:
         self.histograms.setdefault(name, []).append(value)
 
     def timer(self, name: str) -> Union[Timer, _NullTimer]:
-        """A context manager timing its body into histogram ``name``."""
+        """A context manager timing its body into histogram ``name``
+        and one span."""
         if not self.enabled:
             return _NULL_TIMER
         return Timer(self, name)
@@ -162,6 +195,10 @@ class MetricsRegistry:
         deterministic for a deterministic *merge order* — the parallel
         layer always merges worker registries in trial-spec order, so a
         sweep's merged metrics are identical for any worker count.
+        ``other``'s spans follow this registry's on lanes of their own:
+        its lane ``t`` becomes lane ``lanes + t``, where ``lanes`` is
+        one past the highest lane already here, so registries merged
+        one per trial keep one Chrome ``tid`` lane each.
         """
         if not self.enabled:
             return
@@ -170,6 +207,9 @@ class MetricsRegistry:
         self.gauges.update(other.gauges)
         for name, values in other.histograms.items():
             self.histograms.setdefault(name, []).extend(values)
+        lanes = 1 + max((s.get("tid", 0) for s in self.spans), default=-1)
+        for span in other.spans:
+            self.spans.append({**span, "tid": lanes + span.get("tid", 0)})
 
     def raw_state(self) -> Dict[str, Any]:
         """Lossless JSON/pickle-safe state (histograms keep raw values).
@@ -182,6 +222,7 @@ class MetricsRegistry:
             "counters": dict(self.counters),
             "gauges": dict(self.gauges),
             "histograms": {k: list(v) for k, v in self.histograms.items()},
+            "spans": [dict(span) for span in self.spans],
         }
 
     @classmethod
@@ -197,6 +238,7 @@ class MetricsRegistry:
         registry.histograms = {
             str(k): list(v) for k, v in state.get("histograms", {}).items()
         }
+        registry.spans = [dict(span) for span in state.get("spans", ())]
         return registry
 
     # ------------------------------------------------------------------
@@ -217,3 +259,48 @@ class MetricsRegistry:
             "gauges": dict(sorted(self.gauges.items())),
             "histograms": self.histogram_summaries(),
         }
+
+    def summary(self) -> Dict[str, Dict[str, int]]:
+        """Counters and per-histogram call counts; **no wall-clock data**.
+
+        Bit-identical across runs and worker counts for the same seeded
+        work, so it is what the profile and trace commands print and
+        what the parallel bit-identity tests diff.
+        """
+        return {
+            "calls": {
+                name: len(values)
+                for name, values in sorted(self.histograms.items())
+            },
+            "counters": dict(sorted(self.counters.items())),
+        }
+
+
+def chrome_trace_document(
+    spans: Iterable[Dict[str, Any]],
+    metadata: Optional[Dict[str, Any]] = None,
+) -> Dict[str, Any]:
+    """Timer spans (:attr:`MetricsRegistry.spans`) as a Chrome
+    trace-event document.
+
+    Load the saved file (:func:`repro.io.save_chrome_trace`) in
+    ``chrome://tracing`` or https://ui.perfetto.dev.  A span's lane is
+    its ``tid`` (0 unless a merge assigned one).
+    """
+    events = [
+        {
+            "name": span["name"],
+            "cat": "repro",
+            "ph": "X",
+            "ts": span["ts"],
+            "dur": span["dur"],
+            "pid": 0,
+            "tid": span.get("tid", 0),
+        }
+        for span in spans
+    ]
+    return {
+        "traceEvents": events,
+        "displayTimeUnit": "ms",
+        "otherData": dict(metadata or {}),
+    }

@@ -10,7 +10,7 @@ pay (nearly) nothing.
 Example
 -------
 >>> tel = Telemetry.create()
->>> with tel.timer("phase.example"):
+>>> with tel.metrics.timer("phase.example"):
 ...     pass
 >>> tel.events.emit("congest_round", round=1, messages=0, bits=0)
 >>> tel.enabled, NULL_TELEMETRY.enabled
@@ -33,47 +33,30 @@ __all__ = ["Telemetry", "NULL_TELEMETRY"]
 class Telemetry:
     """One run's telemetry sinks: registry, event log, manifest.
 
-    ``tracer`` and ``profiler`` are the ``repro.trace`` hooks
-    (:class:`~repro.trace.span.CausalTracer` /
-    :class:`~repro.trace.profiler.PhaseProfiler`); they are typed
-    loosely because importing ``repro.trace`` here would cycle through
-    ``repro.core.asm``.  Components test them against ``None`` and
-    skip every hook when absent, so untraced runs pay nothing.
+    The registry is the one sink for timings and op counts: its timers
+    feed both the phase histograms and the wall-clock spans a Chrome
+    trace is read from.  ``tracer`` is the ``repro.trace`` hook
+    (:class:`~repro.trace.span.CausalTracer`), typed loosely because
+    importing ``repro.trace`` here would cycle through
+    ``repro.core.asm``.  Components test it against ``None`` and skip
+    every hook when absent, so untraced runs pay nothing.
     """
 
     metrics: MetricsRegistry
     events: EventLog
     manifest: Optional[RunManifest] = None
     tracer: Optional[Any] = None
-    profiler: Optional[Any] = None
 
     @property
     def enabled(self) -> bool:
         """Whether either classic sink records anything."""
         return self.metrics.enabled or self.events.enabled
 
-    def timer(self, name: str) -> Any:
-        """A phase-timing context manager.
-
-        Normally ``self.metrics.timer(name)``; with a profiler
-        attached, the profiler's :meth:`~repro.trace.profiler.
-        PhaseProfiler.phase` instead, which still feeds the metrics
-        histogram when metrics are enabled — so profiled runs keep the
-        exact metric surface of unprofiled ones.
-        """
-        if self.profiler is not None:
-            return self.profiler.phase(
-                name,
-                registry=self.metrics if self.metrics.enabled else None,
-            )
-        return self.metrics.timer(name)
-
     @classmethod
     def create(
         cls,
         manifest: Optional[RunManifest] = None,
         tracer: Optional[Any] = None,
-        profiler: Optional[Any] = None,
     ) -> "Telemetry":
         """A fresh enabled bundle (one per run)."""
         return cls(
@@ -81,27 +64,21 @@ class Telemetry:
             events=EventLog(enabled=True),
             manifest=manifest,
             tracer=tracer,
-            profiler=profiler,
         )
 
     @classmethod
-    def tracing(
-        cls,
-        tracer: Optional[Any] = None,
-        profiler: Optional[Any] = None,
-    ) -> "Telemetry":
-        """A bundle carrying only trace/profile hooks.
+    def tracing(cls, tracer: Optional[Any] = None) -> "Telemetry":
+        """A bundle carrying only the causal tracer hook.
 
         Metrics and events stay disabled (``enabled`` is ``False``), so
         the classic counter paths keep their no-op cost while the
-        tracer/profiler hooks fire.
+        tracer hooks fire.
         """
         return cls(
             metrics=MetricsRegistry(enabled=False),
             events=EventLog(enabled=False),
             manifest=None,
             tracer=tracer,
-            profiler=profiler,
         )
 
     @classmethod

@@ -22,7 +22,7 @@ trajectories are bit-identical to the pre-index implementation.
 from __future__ import annotations
 
 import random
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.matching import Matching
 from repro.core.preferences import PreferenceProfile
@@ -102,7 +102,6 @@ class BlockingPairIndex:
         "_man_partner",
         "_woman_partner",
         "_pool",
-        "_profiler",
     )
 
     def __init__(
@@ -122,19 +121,8 @@ class BlockingPairIndex:
                 self._man_partner[m] = w
                 self._woman_partner[w] = m
         self._pool = _PairPool()
-        self._profiler = None
         for m in range(prefs.n_men):
             self._rescan_man(m)
-
-    def attach_profiler(self, profiler: Any) -> None:
-        """Attach a :class:`~repro.trace.profiler.PhaseProfiler`.
-
-        Rescans then accumulate deterministic op counts (players
-        rescanned, edges examined) under ``index.rescan``.  Detach by
-        passing ``None``; without a profiler the hot paths pay only a
-        ``None`` check.
-        """
-        self._profiler = profiler
 
     # -- read access ---------------------------------------------------
 
@@ -213,10 +201,6 @@ class BlockingPairIndex:
                     pool.add(pair)
                     continue
             pool.discard(pair)
-        if self._profiler is not None:
-            self._profiler.count(
-                "index.rescan", men=1, edges=len(self._man_lists[m])
-            )
 
     def _rescan_woman(self, w: int) -> None:
         cur = self._woman_cur(w)
@@ -235,10 +219,6 @@ class BlockingPairIndex:
                     pool.add(pair)
                     continue
             pool.discard(pair)
-        if self._profiler is not None:
-            self._profiler.count(
-                "index.rescan", women=1, edges=len(self._woman_lists[w])
-            )
 
     # -- mutations -----------------------------------------------------
 
@@ -364,10 +344,14 @@ class BlockingPairIndex:
         """
         from repro.analysis.stability import find_blocking_pairs
 
-        oracle = find_blocking_pairs(self._prefs, self.current_matching())
-        mine = self.pairs()
-        assert mine == sorted(oracle), (
-            f"BlockingPairIndex disagrees with full-scan oracle: "
-            f"index={mine[:10]}..., oracle={sorted(oracle)[:10]}..."
+        oracle = sorted(
+            find_blocking_pairs(self._prefs, self.current_matching())
         )
+        mine = self.pairs()
+        # An explicit raise, not ``assert``: the check must survive -O.
+        if mine != oracle:
+            raise AssertionError(
+                f"BlockingPairIndex disagrees with full-scan oracle: "
+                f"index={mine[:10]}..., oracle={oracle[:10]}..."
+            )
 

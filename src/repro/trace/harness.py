@@ -3,8 +3,9 @@
 :func:`run_trace_trial` is a :class:`~repro.parallel.spec.TrialSpec`
 runner (reference :data:`TRACE_TRIAL_RUNNER`): it runs message-level
 ASM (or Gale–Shapley) with a :class:`~repro.trace.span.CausalTracer`
-and :class:`~repro.trace.profiler.PhaseProfiler` attached and returns
-a JSON-safe dict whose ``trace`` field is the run's causal trace.
+and an enabled :class:`~repro.obs.metrics.MetricsRegistry` attached and
+returns a JSON-safe dict whose ``trace`` field is the run's causal
+trace.
 Because trace ids are pure functions of causal history (no wall time,
 no worker identity), the trace is byte-identical for any ``--workers``
 count, and :func:`merge_trace_trials` merges shards in trial-spec
@@ -16,8 +17,8 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Sequence
 
+from repro.obs.metrics import MetricsRegistry
 from repro.parallel.spec import TrialSpec
-from repro.trace.profiler import PhaseProfiler, merge_summaries
 from repro.trace.span import CausalTracer
 
 __all__ = [
@@ -40,9 +41,11 @@ def run_trace_trial(spec: TrialSpec) -> Dict[str, Any]:
     :func:`repro.faults.harness.fault_plan_for_profile` (``drop_rate``,
     ``duplicate_rate``, ``delay_rate``, ``max_delay``, ``crash_nodes``,
     ``crash_round``, ``restart_after``, ``fault_seed``).  The returned
-    dict is JSON-safe; ``trace`` holds the causal-trace records and
-    ``profile_summary`` the deterministic op-count summary — the two
-    objects the worker-identity tests diff byte-for-byte.
+    dict is JSON-safe; ``trace`` holds the causal-trace records,
+    ``profile_summary`` the registry's wall-free
+    :meth:`~repro.obs.metrics.MetricsRegistry.summary` — the two
+    objects the worker-identity tests diff byte-for-byte — and
+    ``metrics`` its raw state, timer spans included.
     """
     from repro.analysis.stability import instability
     from repro.congest.protocols.asm_protocol import run_congest_asm
@@ -55,8 +58,7 @@ def run_trace_trial(spec: TrialSpec) -> Dict[str, Any]:
 
     prefs = default_instance(spec.workload or "complete", spec.n, spec.seed)
     tracer = CausalTracer()
-    profiler = PhaseProfiler()
-    telemetry = Telemetry.tracing(tracer=tracer, profiler=profiler)
+    telemetry = Telemetry.create(tracer=tracer)
     plan = None
     if _fault_knobs_active(spec):
         plan = fault_plan_for_profile(
@@ -111,8 +113,8 @@ def run_trace_trial(spec: TrialSpec) -> Dict[str, Any]:
     record["instability"] = instability(prefs, matching)
     record["trace"] = tracer.to_records()
     record["open_spans"] = tracer.open_spans()
-    record["profile_summary"] = profiler.deterministic_summary()
-    record["profile_records"] = list(profiler.records)
+    record["profile_summary"] = telemetry.metrics.summary()
+    record["metrics"] = telemetry.metrics.raw_state()
     return record
 
 
@@ -133,22 +135,20 @@ def merge_trace_trials(
     ``results`` must be in trial-spec order (what
     :meth:`~repro.parallel.pool.TrialPool.run` returns), which makes
     the merged document independent of the worker count.  Each trace
-    record is tagged with its ``trial`` index; deterministic profile
-    summaries are summed; wall-clock profile records get the trial
-    index as their Chrome ``tid`` lane.
+    record is tagged with its ``trial`` index; the trials' registries
+    merge into one, so counters and call counts sum and each trial's
+    timer spans keep a Chrome ``tid`` lane of their own.
     """
     merged_tracer = CausalTracer()
-    merged_profiler = PhaseProfiler()
-    summaries: List[Dict[str, Any]] = []
+    merged_metrics = MetricsRegistry()
     trials: List[Dict[str, Any]] = []
     for index, result in enumerate(results):
         if result is None:
             continue
         merged_tracer.merge(result.get("trace", ()), trial=index)
-        merged_profiler.merge_records(
-            result.get("profile_records", ()), tid=index
+        merged_metrics.merge(
+            MetricsRegistry.from_raw_state(result.get("metrics", {}))
         )
-        summaries.append(result.get("profile_summary", {}))
         trials.append(
             {
                 "trial": index,
@@ -164,6 +164,6 @@ def merge_trace_trials(
     return {
         "trials": trials,
         "trace": merged_tracer.to_records(),
-        "profile_summary": merge_summaries(summaries),
-        "profile_records": list(merged_profiler.records),
+        "profile_summary": merged_metrics.summary(),
+        "spans": merged_metrics.spans,
     }

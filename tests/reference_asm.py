@@ -33,7 +33,7 @@ class ReferenceASMEngine(ASMEngine):
         """
         telemetry = self.telemetry
         # Step 1: men propose to every woman in A.
-        with telemetry.timer("asm.phase.propose"):
+        with telemetry.metrics.timer("asm.phase.propose"):
             proposals: Dict[int, List[int]] = {}
             n_proposals = 0
             max_work = 0  # Remark 4: max per-processor work this round
@@ -50,7 +50,7 @@ class ReferenceASMEngine(ASMEngine):
             return None
 
         # Step 2: each woman accepts her best proposing quantile.
-        with telemetry.timer("asm.phase.accept_reject"):
+        with telemetry.metrics.timer("asm.phase.accept_reject"):
             g0 = Graph()
             n_accepts = 0
             for w, suitors in proposals.items():
@@ -73,12 +73,12 @@ class ReferenceASMEngine(ASMEngine):
                         g0.add_edge(man_node(m), woman_node(w))
                         n_accepts += 1
 
-        with telemetry.timer("asm.phase.maximal_matching"):
+        with telemetry.metrics.timer("asm.phase.maximal_matching"):
             # Step 3: maximal matching on the accepted-proposal graph G0.
             mm_result, men_removed, mm_work = self._mm_phase(g0)
             max_work = max(max_work, mm_work)
 
-        with telemetry.timer("asm.phase.accept_reject"):
+        with telemetry.metrics.timer("asm.phase.accept_reject"):
             # Step 4: newly matched women reject all weakly-worse suitors.
             rejections: Dict[int, List[int]] = {}
             n_rejects = 0

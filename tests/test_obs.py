@@ -217,7 +217,7 @@ class TestRunManifest:
 class TestTelemetry:
     def test_null_telemetry_disabled(self):
         assert not NULL_TELEMETRY.enabled
-        with NULL_TELEMETRY.timer("x"):
+        with NULL_TELEMETRY.metrics.timer("x"):
             pass
         NULL_TELEMETRY.events.emit("anything-goes-here")  # no-op, unvalidated
         assert NULL_TELEMETRY.metrics.histograms == {}
@@ -225,7 +225,7 @@ class TestTelemetry:
     def test_create_enabled(self):
         tel = Telemetry.create()
         assert tel.enabled
-        with tel.timer("x"):
+        with tel.metrics.timer("x"):
             pass
         assert "x" in tel.metrics.histograms
 

@@ -53,7 +53,7 @@ def test_null_timer_overhead_under_5pct_of_small_run():
     iterations = 20_000
     t0 = perf_counter()
     for _ in range(iterations):
-        with NULL_TELEMETRY.timer("x"):
+        with NULL_TELEMETRY.metrics.timer("x"):
             pass
     per_call = (perf_counter() - t0) / iterations
 

@@ -11,7 +11,11 @@ degree.
 
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -141,6 +145,43 @@ class TestErrorCases:
         index = BlockingPairIndex(prefs)
         with pytest.raises(InvalidParameterError):
             index.update_from_partner_lists([0, 0])
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            "BlockingPairIndex(complete_uniform(4, seed=0))",
+            "DynamicBlockingIndex(DynamicMarket(complete_uniform(4, seed=0)))",
+        ],
+    )
+    def test_verify_catches_corruption_under_python_O(self, build):
+        # ``python -O`` strips ``assert`` statements; verify() must
+        # still raise on an index that lost one blocking pair.
+        script = (
+            "from repro.dynamic.index import DynamicBlockingIndex\n"
+            "from repro.dynamic.market import DynamicMarket\n"
+            "from repro.perf.blocking_index import BlockingPairIndex\n"
+            "from repro.workloads.generators import complete_uniform\n"
+            f"index = {build}\n"
+            "index._pool.discard(index.pairs()[0])\n"
+            "try:\n"
+            "    index.verify()\n"
+            "except AssertionError:\n"
+            "    raise SystemExit(0)\n"
+            "raise SystemExit(1)\n"
+        )
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(src), env.get("PYTHONPATH")])
+        )
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", script],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestTrajectoryHelpers:

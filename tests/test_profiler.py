@@ -1,6 +1,10 @@
-"""Phase profiler: deterministic summaries, Chrome export, merges,
-and the Telemetry.timer integration that keeps metric histograms alive
-while profiling."""
+"""Profiling through the metrics registry: timer spans and their
+nesting, the wall-free summary, merges that keep one Chrome lane per
+trial, the Chrome export, and the spans the trace command writes.
+
+The class and test names predate the registry (they pinned a separate
+phase profiler); they are kept so the test ids stay stable.
+"""
 
 from __future__ import annotations
 
@@ -8,117 +12,142 @@ import json
 
 import pytest
 
+from repro.cli import main
 from repro.core.asm import asm
+from repro.obs.metrics import MetricsRegistry, chrome_trace_document
 from repro.obs.telemetry import Telemetry
-from repro.trace.profiler import (
-    PhaseProfiler,
-    chrome_trace_document,
-    merge_summaries,
-)
 from repro.workloads.generators import complete_uniform
+
+
+def _timed(*names):
+    """A registry that ran one (sequential) timer per name."""
+    registry = MetricsRegistry()
+    for name in names:
+        with registry.timer(name):
+            pass
+    return registry
 
 
 class TestPhaseTimer:
     def test_phase_records_and_counts(self):
-        prof = PhaseProfiler()
-        with prof.phase("work", items=3) as timer:
-            timer.add(items=2, extra=1)
-        assert prof.calls["work"] == 1
-        assert prof.counters["work"] == {"items": 5, "extra": 1}
-        record = prof.records[0]
-        assert record["name"] == "work"
-        assert record["dur"] >= 0
-        assert record["args"] == {"items": 5, "extra": 1}
+        registry = MetricsRegistry()
+        with registry.timer("work") as timer:
+            pass
+        (span,) = registry.spans
+        assert set(span) == {"name", "ts", "dur", "depth"}
+        assert span["name"] == "work"
+        assert span["dur"] >= 0 and span["ts"] >= 0
+        assert span["dur"] == round(timer.elapsed * 1e6, 3)
+        assert registry.histograms["work"] == [timer.elapsed]
 
     def test_nesting_depth(self):
-        prof = PhaseProfiler()
-        with prof.phase("outer"):
-            with prof.phase("inner"):
+        registry = MetricsRegistry()
+        with registry.timer("outer"):
+            with registry.timer("middle"):
+                with registry.timer("inner"):
+                    pass
+            with registry.timer("sibling"):
                 pass
-        by_name = {r["name"]: r for r in prof.records}
-        assert by_name["inner"]["depth"] == 1
-        assert by_name["outer"]["depth"] == 0
+        depth = {s["name"]: s["depth"] for s in registry.spans}
+        assert depth == {"outer": 0, "middle": 1, "inner": 2, "sibling": 1}
+        # Spans close innermost first.
+        assert [s["name"] for s in registry.spans] == [
+            "inner", "middle", "sibling", "outer"
+        ]
 
     def test_record_and_count(self):
-        prof = PhaseProfiler()
-        prof.record("round", 0.001, messages=4)
-        prof.count("index.rescan", edges=7)
-        prof.count("index.rescan", edges=3)
-        assert prof.calls == {"round": 1}
-        assert prof.counters["index.rescan"] == {"edges": 10}
-        assert len(prof) == 1  # count() emits no wall record
+        registry = MetricsRegistry()
+        registry.observe("latency", 0.5)
+        registry.inc("index.rescan", 7)
+        registry.inc("index.rescan", 3)
+        assert registry.counters == {"index.rescan": 10}
+        assert registry.spans == []  # only timers emit spans
 
     def test_registry_feed(self):
-        prof = PhaseProfiler()
-        telemetry = Telemetry.create(profiler=prof)
-        with telemetry.timer("asm.phase.propose"):
+        telemetry = Telemetry.create()
+        with telemetry.metrics.timer("asm.phase.propose"):
             pass
-        # The profiler records the phase AND the metrics histogram
-        # still observes it — the metric surface is unchanged.
-        assert prof.calls["asm.phase.propose"] == 1
-        assert "asm.phase.propose" in telemetry.metrics.histograms
+        assert len(telemetry.metrics.histograms["asm.phase.propose"]) == 1
+        assert [s["name"] for s in telemetry.metrics.spans] == [
+            "asm.phase.propose"
+        ]
 
     def test_tracing_bundle_skips_registry(self):
-        prof = PhaseProfiler()
-        telemetry = Telemetry.tracing(profiler=prof)
+        telemetry = Telemetry.tracing()
         assert not telemetry.enabled
-        with telemetry.timer("asm.phase.propose"):
+        with telemetry.metrics.timer("asm.phase.propose"):
             pass
-        assert prof.calls["asm.phase.propose"] == 1
         assert not telemetry.metrics.histograms
+        assert telemetry.metrics.spans == []
 
 
 class TestDeterministicSummary:
     def test_no_wall_fields(self):
-        prof = PhaseProfiler()
-        with prof.phase("work", items=1):
-            pass
-        summary = prof.deterministic_summary()
-        assert summary == {"work": {"calls": 1, "counts": {"items": 1}}}
+        registry = _timed("work", "work")
+        registry.inc("items", 3)
+        registry.set_gauge("size", 1.5)
+        assert registry.summary() == {
+            "calls": {"work": 2},
+            "counters": {"items": 3},
+        }
 
     def test_summary_is_bit_identical_across_runs(self):
         def one_run():
-            prefs = complete_uniform(12, seed=0)
-            prof = PhaseProfiler()
-            asm(prefs, 0.25, telemetry=Telemetry.tracing(profiler=prof))
-            return prof.deterministic_summary()
+            telemetry = Telemetry.create()
+            asm(complete_uniform(12, seed=0), 0.25, telemetry=telemetry)
+            return telemetry.metrics.summary()
 
         assert json.dumps(one_run()) == json.dumps(one_run())
 
     def test_sorted_keys(self):
-        prof = PhaseProfiler()
-        prof.count("z", b=1, a=1)
-        prof.count("a", z=1)
-        summary = prof.deterministic_summary()
-        assert list(summary) == ["a", "z"]
-        assert list(summary["z"]["counts"]) == ["a", "b"]
+        registry = _timed("z", "a")
+        registry.inc("y")
+        registry.inc("b")
+        summary = registry.summary()
+        assert list(summary) == ["calls", "counters"]
+        assert list(summary["calls"]) == ["a", "z"]
+        assert list(summary["counters"]) == ["b", "y"]
 
 
 class TestMergeSummaries:
     def test_addition(self):
-        a = {"p": {"calls": 2, "counts": {"x": 3}}}
-        b = {"p": {"calls": 1, "counts": {"x": 1, "y": 5}}, "q": {"calls": 1, "counts": {}}}
-        merged = merge_summaries([a, b])
-        assert merged == {
-            "p": {"calls": 3, "counts": {"x": 4, "y": 5}},
-            "q": {"calls": 1, "counts": {}},
+        a = _timed("p", "p")
+        a.inc("x", 3)
+        b = _timed("p", "q")
+        b.inc("x", 1)
+        b.inc("y", 5)
+        a.merge(b)
+        assert a.summary() == {
+            "calls": {"p": 3, "q": 1},
+            "counters": {"x": 4, "y": 5},
         }
 
     def test_order_independent(self):
-        a = {"p": {"calls": 2, "counts": {"x": 3}}}
-        b = {"q": {"calls": 1, "counts": {"y": 1}}}
-        assert merge_summaries([a, b]) == merge_summaries([b, a])
+        def pair():
+            a = _timed("p")
+            a.inc("x", 3)
+            b = _timed("q")
+            b.inc("y", 1)
+            return a, b
+
+        a, b = pair()
+        a.merge(b)
+        c, d = pair()
+        d.merge(c)
+        assert a.summary() == d.summary()
 
     def test_empty(self):
-        assert merge_summaries([]) == {}
+        registry = _timed("p")
+        before = registry.raw_state()
+        registry.merge(MetricsRegistry())
+        assert registry.raw_state() == before
+        assert MetricsRegistry().summary() == {"calls": {}, "counters": {}}
 
 
 class TestChromeExport:
     def test_document_shape(self):
-        prof = PhaseProfiler()
-        with prof.phase("work", items=2):
-            pass
-        doc = prof.to_chrome_trace(metadata={"n": 8})
+        registry = _timed("work")
+        doc = chrome_trace_document(registry.spans, metadata={"n": 8})
         assert doc["displayTimeUnit"] == "ms"
         assert doc["otherData"] == {"n": 8}
         (event,) = doc["traceEvents"]
@@ -126,44 +155,86 @@ class TestChromeExport:
         assert event["cat"] == "repro"
         assert event["name"] == "work"
         assert event["pid"] == 0 and event["tid"] == 0
+        assert event["ts"] == registry.spans[0]["ts"]
+        assert event["dur"] == registry.spans[0]["dur"]
         json.dumps(doc)  # must be JSON-safe
 
     def test_merged_records_keep_their_lane(self):
-        a = PhaseProfiler()
-        with a.phase("work"):
-            pass
-        merged = PhaseProfiler()
-        merged.merge_records(a.records, tid=5)
-        doc = chrome_trace_document(merged.records)
-        assert doc["traceEvents"][0]["tid"] == 5
+        merged = MetricsRegistry()
+        for _ in range(3):
+            merged.merge(_timed("work", "work"))
+        doc = chrome_trace_document(merged.spans)
+        assert [e["tid"] for e in doc["traceEvents"]] == [0, 0, 1, 1, 2, 2]
 
-    def test_module_level_document_matches_method(self):
-        prof = PhaseProfiler()
-        with prof.phase("work"):
-            pass
-        assert chrome_trace_document(prof.records) == prof.to_chrome_trace()
+    def test_raw_state_round_trip_keeps_spans_and_lanes(self):
+        trials = [_timed("outer"), _timed("outer", "inner")]
+        shipped = [json.loads(json.dumps(t.raw_state())) for t in trials]
+        rebuilt = [MetricsRegistry.from_raw_state(s) for s in shipped]
+        for trial, copy in zip(trials, rebuilt):
+            assert copy.spans == trial.spans
+        merged = MetricsRegistry()
+        for copy in rebuilt:
+            merged.merge(copy)
+        assert [(s["name"], s["tid"]) for s in merged.spans] == [
+            ("outer", 0), ("outer", 1), ("inner", 1)
+        ]
+        # A merged registry merges on as a block of lanes.
+        twice = MetricsRegistry()
+        twice.merge(merged)
+        twice.merge(MetricsRegistry.from_raw_state(merged.raw_state()))
+        assert [s["tid"] for s in twice.spans] == [0, 1, 1, 2, 3, 3]
 
 
 class TestEngineIntegration:
     def test_asm_phases_show_up(self):
-        prefs = complete_uniform(12, seed=0)
-        prof = PhaseProfiler()
-        asm(prefs, 0.25, telemetry=Telemetry.tracing(profiler=prof))
-        summary = prof.deterministic_summary()
+        telemetry = Telemetry.create()
+        asm(complete_uniform(12, seed=0), 0.25, telemetry=telemetry)
+        summary = telemetry.metrics.summary()
         for phase in (
             "asm.outer_iteration",
             "asm.quantile_match",
             "asm.phase.propose",
-            "asm.proposal_round",
+            "asm.phase.accept_reject",
+            "asm.phase.maximal_matching",
         ):
-            assert phase in summary, phase
-        counts = summary["asm.proposal_round"]["counts"]
-        assert counts["proposals"] > 0
+            assert summary["calls"][phase] > 0, phase
+        assert summary["counters"]["asm.messages.proposes"] > 0
+        # ProposalRound phases nest inside QuantileMatch, which nests
+        # inside the outer iteration.
+        depth = {s["name"]: s["depth"] for s in telemetry.metrics.spans}
+        assert depth["asm.outer_iteration"] == 0
+        assert depth["asm.quantile_match"] == 1
+        assert depth["asm.phase.propose"] == 2
 
     def test_disabled_profiler_records_nothing(self):
-        prefs = complete_uniform(8, seed=0)
-        result = asm(prefs, 0.25)  # NULL telemetry path
+        result = asm(complete_uniform(8, seed=0), 0.25)  # NULL telemetry
         assert result.matching is not None
+        telemetry = Telemetry.disabled()
+        asm(complete_uniform(8, seed=0), 0.25, telemetry=telemetry)
+        assert telemetry.metrics.spans == []
+        assert not telemetry.metrics.histograms
+
+
+class TestTraceCommandSpans:
+    def test_one_round_span_per_round_on_each_trial_lane(
+        self, tmp_path, capsys
+    ):
+        out = tmp_path / "profile.json"
+        code = main(
+            ["trace", "--n", "4", "--eps", "0.5", "--seed", "0",
+             "--trials", "2", "--profile-out", str(out), "--json"]
+        )
+        assert code == 0
+        payload = json.loads(capsys.readouterr().out)
+        document = json.loads(out.read_text())
+        lanes = {}
+        for event in document["traceEvents"]:
+            if event["name"] == "congest.round_seconds":
+                lanes[event["tid"]] = lanes.get(event["tid"], 0) + 1
+        assert lanes == {
+            trial["trial"]: trial["rounds"] for trial in payload["trials"]
+        }
+        assert all(count > 0 for count in lanes.values())
 
 
 if __name__ == "__main__":  # pragma: no cover

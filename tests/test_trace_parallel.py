@@ -203,7 +203,7 @@ class TestCLISurface:
         assert code == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["matching_size"] == 12
-        assert "asm.quantile_match" in payload["profile_summary"]
+        assert "asm.quantile_match" in payload["profile_summary"]["calls"]
 
 
 if __name__ == "__main__":  # pragma: no cover
