@@ -113,8 +113,8 @@ def find_blocking_pairs(
         rank_or_unmatched_woman(prefs, matching, w) for w in range(prefs.n_women)
     ]
     out: List[Tuple[int, int]] = []
-    for m in range(prefs.n_men):
-        for pos, w in enumerate(prefs.man_list(m)):
+    for m, men_list in enumerate(prefs.men_lists()):
+        for pos, w in enumerate(men_list):
             m_rank_of_w = pos + 1
             if m_rank_of_w >= men_cur[m]:
                 # w is weakly worse than m's partner; also skips (m, p(m)).
@@ -183,9 +183,9 @@ def find_eps_blocking_pairs(
         rank_or_unmatched_woman(prefs, matching, w) for w in range(prefs.n_women)
     ]
     out: List[Tuple[int, int]] = []
-    for m in range(prefs.n_men):
-        threshold_m = eps * prefs.deg_man(m)
-        for pos, w in enumerate(prefs.man_list(m)):
+    for m, men_list in enumerate(prefs.men_lists()):
+        threshold_m = eps * len(men_list)
+        for pos, w in enumerate(men_list):
             if matching.contains_pair(m, w):
                 continue
             if men_cur[m] - (pos + 1) < threshold_m:

@@ -88,6 +88,7 @@ def gale_shapley(prefs: PreferenceProfile) -> GSResult:
     >>> is_stable(prefs, result.matching)
     True
     """
+    men = prefs.men_lists()
     next_choice = [0] * prefs.n_men  # index into each man's list
     fiance: Dict[int, int] = {}  # woman -> man
     engaged_to: List[Optional[int]] = [None] * prefs.n_men
@@ -97,7 +98,7 @@ def gale_shapley(prefs: PreferenceProfile) -> GSResult:
         m = free.pop()
         if next_choice[m] >= prefs.deg_man(m):
             continue  # exhausted his list; stays unmatched
-        w = prefs.man_list(m)[next_choice[m]]
+        w = men[m][next_choice[m]]
         next_choice[m] += 1
         proposals += 1
         current = fiance.get(w)
@@ -135,6 +136,11 @@ def parallel_gale_shapley(
     rest.  Runs until no proposals occur, or for ``max_iterations``
     iterations (the truncated variant of Floréen et al. [3]).
     """
+    # Flat lists and per-woman rank dicts built on her first proposal:
+    # the CONGEST protocol sizes its schedule with this run, and it
+    # must not build the profile's per-player view.
+    m_indptr, m_targets = prefs.men_csr()
+    women_rank: Dict[int, Dict[int, int]] = {}
     next_choice = [0] * prefs.n_men
     fiance: Dict[int, int] = {}
     engaged_to: List[Optional[int]] = [None] * prefs.n_men
@@ -147,7 +153,7 @@ def parallel_gale_shapley(
         for m in range(prefs.n_men):
             if engaged_to[m] is not None or next_choice[m] >= prefs.deg_man(m):
                 continue
-            w = prefs.man_list(m)[next_choice[m]]
+            w = m_targets[m_indptr[m] + next_choice[m]]
             round_proposals.setdefault(w, []).append(m)
         if not round_proposals:
             return GSResult(
@@ -167,7 +173,12 @@ def parallel_gale_shapley(
             proposals += len(suitors)
             current = fiance.get(w)
             candidates = suitors if current is None else suitors + [current]
-            best = min(candidates, key=lambda m: prefs.rank_of_man(w, m))
+            rank = women_rank.get(w)
+            if rank is None:
+                rank = women_rank[w] = {
+                    m: r for r, m in enumerate(prefs.woman_list(w), 1)
+                }
+            best = min(candidates, key=rank.__getitem__)
             if best != current:
                 if current is not None:
                     engaged_to[current] = None

@@ -139,7 +139,7 @@ def run_congest_gale_shapley(
             m, prefs.man_list(m), iterations
         )
     for w in range(prefs.n_women):
-        rank = {m: prefs.rank_of_man(w, m) for m in prefs.woman_list(w)}
+        rank = {m: r for r, m in enumerate(prefs.woman_list(w), 1)}
         programs[woman_node(w)] = _woman_program(w, rank, iterations, tally)
     sim = Simulator(
         graph, programs, telemetry=telemetry,

@@ -36,7 +36,9 @@ Guarantees reproduced (and checked by the test suite):
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import asdict, dataclass, field
+from itertools import islice
 from typing import (
     TYPE_CHECKING,
     Dict,
@@ -270,6 +272,15 @@ def _check_optimized(optimized: object) -> None:
         require_numpy()
 
 
+def _quantized(csr: Tuple[array, array], k: int) -> List[QuantizedList]:
+    """One :class:`QuantizedList` per player of a CSR side, read in place."""
+    indptr, targets = csr
+    return [
+        QuantizedList(targets[a:b], k)
+        for a, b in zip(indptr, islice(indptr, 1, None))
+    ]
+
+
 class _PyState:
     """Pure-Python ProposalRound / QuantileMatch state (the default backend).
 
@@ -304,13 +315,8 @@ class _PyState:
         self.n_men = prefs.n_men
         self.remove_unmatched_violators = remove_unmatched_violators
         self.check_invariants = check_invariants
-        self.men_q: List[QuantizedList] = [
-            QuantizedList(prefs.man_list(m), k) for m in range(prefs.n_men)
-        ]
-        self.women_q: List[QuantizedList] = [
-            QuantizedList(prefs.woman_list(w), k)
-            for w in range(prefs.n_women)
-        ]
+        self.men_q = _quantized(prefs.men_csr(), k)
+        self.women_q = _quantized(prefs.women_csr(), k)
         # Partners p(v); None = unmatched.
         self.man_partner: List[Optional[int]] = [None] * prefs.n_men
         self.woman_partner: List[Optional[int]] = [None] * prefs.n_women

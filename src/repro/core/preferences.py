@@ -14,21 +14,125 @@ and woman ``w``.
 
 Ranks are 1-based, matching the paper's convention that ``P_v(u) = 1``
 means ``u`` is ``v``'s most favored partner.
+
+Storage.  The paper's algorithms walk a list in order, so a rank is a
+position.  A profile stores each side once in compressed sparse row
+(CSR) form, as two stdlib ``array('q')`` buffers: ``indptr`` (player
+``v``'s list is ``targets[indptr[v]:indptr[v + 1]]``) and ``targets``
+(every list concatenated, best first).  Per-player tuples and rank
+dicts — the form the pure-Python analyses probe in their hot loops —
+are built on first request and cached (see :meth:`men_rank_tables`).
+This module never imports numpy; the vectorized compiler adopts the
+buffers as read-only numpy views (:mod:`repro.vec.compile`).
 """
 
 from __future__ import annotations
 
 import json
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+import operator
+import zlib
+from array import array
+from itertools import accumulate, chain, count, islice, repeat
+from operator import add, lt, mul, sub
+from typing import (
+    Dict,
+    FrozenSet,
+    Iterable,
+    Iterator,
+    List,
+    NamedTuple,
+    NoReturn,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 from repro.errors import InvalidPreferencesError
 
 __all__ = ["PreferenceProfile"]
 
 
-def _freeze(lists: Iterable[Sequence[int]]) -> Tuple[Tuple[int, ...], ...]:
-    """Return ``lists`` as a tuple of tuples of ints."""
-    return tuple(tuple(int(u) for u in lst) for lst in lists)
+class _PlayerView(NamedTuple):
+    """Per-player tuples and 1-based rank dicts of both sides."""
+
+    men: Tuple[Tuple[int, ...], ...]
+    women: Tuple[Tuple[int, ...], ...]
+    men_rank: Tuple[Dict[int, int], ...]
+    women_rank: Tuple[Dict[int, int], ...]
+
+
+def _csr(rows: Sequence[Sequence[int]]) -> Optional[Tuple[array, array]]:
+    """``(indptr, targets)`` of one side, or ``None`` on a non-int id.
+
+    ``array('q')`` takes ints and numpy integers (anything with
+    ``__index__``) and refuses floats, strings and ids beyond int64;
+    ``bool`` passes ``__index__``, so it is screened by type.
+    """
+    try:
+        targets = array("q", chain.from_iterable(rows))
+    except (TypeError, OverflowError):
+        return None
+    if bool in set(map(type, chain.from_iterable(rows))):
+        return None
+    return array("q", accumulate(map(len, rows), initial=0)), targets
+
+
+def _owners(indptr: array) -> Iterator[int]:
+    """The owning player of every CSR position, in position order."""
+    degrees = map(sub, islice(indptr, 1, None), indptr)
+    return chain.from_iterable(map(repeat, range(len(indptr) - 1), degrees))
+
+
+def _segments(indptr: array, targets: array) -> Iterator[array]:
+    """Each player's slice of ``targets``, in player order."""
+    return map(
+        targets.__getitem__, map(slice, indptr, islice(indptr, 1, None))
+    )
+
+
+def _symmetric(
+    m_indptr: array, m_targets: array, w_indptr: array, w_targets: array
+) -> bool:
+    """Whether both sides list the same pairs, each exactly once.
+
+    Every pair ``(m, w)`` packs into the unique key ``w·n_men + m``
+    (the ids are range-checked).  Sorting the man side's keys gives
+    (woman, man) order; the woman side's keys come out in that order
+    once each woman's list is sorted.  Equal sequences that strictly
+    increase mean no duplicate on either side and no asymmetry.
+    """
+    n_men = len(m_indptr) - 1
+    m_keys = sorted(
+        map(add, map(mul, m_targets, repeat(n_men)), _owners(m_indptr))
+    )
+    w_keys = map(
+        add,
+        map(mul, _owners(w_indptr), repeat(n_men)),
+        chain.from_iterable(map(sorted, _segments(w_indptr, w_targets))),
+    )
+    return all(map(operator.eq, m_keys, w_keys)) and all(
+        map(lt, m_keys, islice(m_keys, 1, None))
+    )
+
+
+def _in_range(targets: array, opposite_count: int) -> bool:
+    """Whether every id lies in ``[0, opposite_count)``."""
+    return not targets or (min(targets) >= 0 and max(targets) < opposite_count)
+
+
+def _check_ids(rows: Sequence[Sequence[int]], side_name: str) -> None:
+    """Reject ids that are not integers (``bool`` included)."""
+    for v, lst in enumerate(rows):
+        for u in lst:
+            try:
+                if type(u) is bool:
+                    raise TypeError
+                operator.index(u)
+            except TypeError:
+                raise InvalidPreferencesError(
+                    f"{side_name} {v} ranks non-integer player {u!r}"
+                ) from None
 
 
 def _validate_side(
@@ -36,7 +140,7 @@ def _validate_side(
 ) -> None:
     """Check that every list on one side is a duplicate-free list of valid ids."""
     for v, lst in enumerate(lists):
-        seen = set()
+        seen: Set[int] = set()
         for u in lst:
             if not 0 <= u < opposite_count:
                 raise InvalidPreferencesError(
@@ -48,6 +152,42 @@ def _validate_side(
                     f"{side_name} {v} ranks player {u} more than once"
                 )
             seen.add(u)
+
+
+def _diagnose(
+    men_rows: Sequence[Sequence[int]], women_rows: Sequence[Sequence[int]]
+) -> NoReturn:
+    """Raise the per-player error for a profile the fast checks refused.
+
+    Runs the checks one player at a time, in a fixed order — ids, then
+    ranges and duplicates per side, then symmetry from the man side —
+    so the first violation found decides the message.
+    """
+    _check_ids(men_rows, "man")
+    _check_ids(women_rows, "woman")
+    men = tuple(tuple(map(operator.index, lst)) for lst in men_rows)
+    women = tuple(tuple(map(operator.index, lst)) for lst in women_rows)
+    _validate_side(men, len(women), "man")
+    _validate_side(women, len(men), "woman")
+    men_sets = [set(lst) for lst in men]
+    women_sets = [set(lst) for lst in women]
+    for m, lst in enumerate(men):
+        for w in lst:
+            if m not in women_sets[w]:
+                raise InvalidPreferencesError(
+                    f"asymmetric preferences: man {m} ranks woman {w} "
+                    f"but woman {w} does not rank man {m}"
+                )
+    for w, lst in enumerate(women):
+        for m in lst:
+            if w not in men_sets[m]:
+                raise InvalidPreferencesError(
+                    f"asymmetric preferences: woman {w} ranks man {m} "
+                    f"but man {m} does not rank woman {w}"
+                )
+    raise AssertionError(
+        "the fast profile checks refused lists the per-player checks accept"
+    )
 
 
 class PreferenceProfile:
@@ -62,11 +202,14 @@ class PreferenceProfile:
         ``women_prefs[w]`` is woman ``w``'s preference list: man indices
         ordered from most to least preferred.
 
+    Ids must be ``int`` (or numpy integer) values; floats, strings and
+    ``bool`` are refused rather than coerced.
+
     Raises
     ------
     InvalidPreferencesError
-        If any list contains duplicates or out-of-range indices, or if
-        the lists are not symmetric.
+        If any list contains a non-integer, a duplicate or an
+        out-of-range index, or if the lists are not symmetric.
 
     Examples
     --------
@@ -81,11 +224,11 @@ class PreferenceProfile:
     """
 
     __slots__ = (
-        "_men_prefs",
-        "_women_prefs",
-        "_men_rank",
-        "_women_rank",
-        "_num_edges",
+        "_m_indptr",
+        "_m_targets",
+        "_w_indptr",
+        "_w_targets",
+        "_view",
         "_edges_cache",
         "_soa_cache",
     )
@@ -95,20 +238,22 @@ class PreferenceProfile:
         men_prefs: Iterable[Sequence[int]],
         women_prefs: Iterable[Sequence[int]],
     ) -> None:
-        self._men_prefs = _freeze(men_prefs)
-        self._women_prefs = _freeze(women_prefs)
-        _validate_side(self._men_prefs, len(self._women_prefs), "man")
-        _validate_side(self._women_prefs, len(self._men_prefs), "woman")
-
-        # 1-based rank lookup tables: _men_rank[m][w] == P_m(w).
-        self._men_rank: Tuple[Dict[int, int], ...] = tuple(
-            {w: r + 1 for r, w in enumerate(lst)} for lst in self._men_prefs
-        )
-        self._women_rank: Tuple[Dict[int, int], ...] = tuple(
-            {m: r + 1 for r, m in enumerate(lst)} for lst in self._women_prefs
-        )
-        self._check_symmetry()
-        self._num_edges = sum(len(lst) for lst in self._men_prefs)
+        men_rows = list(men_prefs)
+        women_rows = list(women_prefs)
+        men = _csr(men_rows)
+        women = _csr(women_rows)
+        if (
+            men is None
+            or women is None
+            or len(men[1]) != len(women[1])
+            or not _in_range(men[1], len(women_rows))
+            or not _in_range(women[1], len(men_rows))
+            or not _symmetric(*men, *women)
+        ):
+            _diagnose(men_rows, women_rows)
+        self._m_indptr, self._m_targets = men
+        self._w_indptr, self._w_targets = women
+        self._view: Optional[_PlayerView] = None
         self._edges_cache: Optional[FrozenSet[Tuple[int, int]]] = None
         # Struct-of-arrays compilations keyed by quantile count k (see
         # repro.vec.compile).  Kept here so repeated vec runs over the
@@ -117,23 +262,6 @@ class PreferenceProfile:
         # compiler stores (always read-only views, see soa_cache()).
         self._soa_cache: Dict[int, object] = {}
 
-    def _check_symmetry(self) -> None:
-        """Verify that ``w in P_m`` if and only if ``m in P_w``."""
-        for m, lst in enumerate(self._men_prefs):
-            for w in lst:
-                if m not in self._women_rank[w]:
-                    raise InvalidPreferencesError(
-                        f"asymmetric preferences: man {m} ranks woman {w} "
-                        f"but woman {w} does not rank man {m}"
-                    )
-        for w, lst in enumerate(self._women_prefs):
-            for m in lst:
-                if w not in self._men_rank[m]:
-                    raise InvalidPreferencesError(
-                        f"asymmetric preferences: woman {w} ranks man {m} "
-                        f"but man {m} does not rank woman {w}"
-                    )
-
     # ------------------------------------------------------------------
     # Basic shape
     # ------------------------------------------------------------------
@@ -141,12 +269,12 @@ class PreferenceProfile:
     @property
     def n_men(self) -> int:
         """Number of men (the proposing side ``Y``)."""
-        return len(self._men_prefs)
+        return len(self._m_indptr) - 1
 
     @property
     def n_women(self) -> int:
         """Number of women (the accepting side ``X``)."""
-        return len(self._women_prefs)
+        return len(self._w_indptr) - 1
 
     @property
     def n_players(self) -> int:
@@ -156,7 +284,7 @@ class PreferenceProfile:
     @property
     def num_edges(self) -> int:
         """``|E|`` — the number of mutually-acceptable pairs."""
-        return self._num_edges
+        return len(self._m_targets)
 
     def edges(self) -> FrozenSet[Tuple[int, int]]:
         """The edge set ``E`` as a frozenset of ``(man, woman)`` pairs.
@@ -167,9 +295,7 @@ class PreferenceProfile:
         pay O(|E|) on the first call only.
         """
         if self._edges_cache is None:
-            self._edges_cache = frozenset(
-                (m, w) for m, lst in enumerate(self._men_prefs) for w in lst
-            )
+            self._edges_cache = frozenset(self.iter_edges())
         return self._edges_cache
 
     def soa_cache(self) -> Dict[int, object]:
@@ -183,11 +309,26 @@ class PreferenceProfile:
         """
         return self._soa_cache
 
-    def iter_edges(self) -> Iterable[Tuple[int, int]]:
+    def iter_edges(self) -> Iterator[Tuple[int, int]]:
         """Iterate over ``(man, woman)`` edges without materializing a set."""
-        for m, lst in enumerate(self._men_prefs):
-            for w in lst:
-                yield (m, w)
+        return zip(_owners(self._m_indptr), self._m_targets)
+
+    # ------------------------------------------------------------------
+    # Flat storage
+    # ------------------------------------------------------------------
+
+    def men_csr(self) -> Tuple[array, array]:
+        """The men's side as ``(indptr, targets)`` ``array('q')`` buffers.
+
+        Man ``m``'s list is ``targets[indptr[m]:indptr[m + 1]]``, best
+        first.  These are the profile's own buffers: callers must not
+        mutate them.
+        """
+        return self._m_indptr, self._m_targets
+
+    def women_csr(self) -> Tuple[array, array]:
+        """The women's side as ``(indptr, targets)``; see :meth:`men_csr`."""
+        return self._w_indptr, self._w_targets
 
     # ------------------------------------------------------------------
     # Per-player views
@@ -195,66 +336,96 @@ class PreferenceProfile:
 
     def man_list(self, m: int) -> Tuple[int, ...]:
         """Man ``m``'s preference list, best first."""
-        return self._men_prefs[m]
+        p = self._m_indptr
+        return tuple(self._m_targets[p[m]:p[m + 1]])
 
     def woman_list(self, w: int) -> Tuple[int, ...]:
         """Woman ``w``'s preference list, best first."""
-        return self._women_prefs[w]
-
-    def men_lists(self) -> Tuple[Tuple[int, ...], ...]:
-        """Every man's preference list, indexed by man (immutable)."""
-        return self._men_prefs
-
-    def women_lists(self) -> Tuple[Tuple[int, ...], ...]:
-        """Every woman's preference list, indexed by woman (immutable)."""
-        return self._women_prefs
+        p = self._w_indptr
+        return tuple(self._w_targets[p[w]:p[w + 1]])
 
     def deg_man(self, m: int) -> int:
         """``deg(m)`` — the length of man ``m``'s preference list."""
-        return len(self._men_prefs[m])
+        p = self._m_indptr
+        return p[m + 1] - p[m]
 
     def deg_woman(self, w: int) -> int:
         """``deg(w)`` — the length of woman ``w``'s preference list."""
-        return len(self._women_prefs[w])
+        p = self._w_indptr
+        return p[w + 1] - p[w]
+
+    def acceptable_to_man(self, m: int, w: int) -> bool:
+        """Whether woman ``w`` appears on man ``m``'s list (O(deg) scan)."""
+        p = self._m_indptr
+        return w in self._m_targets[p[m]:p[m + 1]]
+
+    def acceptable_to_woman(self, w: int, m: int) -> bool:
+        """Whether man ``m`` appears on woman ``w``'s list (O(deg) scan)."""
+        p = self._w_indptr
+        return m in self._w_targets[p[w]:p[w + 1]]
+
+    def _players(self) -> _PlayerView:
+        """The per-player tuples and rank dicts, built on first use."""
+        view = self._view
+        if view is None:
+            men = tuple(map(tuple, _segments(self._m_indptr, self._m_targets)))
+            women = tuple(
+                map(tuple, _segments(self._w_indptr, self._w_targets))
+            )
+            view = self._view = _PlayerView(
+                men,
+                women,
+                tuple(dict(zip(lst, count(1))) for lst in men),
+                tuple(dict(zip(lst, count(1))) for lst in women),
+            )
+        return view
+
+    def men_lists(self) -> Tuple[Tuple[int, ...], ...]:
+        """Every man's preference list, indexed by man (immutable).
+
+        Builds the cached per-player view on first use.
+        """
+        return self._players().men
+
+    def women_lists(self) -> Tuple[Tuple[int, ...], ...]:
+        """Every woman's preference list, indexed by woman (immutable).
+
+        Builds the cached per-player view on first use.
+        """
+        return self._players().women
 
     def rank_of_woman(self, m: int, w: int) -> int:
         """``P_m(w)`` — man ``m``'s 1-based rank of woman ``w``.
 
         Raises ``KeyError`` if ``w`` is not acceptable to ``m``.
         """
-        return self._men_rank[m][w]
+        return (self._view or self._players()).men_rank[m][w]
 
     def rank_of_man(self, w: int, m: int) -> int:
         """``P_w(m)`` — woman ``w``'s 1-based rank of man ``m``.
 
         Raises ``KeyError`` if ``m`` is not acceptable to ``w``.
         """
-        return self._women_rank[w][m]
+        return (self._view or self._players()).women_rank[w][m]
 
     def men_rank_tables(self) -> Tuple[Dict[int, int], ...]:
         """Per-man rank tables: ``men_rank_tables()[m][w] == P_m(w)``.
 
-        Direct (read-only) access to the internal lookup tables for hot
-        loops that cannot afford a method call per probe — the
-        incremental blocking-pair index and the engine's fast paths.
-        Callers must not mutate the returned dicts.
+        Direct (read-only) access to the lookup tables for hot loops
+        that cannot afford a method call per probe — the incremental
+        blocking-pair index and the engine's fast paths.  The tables,
+        with the per-player tuples of :meth:`men_lists`, are built on
+        the first call of any rank or list-of-lists accessor and then
+        cached.  Callers must not mutate the returned dicts.
         """
-        return self._men_rank
+        return self._players().men_rank
 
     def women_rank_tables(self) -> Tuple[Dict[int, int], ...]:
         """Per-woman rank tables: ``women_rank_tables()[w][m] == P_w(m)``.
 
         See :meth:`men_rank_tables`; callers must not mutate.
         """
-        return self._women_rank
-
-    def acceptable_to_man(self, m: int, w: int) -> bool:
-        """Whether woman ``w`` appears on man ``m``'s list."""
-        return w in self._men_rank[m]
-
-    def acceptable_to_woman(self, w: int, m: int) -> bool:
-        """Whether man ``m`` appears on woman ``w``'s list."""
-        return m in self._women_rank[w]
+        return self._players().women_rank
 
     def man_prefers(self, m: int, w1: int, w2: int) -> bool:
         """Whether man ``m`` strictly prefers ``w1`` to ``w2``.
@@ -262,30 +433,33 @@ class PreferenceProfile:
         ``w2 is None`` (unmatched) is handled by the caller; both
         arguments here must be acceptable to ``m``.
         """
-        return self._men_rank[m][w1] < self._men_rank[m][w2]
+        rank = (self._view or self._players()).men_rank[m]
+        return rank[w1] < rank[w2]
 
     def woman_prefers(self, w: int, m1: int, m2: int) -> bool:
         """Whether woman ``w`` strictly prefers ``m1`` to ``m2``."""
-        return self._women_rank[w][m1] < self._women_rank[w][m2]
+        rank = (self._view or self._players()).women_rank[w]
+        return rank[m1] < rank[m2]
 
     # ------------------------------------------------------------------
     # Structural properties
     # ------------------------------------------------------------------
 
+    def _degrees(self, indptr: array) -> List[int]:
+        return list(map(sub, islice(indptr, 1, None), indptr))
+
     def is_complete(self) -> bool:
         """Whether every player ranks every player of the opposite side."""
-        return all(len(lst) == self.n_women for lst in self._men_prefs) and all(
-            len(lst) == self.n_men for lst in self._women_prefs
-        )
+        return self.num_edges == self.n_men * self.n_women
 
     def max_degree(self) -> int:
         """Maximum degree over all players (0 for an empty profile)."""
-        degs = [len(lst) for lst in self._men_prefs + self._women_prefs]
+        degs = self._degrees(self._m_indptr) + self._degrees(self._w_indptr)
         return max(degs) if degs else 0
 
     def min_man_degree(self) -> int:
         """Minimum degree among men with nonempty lists (0 if none)."""
-        degs = [len(lst) for lst in self._men_prefs if lst]
+        degs = [d for d in self._degrees(self._m_indptr) if d]
         return min(degs) if degs else 0
 
     def regularity_alpha(self) -> float:
@@ -296,7 +470,7 @@ class PreferenceProfile:
         are excluded (they are isolated in the communication graph).
         Returns ``1.0`` when no man has a nonempty list.
         """
-        degs = [len(lst) for lst in self._men_prefs if lst]
+        degs = [d for d in self._degrees(self._m_indptr) if d]
         if not degs:
             return 1.0
         return max(degs) / min(degs)
@@ -310,7 +484,10 @@ class PreferenceProfile:
         swap: ``(m, w)`` is an edge iff ``(w, m)`` is in the swapped
         profile.
         """
-        return PreferenceProfile(self._women_prefs, self._men_prefs)
+        return PreferenceProfile(
+            _segments(self._w_indptr, self._w_targets),
+            _segments(self._m_indptr, self._m_targets),
+        )
 
     # ------------------------------------------------------------------
     # Construction helpers and serialization
@@ -326,7 +503,8 @@ class PreferenceProfile:
         their acceptable men by ascending man index.  Useful in tests and
         workloads where only the graph structure matters on one side.
         """
-        men = _freeze(men_prefs)
+        men = list(men_prefs)
+        _check_ids(men, "man")
         women: List[List[int]] = [[] for _ in range(n_women)]
         for m, lst in enumerate(men):
             for w in lst:
@@ -340,8 +518,12 @@ class PreferenceProfile:
     def to_dict(self) -> Dict[str, List[List[int]]]:
         """A JSON-serializable representation of the profile."""
         return {
-            "men_prefs": [list(lst) for lst in self._men_prefs],
-            "women_prefs": [list(lst) for lst in self._women_prefs],
+            "men_prefs": [
+                s.tolist() for s in _segments(self._m_indptr, self._m_targets)
+            ],
+            "women_prefs": [
+                s.tolist() for s in _segments(self._w_indptr, self._w_targets)
+            ],
         }
 
     @classmethod
@@ -362,16 +544,18 @@ class PreferenceProfile:
     # Dunder methods
     # ------------------------------------------------------------------
 
+    def _buffers(self) -> Tuple[array, array, array, array]:
+        return self._m_indptr, self._m_targets, self._w_indptr, self._w_targets
+
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PreferenceProfile):
             return NotImplemented
-        return (
-            self._men_prefs == other._men_prefs
-            and self._women_prefs == other._women_prefs
-        )
+        return self._buffers() == other._buffers()
 
     def __hash__(self) -> int:
-        return hash((self._men_prefs, self._women_prefs))
+        # crc32 reads each buffer in place and, unlike hashing bytes,
+        # does not depend on PYTHONHASHSEED.
+        return hash(tuple(zlib.crc32(b) for b in self._buffers()))
 
     def __repr__(self) -> str:
         return (

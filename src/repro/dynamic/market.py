@@ -67,10 +67,9 @@ class DynamicMarket:
             self.women_rank: List[Dict[int, int]] = []
             self._num_edges = 0
             return
-        self.men_lists = [list(prefs.man_list(m)) for m in range(prefs.n_men)]
-        self.women_lists = [
-            list(prefs.woman_list(w)) for w in range(prefs.n_women)
-        ]
+        lists = prefs.to_dict()  # fresh lists, read from the flat arrays
+        self.men_lists = lists["men_prefs"]
+        self.women_lists = lists["women_prefs"]
         self.men_rank = [_rank_table(lst) for lst in self.men_lists]
         self.women_rank = [_rank_table(lst) for lst in self.women_lists]
         self._num_edges = prefs.num_edges

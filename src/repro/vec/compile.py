@@ -6,7 +6,9 @@ is the partner's id under the deterministic maximal-matching order.
 :class:`VecProfile` answers all of them with O(1) array gathers:
 
 * CSR adjacency per side (``m_indptr``/``m_woman``, ``w_indptr``/
-  ``w_man``) in preference order, so ranks are implicit in position;
+  ``w_man``) in preference order, so ranks are implicit in position —
+  int64 views of the profile's own buffers
+  (:meth:`~repro.core.preferences.PreferenceProfile.men_csr`), not copies;
 * dense per-edge quantile tables (``m_quant``, ``w_quant``) — the
   precomputed form of :func:`repro.core.quantile.quantile_index`;
 * cross-side position maps (``m2w_pos``/``w2m_pos``) aligning the two
@@ -29,13 +31,14 @@ uniformity (index gathers accept it natively).
 
 from __future__ import annotations
 
-from itertools import chain
-from typing import TYPE_CHECKING, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Optional, Tuple
 
 from repro.errors import InvalidParameterError
 from repro.vec import require_numpy
 
 if TYPE_CHECKING:  # pragma: no cover
+    from array import array
+
     from repro.core.preferences import PreferenceProfile
 
 try:  # numpy is optional (repro[fast]); guarded like the package init.
@@ -73,18 +76,18 @@ def decimal_str_order_keys(n: int) -> "np.ndarray":
     return padded * 32 + digits
 
 
-def _csr_from_lists(
-    lists: Sequence[Sequence[int]], k: int
+def _adopt_csr(
+    csr: Tuple["array", "array"], k: int
 ) -> Tuple["np.ndarray", "np.ndarray", "np.ndarray", "np.ndarray"]:
-    """``(indptr, targets, owner, quant)`` for one side's preference lists."""
-    n = len(lists)
-    lens = np.fromiter(map(len, lists), dtype=np.int64, count=n)
-    num_edges = int(lens.sum())
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(lens, out=indptr[1:])
-    targets = np.fromiter(
-        chain.from_iterable(lists), dtype=np.int64, count=num_edges
-    )
+    """``(indptr, targets, owner, quant)`` of one side's ``(indptr, targets)``.
+
+    ``indptr`` and ``targets`` are int64 views of the profile's own
+    ``array('q')`` buffers, not copies.
+    """
+    indptr, targets = (np.frombuffer(buf, dtype=np.int64) for buf in csr)
+    n = len(indptr) - 1
+    num_edges = len(targets)
+    lens = np.diff(indptr)
     owner = np.repeat(np.arange(n, dtype=np.int64), lens)
     # rank r in 1..deg per position; quantile = ceil(r*k/deg), all integer.
     deg_rep = np.repeat(lens, lens)
@@ -135,11 +138,11 @@ class VecProfile:
         self.num_edges = prefs.num_edges
         self.k = k
 
-        self.m_indptr, self.m_woman, self.m_owner, self.m_quant = _csr_from_lists(
-            prefs.men_lists(), k
+        self.m_indptr, self.m_woman, self.m_owner, self.m_quant = _adopt_csr(
+            prefs.men_csr(), k
         )
-        self.w_indptr, self.w_man, self.w_owner, self.w_quant = _csr_from_lists(
-            prefs.women_lists(), k
+        self.w_indptr, self.w_man, self.w_owner, self.w_quant = _adopt_csr(
+            prefs.women_csr(), k
         )
         self.m_degree = np.diff(self.m_indptr)
         self.w_degree = np.diff(self.w_indptr)

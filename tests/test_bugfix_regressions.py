@@ -1,6 +1,6 @@
-"""Regression tests pinning the PR-7 portability/clock bugfix sweep.
+"""Regression tests pinning fixed bugs.
 
-Two bugs, two pins:
+From the portability/clock bugfix sweep:
 
 1. CLI wall-time measurement used ``time.time()`` — not monotonic, so
    an NTP step mid-run could yield negative or wildly wrong durations.
@@ -9,6 +9,14 @@ Two bugs, two pins:
 2. ``cli._git_rev`` swallowed *every* exception, hiding programming
    errors behind a silent ``"dev"`` fallback; it now catches only
    ``(OSError, subprocess.SubprocessError)``.
+
+From the flat-array preference profile:
+
+3. ``PreferenceProfile`` coerced every id with ``int()``, so
+   ``[[0.9]]`` was silently woman 0 and ``[['1']]`` and ``[[True]]``
+   both woman 1.  Float, str and bool ids now raise
+   ``InvalidPreferencesError`` naming the player and the value; ints
+   and numpy integers are still accepted.
 """
 
 from __future__ import annotations
@@ -19,6 +27,8 @@ import time
 import pytest
 
 import repro.cli as cli
+from repro.core.preferences import PreferenceProfile
+from repro.errors import InvalidPreferencesError
 
 
 class TestMonotonicClock:
@@ -71,3 +81,38 @@ class TestGitRevErrorNarrowing:
         monkeypatch.setattr(subprocess, "run", bug)
         with pytest.raises(TypeError):
             cli._git_rev()
+
+
+class TestNonIntegerPlayerIds:
+    @pytest.mark.parametrize(
+        "men, women, message",
+        [
+            ([[0.9]], [[0]], "man 0 ranks non-integer player 0.9"),
+            ([["1"]], [[], [0]], "man 0 ranks non-integer player '1'"),
+            ([[True]], [[], [0]], "man 0 ranks non-integer player True"),
+            ([[0], [1.0]], [[0], [1]], "man 1 ranks non-integer player 1.0"),
+            ([[0]], [[False]], "woman 0 ranks non-integer player False"),
+            ([[0]], [[0.0]], "woman 0 ranks non-integer player 0.0"),
+        ],
+    )
+    def test_rejected_with_player_and_value(self, men, women, message):
+        with pytest.raises(InvalidPreferencesError) as info:
+            PreferenceProfile(men, women)
+        assert str(info.value) == message
+
+    def test_from_men_lists_rejects_them_too(self):
+        with pytest.raises(InvalidPreferencesError) as info:
+            PreferenceProfile.from_men_lists([[1], [0.5]], n_women=2)
+        assert str(info.value) == "man 1 ranks non-integer player 0.5"
+
+    def test_ints_and_numpy_integers_still_accepted(self):
+        np = pytest.importorskip("numpy")
+        prefs = PreferenceProfile(
+            [np.array([1, 0], dtype=np.int32), [np.int64(0)]],
+            [[np.int16(0), 1], [0]],
+        )
+        assert prefs.to_dict() == {
+            "men_prefs": [[1, 0], [0]],
+            "women_prefs": [[0, 1], [0]],
+        }
+        assert all(type(u) is int for u in prefs.man_list(0))

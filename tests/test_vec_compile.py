@@ -12,7 +12,10 @@ key multiplier would collide keys there), players with empty lists,
 and profiles without a single edge.
 
 Also pins that the vectorized stability counter reuses a cached
-compilation instead of compiling its own.
+compilation instead of compiling its own, and that the whole vec flow
+reads the profile's flat buffers: the compilation adopts them as
+read-only views and no step builds the profile's per-player tuples or
+rank dicts.
 
 Skipped as a whole when numpy is absent.
 """
@@ -154,3 +157,37 @@ class TestStabilityReusesCompilation:
         prefs.soa_cache()[4] = "garbage"  # not a VecProfile
         count_blocking_pairs_vec(prefs, [(0, 0)])
         assert sorted(prefs.soa_cache()) == [1, 4]
+
+
+class TestVecFlowStaysFlat:
+    def test_flow_never_builds_the_per_player_view(self):
+        prefs = bounded_degree(200, 6, seed=13)
+        compiled = compile_profile(prefs, 16)
+        result = asm(prefs, 0.5, optimized="vec")
+        count_blocking_pairs_vec(prefs, result.matching.pairs(), compiled)
+        result.matching.validate_against(prefs)
+        assert prefs._view is None
+        # The attribute is the view's cache: asking for ranks fills it.
+        prefs.men_rank_tables()
+        assert prefs._view is not None
+
+    @pytest.mark.parametrize(
+        "name,build", MARKETS, ids=[m[0] for m in MARKETS]
+    )
+    def test_csr_arrays_are_the_profiles_buffers(self, name, build):
+        prefs = build()
+        p = VecProfile(prefs, 4)
+        pairs = (
+            (p.m_indptr, prefs.men_csr()[0]),
+            (p.m_woman, prefs.men_csr()[1]),
+            (p.w_indptr, prefs.women_csr()[0]),
+            (p.w_man, prefs.women_csr()[1]),
+        )
+        for adopted, buf in pairs:
+            assert adopted.dtype == np.int64
+            assert not adopted.flags.writeable
+            assert adopted.tolist() == buf.tolist()
+            if len(buf):
+                assert np.shares_memory(
+                    adopted, np.frombuffer(buf, dtype=np.int64)
+                )
