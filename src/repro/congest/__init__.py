@@ -7,10 +7,11 @@ and sends an ``O(log n)``-bit message to each neighbor (possibly a
 different message per neighbor).
 
 Node programs are Python generators: each ``inbox = yield outbox``
-statement is one synchronous round, and ``yield Sleep(n)`` is ``n``
-rounds whose inboxes the node ignores (the simulator does not resume
-it meanwhile).  Subprotocols compose with ``yield from``, which is how
-the ASM protocol nests its maximal-matching phase.
+statement is one synchronous round, and ``yield Await(n)`` listens for
+up to ``n`` rounds: the simulator resumes the node only once mail
+reaches it or its ``n`` rounds are up.  Subprotocols compose with
+``yield from``, which is how the ASM protocol nests its
+maximal-matching phase.
 
 Delivery has two rules: :class:`SyncTransport` (lockstep, the
 default) and :class:`AsyncEventTransport` (seeded per-link latency for
@@ -27,9 +28,9 @@ algorithms, and ASM itself, cross-validated against the logical engine.
 
 from repro.congest.message import (
     MESSAGE_SCHEMAS,
+    Await,
     Message,
     MessageSchema,
-    Sleep,
 )
 from repro.congest.simulator import SimulationStats, Simulator
 from repro.congest.transport import (
@@ -41,11 +42,11 @@ from repro.congest.transport import (
 __all__ = [
     "MESSAGE_SCHEMAS",
     "AsyncEventTransport",
+    "Await",
     "Message",
     "MessageSchema",
     "SimulationStats",
     "Simulator",
-    "Sleep",
     "SyncTransport",
     "Transport",
 ]

@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 from typing import Dict, Tuple
 
-__all__ = ["TAG_BITS", "Message", "MessageSchema", "MESSAGE_SCHEMAS", "Sleep"]
+__all__ = ["TAG_BITS", "Message", "MessageSchema", "MESSAGE_SCHEMAS", "Await"]
 
 # A small fixed tag space suffices for all protocol message kinds.
 TAG_BITS = 8
@@ -112,21 +112,22 @@ class Message:
 
 
 @dataclass(frozen=True)
-class Sleep:
-    """Yielded by a node program in place of ``rounds`` empty rounds.
+class Await:
+    """Yielded by a node program to listen for up to ``rounds`` rounds.
 
-    ``yield Sleep(n)`` stands for exactly ``n`` consecutive
-    ``yield {}`` whose inboxes the program ignores: the node sends
-    nothing for ``n`` rounds, mail addressed to it in those rounds is
-    delivered and then cleared unread, and the simulator does not
-    resume the program again until the round after the last one.  The
-    ``yield`` evaluates to ``None`` (lint rule ``CONGEST004`` flags a
-    program that binds or uses it).  ``n`` must be a positive ``int``;
-    the simulator raises :class:`~repro.errors.ProtocolViolationError`
+    ``yield Await(n)`` stands for up to ``n`` consecutive ``yield {}``
+    that stop after the first round whose inbox is non-empty: the node
+    sends nothing meanwhile, and the simulator resumes it only in the
+    round after mail reaches it or after its ``n``-th round, whichever
+    comes first.  The ``yield`` evaluates to ``(inbox, rounds_waited)``
+    — the inbox of the last round waited (``{}`` when the timer fired
+    on a silent round) and how many rounds the wait lasted, ``1`` to
+    ``n``.  ``n`` must be a positive ``int`` (not a ``bool``); the
+    simulator raises :class:`~repro.errors.ProtocolViolationError`
     otherwise.
 
-    >>> Sleep(3)
-    Sleep(rounds=3)
+    >>> Await(3)
+    Await(rounds=3)
     """
 
     rounds: int

@@ -31,8 +31,9 @@ import random
 from dataclasses import dataclass
 from typing import Dict, Generator, Optional, Tuple
 
-from repro.congest.message import Message
+from repro.congest.message import Await, Message
 from repro.congest.protocols.fragments import (
+    Woke,
     israeli_itai_fragment,
     pointer_matching_fragment,
     port_order_fragment,
@@ -86,17 +87,33 @@ class ASMSchedule:
     remove_violators: bool = False
 
 
-def _mm_fragment(sched: ASMSchedule, g0_neighbors, rng, is_left: bool):
+def _mm_fragment(
+    sched: ASMSchedule,
+    g0_neighbors,
+    rng,
+    is_left: bool,
+    woke: Optional[Woke] = None,
+):
     """Instantiate one maximal-matching phase fragment."""
     if sched.mm_kind == "pointer":
-        return pointer_matching_fragment(g0_neighbors, sched.mm_iterations)
+        return pointer_matching_fragment(
+            g0_neighbors, sched.mm_iterations, woke
+        )
     if sched.mm_kind == "port_order":
         return port_order_fragment(
-            g0_neighbors, sched.mm_iterations, is_left
+            g0_neighbors, sched.mm_iterations, is_left, woke
         )
     if sched.mm_kind == "israeli_itai":
-        return israeli_itai_fragment(g0_neighbors, sched.mm_iterations, rng)
+        return israeli_itai_fragment(
+            g0_neighbors, sched.mm_iterations, rng, woke
+        )
     raise InvalidParameterError(f"unknown mm_kind {sched.mm_kind!r}")
+
+
+def _fragment_rounds(sched: ASMSchedule) -> int:
+    """Rounds one maximal-matching phase consumes."""
+    per_mm_iteration = 4 if sched.mm_kind == "israeli_itai" else 2
+    return sched.mm_iterations * per_mm_iteration
 
 
 def _man_program(
@@ -105,61 +122,104 @@ def _man_program(
     sched: ASMSchedule,
     rng: Optional[random.Random],
 ) -> Generator:
-    """The man's side of ASM (Algorithms 1–3, male role)."""
+    """The man's side of ASM (Algorithms 1–3, male role).
+
+    A man sends only in a ProposalRound's first slot, when his active
+    set ``A`` is non-empty — refilled at a QuantileMatch start if he
+    is unmatched, in play and holds at least the threshold — and in
+    the matching phase, when some woman accepted him.  Everywhere else
+    he awaits mail, up to the next slot in which he would propose: a
+    matched man waits for a REJECT, and an unmatched one below his
+    threshold waits out the schedule (``q.remaining`` never grows and
+    the threshold never shrinks).  Mail that wakes him is read as the
+    round-by-round program read it in that slot; the first slot's
+    inbox is dropped unread, as there.
+    """
     q = QuantizedList(pref_list, sched.k)
     partner: Optional[int] = None
     active: set = set()
     removed = False
-    for i in range(sched.outer_iterations):
-        threshold = 1 if sched.flat_schedule else 2 ** i
-        for _ in range(sched.inner_iterations):
-            # --- QuantileMatch: refill A if participating & unmatched.
-            if (
-                not removed
-                and partner is None
-                and q.remaining >= threshold
-            ):
+    frag = _fragment_rounds(sched)
+    length = _rounds_per_proposal_round(sched)
+    qm_rounds = sched.k * length
+    outer_rounds = sched.inner_iterations * qm_rounds
+    total = sched.outer_iterations * outer_rounds
+    at = 0  # rounds of the schedule behind this man
+    # His partner from the current ProposalRound's matching phase.
+    mm_partner: Optional[NodeId] = None
+
+    def refills(start: int) -> bool:
+        """Whether QuantileMatch starting at round ``start`` refills A."""
+        threshold = 1 if sched.flat_schedule else 2 ** (start // outer_rounds)
+        return not removed and partner is None and q.remaining >= threshold
+
+    while at < total:
+        if at % length == 0:
+            mm_partner = None
+            if at % qm_rounds == 0 and refills(at):
+                # --- QuantileMatch: refill A.
                 best = q.best_nonempty_quantile()
                 active = set(q.members_of(best)) if best is not None else set()
-            for _ in range(sched.k):
-                # --- ProposalRound slot 1: propose.
-                inbox = yield {
-                    woman_node(w): Message("PROPOSE") for w in sorted(active)
-                }
-                # --- slot 2: receive ACCEPTs.
-                inbox = yield {}
+        if at % length == 0 and active:
+            # --- ProposalRound slot 1: propose (inbox unread).
+            yield {
+                woman_node(w): Message("PROPOSE") for w in sorted(active)
+            }
+            # --- slot 2: receive ACCEPTs.
+            inbox = yield {}
+            at += 2
+        else:
+            # Listen up to the next slot in which he proposes.
+            if active:
+                until = (at // length + 1) * length
+            else:
+                until = (at // qm_rounds + 1) * qm_rounds
+                if until < total and not refills(until):
+                    until = total
+            inbox, waited = yield Await(min(until, total) - at)
+            if (at + waited - 1) // length != at // length:
+                mm_partner = None
+            at += waited
+        j = (at - 1) % length  # the slot ``inbox`` was delivered in
+        if j == 1 or 2 <= j < 2 + frag:
+            # --- maximal-matching phase on G0.
+            if j == 1:
                 accepted_by = {
                     node_index(s)
                     for s, msg in inbox.items()
                     if msg.kind == "ACCEPT"
                 }
-                # --- maximal-matching phase on G0.
-                g0_nbrs = {woman_node(w) for w in accepted_by}
-                mm_partner = yield from _mm_fragment(
-                    sched, g0_nbrs, rng, is_left=True
+                if not accepted_by:
+                    continue  # no G0 edge: listen through the phase
+                fragment = _mm_fragment(
+                    sched, {woman_node(w) for w in accepted_by}, rng,
+                    is_left=True,
                 )
-                if mm_partner is not None:
-                    partner = node_index(mm_partner)
-                    active = set()
-                if sched.remove_violators:
-                    # --- removal slot: unmatched women announce MM_FREE;
-                    # an unmatched accepted man is a Def-3 violator.
-                    inbox = yield {}
-                    got_free = any(
-                        msg.kind == "MM_FREE" for msg in inbox.values()
-                    )
-                    if mm_partner is None and got_free and not removed:
-                        removed = True
-                        active = set()
-                # --- final slot: receive REJECTs.
-                inbox = yield {}
-                for s, msg in inbox.items():
-                    if msg.kind == "REJECT":
-                        w = node_index(s)
-                        q.remove(w)
-                        active.discard(w)
-                        if partner == w:
-                            partner = None
+            else:
+                fragment = _mm_fragment(
+                    sched, set(), rng, is_left=True, woke=(inbox, j - 1)
+                )
+            mm_partner = yield from fragment
+            at += frag if j == 1 else 1 + frag - j
+            if mm_partner is not None:
+                partner = node_index(mm_partner)
+                active = set()
+        elif sched.remove_violators and j == 2 + frag:
+            # --- removal slot: unmatched women announce MM_FREE; an
+            # unmatched accepted man is a Def-3 violator.
+            got_free = any(msg.kind == "MM_FREE" for msg in inbox.values())
+            if mm_partner is None and got_free and not removed:
+                removed = True
+                active = set()
+        elif j == length - 1:
+            # --- final slot: receive REJECTs.
+            for s, msg in inbox.items():
+                if msg.kind == "REJECT":
+                    w = node_index(s)
+                    q.remove(w)
+                    active.discard(w)
+                    if partner == w:
+                        partner = None
     return partner
 
 
@@ -172,6 +232,10 @@ def _woman_program(
 ) -> Generator:
     """The woman's side of ASM (Algorithms 1–3, female role).
 
+    A woman reads only her proposals (and the matching phase's mail),
+    so she awaits PROPOSE for the rest of the schedule; the inboxes of
+    her sending slots are dropped unread.
+
     Fault tolerance: a proposal from a man she has already removed
     from ``Q`` is evidence his REJECT was lost (fault-free, a rejected
     man never proposes again), so she retransmits the REJECT in the
@@ -180,69 +244,83 @@ def _woman_program(
     """
     q = QuantizedList(pref_list, sched.k)
     partner: Optional[int] = None
-    for _ in range(sched.outer_iterations):
-        for _ in range(sched.inner_iterations):
-            for _ in range(sched.k):
-                # --- slot 1: receive proposals.
-                inbox = yield {}
-                suitors = [
-                    node_index(s)
-                    for s, msg in inbox.items()
-                    if msg.kind == "PROPOSE"
-                ]
-                stale = sorted(m for m in suitors if not q.contains(m))
-                best = q.best_nonempty_among(suitors)
-                accepted = (
-                    {
-                        m
-                        for m in suitors
-                        if q.contains(m) and q.quantile_of(m) == best
-                    }
-                    if best is not None
-                    else set()
-                )
-                # --- slot 2: send ACCEPTs.
-                inbox = yield {
-                    man_node(m): Message("ACCEPT") for m in sorted(accepted)
+    frag = _fragment_rounds(sched)
+    length = _rounds_per_proposal_round(sched)
+    total = (
+        sched.outer_iterations * sched.inner_iterations * sched.k * length
+    )
+    at = 0  # rounds of the schedule behind this woman
+    while at < total:
+        inbox, waited = yield Await(total - at)
+        at += waited
+        j = (at - 1) % length
+        accepted: set = set()
+        stale: list = []
+        if j == 0:
+            # --- slot 1: receive proposals.
+            suitors = [
+                node_index(s)
+                for s, msg in inbox.items()
+                if msg.kind == "PROPOSE"
+            ]
+            stale = sorted(m for m in suitors if not q.contains(m))
+            best = q.best_nonempty_among(suitors)
+            if best is not None:
+                accepted = {
+                    m
+                    for m in suitors
+                    if q.contains(m) and q.quantile_of(m) == best
                 }
-                # --- maximal-matching phase on G0.
-                g0_nbrs = {man_node(m) for m in accepted}
-                mm_partner = yield from _mm_fragment(
-                    sched, g0_nbrs, rng, is_left=False
-                )
-                if sched.remove_violators:
-                    # --- removal slot: announce freedom to accepted men.
-                    free_outbox: Dict[NodeId, Message] = {}
-                    if mm_partner is None:
-                        free_outbox = {
-                            man_node(m): Message("MM_FREE")
-                            for m in sorted(accepted)
-                        }
-                    yield free_outbox
-                # --- final slot: reject weakly-worse suitors.
-                outbox: Dict[NodeId, Message] = {}
-                # The q.contains guard is for faulty runs only: a
-                # stray delayed message can marry the fragment to a
-                # man she never accepted (hence already removed).
-                if mm_partner is not None and q.contains(
-                    node_index(mm_partner)
-                ):
-                    m0 = node_index(mm_partner)
-                    q0 = q.quantile_of(m0)
-                    rejected = q.members_at_least(q0) - {m0}
-                    for m in sorted(rejected):
-                        q.remove(m)
-                        outbox[man_node(m)] = Message("REJECT")
-                    partner = m0
-                # Retransmit lost REJECTs to stale suitors (see
-                # docstring); never reached in a fault-free run.
-                for m in stale:
-                    node = man_node(m)
-                    if node not in outbox:
-                        outbox[node] = Message("REJECT")
-                        if tally is not None:
-                            tally.count += 1
-                yield outbox
+            if not accepted and not stale:
+                continue
+            # --- slot 2: send ACCEPTs.
+            yield {
+                man_node(m): Message("ACCEPT") for m in sorted(accepted)
+            }
+            # --- maximal-matching phase on G0.
+            mm_partner = yield from _mm_fragment(
+                sched, {man_node(m) for m in accepted}, rng, is_left=False
+            )
+            at += 1 + frag
+        elif 2 <= j < 2 + frag:
+            mm_partner = yield from _mm_fragment(
+                sched, set(), rng, is_left=False, woke=(inbox, j - 1)
+            )
+            at += 1 + frag - j
+        else:
+            continue  # a sending slot's inbox is unread
+        # --- removal slot: announce freedom to accepted men.
+        free_outbox: Dict[NodeId, Message] = {}
+        if sched.remove_violators and mm_partner is None:
+            free_outbox = {
+                man_node(m): Message("MM_FREE") for m in sorted(accepted)
+            }
+        # --- final slot: reject weakly-worse suitors.
+        outbox: Dict[NodeId, Message] = {}
+        # The q.contains guard is for faulty runs only: a stray
+        # delayed message can marry the fragment to a man she never
+        # accepted (hence already removed).
+        if mm_partner is not None and q.contains(node_index(mm_partner)):
+            m0 = node_index(mm_partner)
+            q0 = q.quantile_of(m0)
+            rejected = q.members_at_least(q0) - {m0}
+            for m in sorted(rejected):
+                q.remove(m)
+                outbox[man_node(m)] = Message("REJECT")
+            partner = m0
+        # Retransmit lost REJECTs to stale suitors (see docstring);
+        # never reached in a fault-free run.
+        for m in stale:
+            node = man_node(m)
+            if node not in outbox:
+                outbox[node] = Message("REJECT")
+                if tally is not None:
+                    tally.count += 1
+        if free_outbox or outbox:
+            if sched.remove_violators:
+                yield free_outbox
+            yield outbox
+            at = (at // length + 1) * length
     return partner
 
 
@@ -273,10 +351,9 @@ class CongestASMResult:
 
 def _rounds_per_proposal_round(sched: ASMSchedule) -> int:
     """Exact synchronous rounds one ProposalRound consumes."""
-    per_mm_iteration = 4 if sched.mm_kind == "israeli_itai" else 2
     return (
         2  # propose + accept slots
-        + sched.mm_iterations * per_mm_iteration
+        + _fragment_rounds(sched)
         + (1 if sched.remove_violators else 0)
         + 1  # final reject slot
     )

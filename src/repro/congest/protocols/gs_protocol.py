@@ -19,7 +19,7 @@ from __future__ import annotations
 from typing import Dict, Generator, Optional, Tuple
 
 from repro.baselines.gale_shapley import parallel_gale_shapley
-from repro.congest.message import Message
+from repro.congest.message import Await, Message
 from repro.congest.simulator import Simulator
 from repro.core.matching import Matching
 from repro.core.preferences import PreferenceProfile
@@ -38,18 +38,27 @@ __all__ = ["run_congest_gale_shapley"]
 def _man_program(
     m: int, pref_list: Tuple[int, ...], iterations: int
 ) -> Generator:
-    """Man's side: propose down the list until accepted; wait if engaged."""
+    """Man's side: propose down the list until accepted; wait if engaged.
+
+    An engaged or exhausted man sends nothing until an answer changes
+    that, so he awaits mail for the rest of the schedule; a propose
+    slot's inbox is dropped unread, as women never write in it.
+    """
     next_choice = 0
     engaged_to: Optional[int] = None
-    for _ in range(iterations):
-        outbox: Dict[NodeId, Message] = {}
+    total = 2 * iterations
+    at = 0  # rounds of the schedule behind this man
+    while at < total:
+        until = total
         if engaged_to is None and next_choice < len(pref_list):
-            outbox = {
-                woman_node(pref_list[next_choice]): Message("PROPOSE")
-            }
-        inbox = yield outbox
-        # Women never write in the propose round; responses come next.
-        inbox = yield {}
+            # ``at`` is even here: a propose slot.
+            yield {woman_node(pref_list[next_choice]): Message("PROPOSE")}
+            at += 1
+            until = at + 1  # hear the answer
+        inbox, waited = yield Await(until - at)
+        at += waited
+        if at % 2:
+            continue  # a propose slot's inbox is unread
         for sender, msg in inbox.items():
             w = node_index(sender)
             if msg.kind == "ACCEPT":
@@ -73,37 +82,47 @@ def _woman_program(
 ) -> Generator:
     """Woman's side: keep the best suitor seen so far, reject the rest.
 
+    She acts only on proposals, so she awaits them; an answer slot's
+    inbox is dropped unread.
+
     Fault tolerance: a proposal from her current fiancé is evidence
     that her ACCEPT was lost (engaged men never propose fault-free),
     so she retransmits it; ``tally`` counts the retries.  Proposals
     from worse men are already re-rejected by the normal flow.
     """
     fiance: Optional[int] = None
-    for _ in range(iterations):
-        inbox = yield {}
+    total = 2 * iterations
+    at = 0  # rounds of the schedule behind this woman
+    while at < total:
+        inbox, waited = yield Await(total - at)
+        at += waited
+        if at % 2 == 0:
+            continue  # an answer slot's inbox is unread
         suitors = [
             node_index(s)
             for s, msg in inbox.items()
             if msg.kind == "PROPOSE"
         ]
+        if not suitors:
+            continue
         outbox: Dict[NodeId, Message] = {}
-        if suitors:
-            candidates = suitors if fiance is None else suitors + [fiance]
-            best = min(candidates, key=lambda m: pref_rank[m])
-            if best != fiance:
-                if fiance is not None:
-                    outbox[man_node(fiance)] = Message("REJECT")
-                fiance = best
-                outbox[man_node(best)] = Message("ACCEPT")
-            elif best in suitors:
-                # Lost-ACCEPT retransmission; never fires fault-free.
-                outbox[man_node(best)] = Message("ACCEPT")
-                if tally is not None:
-                    tally.count += 1
-            for m in suitors:
-                if m != best:
-                    outbox[man_node(m)] = Message("REJECT")
+        candidates = suitors if fiance is None else suitors + [fiance]
+        best = min(candidates, key=lambda m: pref_rank[m])
+        if best != fiance:
+            if fiance is not None:
+                outbox[man_node(fiance)] = Message("REJECT")
+            fiance = best
+            outbox[man_node(best)] = Message("ACCEPT")
+        elif best in suitors:
+            # Lost-ACCEPT retransmission; never fires fault-free.
+            outbox[man_node(best)] = Message("ACCEPT")
+            if tally is not None:
+                tally.count += 1
+        for m in suitors:
+            if m != best:
+                outbox[man_node(m)] = Message("REJECT")
         yield outbox
+        at += 1
     return fiance
 
 

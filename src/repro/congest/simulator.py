@@ -24,20 +24,22 @@ sends ``outbox`` and then receives everything the neighbors sent in
 that round.  A program that needs to "think" without sending yields an
 empty dict.
 
-Sleeping: a program that will ignore its next ``n`` inboxes yields
-:class:`~repro.congest.message.Sleep` ``(n)`` instead of ``n`` empty
-dicts.  The two are observably the same run — every round is still
-executed and counted, the node sends nothing in those rounds, and mail
-addressed to it still passes through the transport, the fault injector
-and the tracer and lands in its inbox — but the simulator does not
-resume a sleeping program: its inbox is cleared unread each round, and
-in round ``t + n`` (for a ``Sleep(n)`` yielded in round ``t``) the
-program resumes with ``None``, so one that reads a slept inbox fails
-loudly.  A crash during sleep closes the program at the crash round,
-as it would a waiting one.  ``n`` must be a positive ``int``
-(:class:`~repro.errors.ProtocolViolationError` otherwise).  Each round
-thus costs one resumption per *awake* program rather than one per
-node.
+Waiting: a program that will send nothing until mail reaches it, for
+up to ``n`` rounds, yields :class:`~repro.congest.message.Await`
+``(n)`` instead of ``yield {}`` round after round.  The two are
+observably the same run — every round is still executed and counted,
+and mail to the node passes through the transport, the fault injector
+and the tracer — but the simulator does not resume an awaiting
+program until the round after its inbox first becomes non-empty, or
+round ``t + n`` (for an ``Await(n)`` yielded in round ``t``) if none
+does.  The program then resumes with ``(inbox, rounds_waited)``:
+mail delivered in round ``t + i - 1`` wakes it in round ``t + i`` with
+``rounds_waited == i``, and the timer with that round's inbox (``{}``
+if silent) and ``rounds_waited == n``.  A crash while awaiting closes
+the program at the crash round, as it would any other.  ``n`` must be
+a positive ``int`` (:class:`~repro.errors.ProtocolViolationError`
+otherwise).  Each round thus costs one resumption per program that
+has something to do rather than one per node.
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Any, Dict, Generator, List, Mapping, Optional
 
-from repro.congest.message import Message, Sleep
+from repro.congest.message import Await, Message
 from repro.congest.transport import SyncTransport, Transport
 from repro.errors import (
     InvalidParameterError,
@@ -60,9 +62,9 @@ from repro.obs.telemetry import NULL_TELEMETRY, Telemetry
 
 __all__ = ["NodeProgram", "SimulationStats", "Simulator"]
 
-# A node program yields {neighbor: Message} (or a Sleep) and receives
-# {sender: Message} (None after a Sleep).
-NodeProgram = Generator[Any, Optional[Dict[NodeId, Message]], Any]
+# A node program yields {neighbor: Message} (or an Await) and receives
+# {sender: Message} (after an Await, an (inbox, rounds waited) pair).
+NodeProgram = Generator[Any, Any, Any]
 
 
 @dataclass
@@ -167,12 +169,20 @@ class Simulator:
         self._order: Dict[NodeId, int] = {
             v: i for i, v in enumerate(sorted(self.programs, key=repr))
         }
-        # The schedule: programs resumed with last round's inbox, in
-        # canonical order, and the rest of the live programs bucketed
-        # by the round they next resume in (with None).  Every program
-        # starts in round 1's bucket: a fresh generator takes None.
-        self._awake: List[NodeId] = []
-        self._wake: Dict[int, List[NodeId]] = {1: list(self._order)}
+        # The schedule.  ``_awake``: programs resumed with last round's
+        # inbox, in canonical order.  An awaiting program has its Await
+        # round in ``_since`` and, until mail wakes it, its deadline in
+        # ``_deadline`` and a place in that round's ``_wake`` bucket;
+        # ``_deposit`` moves it to ``_woken``, resumed next round.  A
+        # bucket entry whose program left ``_deadline`` or re-awaited
+        # to another deadline is stale and skipped when its round comes.
+        # Every program starts as an Await from round 0, which step()
+        # reads as "fresh generator, send None".
+        self._awake: List[NodeId] = list(self._order)
+        self._since: Dict[NodeId, int] = dict.fromkeys(self._order, 0)
+        self._deadline: Dict[NodeId, int] = {}
+        self._wake: Dict[int, List[NodeId]] = {}
+        self._woken: List[NodeId] = []
         # Optional telemetry bundle (see repro.obs): per-round timings
         # and message counts flow into its registry and event log.
         self.telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
@@ -203,40 +213,45 @@ class Simulator:
         """Whether every surviving program has returned."""
         return len(self.results) + len(self.crashed) == len(self.programs)
 
-    def _sleep(self, v: NodeId, sleep: Sleep, executing_round: int) -> None:
-        """Park ``v`` until the round after its ``Sleep`` ends."""
-        rounds = sleep.rounds
+    def _await(self, v: NodeId, wait: Await, executing_round: int) -> None:
+        """Park ``v`` until mail reaches it or its ``Await`` runs out."""
+        rounds = wait.rounds
         if type(rounds) is not int or rounds < 1:
             raise ProtocolViolationError(
                 f"round {executing_round}: node {v!r} yielded "
-                f"Sleep({rounds!r}); a sleep lasts a positive int number "
+                f"Await({rounds!r}); a wait lasts a positive int number "
                 f"of rounds"
             )
-        self._wake.setdefault(executing_round + rounds, []).append(v)
+        deadline = executing_round + rounds
+        self._since[v] = executing_round
+        self._deadline[v] = deadline
+        self._wake.setdefault(deadline, []).append(v)
 
     def _unschedule(self, v: NodeId) -> None:
-        """Drop a crashed program from the awake list or its wake bucket."""
-        if v in self._awake:
-            self._awake.remove(v)
-            return
-        for wake, bucket in self._wake.items():
-            if v in bucket:
-                bucket.remove(v)
-                if not bucket:
-                    del self._wake[wake]
-                return
+        """Drop a crashed program from the schedule.
+
+        Its wake-bucket entry, if any, goes stale and is skipped.
+        """
+        for queue in (self._awake, self._woken):
+            if v in queue:
+                queue.remove(v)
+        self._since.pop(v, None)
+        self._deadline.pop(v, None)
 
     def _deposit(
         self, sender: NodeId, recipient: NodeId, msg: Message
     ) -> None:
         """Place one message in the recipient's inbox.
 
-        ``recipient`` passed :meth:`_validate`'s edge check, and every
-        graph node has a program and so an inbox.
+        The first message of a round to an awaiting program wakes it
+        for the next round.  ``recipient`` passed :meth:`_validate`'s
+        edge check, and every graph node has a program and so an inbox.
         """
         box = self._inboxes[recipient]
         if not box:
             self._touched_inboxes.append(recipient)
+            if self._deadline.pop(recipient, None) is not None:
+                self._woken.append(recipient)
         box[sender] = msg
 
     def _validate(
@@ -308,11 +323,19 @@ class Simulator:
                 for record in injector.records[fault_mark:]:
                     tracer.on_node_fault(record)
         awake = self._awake
-        woken = self._wake.pop(executing_round, None)
-        if woken is not None:
+        woken = self._woken
+        bucket = self._wake.pop(executing_round, None)
+        if bucket is not None:
+            deadline = self._deadline
+            for v in bucket:
+                if deadline.get(v) == executing_round:
+                    del deadline[v]
+                    woken.append(v)
+        if woken:
             awake = awake + woken
             awake.sort(key=self._order.__getitem__)
-        elif not awake and not self._wake:
+            self._woken = []
+        elif not awake and not self._deadline:
             return False
         observing = telemetry.enabled
         metrics = telemetry.metrics
@@ -320,13 +343,18 @@ class Simulator:
             outboxes: Dict[NodeId, Dict[NodeId, Message]] = {}
             programs = self.programs
             inboxes = self._inboxes
-            woken_set = set(woken) if woken is not None else ()
+            since_of = self._since
             still_awake: List[NodeId] = []
             for v in awake:
+                since = since_of.pop(v, None)
+                if since is None:
+                    value: Any = inboxes[v]
+                elif since:
+                    value = (inboxes[v], executing_round - since)
+                else:
+                    value = None  # a fresh generator
                 try:
-                    out = programs[v].send(
-                        None if v in woken_set else inboxes[v]
-                    )
+                    out = programs[v].send(value)
                 except StopIteration as stop:
                     self.results[v] = stop.value
                     # The program may have returned (a structure
@@ -334,17 +362,17 @@ class Simulator:
                     # pool so recycling never mutates a captured result.
                     inboxes[v] = {}
                     continue
-                if isinstance(out, Sleep):
-                    self._sleep(v, out, executing_round)
+                if isinstance(out, Await):
+                    self._await(v, out, executing_round)
                     continue
                 still_awake.append(v)
                 if out:
                     outboxes[v] = out
             self._awake = still_awake
-            # Last round's messages have now been consumed (every awake
-            # program advanced past the yield that received them, and a
-            # sleeper never reads its inbox); recycle the touched inbox
-            # pools before delivering this round.
+            # Last round's messages have now been consumed (every live
+            # program they reached was resumed past the yield that
+            # received them — mail wakes an awaiting one); recycle the
+            # touched inbox pools before delivering this round.
             for v in self._touched_inboxes:
                 inboxes[v].clear()
             self._touched_inboxes.clear()

@@ -4,9 +4,10 @@ The simulator owns *computation* — advancing node programs in
 lockstep — and delegates *delivery* to a :class:`Transport`: given one
 round's validated outboxes, the transport decides **when** each
 message lands in its recipient's inbox.  Every round is executed for
-every node — a sleeping node (``yield Sleep(n)``) is not resumed, but
-its mail is still delivered here like anyone's and cleared unread — so
-a transport changes message timing, never the round structure.
+every node — an awaiting node (``yield Await(n)``) is not resumed, but
+its mail is delivered here like anyone's, and the deposit wakes it for
+the next round — so a transport changes message timing, never the
+round structure.
 
 Two implementations:
 

@@ -45,7 +45,7 @@ class NodeCrash:
     program is closed at the start of ``round`` and it neither sends
     nor receives again.  With a restart round, the node instead goes
     *down* for rounds ``[round, restart_round)`` — its program keeps
-    running on the round clock (awake or asleep, as it chose) but every
+    running on the round clock (awaiting or not, as it chose) but every
     message it sends or should receive in the window is dropped, the
     classic crash-restart-with-amnesia-free model.
     """

@@ -19,7 +19,9 @@ Call resolution is *conservative on dynamic dispatch*: a plain-name
 call resolves through local definitions and the import table; an
 attribute call (``obj.step()``) resolves by method name against every
 class in the project that defines it, capped so a ubiquitous name
-cannot explode the analysis.
+cannot explode the analysis — unless the receiver is a fresh instance,
+``Cls(...).step()``, whose class (followed through package re-exports)
+is known and defines the method.
 """
 
 from __future__ import annotations
@@ -130,6 +132,8 @@ class ProjectModel:
         self.functions: Dict[str, FunctionInfo] = {}
         # Method name -> qualified names of every project method with it.
         self.methods_by_name: Dict[str, List[str]] = {}
+        # Qualified names of every project class.
+        self.classes: Set[str] = set()
         # Class qname -> set-typed attribute names.
         self.set_attrs: Dict[str, Set[str]] = {}
         # Attribute names set-typed in *any* class (dispatch fallback).
@@ -216,6 +220,7 @@ class ProjectModel:
                 add_function(node, None)
             elif isinstance(node, ast.ClassDef):
                 cls_qname = f"{module.qname}.{node.name}"
+                self.classes.add(cls_qname)
                 attrs = self.set_attrs.setdefault(cls_qname, set())
                 def declare(attr: str, site: ast.AST) -> None:
                     attrs.add(attr)
@@ -298,8 +303,38 @@ class ProjectModel:
                     direct = f"{imported}.{func.attr}"
                     if direct in self.functions:
                         return [direct]
+            elif isinstance(receiver, ast.Call):
+                # Cls(...).method(): the receiver's class is known.
+                cls_qname = self._class_of(receiver.func, module)
+                if cls_qname is not None:
+                    method = f"{cls_qname}.{func.attr}"
+                    if method in self.functions:
+                        return [method]
             # Dynamic dispatch: every project method with this name.
             candidates = self.methods_by_name.get(func.attr, [])
             if 0 < len(candidates) <= _MAX_DISPATCH_CANDIDATES:
                 return list(candidates)
         return []
+
+    def _class_of(self, func: ast.AST, module: ModuleInfo) -> Optional[str]:
+        """The project class a constructor call's callee names, if any.
+
+        Follows ``from pkg import Cls`` through the package's own
+        import table, so a class re-exported by an ``__init__`` resolves
+        to the module that defines it.
+        """
+        if not isinstance(func, ast.Name):
+            return None
+        target = f"{module.qname}.{func.id}"
+        if target in self.classes:
+            return target
+        target = module.imports.get(func.id, "")
+        seen: Set[str] = set()
+        while target not in self.classes and target not in seen:
+            seen.add(target)
+            owner, _, name = target.rpartition(".")
+            info = self.modules.get(owner)
+            if info is None or name not in info.imports:
+                return None
+            target = info.imports[name]
+        return target if target in self.classes else None

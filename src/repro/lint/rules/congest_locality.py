@@ -21,11 +21,6 @@ discipline for every module under ``src/repro/congest/protocols/``:
 ``CONGEST003``
     Node programs must not declare ``global``/``nonlocal`` — writes
     that escape the node's own frame are out-of-band channels.
-``CONGEST004``
-    A ``yield Sleep(n)`` must stand alone as a statement.  The inboxes
-    of slept rounds are unread by contract (the simulator clears them
-    and resumes the program with ``None``), so binding or using the
-    yield's value reads an inbox the node never received.
 """
 
 from __future__ import annotations
@@ -41,7 +36,6 @@ __all__ = [
     "ModuleLevelMutableRule",
     "NodeProgramGlobalStateRule",
     "NodeProgramScopeEscapeRule",
-    "SleptInboxRule",
     "node_program_functions",
 ]
 
@@ -232,43 +226,4 @@ class NodeProgramScopeEscapeRule(Rule):
                         f"node program {fn.name!r} declares {keyword} "
                         f"{', '.join(node.names)!r} — node state must not "
                         f"escape the program's own frame",
-                    )
-
-
-def _is_sleep_yield(node: ast.AST) -> bool:
-    """Whether ``node`` is ``yield Sleep(...)`` (or ``yield x.Sleep(...)``)."""
-    if not isinstance(node, ast.Yield) or not isinstance(node.value, ast.Call):
-        return False
-    func = node.value.func
-    return (isinstance(func, ast.Name) and func.id == "Sleep") or (
-        isinstance(func, ast.Attribute) and func.attr == "Sleep"
-    )
-
-
-@register
-class SleptInboxRule(Rule):
-    rule_id = "CONGEST004"
-    family = "CONGEST"
-    scope = "protocols"
-    description = (
-        "A node program's `yield Sleep(...)` must be a bare statement: "
-        "the inboxes of slept rounds are unread, so its value may not "
-        "be bound or used."
-    )
-
-    def check(self, src: SourceFile, config: LintConfig) -> Iterator[Violation]:
-        for fn in node_program_functions(src.tree):
-            body = list(_own_body_nodes(fn))
-            bare = {
-                id(node.value) for node in body if isinstance(node, ast.Expr)
-            }
-            for node in body:
-                if _is_sleep_yield(node) and id(node) not in bare:
-                    yield self.violation(
-                        src,
-                        node,
-                        f"node program {fn.name!r} uses the value of "
-                        f"'yield Sleep(...)'; a slept inbox is unread "
-                        f"(the yield evaluates to None), so make it a "
-                        f"bare statement",
                     )

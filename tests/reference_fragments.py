@@ -1,14 +1,16 @@
-"""The maximal-matching fragments before sleeping, kept as a test oracle.
+"""The maximal-matching fragments before they slept or awaited, kept
+as a test oracle.
 
 These are the fragments of :mod:`repro.congest.protocols.fragments` as
-they were before nodes could ``yield Sleep(n)``: every node is resumed
-in every round of the schedule and reads every inbox, also once it is
-matched or has nothing left to match.  ``tests/test_congest_sleep.py``
-runs every protocol with these in place of the product fragments and
-requires the same run, byte for byte — so a fragment that sleeps
-through a round whose inbox could matter under some delivery fails
-there.  The one edit: withdrawal broadcasts iterate their sets in
-sorted order (the transport orders recipients anyway).
+they were before nodes could wait: every node is resumed in every
+round of the schedule and reads every inbox, also once it is matched
+or has nothing left to match.  ``tests/test_congest_sleep.py`` runs
+every protocol with these (and ``tests/reference_protocols.py``) in
+place of the product code and requires the same run, byte for byte —
+so a fragment that waits through a round whose inbox could matter
+under some delivery, or misreads the round an early wake lands in,
+fails there.  The one edit: withdrawal broadcasts iterate their sets
+in sorted order (the transport orders recipients anyway).
 """
 
 from __future__ import annotations

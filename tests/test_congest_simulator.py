@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.congest.message import TAG_BITS, Message, Sleep
+from repro.congest.message import TAG_BITS, Await, Message
 from repro.congest.simulator import Simulator
 from repro.errors import (
     InvalidParameterError,
@@ -267,64 +267,160 @@ def scripted(outboxes):
     return program()
 
 
-class TestSleep:
-    def test_mail_to_a_sleeper_is_delivered_traced_and_cleared_unread(self):
+class TestAwait:
+    def test_mail_in_the_await_round_wakes_after_one_round(self):
         g = line_graph()
 
-        def sleeper():
-            resumed = yield Sleep(2)
-            inbox = yield {}
-            return resumed, dict(inbox)
+        def waiter():
+            inbox, waited = yield Await(5)
+            got = (dict(inbox), waited)
+            return got, dict((yield {}))
 
-        # a writes to b in rounds 1-3, c only in round 2: had the
-        # round-2 inbox not been cleared, c's message would still sit
-        # in b's round-3 inbox.
         programs = {
-            "a": scripted([{"b": Message("POINT", (t,))} for t in (1, 2, 3)]),
-            "b": sleeper(),
-            "c": scripted([{}, {"b": Message("POINT", (2,))}, {}]),
+            "a": scripted([{"b": Message("POINT", (1,))}]),
+            "b": waiter(),
+            "c": silent(3),
+        }
+        sim = Simulator(g, programs)
+        sim.step()
+        assert "b" in sim._woken
+        sim.run()
+        got, inbox = sim.results["b"]
+        assert got == ({"a": Message("POINT", (1,))}, 1)
+        assert inbox == {}
+
+    def test_mail_to_an_awaiting_node_is_delivered_traced_and_read(self):
+        g = line_graph()
+
+        def waiter():
+            inbox, waited = yield Await(4)
+            first = (dict(inbox), waited)
+            inbox, waited = yield Await(4)
+            return first, (dict(inbox), waited)
+
+        # a writes to b only in round 3, c in rounds 3 and 5.
+        programs = {
+            "a": scripted([{}, {}, {"b": Message("POINT", (3,))}]),
+            "b": waiter(),
+            "c": scripted(
+                [{}, {}, {"b": Message("POINT", (3,))}, {},
+                 {"b": Message("POINT", (5,))}]
+            ),
         }
         tracer = CausalTracer()
         sim = Simulator(g, programs, telemetry=Telemetry.tracing(tracer))
         stats = sim.run()
-        assert sim.results["b"] == (None, {"a": Message("POINT", (3,))})
-        assert stats.messages == 4
-        to_b = [
+        first, second = sim.results["b"]
+        assert first == (
+            {"a": Message("POINT", (3,)), "c": Message("POINT", (3,))},
+            3,
+        )
+        assert second == ({"c": Message("POINT", (5,))}, 2)
+        assert stats.messages == 3
+        fates = [
             (r["round"], r["from"], r["fate"])
             for r in tracer.records
             if r["type"] == "message"
         ]
-        assert to_b == [
-            (1, "'a'", "delivered"),
-            (2, "'a'", "delivered"),
-            (2, "'c'", "delivered"),
+        assert fates == [
             (3, "'a'", "delivered"),
+            (3, "'c'", "delivered"),
+            (5, "'c'", "delivered"),
         ]
 
-    def test_reading_a_slept_inbox_fails_loudly(self):
+    @staticmethod
+    def counted(program, log):
+        """``program`` logging the value of every resumption (with the
+        pooled inbox copied)."""
+        value = None
+        while True:
+            if type(value) is tuple:
+                log.append((dict(value[0]), value[1]))
+            else:
+                log.append(value if value is None else dict(value))
+            try:
+                out = program.send(value)
+            except StopIteration as stop:
+                return stop.value
+            value = yield out
+
+    def test_timer_hands_back_an_empty_inbox(self):
         g = line_graph()
+        log = []
 
-        def reader():
-            inbox = yield Sleep(1)
-            return list(inbox.items())
+        def waiter():
+            yield Await(3)
 
-        programs = {"a": silent(2), "b": reader(), "c": silent(2)}
-        with pytest.raises(AttributeError):
-            Simulator(g, programs).run()
+        sim = Simulator(
+            g,
+            {"a": silent(4), "b": self.counted(waiter(), log),
+             "c": silent(4)},
+        )
+        sim.run()
+        assert log == [None, ({}, 3)]
 
-    def test_crash_during_sleep_closes_the_program_at_the_crash_round(self):
+    def test_mail_on_the_deadline_round_resumes_once(self):
+        g = line_graph()
+        log = []
+
+        def waiter():
+            yield Await(3)
+            yield {}
+
+        programs = {
+            "a": scripted([{}, {}, {"b": Message("POINT", (3,))}]),
+            "b": self.counted(waiter(), log),
+            "c": silent(4),
+        }
+        sim = Simulator(g, programs)
+        sim.run()
+        assert log == [None, ({"a": Message("POINT", (3,))}, 3), {}]
+
+    def test_reawait_to_the_same_deadline_resumes_once(self):
+        g = line_graph()
+        log = []
+
+        def waiter():
+            # Await(4) in round 1 parks b for round 5; mail in round 1
+            # wakes it in round 2, where Await(3) parks it for round 5
+            # again: the first bucket entry must not resume it twice.
+            yield Await(4)
+            yield Await(3)
+            return "done"
+
+        programs = {
+            "a": scripted([{"b": Message("POINT", (1,))}]),
+            "b": self.counted(waiter(), log),
+            "c": silent(6),
+        }
+        sim = Simulator(g, programs)
+        for _ in range(2):
+            sim.step()
+        assert sim._wake[5] == ["b", "b"]
+        while "b" not in sim.results:
+            sim.step()
+        assert sim.stats.rounds == 5
+        assert log == [None, ({"a": Message("POINT", (1,))}, 1), ({}, 3)]
+
+    def test_crash_while_awaiting_closes_it_and_its_entry_goes_stale(self):
         g = line_graph()
         events = []
 
-        def sleeper():
+        def waiter():
             try:
-                yield Sleep(5)
+                yield Await(5)
                 events.append("resumed")
             except GeneratorExit:
                 events.append("closed")
                 raise
 
-        programs = {"a": silent(6), "b": sleeper(), "c": silent(6)}
+        # a writes to b in round 4, after the crash: nothing may wake
+        # the closed program, nor its round-6 bucket entry.
+        programs = {
+            "a": scripted([{}, {}, {}, {"b": Message("POINT", (4,))}]),
+            "b": waiter(),
+            "c": silent(7),
+        }
         plan = FaultPlan(crashes=(NodeCrash("b", 3),))
         sim = Simulator(g, programs, faults=plan)
         for _ in range(2):
@@ -333,16 +429,17 @@ class TestSleep:
         sim.step()
         assert events == ["closed"]
         assert sim.crashed == {"b": 3}
+        assert 6 in sim._wake
         stats = sim.run()
         assert events == ["closed"]
         assert "b" not in sim.results
         assert stats.outcome == "degraded"
-        assert stats.rounds == 7
+        assert stats.rounds == 8
 
     @pytest.mark.parametrize("n", [1, 2, 5])
-    def test_return_after_sleep_is_seen_in_the_same_round(self, n):
-        def after_sleep():
-            yield Sleep(n)
+    def test_return_after_await_is_seen_in_the_same_round(self, n):
+        def after_await():
+            yield Await(n)
             return "done"
 
         def after_empty_yields():
@@ -359,26 +456,26 @@ class TestSleep:
                 sim.step()
             return sim.stats.rounds
 
-        assert finish_round(after_sleep()) == n + 1
+        assert finish_round(after_await()) == n + 1
         assert finish_round(after_empty_yields()) == n + 1
 
-    def test_all_asleep_rounds_still_count(self):
+    def test_all_awaiting_rounds_still_count(self):
         g = line_graph()
 
         def nap():
-            yield Sleep(4)
+            yield Await(4)
 
         sim = Simulator(g, {"a": nap(), "b": nap(), "c": nap()})
         assert sim.run().rounds == 5
         assert sim.stats.messages_per_round == [0] * 5
 
-    @pytest.mark.parametrize("bad", [0, -1, 1.5, "2", True, None])
-    def test_invalid_sleep_is_a_protocol_violation(self, bad):
+    @pytest.mark.parametrize("bad", [0, -1, 1.0, 1.5, "2", True, None])
+    def test_invalid_await_is_a_protocol_violation(self, bad):
         g = line_graph()
 
         def program():
             yield {}
-            yield Sleep(bad)
+            yield Await(bad)
 
         programs = {"a": silent(3), "b": program(), "c": silent(3)}
         with pytest.raises(ProtocolViolationError) as info:
@@ -386,7 +483,7 @@ class TestSleep:
         message = str(info.value)
         assert "round 2" in message
         assert "'b'" in message
-        assert f"Sleep({bad!r})" in message
+        assert f"Await({bad!r})" in message
 
 
 class TestRunCap:

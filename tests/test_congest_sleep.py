@@ -1,56 +1,80 @@
-"""Sleep-expansion oracle: ``yield Sleep(n)`` is ``n`` × ``yield {}``.
+"""Await oracle: ``yield Await(n)`` is up to ``n`` × ``yield {}``.
 
-A node program that yields :class:`~repro.congest.message.Sleep` is
-not resumed until its sleep ends.  The contract is that this changes
-nothing observable: the same run with every ``Sleep(n)`` rewritten
-into ``n`` empty yields — the program resumed every round, its
-inboxes delivered to the rewrite and dropped there — must produce the
-same matching, ``SimulationStats``, metrics, events, causal trace,
-fault trace and transport counters, byte for byte.
+A node program that yields :class:`~repro.congest.message.Await`
+sleeps: it is not resumed until mail reaches it or its ``n`` rounds
+are up.  The
+contract is that this changes nothing observable, and it is pinned
+from both sides, each over every protocol × transport × fault plan.
 
-That pins the simulator's side.  The fragments' side — that they
-sleep only where no delivery could change what they do — is pinned
-against ``tests/reference_fragments.py``, the fragments as they were
-before they slept: the same runs with those in place must match too.
+*Simulator side.*  The same run with every ``Await(n)`` rewritten
+into up to ``n`` empty yields that stop at the first non-empty inbox
+and hand back ``(inbox, i)`` — the program resumed every round —
+must produce the same matching, ``SimulationStats``, metrics, events,
+causal trace, fault trace and transport counters, byte for byte.
 
-The rewrite lives on the test side only: a ``Simulator`` subclass
-wraps every program before handing it to the real simulator, and the
-protocol drivers are pointed at it by patching the ``Simulator`` name
-they build.  Nothing in the library selects between the two paths.
+*Program side.*  The programs' and fragments' side — that they await
+only where no mail could make them send, and read an early wake's
+inbox as the slot it arrived in — is pinned against
+``tests/reference_protocols.py`` and ``tests/reference_fragments.py``,
+the node programs as they were before they awaited: the same runs with
+those in place must match too.  A fuzz drives each program and its
+reference alone against random mail at every slot — stray, late and
+duplicate messages of every kind, more than any grid run delivers —
+and requires the same sends and result.
 
-The value of a rewritten ``yield Sleep(n)`` is the last of the ``n``
-inboxes (the slept run gives ``None``), so a program that binds it —
-one that sleeps through a round whose inbox it reads — diverges; the
-negative control pins that the oracle notices.
+Both rewrites live on the test side only: the expansion is a
+``Simulator`` subclass that wraps every program before handing it to
+the real simulator, and the drivers are pointed at it (or at the
+reference programs) by patching the names they build.  Nothing in the
+library selects between the paths.  The negative control pins that a
+program treating an early wake as its timer fails the oracle, and a
+resumption count pins the saving itself: a player with an empty list
+is resumed at most three times over a whole schedule.
 """
 
 from __future__ import annotations
 
 import contextlib
-import sys
+import random
 from dataclasses import asdict
 
 import pytest
 
-from repro.congest import AsyncEventTransport, Message, Simulator, Sleep
-from repro.congest.protocols import asm_protocol, gs_protocol
+from repro.congest import (
+    MESSAGE_SCHEMAS,
+    AsyncEventTransport,
+    Await,
+    Message,
+    Simulator,
+)
+from repro.congest.protocols import (
+    asm_protocol,
+    fragments,
+    gs_protocol,
+    mm_protocols,
+)
+from repro.core.preferences import PreferenceProfile
 from repro.faults import FaultPlan, NodeCrash
-from repro.graphs import Graph, man_node, woman_node
+from repro.faults.plan import RetryTally
+from repro.graphs import bipartite_graph_from_edges, man_node, woman_node
 from repro.obs import Telemetry
 from repro.trace import CausalTracer
 from repro.workloads import complete_uniform, gnp_incomplete
-from tests import reference_fragments
+from tests import reference_fragments, reference_protocols
 from tests.test_transport_equivalence import (
     _LATENCY_GRID,
     _scrub_events,
     _scrub_metrics,
 )
 
-_THIS_MODULE = sys.modules[__name__]
+def _valid(wait):
+    """Whether the simulator accepts ``wait`` (else it raises)."""
+    return type(wait.rounds) is int and wait.rounds >= 1
 
 
-def _expanded(program, tally):
-    """``program`` with every ``Sleep(n)`` rewritten into n ``yield {}``."""
+def _expanded(node, program, tally):
+    """``program`` with every ``Await(n)`` rewritten into up to n
+    ``yield {}``; ``tally`` gets ``(n, rounds waited)`` for each."""
     try:
         value = None
         while True:
@@ -58,46 +82,71 @@ def _expanded(program, tally):
                 out = program.send(value)
             except StopIteration as stop:
                 return stop.value
-            if isinstance(out, Sleep):
-                tally.append(out.rounds)
-                for _ in range(out.rounds):
-                    value = yield {}
+            if isinstance(out, Await) and _valid(out):
+                for waited in range(1, out.rounds + 1):
+                    inbox = yield {}
+                    if inbox:
+                        break
+                tally.append((out.rounds, waited))
+                value = (inbox, waited)
             else:
                 value = yield out
     finally:
         program.close()
 
 
-@contextlib.contextmanager
-def _sleeps_expanded(tally):
-    """Point every driver in use here at a simulator whose programs
-    never sleep; ``tally`` collects the length of every Sleep the
-    rewrite expanded, so a test can tell the slept run really slept."""
+def _timer_only(node, program, tally):
+    """``program`` told that every wait ran to its timer (a bug)."""
+    try:
+        value = None
+        while True:
+            try:
+                out = program.send(value)
+            except StopIteration as stop:
+                return stop.value
+            value = yield out
+            if isinstance(out, Await):
+                value = (value[0], out.rounds)
+    finally:
+        program.close()
 
-    class ExpandingSimulator(Simulator):
+
+@contextlib.contextmanager
+def _wrapped(wrap, tally):
+    """Point every driver in use here at a simulator that hands each
+    node's program to ``wrap(node, program, tally)`` first."""
+
+    class WrappingSimulator(Simulator):
         def __init__(self, graph, programs, **kwargs):
             super().__init__(
                 graph,
-                {v: _expanded(p, tally) for v, p in programs.items()},
+                {v: wrap(v, p, tally) for v, p in programs.items()},
                 **kwargs,
             )
 
     with pytest.MonkeyPatch.context() as mp:
-        for module in (asm_protocol, gs_protocol, _THIS_MODULE):
-            mp.setattr(module, "Simulator", ExpandingSimulator)
+        for module in (asm_protocol, gs_protocol, mm_protocols):
+            mp.setattr(module, "Simulator", WrappingSimulator)
         yield
 
 
 @contextlib.contextmanager
-def _awake_fragments():
-    """Run the protocols on the fragments that never sleep."""
+def _reference_programs():
+    """Run the protocols on the node programs that never await."""
     with pytest.MonkeyPatch.context() as mp:
         for name in (
             "pointer_matching_fragment",
             "port_order_fragment",
             "israeli_itai_fragment",
         ):
-            mp.setattr(asm_protocol, name, getattr(reference_fragments, name))
+            mp.setattr(mm_protocols, name, getattr(reference_fragments, name))
+        for module, prefix in ((asm_protocol, "asm"), (gs_protocol, "gs")):
+            for role in ("man", "woman"):
+                mp.setattr(
+                    module,
+                    f"_{role}_program",
+                    getattr(reference_protocols, f"{prefix}_{role}_program"),
+                )
         yield
 
 
@@ -181,7 +230,7 @@ _TRANSPORTS = {
 }
 
 # Crash rounds fall inside the first ProposalRounds' matching phases,
-# where most nodes sleep; one crash is permanent, one restarts.
+# where most nodes await; one crash is permanent, one restarts.
 _PLANS = {
     "none": None,
     "message-faults": FaultPlan(
@@ -243,15 +292,15 @@ def _outcome(run):
 
 
 def _oracle(run):
-    """Run ``run`` as is, with Sleeps expanded, and on the awake
-    fragments; returns the three outcomes and the expanded Sleeps."""
+    """Run ``run`` as is, with Awaits expanded, and on the reference
+    programs; returns the three outcomes and the expanded Awaits."""
     tally: list = []
-    slept = _outcome(run)
-    with _sleeps_expanded(tally):
+    awaited = _outcome(run)
+    with _wrapped(_expanded, tally):
         expanded = _outcome(run)
-    with _awake_fragments():
-        awake = _outcome(run)
-    return slept, expanded, awake, tally
+    with _reference_programs():
+        reference = _outcome(run)
+    return awaited, expanded, reference, tally
 
 
 # ----------------------------------------------------------------------
@@ -266,25 +315,56 @@ def test_sleep_is_invisible(protocol, transport_name, plan_name):
     def run():
         return _snapshot(protocol, transport_name, plan_name)
 
-    slept, expanded, awake, tally = _oracle(run)
-    assert slept[0] == "returned", slept
-    assert slept == expanded
-    assert slept == awake
-    # The oracle is only as strong as the sleeping it exercised.
-    assert bool(tally) == _sleeps(protocol, transport_name)
+    awaited, expanded, reference, tally = _oracle(run)
+    assert awaited[0] == "returned", awaited
+    assert awaited == expanded
+    assert awaited == reference
+    # The oracle is only as strong as the waiting it exercised: every
+    # run awaits, and mail cuts some of those waits short.
+    assert any(waited < rounds for rounds, waited in tally)
 
 
-def _sleeps(protocol, transport_name):
-    """Whether a run of the grid is expected to put any node to sleep."""
-    if protocol == "gale-shapley":
-        # Every GS round reads its inbox; there is nothing to sleep.
-        return False
-    # Under a fixed one-round latency no mutual choice lands in the
-    # round it is checked in, so port-order and Israeli–Itai nodes never
-    # match — and those fragments only let matched nodes sleep.
-    return transport_name != "fixed" or protocol in (
-        "asm-pointer", "almost-regular-pointer"
+_MM_RUNS = {
+    "pointer": lambda graph, **kw: mm_protocols.run_congest_deterministic_mm(
+        graph, **kw
+    ),
+    "port-order": lambda graph, **kw: mm_protocols.run_congest_port_order_mm(
+        graph, [man_node(m) for m in range(_PREFS.n_men)], **kw
+    ),
+    "israeli-itai": lambda graph, **kw: (
+        mm_protocols.run_congest_israeli_itai_mm(graph, 6, seed=3, **kw)
+    ),
+}
+
+
+@pytest.mark.parametrize("plan_name", sorted(_PLANS))
+@pytest.mark.parametrize("kind", sorted(_MM_RUNS))
+def test_standalone_matching_awaits_invisibly(kind, plan_name):
+    graph = bipartite_graph_from_edges(
+        _PREFS.iter_edges(), _PREFS.n_men, _PREFS.n_women
     )
+
+    def run():
+        tracer = CausalTracer()
+        telemetry = Telemetry.create(tracer=tracer)
+        kwargs = dict(telemetry=telemetry)
+        if _PLANS[plan_name] is not None:
+            kwargs["faults"] = _PLANS[plan_name]
+        res = _MM_RUNS[kind](graph, **kwargs)
+        return {
+            "partner": sorted(
+                (repr(a), repr(b)) for a, b in res.partner.items()
+            ),
+            "rounds": res.rounds,
+            "metrics": _scrub_metrics(telemetry.metrics.raw_state()),
+            "events": _scrub_events(telemetry.events.to_records()),
+            "trace": tracer.to_records(),
+        }
+
+    awaited, expanded, reference, tally = _oracle(run)
+    assert awaited[0] == "returned", awaited
+    assert awaited == expanded == reference
+    assert tally
 
 
 def test_complete_market_sleeps_too():
@@ -294,43 +374,212 @@ def test_complete_market_sleeps_too():
         matching, stats, _, _ = _asm("pointer")(prefs)
         return sorted(matching.pairs()), asdict(stats)
 
-    slept, expanded, awake, tally = _oracle(run)
-    assert slept == expanded == awake and tally
+    awaited, expanded, reference, tally = _oracle(run)
+    assert awaited == expanded == reference and tally
 
 
 # ----------------------------------------------------------------------
-# Negative control: reading a slept inbox is caught
+# Program side, fuzzed: one node program against random mail
 # ----------------------------------------------------------------------
 
-
-def _line():
-    g = Graph()
-    g.add_edge("a", "b")
-    return g
+_KINDS = sorted(MESSAGE_SCHEMAS)
 
 
-def _pinger(rounds):
+def _drive(program, inboxes):
+    """Run one node program against ``inboxes`` — the mail each round
+    delivers to it — with its Awaits expanded as the simulator keeps
+    them; returns what it sent each round and how it ended."""
+    sent = []
+    value = None
+    wait = None  # [rounds, rounds waited] of the Await in progress
+    try:
+        for inbox in inboxes:
+            if wait is None:
+                out = program.send(value)
+                if isinstance(out, Await):
+                    wait = [out.rounds, 0]
+                    out = {}
+                sent.append(dict(out))
+            else:
+                sent.append({})
+            if wait is None:
+                value = dict(inbox)
+                continue
+            wait[1] += 1
+            if inbox or wait[1] == wait[0]:
+                value = (dict(inbox), wait[1])
+                wait = None
+        if wait is None:
+            program.send(value)
+        return sent, ("still running", wait)
+    except StopIteration as stop:
+        return sent, ("returned", stop.value)
+    except Exception as exc:  # both sides must fail alike
+        return sent, ("raised", type(exc).__name__, str(exc))
+
+
+def _random_mail(rng, senders, rounds, density):
+    """``rounds`` inboxes, each non-empty with probability ``density``,
+    from random ``senders`` with random message kinds."""
+    mail = []
     for _ in range(rounds):
-        yield {"b": Message("POINT", (1,))}
+        inbox = {}
+        if rng.random() < density:
+            for _ in range(rng.randint(1, 3)):
+                inbox[rng.choice(senders)] = Message(rng.choice(_KINDS))
+        mail.append(inbox)
+    return mail
 
 
-def _inbox_reader():
-    """Sleeps through a round whose inbox it then reads (a bug)."""
-    inbox = yield Sleep(2)
-    heard = sorted(inbox or {})
-    yield {}
-    return heard
+def _schedules():
+    for mm_kind in ("pointer", "port_order", "israeli_itai"):
+        yield asm_protocol.ASMSchedule(
+            k=3, outer_iterations=2, inner_iterations=2, mm_iterations=3,
+            mm_kind=mm_kind,
+        )
+        yield asm_protocol.ASMSchedule(
+            k=3, outer_iterations=3, inner_iterations=1, mm_iterations=2,
+            mm_kind=mm_kind, flat_schedule=True, remove_violators=True,
+        )
 
 
-def _run_reader():
-    sim = Simulator(_line(), {"a": _pinger(3), "b": _inbox_reader()})
-    sim.run()
-    return dict(sim.results)
+def _pairs(seed):
+    """(name, product program, reference program, their senders,
+    rounds) for every node program, built alike from ``seed``."""
+    lists = ((0, 2, 3), (1,), (3, 0, 1, 2, 4))
+    for sched in _schedules():
+        rounds = (
+            sched.outer_iterations * sched.inner_iterations * sched.k
+            * asm_protocol._rounds_per_proposal_round(sched)
+        )
+        tag = f"{sched.mm_kind}{'-flat' if sched.flat_schedule else ''}"
+        for i, pref in enumerate(lists):
+            for role, node in (("man", woman_node), ("woman", man_node)):
+                pair = [
+                    getattr(module, name)(
+                        i, pref, sched, random.Random(seed),
+                        *([RetryTally()] if role == "woman" else []),
+                    )
+                    for module, name in (
+                        (asm_protocol, f"_{role}_program"),
+                        (reference_protocols, f"asm_{role}_program"),
+                    )
+                ]
+                senders = [node(p) for p in pref] + [node(7)]
+                yield (f"asm-{tag}-{role}", *pair, senders, rounds)
+    for i, pref in enumerate(lists):
+        rank = {m: r for r, m in enumerate(pref, 1)}
+        yield (
+            "gs-man",
+            gs_protocol._man_program(i, pref, 5),
+            reference_protocols.gs_man_program(i, pref, 5),
+            [woman_node(p) for p in pref] + [woman_node(7)],
+            10,
+        )
+        yield (
+            "gs-woman",
+            gs_protocol._woman_program(i, rank, 5),
+            reference_protocols.gs_woman_program(i, rank, 5),
+            [man_node(p) for p in pref],
+            10,
+        )
+        for name, per_iteration, extra in (
+            ("pointer_matching_fragment", 2, ()),
+            ("port_order_fragment", 2, (True,)),
+            ("port_order_fragment", 2, (False,)),
+            ("israeli_itai_fragment", 4, (random.Random(seed),)),
+        ):
+            nbrs = [woman_node(p) for p in pref]
+            product = getattr(fragments, name)(nbrs, 3, *extra)
+            extra = tuple(
+                random.Random(seed) if isinstance(x, random.Random) else x
+                for x in extra
+            )
+            reference = getattr(reference_fragments, name)(nbrs, 3, *extra)
+            yield (
+                name, product, reference, nbrs + [woman_node(7)],
+                3 * per_iteration,
+            )
 
 
-def test_negative_control_reading_a_slept_inbox_fails_the_oracle():
-    slept, expanded, _, tally = _oracle(_run_reader)
-    assert tally == [2]
-    assert slept == ("returned", {"a": None, "b": []})
-    assert expanded == ("returned", {"a": None, "b": ["a"]})
-    assert slept != expanded
+@pytest.mark.parametrize("density", [0.05, 0.3, 0.8])
+@pytest.mark.parametrize("seed", range(12))
+def test_programs_match_the_reference_under_random_mail(seed, density):
+    # Stray mail at every slot — what latency and faults deliver, and
+    # more — must meet the same response from a program that awaits
+    # as from the one that listens slot by slot.
+    rng = random.Random(f"{seed}-{density}")
+    for name, product, reference, senders, rounds in _pairs(seed):
+        mail = _random_mail(rng, senders, rounds, density)
+        assert _drive(product, mail) == _drive(reference, mail), name
+
+
+# ----------------------------------------------------------------------
+# Negative control: treating an early wake as the timer is caught
+# ----------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("protocol", ["asm-pointer", "gale-shapley"])
+def test_negative_control_an_early_wake_read_as_the_timer_fails(protocol):
+    def run():
+        return _snapshot(protocol, "sync", "none")
+
+    awaited, _, reference, _ = _oracle(run)
+    assert awaited == reference
+    with _wrapped(_timer_only, None):
+        confused = _outcome(run)
+    assert confused != reference
+
+
+# ----------------------------------------------------------------------
+# The saving, pinned structurally
+# ----------------------------------------------------------------------
+
+
+def _counted(node, program, tally):
+    """``program`` counting its resumptions into ``tally[node]``."""
+    tally[node] = 0
+    try:
+        value = None
+        while True:
+            tally[node] += 1
+            try:
+                out = program.send(value)
+            except StopIteration as stop:
+                return stop.value
+            value = yield out
+    finally:
+        program.close()
+
+
+#: Man 1 and woman 2 have empty lists; the others form a 2×2 market.
+_WITH_EMPTY_LISTS = PreferenceProfile(
+    [[0, 1], [], [1, 0]], [[0, 2], [2, 0], []]
+)
+
+
+@pytest.mark.parametrize("protocol", ["asm", "gale-shapley"])
+def test_a_player_with_an_empty_list_is_resumed_at_most_three_times(
+    protocol,
+):
+    # Slot by slot, such a player is resumed about four times per
+    # ProposalRound (two per Gale–Shapley iteration); awaiting, it is
+    # resumed to start, when its one wait runs out, and not in between.
+    def run():
+        if protocol == "asm":
+            res = asm_protocol.run_congest_asm(
+                _WITH_EMPTY_LISTS, 0.5, k=4, inner_iterations=3,
+                outer_iterations=3, mm_iterations=4,
+            )
+            return res.stats.rounds
+        _, sim = gs_protocol.run_congest_gale_shapley(
+            _WITH_EMPTY_LISTS, iterations=12
+        )
+        return sim.stats.rounds
+
+    tally: dict = {}
+    with _wrapped(_counted, tally):
+        rounds = run()
+    assert rounds > 24
+    assert tally[man_node(1)] <= 3
+    assert tally[woman_node(2)] <= 3

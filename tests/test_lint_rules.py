@@ -435,63 +435,3 @@ class TestSpanBalance:
         )
         assert report.ok
         assert report.suppressed == 1
-
-
-class TestSleptInbox:
-    """CONGEST004: the value of ``yield Sleep(...)`` is never used."""
-
-    def _fired(self, tmp_path, body):
-        source = (
-            "from repro.congest import message\n"
-            "from repro.congest.message import Sleep\n\n"
-            "def program(log):\n" + body
-        )
-        target = _write(
-            tmp_path, "src/repro/congest/protocols/p.py", source
-        )
-        report = run_lint([target], LintConfig())
-        return [v.line for v in report.violations if v.rule == "CONGEST004"]
-
-    @pytest.mark.parametrize(
-        "body",
-        [
-            "    inbox = yield Sleep(2)\n",
-            "    log.append((yield Sleep(2)))\n",
-            "    if (yield message.Sleep(2)):\n        return 1\n",
-            "    log += yield Sleep(1)\n",
-            "    inbox: dict = yield Sleep(3)\n",
-            "    return (yield Sleep(1))\n",
-        ],
-        ids=["bound", "argument", "condition", "augmented", "annotated",
-             "returned"],
-    )
-    def test_used_value_flagged(self, tmp_path, body):
-        assert self._fired(tmp_path, body) == [5]
-
-    def test_bare_statement_clean(self, tmp_path):
-        body = (
-            "    yield Sleep(2)\n"
-            "    yield message.Sleep(1)\n"
-            "    inbox = yield {}\n"
-            "    return inbox\n"
-        )
-        assert self._fired(tmp_path, body) == []
-
-    def test_nested_program_checked_once(self, tmp_path):
-        body = (
-            "    def inner():\n"
-            "        got = yield Sleep(1)\n"
-            "        return got\n"
-            "    yield Sleep(1)\n"
-            "    return inner()\n"
-        )
-        assert self._fired(tmp_path, body) == [6]
-
-    def test_outside_protocol_scope_ignored(self, tmp_path):
-        target = _write(
-            tmp_path,
-            "src/repro/core/p.py",
-            "def program():\n    inbox = yield Sleep(2)\n    return inbox\n",
-        )
-        report = run_lint([target], LintConfig())
-        assert all(v.rule != "CONGEST004" for v in report.violations)

@@ -76,29 +76,23 @@ def test_each_family_has_at_least_one_rule():
 # ----------------------------------------------------------------------
 
 CONGEST_VIOLATING = '''\
-from repro.congest.message import Sleep
-
 SHARED_STATE = {}
 
 def _node_program(v, prefs: "PreferenceProfile"):
     inbox = yield {}
     SHARED_STATE[v] = inbox
     return None
-
-def _drowsy_program(v):
-    inbox = yield Sleep(2)
-    return inbox
 '''
 
 CONGEST_CLEAN = '''\
-from repro.congest.message import Sleep
+from repro.congest.message import Await
 
 def _node_program(v, pref_list):
     partner = None
     inbox = yield {}
     for sender in sorted(inbox, key=repr):
         partner = sender
-    yield Sleep(2)
+    inbox, waited = yield Await(2)
     return partner
 '''
 
@@ -176,7 +170,7 @@ FIXTURES = [
         "CONGEST",
         "src/repro/congest/protocols/fixture_proto.py",
         CONGEST_VIOLATING,
-        {"CONGEST001", "CONGEST002", "CONGEST004"},
+        {"CONGEST001", "CONGEST002"},
         CONGEST_CLEAN,
     ),
     (
