@@ -38,7 +38,9 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import asdict, dataclass, field
-from itertools import islice
+from functools import lru_cache
+from itertools import chain, islice, repeat
+from operator import sub
 from typing import (
     TYPE_CHECKING,
     Dict,
@@ -52,7 +54,7 @@ from typing import (
 
 from repro.core.matching import Matching
 from repro.core.preferences import PreferenceProfile
-from repro.core.quantile import QuantizedList
+from repro.core.quantile import quantile_boundaries
 from repro.core.rounds import (
     CONSTANT_ROUNDS_PER_PROPOSAL_ROUND,
     HKPCost,
@@ -272,37 +274,94 @@ def _check_optimized(optimized: object) -> None:
         require_numpy()
 
 
-def _quantized(csr: Tuple[array, array], k: int) -> List[QuantizedList]:
-    """One :class:`QuantizedList` per player of a CSR side, read in place."""
-    indptr, targets = csr
-    return [
-        QuantizedList(targets[a:b], k)
-        for a, b in zip(indptr, islice(indptr, 1, None))
+@lru_cache(maxsize=4096)
+def _quantile_runs(
+    degree: int, k: int
+) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
+    """Per 0-based rank, the first rank of its quantile run and the end
+    (exclusive) of that run, for a list of ``degree`` partners.
+
+    Quantiles are non-decreasing along a list, so each quantile is one
+    contiguous run of ranks; like :func:`quantile_boundaries`, the
+    runs depend only on ``(degree, k)`` and are computed once.
+    """
+    bounds = quantile_boundaries(degree, k)
+    starts = list(range(degree))
+    ends = list(range(1, degree + 1))
+    for r in range(1, degree):
+        if bounds[r] == bounds[r - 1]:
+            starts[r] = starts[r - 1]
+    for r in range(degree - 2, -1, -1):
+        if bounds[r] == bounds[r + 1]:
+            ends[r] = ends[r + 1]
+    return tuple(starts), tuple(ends)
+
+
+def _cross_positions(
+    men: Tuple[array, array], women: Tuple[array, array]
+) -> Tuple[array, array]:
+    """``(m2w, w2m)``: the woman-side CSR position of each man-side
+    position of the same edge, and its inverse.
+
+    One stdlib pass over the edges: a throwaway man → position dict per
+    woman, probed per man through C-level ``map`` chains, then one
+    inversion loop.
+    """
+    m_indptr, m_woman = men
+    w_indptr, w_man = women
+    w_pos = [
+        dict(zip(w_man[a:b], range(a, b)))
+        for a, b in zip(w_indptr, islice(w_indptr, 1, None))
     ]
+    m2w = array("q")
+    probe = dict.__getitem__
+    for m, (a, b) in enumerate(zip(m_indptr, islice(m_indptr, 1, None))):
+        m2w.extend(map(probe, map(w_pos.__getitem__, m_woman[a:b]), repeat(m)))
+    del w_pos
+    w2m = array("q", bytes(8 * len(m2w)))
+    for p, wp in enumerate(m2w):
+        w2m[wp] = p
+    return m2w, w2m
 
 
 class _PyState:
     """Pure-Python ProposalRound / QuantileMatch state (the default backend).
 
     The stdlib sibling of :class:`repro.vec.engine.VecState`, with the
-    same method names, so :class:`ASMEngine` runs one schedule over
-    either.  Per-player state keeps Section 3.1's form: a
-    :class:`QuantizedList` per player, partners as ``Optional[int]``
-    lists, and active sets ``A`` as insertion-ordered dicts built
-    ascending — deletions preserve order, so ``A`` is iterated in the
-    canonical sorted order without a per-round sort (DET001 stays
+    same layout and method names, so :class:`ASMEngine` runs one
+    schedule over either.  State lives on the profile's CSR positions
+    (``men_csr()`` / ``women_csr()``), in stdlib arrays:
+
+    * ``present`` — one man-side ``bytearray`` for both sides' lists
+      (removals are always paired: Step 4 removes a man from a woman's
+      list exactly when Step 5 removes her from his);
+    * ``m_remaining`` — ``|Q|`` per man, plus a first-present cursor
+      per man: that position's quantile is his best nonempty one;
+    * ``w_quant`` — each woman-side position's quantile (Section 3.1's
+      ``⌈rank·k/deg⌉``, from :func:`quantile_boundaries`);
+    * ``m2w`` / ``w2m`` — the woman-side position of each man-side
+      edge, and the inverse.
+
+    Partners are ``Optional[int]`` lists.  A man's active set ``A`` is
+    a dict of his present man-side positions in the activated quantile,
+    in ascending woman order; deletions preserve that order, so ``A``
+    is iterated canonically without a per-round sort (DET001 stays
     satisfied structurally).  A *participating* value is a list of men.
 
     The ProposalRound steps avoid per-round allocation:
 
-    * suitor lists live in per-woman buffers reused across every round
-      of the run (cleared lazily at round start);
+    * suitor lists (woman-side positions) live in per-woman buffers
+      reused across every round of the run (cleared lazily at round
+      start);
     * only men in ``_active_men`` (set by :meth:`activate`, compacted
       as men drain) are scanned, not all men;
-    * each woman's live quantile table is bound once and probed once
-      per suitor (no ``contains`` + ``quantile_of`` pairs);
-    * Step 4 rejects via one pre-sorted list per newly matched woman
-      instead of frozenset algebra.
+    * Step 2 reads a suitor's quantile by position;
+    * Step 4 rejects a contiguous run of the woman's segment.  The run
+      starts where her new partner's quantile starts (a cached
+      per-``(degree, k)`` table) and ends at her *cut*: by Lemma 1 she
+      has already rejected everything from her cut on except her old
+      partner, whose position she keeps.  So each position is
+      scanned once per run, and the Lemma-1 check is O(1).
     """
 
     def __init__(
@@ -312,18 +371,36 @@ class _PyState:
         remove_unmatched_violators: bool,
         check_invariants: bool,
     ) -> None:
-        self.n_men = prefs.n_men
+        n_men, n_women = prefs.n_men, prefs.n_women
+        self.n_men = n_men
+        self.k = k
         self.remove_unmatched_violators = remove_unmatched_violators
         self.check_invariants = check_invariants
-        self.men_q = _quantized(prefs.men_csr(), k)
-        self.women_q = _quantized(prefs.women_csr(), k)
+        men, women = prefs.men_csr(), prefs.women_csr()
+        self.m_indptr, self.m_woman = men
+        self.w_indptr, self.w_man = women
+        self.m2w, self.w2m = _cross_positions(men, women)
+        w_indptr = self.w_indptr
+        w_degree = list(map(sub, islice(w_indptr, 1, None), w_indptr))
+        quantiles = map(quantile_boundaries, w_degree, repeat(k))
+        self.w_quant = array("q", list(chain.from_iterable(quantiles)))
+        self.present = bytearray(b"\x01") * len(self.m_woman)
+        self.m_remaining = array(
+            "q", list(map(sub, islice(self.m_indptr, 1, None), self.m_indptr))
+        )
+        self._m_first = self.m_indptr[:-1]
         # Partners p(v); None = unmatched.
-        self.man_partner: List[Optional[int]] = [None] * prefs.n_men
-        self.woman_partner: List[Optional[int]] = [None] * prefs.n_women
-        self.active: List[Dict[int, None]] = [{} for _ in range(prefs.n_men)]
+        self.man_partner: List[Optional[int]] = [None] * n_men
+        self.woman_partner: List[Optional[int]] = [None] * n_women
+        # Woman-side position of each woman's partner (-1 = none), and
+        # where her rejected suffix starts (her segment's end until she
+        # first matches).
+        self.woman_partner_pos = array("q", [-1]) * n_women
+        self._w_cut = w_indptr[1:]
+        self.active: List[Dict[int, None]] = [{} for _ in range(n_men)]
         # Almost-regular mode: men removed from play.
-        self.removed: List[bool] = [False] * prefs.n_men
-        self._suitor_buf: List[List[int]] = [[] for _ in range(prefs.n_women)]
+        self.removed: List[bool] = [False] * n_men
+        self._suitor_buf: List[List[int]] = [[] for _ in range(n_women)]
         self._touched_women: List[int] = []
         self._active_men: List[int] = []
         # Per-round intermediates (valid between the step_* calls of one
@@ -338,11 +415,11 @@ class _PyState:
     def participating(self, threshold: int) -> List[int]:
         """Men with ``|Q| >= threshold`` (Algorithm 3's ``2^i`` gate),
         not removed."""
-        men_q, removed = self.men_q, self.removed
+        remaining, removed = self.m_remaining, self.removed
         return [
             m
             for m in range(self.n_men)
-            if not removed[m] and men_q[m].remaining >= threshold
+            if not removed[m] and remaining[m] >= threshold
         ]
 
     def count(self, participating: Sequence[int]) -> int:
@@ -352,16 +429,16 @@ class _PyState:
     def candidates(self, participating: Sequence[int]) -> List[int]:
         """The participating men who would propose: unmatched, with
         ``|Q| > 0``."""
-        man_partner, men_q = self.man_partner, self.men_q
+        man_partner, remaining = self.man_partner, self.m_remaining
         return [
             m
             for m in participating
-            if man_partner[m] is None and men_q[m].remaining > 0
+            if man_partner[m] is None and remaining[m] > 0
         ]
 
     def man_is_good(self, m: int) -> bool:
         """Good = matched, or rejected by every acceptable partner."""
-        return self.man_partner[m] is not None or self.men_q[m].remaining == 0
+        return self.man_partner[m] is not None or self.m_remaining[m] == 0
 
     def good_men(self) -> List[int]:
         """Good men, not removed, ascending."""
@@ -395,15 +472,31 @@ class _PyState:
 
     def activate(self, candidates: Sequence[int]) -> None:
         """Candidate men (see :meth:`candidates`) activate their best
-        nonempty quantile; removed men sit out."""
+        nonempty quantile; removed men sit out.
+
+        A man's first present position is his best remaining rank, whose
+        quantile is his best nonempty quantile (quantiles are
+        non-decreasing along a list); ``A`` is the present positions of
+        that quantile's run.
+        """
+        present, first, indptr, m_woman = (
+            self.present, self._m_first, self.m_indptr, self.m_woman
+        )
+        active, removed, k = self.active, self.removed, self.k
         active_men: List[int] = []
         for m in candidates:
-            if self.removed[m]:
+            if removed[m]:
                 continue
-            mq = self.men_q[m]
-            self.active[m] = dict.fromkeys(
-                mq.members_of_sorted(mq.best_nonempty_quantile())
-            )
+            f = first[m]
+            while not present[f]:  # |Q| > 0: stops inside his segment
+                f += 1
+            first[m] = f
+            base = indptr[m]
+            run_ends = _quantile_runs(indptr[m + 1] - base, k)[1]
+            end = base + run_ends[f - base]
+            a = [p for p in range(f, end) if present[p]]
+            a.sort(key=m_woman.__getitem__)
+            active[m] = dict.fromkeys(a)
             active_men.append(m)
         self._active_men = active_men
 
@@ -423,6 +516,7 @@ class _PyState:
         """
         active = self.active
         removed = self.removed
+        m_woman, m2w = self.m_woman, self.m2w
         suitor_buf = self._suitor_buf
         touched = self._touched_women
         for w in touched:  # lazy clear of last round's buffers
@@ -436,11 +530,12 @@ class _PyState:
             if removed[m] or not a:
                 continue
             still_active.append(m)
-            for w in a:  # insertion-ordered ascending
+            for p in a:  # ascending woman order
+                w = m_woman[p]
                 buf = suitor_buf[w]
                 if not buf:
                     touched.append(w)
-                buf.append(m)
+                buf.append(m2w[p])
             n_proposals += len(a)
             if len(a) > max_work:
                 max_work = len(a)
@@ -456,35 +551,26 @@ class _PyState:
         graph ``G₀`` is held for Step 3.
         """
         suitor_buf = self._suitor_buf
-        women_q = self.women_q
+        w_quant, w_man = self.w_quant, self.w_man
         g0 = Graph()
         n_accepts = 0
         step_max = 0
         for w in self._touched_women:
-            suitors = suitor_buf[w]
+            suitors = suitor_buf[w]  # woman-side positions
             if len(suitors) > step_max:
                 step_max = len(suitors)
-            present = women_q[w].present_map()
             if self.check_invariants:
-                for m in suitors:
-                    if m not in present:
+                for wp in suitors:
+                    if not self.present[self.w2m[wp]]:
                         raise SimulationError(
-                            f"man {m} proposed to woman {w} after "
+                            f"man {w_man[wp]} proposed to woman {w} after "
                             f"removal from her list"
                         )
-            best: Optional[int] = None
-            for m in suitors:
-                q = present.get(m)
-                if q is not None and (best is None or q < best):
-                    best = q
-            if best is None:
-                raise SimulationError(
-                    f"woman {w} received proposals only from removed men"
-                )
+            best = min(map(w_quant.__getitem__, suitors))
             wn = woman_node(w)
-            for m in suitors:
-                if present.get(m) == best:
-                    g0.add_edge(man_node(m), wn)
+            for wp in suitors:
+                if w_quant[wp] == best:
+                    g0.add_edge(man_node(w_man[wp]), wn)
                     n_accepts += 1
         self._g0 = g0
         return n_accepts, step_max
@@ -504,10 +590,7 @@ class _PyState:
         self._mm_result = mm_result
         # Remark 4 proxy for subroutine-local work: each MM round
         # costs a processor at most its G0 degree.
-        mm_work = 0
-        if g0.num_nodes:
-            max_g0_deg = max(g0.degree(v) for v in g0.nodes())
-            mm_work = mm_result.rounds * max_g0_deg
+        mm_work = mm_result.rounds * g0.max_degree()
 
         # Almost-regular mode (Theorem 6 footnote): men violating
         # Definition 3 after an almost-maximal matching leave the game.
@@ -528,11 +611,16 @@ class _PyState:
         Returns ``(n_rejects, matched_in_m0, step_max_work)``.
         """
         active = self.active
-        women_q = self.women_q
         man_partner = self.man_partner
         woman_partner = self.woman_partner
+        partner_pos = self.woman_partner_pos
+        cut = self._w_cut
+        w_indptr, w_man = self.w_indptr, self.w_man
+        suitor_buf = self._suitor_buf
+        k = self.k
         # Step 4: newly matched women reject all weakly-worse suitors.
-        rejections: Dict[int, List[int]] = {}
+        rejected: List[int] = []  # woman-side positions
+        unseated: List[int] = []  # old partners of re-matched women
         n_rejects = 0
         matched_in_m0 = 0
         step_max = 0
@@ -543,42 +631,56 @@ class _PyState:
                 else (node_index(v), node_index(u))
             )
             matched_in_m0 += 1
-            wq = women_q[w]
-            q0 = wq.quantile_of(m0)
-            rejected = wq.members_at_least_sorted(q0)  # includes m0
+            for wp0 in suitor_buf[w]:  # m0 proposed to w this round
+                if w_man[wp0] == m0:
+                    break
+            base = w_indptr[w]
+            run_starts = _quantile_runs(w_indptr[w + 1] - base, k)[0]
+            start = base + run_starts[wp0 - base]
             old = woman_partner[w]
+            old_wp = partner_pos[w]
             if self.check_invariants and old is not None and (
                 old == m0
-                or not wq.contains(old)
-                or wq.quantile_of(old) < q0
+                or not self.present[self.w2m[old_wp]]
+                or self.w_quant[old_wp] < self.w_quant[wp0]
             ):
                 raise SimulationError(
                     f"woman {w} traded up to man {m0} but did not "
                     f"reject previous partner {old}"
                 )
-            rejected_count = 0
-            for m in rejected:  # ascending
-                if m == m0:
-                    continue
-                wq.remove(m)
-                rejections.setdefault(m, []).append(w)
+            # Everything in [start, cut) is still on her list: she has
+            # rejected all from her cut on except her old partner.
+            end = cut[w]
+            rejected.extend(range(start, wp0))
+            rejected.extend(range(wp0 + 1, end))
+            rejected_count = end - start - 1
+            if old is not None:
+                rejected.append(old_wp)
+                unseated.append(old)
                 rejected_count += 1
             n_rejects += rejected_count
             if rejected_count > step_max:
                 step_max = rejected_count
+            cut[w] = start
             woman_partner[w] = m0
+            partner_pos[w] = wp0
             man_partner[m0] = w
             active[m0] = {}
 
         # Step 5: men process rejections.
-        for m, rejecting in rejections.items():
-            mq = self.men_q[m]
+        present, w2m, remaining = self.present, self.w2m, self.m_remaining
+        for wp in rejected:
+            p = w2m[wp]
+            present[p] = 0
+            m = w_man[wp]
+            remaining[m] -= 1
             a = active[m]
-            for w in rejecting:
-                mq.remove(w)
-                a.pop(w, None)
-                if man_partner[m] == w:
-                    man_partner[m] = None
+            if a:
+                a.pop(p, None)
+        # A replaced partner was matched, so he proposed to no one this
+        # round and was not re-seated by Step 4.
+        for m in unseated:
+            man_partner[m] = None
         return n_rejects, matched_in_m0, step_max
 
 
@@ -634,12 +736,15 @@ class ASMEngine:
         Backend selector; both backends produce bit-identical
         :class:`ASMResult` bundles:
 
-        * ``True`` (default) — the stdlib backend: per-player
-          :class:`QuantizedList` state, per-woman suitor buffers reused
-          across rounds, active sets as pre-sorted insertion-ordered
-          dicts.  Observers see ``men_q``, ``women_q``, ``active``,
-          ``removed``, ``man_partner`` and ``woman_partner`` (``None``
-          = unmatched).
+        * ``True`` (default) — the stdlib backend: flat state over the
+          profile's CSR positions in stdlib arrays, per-woman suitor
+          buffers reused across rounds, active sets as insertion-ordered
+          dicts.  Observers see ``present`` (a ``bytearray`` over
+          man-side CSR positions: is the edge still on both lists),
+          ``m_remaining`` (``|Q|`` per man), ``active`` (each man's
+          ``A``, a dict of his man-side positions), ``removed``,
+          ``man_partner`` and ``woman_partner`` (``None`` =
+          unmatched).
         * ``"vec"`` — the numpy struct-of-arrays backend
           (:mod:`repro.vec`): the profile is compiled to flat CSR /
           quantile arrays and every ProposalRound step runs as batched
@@ -728,8 +833,8 @@ class ASMEngine:
             )
             # Observer-visible aliases: the very objects the backend
             # mutates.
-            self.men_q = py.men_q
-            self.women_q = py.women_q
+            self.present = py.present
+            self.m_remaining = py.m_remaining
             self.active = py.active
             self.removed = py.removed
         self.man_partner = self._state.man_partner

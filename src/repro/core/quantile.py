@@ -65,8 +65,8 @@ def quantile_boundaries(degree: int, k: int) -> Tuple[int, ...]:
     markets have few distinct degrees (one for complete or
     bounded-degree profiles), so the per-rank ceiling arithmetic is
     computed once per ``(degree, k)`` and shared by every
-    :class:`QuantizedList` — and by the :mod:`repro.vec` compiler —
-    instead of being redone per player per construction.
+    :class:`QuantizedList` and by the pure-Python ASM backend, instead
+    of being redone per player per construction.
     """
     if k < 1:
         raise InvalidParameterError(f"quantile count k must be >= 1, got {k}")
@@ -163,23 +163,6 @@ class QuantizedList:
         """Whether ``u`` is still in ``Q`` (not yet removed)."""
         return u in self._present
 
-    def quantile_if_present(self, u: int) -> Optional[int]:
-        """``quantile_of(u)`` when ``u`` is still in ``Q``, else ``None``.
-
-        One dict probe instead of the two :meth:`contains` +
-        :meth:`quantile_of` would cost — the hot-path query of Step 2.
-        """
-        return self._present.get(u)
-
-    def present_map(self) -> Dict[int, int]:
-        """The live ``u -> quantile`` map of non-removed partners.
-
-        This is the internal dict, exposed so the engine's inner loop
-        can bind one lookup table per woman per round.  Callers must
-        treat it as read-only; it mutates as partners are removed.
-        """
-        return self._present
-
     def members_of(self, q: int) -> FrozenSet[int]:
         """The current (post-removal) members of quantile ``Q_q``."""
         if not 1 <= q <= self._k:
@@ -213,28 +196,6 @@ class QuantizedList:
             if q is not None and (best is None or q < best):
                 best = q
         return best
-
-    def members_of_sorted(self, q: int) -> List[int]:
-        """The current members of ``Q_q`` as an ascending list.
-
-        The canonical (sorted) view the engine activates proposal sets
-        from, without the frozenset detour of :meth:`members_of`.
-        """
-        if not 1 <= q <= self._k:
-            raise InvalidParameterError(f"quantile index {q} not in [1, {self._k}]")
-        return sorted(self._members[q])
-
-    def members_at_least_sorted(self, q: int) -> List[int]:
-        """:meth:`members_at_least` as one ascending list.
-
-        Used by Step 4's rejection sweep: one allocation and one sort
-        instead of a union of frozensets followed by ``sorted()``.
-        """
-        out: List[int] = []
-        for i in range(max(q, 1), self._k + 1):
-            out.extend(self._members[i])
-        out.sort()
-        return out
 
     def members_up_to(self, q: int) -> FrozenSet[int]:
         """All current members in quantiles ``Q_1, …, Q_q`` (inclusive).

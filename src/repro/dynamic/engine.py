@@ -109,8 +109,11 @@ class DynamicMatchingEngine:
     ----------
     prefs:
         The initial market (``None`` starts empty).  A market with
-        edges gets one full ASM solve (the warm start) at
-        construction.
+        edges gets one full ASM solve of ``prefs`` itself (the warm
+        start) at construction, and the blocking-pair index is built
+        once, for that matching.  With ``solver_optimized="vec"`` the
+        compiled arrays stay cached on ``prefs``, as for any
+        ``asm(prefs, optimized="vec")``.
     eps:
         Target instability: the ASM approximation parameter for the
         initial solve and every fallback, and (unless ``slo``
@@ -180,13 +183,19 @@ class DynamicMatchingEngine:
         self.solver_optimized = solver_optimized
         self.telemetry = telemetry or NULL_TELEMETRY
         self.market = DynamicMarket(prefs)
-        self.index = DynamicBlockingIndex(self.market)
+        warm: Optional[Matching] = None
+        if prefs is not None and prefs.num_edges:
+            warm = asm(
+                prefs,
+                eps,
+                telemetry=self.telemetry,
+                optimized=solver_optimized,
+            ).matching
+        self.index = DynamicBlockingIndex(self.market, warm)
         self.deltas_applied = 0
         self.fallbacks = 0
         self.marriages = 0
         self.trajectory: List[Tuple[int, float]] = []
-        if self.market.num_edges:
-            self._full_restabilize()
 
     # -- read access ---------------------------------------------------
 

@@ -120,6 +120,10 @@ class Graph:
         """The degree of ``v``."""
         return len(self._adj[v])
 
+    def max_degree(self) -> int:
+        """The largest degree of any node (0 for an empty graph)."""
+        return max(map(len, self._adj.values()), default=0)
+
     def nodes(self) -> List[NodeId]:
         """All nodes, in deterministic (sorted-by-repr) order."""
         return sorted(self._adj, key=repr)

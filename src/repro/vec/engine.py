@@ -1,8 +1,9 @@
 """Batched ProposalRound / QuantileMatch state over a :class:`VecProfile`.
 
 :class:`VecState` is the mutable struct-of-arrays twin of the pure-Python
-backend of :class:`~repro.core.asm.ASMEngine`, which keeps per-player
-state in ``QuantizedList``/dict form; both expose the same methods.
+backend of :class:`~repro.core.asm.ASMEngine`, which keeps the same
+CSR-position layout in stdlib arrays and steps through it player by
+player; both expose the same methods.
 One bool array ``present`` replaces both sides' removal sets (edge
 removals are always paired: Step 4 removes a man from a woman's list
 exactly when Step 5 removes her from his), and a

@@ -1,29 +1,124 @@
 """The seed ProposalRound, kept as a test-only equivalence oracle.
 
 :class:`ReferenceASMEngine` is an :class:`~repro.core.asm.ASMEngine`
-on the pure-Python backend whose ProposalRound is the seed
-implementation: it rebuilds its dicts every round, finds a woman's best
-proposing quantile with ``best_nonempty_among`` and her rejection set
-with ``members_at_least`` set algebra.  It shares no step code with the
-product backends (it reads and writes the engine's observer-visible
-state directly), so the equivalence suites pin both the pure-Python and
-the vec backend against it: oracle ≡ Python ≡ vec.
+whose state and ProposalRound are the seed implementation: a
+:class:`~repro.core.quantile.QuantizedList` per player, dict active
+sets activated from ``members_of(best_nonempty_quantile())``, dicts
+rebuilt every round, a woman's best proposing quantile found with
+``best_nonempty_among`` and her rejection set with
+``members_at_least`` set algebra.  Only the schedule (Algorithms 2–3,
+round and message accounting) comes from the engine; the state and
+step code share nothing with either product backend, so the
+equivalence suites pin both the pure-Python and the vec backend
+against it: oracle ≡ Python ≡ vec.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.asm import ASMEngine, ASMResult, ProposalRoundStats
+from repro.core.matching import Matching
 from repro.core.preferences import PreferenceProfile
+from repro.core.quantile import QuantizedList
 from repro.errors import SimulationError
 from repro.graphs import Graph, is_man_node, man_node, node_index, woman_node
 from repro.mm.result import MMResult
 from repro.mm.verify import violating_vertices
 
 
+class SeedState:
+    """The seed per-player state: Section 3.1's quantile sets, per player.
+
+    Supplies the queries the engine's schedule asks of a backend
+    (``participating``, ``candidates``, ``activate``, the
+    classification queries); :class:`ReferenceASMEngine` runs the
+    ProposalRound steps over it.
+    """
+
+    def __init__(self, prefs: PreferenceProfile, k: int) -> None:
+        self.n_men = prefs.n_men
+        self.men_q = [
+            QuantizedList(prefs.man_list(m), k) for m in range(prefs.n_men)
+        ]
+        self.women_q = [
+            QuantizedList(prefs.woman_list(w), k)
+            for w in range(prefs.n_women)
+        ]
+        self.man_partner: List[Optional[int]] = [None] * prefs.n_men
+        self.woman_partner: List[Optional[int]] = [None] * prefs.n_women
+        self.active: List[Dict[int, None]] = [{} for _ in range(prefs.n_men)]
+        self.removed: List[bool] = [False] * prefs.n_men
+
+    def participating(self, threshold: int) -> List[int]:
+        return [
+            m
+            for m in range(self.n_men)
+            if not self.removed[m] and self.men_q[m].remaining >= threshold
+        ]
+
+    def count(self, participating: Sequence[int]) -> int:
+        return len(participating)
+
+    def candidates(self, participating: Sequence[int]) -> List[int]:
+        return [
+            m
+            for m in participating
+            if self.man_partner[m] is None and self.men_q[m].remaining > 0
+        ]
+
+    def activate(self, candidates: Sequence[int]) -> None:
+        for m in candidates:
+            if self.removed[m]:
+                continue
+            mq = self.men_q[m]
+            self.active[m] = dict.fromkeys(
+                mq.members_of(mq.best_nonempty_quantile())
+            )
+
+    def lemma2_holds(self) -> bool:
+        return not any(self.active)
+
+    def man_is_good(self, m: int) -> bool:
+        return self.man_partner[m] is not None or self.men_q[m].remaining == 0
+
+    def good_men(self) -> List[int]:
+        return [
+            m
+            for m in range(self.n_men)
+            if not self.removed[m] and self.man_is_good(m)
+        ]
+
+    def bad_men(self) -> List[int]:
+        return [
+            m
+            for m in range(self.n_men)
+            if not self.removed[m] and not self.man_is_good(m)
+        ]
+
+    def removed_men(self) -> List[int]:
+        return [m for m in range(self.n_men) if self.removed[m]]
+
+    def matching(self) -> Matching:
+        return Matching(
+            (m, w) for w, m in enumerate(self.woman_partner) if m is not None
+        )
+
+
 class ReferenceASMEngine(ASMEngine):
     """:class:`ASMEngine` running the seed ProposalRound (see module doc)."""
+
+    def __init__(
+        self, prefs: PreferenceProfile, eps: float, **kwargs: object
+    ) -> None:
+        super().__init__(prefs, eps, **kwargs)
+        self._state = state = SeedState(prefs, self.k)
+        self.men_q = state.men_q
+        self.women_q = state.women_q
+        self.active = state.active
+        self.removed = state.removed
+        self.man_partner = state.man_partner
+        self.woman_partner = state.woman_partner
 
     def proposal_round(self) -> Optional[ProposalRoundStats]:
         """The seed implementation: per-round dict rebuilds throughout.

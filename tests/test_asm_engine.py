@@ -20,6 +20,7 @@ from repro.core.asm import (
     params_for_eps,
 )
 from repro.core.preferences import PreferenceProfile
+from repro.core.quantile import QuantizedList, quantile_boundaries
 from repro.core.rounds import (
     CONSTANT_ROUNDS_PER_PROPOSAL_ROUND,
     ActualCost,
@@ -114,7 +115,7 @@ class TestGoodBadClassification:
         run = engine.run()
         for m in range(16):
             matched = run.matching.partner_of_man(m) is not None
-            exhausted = engine.men_q[m].remaining == 0
+            exhausted = engine.m_remaining[m] == 0
             assert (m in run.good_men) == (matched or exhausted)
 
     def test_lemma3_good_men_not_in_2k_blocking_pairs(self):
@@ -181,24 +182,55 @@ class TestLemma2:
         matched within it or was rejected by all of it."""
         prefs = complete_uniform(12, seed=2)
         engine = ASMEngine(prefs, 0.5)
-        activated = {
-            m: set(
-                engine.men_q[m].members_of(
-                    engine.men_q[m].best_nonempty_quantile()
-                )
-            )
-            for m in range(12)
-        }
+        indptr, women = prefs.men_csr()
+        activated = {}  # man -> man-side positions of his best quantile
+        for m in range(12):
+            lo, hi = indptr[m], indptr[m + 1]
+            live = [p for p in range(lo, hi) if engine.present[p]]
+            quantiles = quantile_boundaries(hi - lo, engine.k)
+            best = quantiles[live[0] - lo]
+            activated[m] = [p for p in live if quantiles[p - lo] == best]
         engine.quantile_match(list(range(12)))
-        for m, quantile in activated.items():
+        for m, positions in activated.items():
             partner = engine.man_partner[m]
             if partner is not None:
-                assert partner in quantile
+                assert partner in {women[p] for p in positions}
             else:
                 # all of his first quantile rejected him (removed from Q)
-                assert all(
-                    not engine.men_q[m].contains(w) for w in quantile
-                )
+                assert all(not engine.present[p] for p in positions)
+
+    def test_last_round_rejections_leave_no_active_positions(self):
+        """A QuantileMatch whose k-th ProposalRound still rejects leaves
+        every ``A`` empty: Step 5 drops rejected positions at once, so
+        no entry goes stale for observers that read ``active``."""
+
+        class Recorder(ASMObserver):
+            def __init__(self):
+                self.rounds = []
+                self.active_before_last = []
+
+            def on_proposal_round_end(self, engine, stats):
+                self.rounds.append(stats)
+                if len(self.rounds) == engine.k - 1:
+                    self.active_before_last = [
+                        m for m, a in enumerate(engine.active) if a
+                    ]
+
+        prefs = complete_uniform(8, seed=4)
+        recorder = Recorder()
+        engine = ASMEngine(prefs, 0.5, k=2, observer=recorder)
+        engine.quantile_match(list(range(8)))
+        # The instance exercises the case: all k rounds ran, the last
+        # one rejected, and some man active going into it ended
+        # unmatched, i.e. was rejected by all of his remaining A.
+        assert len(recorder.rounds) == engine.k
+        assert recorder.rounds[-1].rejects > 0
+        assert any(
+            engine.man_partner[m] is None
+            for m in recorder.active_before_last
+        )
+        assert all(not a for a in engine.active)
+        assert engine._state.lemma2_holds()
 
 
 class TestRoundsAccounting:
@@ -325,7 +357,7 @@ class TestOverridesAndOracles:
         backend mutates, so observers see every update."""
         prefs = gnp_incomplete(12, 0.5, seed=3)
         aliases = (
-            "men_q", "women_q", "active", "removed",
+            "present", "m_remaining", "active", "removed",
             "man_partner", "woman_partner",
         )
         engine = ASMEngine(prefs, 0.5)
@@ -337,6 +369,22 @@ class TestOverridesAndOracles:
         assert sorted(
             (m, w) for m, w in enumerate(engine.man_partner) if w is not None
         ) == sorted(run.matching.pairs())
+
+    def test_python_backend_builds_no_quantized_lists(self, monkeypatch):
+        """The stdlib backend keeps its state flat over the profile's
+        CSR positions: no variant builds a per-player QuantizedList."""
+        from repro.core.almost_regular import almost_regular_asm
+        from repro.core.rand_asm import rand_asm
+        from repro.workloads.generators import almost_regular
+
+        def refuse(self, *args, **kwargs):
+            raise AssertionError("QuantizedList built")
+
+        monkeypatch.setattr(QuantizedList, "__init__", refuse)
+        prefs = almost_regular(16, 3, 5, seed=2)
+        asm(prefs, 0.5)
+        rand_asm(prefs, 0.5, seed=1)
+        almost_regular_asm(prefs, 0.5, seed=1)
 
 
 class TestEdgeCases:

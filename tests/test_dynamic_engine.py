@@ -44,6 +44,7 @@ from repro.workloads.generators import (
     bounded_degree,
     complete_uniform,
     gnp_incomplete,
+    master_list,
 )
 
 ALL_DELTAS = [
@@ -113,6 +114,26 @@ class TestWarmStart:
     def test_warm_start_meets_target(self):
         engine = DynamicMatchingEngine(complete_uniform(8, seed=1), 0.25)
         assert engine.current_eps() <= 0.25
+        engine.index.verify()
+
+    def test_warm_start_solves_the_given_profile(self, monkeypatch):
+        """Construction solves ``prefs`` itself, without a frozen copy,
+        and indexes the blocking pairs of that solve's matching."""
+        from repro.dynamic.market import DynamicMarket
+        from repro.perf.blocking_index import BlockingPairIndex
+
+        def refuse(self):
+            raise AssertionError("freeze() called during construction")
+
+        prefs = master_list(30, 0.1, seed=0)
+        with monkeypatch.context() as patch:
+            patch.setattr(DynamicMarket, "freeze", refuse)
+            engine = DynamicMatchingEngine(prefs, 1.0)
+        solved = asm(prefs, 1.0).matching
+        expected = BlockingPairIndex(prefs, solved).pairs()
+        assert expected  # the warm start leaves blocking pairs to index
+        assert engine.index.pairs() == expected
+        assert engine.current_matching() == solved
         engine.index.verify()
 
 

@@ -159,31 +159,3 @@ class TestPreferenceCaches:
         for w in range(prefs.n_women):
             for m in prefs.woman_list(w):
                 assert women_rank[w][m] == prefs.rank_of_man(w, m)
-
-
-class TestQuantileFastPaths:
-    """The sorted/present-map accessors agree with the frozenset API."""
-
-    def test_members_sorted_variants_agree(self):
-        from repro.core.quantile import QuantizedList
-
-        ql = QuantizedList([9, 4, 7, 1, 3, 8], k=3)
-        ql.remove(7)
-        ql.remove(1)
-        for q in range(1, 4):
-            assert ql.members_of_sorted(q) == sorted(ql.members_of(q))
-            assert ql.members_at_least_sorted(q) == sorted(
-                ql.members_at_least(q)
-            )
-
-    def test_present_map_tracks_removals(self):
-        from repro.core.quantile import QuantizedList
-
-        ql = QuantizedList([5, 2, 8, 6], k=2)
-        assert ql.quantile_if_present(5) == 1
-        ql.remove(5)
-        assert ql.quantile_if_present(5) is None
-        assert ql.contains(2) and not ql.contains(5)
-        assert ql.present_map() == {2: 1, 8: 2, 6: 2}
-        # quantile_of survives removal (construction-time map)
-        assert ql.quantile_of(5) == 1
