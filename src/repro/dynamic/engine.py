@@ -382,12 +382,24 @@ class DynamicMatchingEngine:
         """
         index = self.index
         market = self.market
+        men_rank = market.men_rank
+        blocking_women = index.blocking_women
         passes = 0
         marriages = 0
         for _ in range(self.repair_passes):
+            # Each region man proposes to his favorite in-region
+            # blocking partner, the least-ranked of the women the
+            # index's per-man view holds for him (none: one lookup).
             proposals: Dict[int, List[int]] = {}
             for m in region_men:
-                w = self._best_blocking_partner(m, region_women)
+                women = blocking_women(m)
+                if not women:
+                    continue
+                w = min(
+                    (w for w in women if w in region_women),
+                    key=men_rank[m].__getitem__,
+                    default=None,
+                )
                 if w is not None:
                     proposals.setdefault(w, []).append(m)
             if not proposals:
@@ -415,16 +427,6 @@ class DynamicMatchingEngine:
                 ):
                     region_women[displaced_w] = None
         return passes, marriages
-
-    def _best_blocking_partner(
-        self, m: int, region_women: Dict[int, None]
-    ) -> Optional[int]:
-        """Man ``m``'s most-preferred in-region blocking partner."""
-        index = self.index
-        for w in self.market.men_lists[m]:
-            if w in region_women and index.contains(m, w):
-                return w
-        return None
 
     # -- full re-stabilization fallback --------------------------------
 

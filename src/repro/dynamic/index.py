@@ -208,7 +208,9 @@ class DynamicBlockingIndex(BlockingPairIndex):
     def verify(self) -> None:
         """Assert exact agreement with a fresh index on a frozen snapshot.
 
-        O(|E|) — the equivalence suite runs this after every delta.
+        Also checks that :meth:`blocking_women` is the pool grouped by
+        man (departed men included: theirs must be empty).  O(|E|) —
+        the equivalence suite runs this after every delta.
         """
         frozen = self._market.freeze()
         fresh = BlockingPairIndex(frozen, self.current_matching())
@@ -220,4 +222,5 @@ class DynamicBlockingIndex(BlockingPairIndex):
                 f"DynamicBlockingIndex diverged from fresh index: "
                 f"dynamic={mine[:10]}..., fresh={theirs[:10]}..."
             )
+        self._pool.verify_by_man()
         fresh.verify()

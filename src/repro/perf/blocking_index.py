@@ -22,7 +22,16 @@ trajectories are bit-identical to the pre-index implementation.
 from __future__ import annotations
 
 import random
-from typing import Dict, List, Optional, Sequence, Tuple
+from types import MappingProxyType
+from typing import (
+    Dict,
+    KeysView,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from repro.core.matching import Matching
 from repro.core.preferences import PreferenceProfile
@@ -30,21 +39,40 @@ from repro.errors import InvalidParameterError
 
 __all__ = ["BlockingPairIndex"]
 
+#: What :meth:`BlockingPairIndex.blocking_women` views for a man who
+#: blocks with no one.
+_NO_WOMEN: Mapping[int, None] = MappingProxyType({})
+
 
 class _PairPool:
-    """A set of pairs supporting O(1) add / discard / uniform choice."""
+    """A set of pairs supporting O(1) add / discard / uniform choice.
 
-    __slots__ = ("_items", "_pos")
+    ``by_man`` groups the pool by man: ``m`` → an insertion-ordered
+    dict whose keys are the women ``m`` currently blocks with.  It
+    changes only when the pool does, and a man whose last pair leaves
+    loses his entry, so ``m not in by_man`` iff ``m`` blocks with no
+    one.  The flat ``_items`` order (what :meth:`choose` draws from)
+    is independent of it.
+    """
+
+    __slots__ = ("_items", "_pos", "by_man")
 
     def __init__(self) -> None:
         self._items: List[Tuple[int, int]] = []
         self._pos: Dict[Tuple[int, int], int] = {}
+        self.by_man: Dict[int, Dict[int, None]] = {}
 
     def add(self, pair: Tuple[int, int]) -> None:
         if pair in self._pos:
             return
         self._pos[pair] = len(self._items)
         self._items.append(pair)
+        m, w = pair
+        women = self.by_man.get(m)
+        if women is None:
+            self.by_man[m] = {w: None}
+        else:
+            women[w] = None
 
     def discard(self, pair: Tuple[int, int]) -> None:
         idx = self._pos.pop(pair, None)
@@ -54,6 +82,11 @@ class _PairPool:
         if idx < len(self._items):
             self._items[idx] = last
             self._pos[last] = idx
+        m, w = pair
+        women = self.by_man[m]
+        del women[w]
+        if not women:
+            del self.by_man[m]
 
     def contains(self, pair: Tuple[int, int]) -> bool:
         return pair in self._pos
@@ -63,6 +96,20 @@ class _PairPool:
 
     def items(self) -> List[Tuple[int, int]]:
         return self._items
+
+    def verify_by_man(self) -> None:
+        """Raise ``AssertionError`` unless ``by_man`` groups the pool."""
+        grouped: Dict[int, set] = {}
+        for m, w in self._items:
+            grouped.setdefault(m, set()).add(w)
+        mine = {m: set(women) for m, women in self.by_man.items()}
+        # An explicit raise, not ``assert``: the check must survive -O.
+        if mine != grouped:
+            raise AssertionError(
+                "per-man view disagrees with the pool: "
+                f"view={sorted(mine.items())[:5]}..., "
+                f"pool={sorted(grouped.items())[:5]}..."
+            )
 
     def __len__(self) -> int:
         return len(self._items)
@@ -151,6 +198,16 @@ class BlockingPairIndex:
     def pairs(self) -> List[Tuple[int, int]]:
         """The current blocking pairs, sorted."""
         return sorted(self._pool.items())
+
+    def blocking_women(self, m: int) -> KeysView[int]:
+        """The women ``m`` currently blocks with, as a live view.
+
+        Insertion-ordered (the order the pairs entered the pool), not
+        preference-ordered; empty for a man who blocks with no one.
+        Costs one dict probe, against ``O(deg)`` probes of
+        :meth:`contains` over ``m``'s list.
+        """
+        return self._pool.by_man.get(m, _NO_WOMEN).keys()
 
     def choose(self, rng: random.Random) -> Tuple[int, int]:
         """A uniformly random current blocking pair."""
@@ -277,7 +334,10 @@ class BlockingPairIndex:
         against ``O(|E|)`` for a fresh full scan.
         """
         return self.update_from_partner_lists(
-            [matching.partner_of_man(m) for m in range(self._prefs.n_men)]
+            [
+                matching.partner_of_man(m)
+                for m in range(len(self._man_partner))
+            ]
         )
 
     def update_from_partner_lists(
@@ -339,7 +399,8 @@ class BlockingPairIndex:
     def verify(self) -> None:
         """Assert exact agreement with the full-scan oracle.
 
-        Raises ``AssertionError`` on any discrepancy.  Intended for
+        Also checks that :meth:`blocking_women` is the pool grouped by
+        man.  Raises ``AssertionError`` on any discrepancy.  Intended for
         tests and paranoid callers; costs a full ``O(|E|)`` scan.
         """
         from repro.analysis.stability import find_blocking_pairs
@@ -354,4 +415,5 @@ class BlockingPairIndex:
                 f"BlockingPairIndex disagrees with full-scan oracle: "
                 f"index={mine[:10]}..., oracle={oracle[:10]}..."
             )
+        self._pool.verify_by_man()
 

@@ -201,6 +201,86 @@ class TestEquivalenceUnderChurn:
         assert all(o.eps_after <= 0.01 + 1e-12 for o in outcomes)
 
 
+class _ScanRepairEngine(DynamicMatchingEngine):
+    """Reference engine: the repair that scans each region man's list.
+
+    Every region man walks his whole preference list and probes the
+    index once per entry; the engine under test reads the index's
+    per-man view instead.  Both must take the same marriages.
+    """
+
+    def _repair(self, region_men, region_women):
+        index = self.index
+        passes = marriages = 0
+        for _ in range(self.repair_passes):
+            proposals = {}
+            for m in region_men:
+                for w in self.market.men_lists[m]:
+                    if w in region_women and index.contains(m, w):
+                        proposals.setdefault(w, []).append(m)
+                        break
+            if not proposals:
+                break
+            passes += 1
+            for w in sorted(proposals):
+                suitors = [m for m in proposals[w] if index.contains(m, w)]
+                if not suitors:
+                    continue
+                best = min(suitors, key=self.market.women_rank[w].__getitem__)
+                displaced_w = index.man_partner(best)
+                displaced_m = index.woman_partner(w)
+                index.satisfy(best, w)
+                marriages += 1
+                if displaced_m is not None:
+                    region_men.setdefault(displaced_m, None)
+                if displaced_w is not None:
+                    region_women.setdefault(displaced_w, None)
+        return passes, marriages
+
+
+def _assert_view_is_pool(index):
+    """``blocking_women(m)`` is ``{w : (m, w) blocks}`` for every man."""
+    by_man = {}
+    for m, w in index.pairs():
+        by_man.setdefault(m, set()).add(w)
+    for m in range(index.market.n_men):
+        assert set(index.blocking_women(m)) == by_man.get(m, set())
+        if not index.market.men_lists[m]:  # tombstoned or edgeless
+            assert not index.blocking_women(m)
+
+
+class TestRepairOracle:
+    """The view-driven repair takes exactly the scan's marriages."""
+
+    MARKETS = {
+        "gnp": lambda seed: gnp_incomplete(12, 0.5, seed=seed),
+        "bounded": lambda seed: bounded_degree(14, 4, seed=seed),
+        "complete": lambda seed: complete_uniform(9, seed=seed),
+    }
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("eps", [0.25, 0.5])
+    @pytest.mark.parametrize("radius", [0, 1, 2])
+    @pytest.mark.parametrize("market", sorted(MARKETS))
+    def test_matches_scan_reference(self, market, radius, eps, seed):
+        prefs = self.MARKETS[market](seed)
+        deltas = churn_stream(prefs, ChurnConfig(steps=60), seed)
+        engine = DynamicMatchingEngine(prefs, eps, repair_radius=radius)
+        reference = _ScanRepairEngine(prefs, eps, repair_radius=radius)
+        departures = 0
+        for delta in deltas:
+            assert engine.apply(delta) == reference.apply(delta)
+            _assert_view_is_pool(engine.index)
+            if isinstance(delta, DepartMan):
+                departures += 1
+                assert not engine.index.blocking_women(delta.man)
+        assert engine.trajectory == reference.trajectory
+        assert engine.current_matching() == reference.current_matching()
+        assert departures  # the stream tombstoned at least one man
+        if radius:
+            assert engine.marriages > 0  # the repair did run
+
+
 class TestDeterminism:
     def test_outcome_stream_is_replayable(self):
         prefs = gnp_incomplete(9, 0.6, seed=11)

@@ -57,6 +57,26 @@ class TestConstruction:
         index.verify()
 
 
+class TestUpdateTo:
+    def test_update_to_matches_partner_list_update(self):
+        # The dynamic index has no frozen profile to size the diff
+        # from; it must use its own (growing) partner table.
+        prefs = complete_uniform(5, seed=1)
+        from repro.core.asm import asm
+
+        matching = asm(prefs, 0.5).matching
+        _, via_matching = _make(prefs)
+        _, via_lists = _make(prefs)
+        for index in (via_matching, via_lists):
+            index.add_man([0, 2], [0, 0])  # the arrival stays single
+        partners = [matching.partner_of_man(m) for m in range(6)]
+        changed = via_lists.update_from_partner_lists(partners)
+        assert via_matching.update_to(matching) == changed > 0
+        assert via_matching.current_matching() == matching
+        assert via_matching.pairs() == via_lists.pairs()
+        via_matching.verify()
+
+
 class TestStructuralDeltas:
     def test_add_edge_reports_blocking(self):
         # both singles: a fresh mutual edge always blocks

@@ -155,19 +155,26 @@ class TestErrorCases:
     )
     def test_verify_catches_corruption_under_python_O(self, build):
         # ``python -O`` strips ``assert`` statements; verify() must
-        # still raise on an index that lost one blocking pair.
+        # still raise on an index that lost one blocking pair, and on
+        # one whose per-man view alone lost it (the pool intact).
         script = (
             "from repro.dynamic.index import DynamicBlockingIndex\n"
             "from repro.dynamic.market import DynamicMarket\n"
             "from repro.perf.blocking_index import BlockingPairIndex\n"
             "from repro.workloads.generators import complete_uniform\n"
-            f"index = {build}\n"
-            "index._pool.discard(index.pairs()[0])\n"
-            "try:\n"
-            "    index.verify()\n"
-            "except AssertionError:\n"
-            "    raise SystemExit(0)\n"
-            "raise SystemExit(1)\n"
+            "def corrupt_pool(index):\n"
+            "    index._pool.discard(index.pairs()[0])\n"
+            "def corrupt_view(index):\n"
+            "    m, w = index.pairs()[0]\n"
+            "    del index._pool.by_man[m][w]\n"
+            "for corrupt in (corrupt_pool, corrupt_view):\n"
+            f"    index = {build}\n"
+            "    corrupt(index)\n"
+            "    try:\n"
+            "        index.verify()\n"
+            "    except AssertionError:\n"
+            "        continue\n"
+            "    raise SystemExit(corrupt.__name__ + ' went unnoticed')\n"
         )
         src = Path(__file__).resolve().parent.parent / "src"
         env = dict(os.environ)
