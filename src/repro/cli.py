@@ -111,23 +111,21 @@ def _rate_arg(text: str) -> float:
     return value
 
 
-def _workers_arg(text: str) -> int:
-    """argparse type for ``--workers``: a positive worker count."""
+def _positive_int_arg(text: str) -> int:
+    """argparse type for ``--workers`` and ``--max-delay``: an int >= 1."""
     try:
         value = int(text)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from exc
     if value < 1:
-        raise argparse.ArgumentTypeError(
-            f"workers must be >= 1, got {value}"
-        )
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
     return value
 
 
 def _add_workers_flag(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--workers",
-        type=_workers_arg,
+        type=_positive_int_arg,
         default=1,
         metavar="N",
         help="worker processes for the trial sweep (default 1 = serial; "
@@ -191,7 +189,8 @@ def _add_fault_flags(
                          help="per-message duplication probability")
     fault_g.add_argument("--delay-rate", type=_rate_arg, default=0.0,
                          metavar="P", help="per-message delay probability")
-    fault_g.add_argument("--max-delay", type=int, default=2, metavar="R",
+    fault_g.add_argument("--max-delay", type=_positive_int_arg, default=2,
+                         metavar="R",
                          help="maximum delay in rounds (default 2)")
     fault_g.add_argument("--crash", type=int, default=0, metavar="COUNT",
                          help="crash COUNT deterministically sampled nodes")
@@ -209,6 +208,21 @@ def _add_fault_flags(
                              help="write the deterministic fault trace as "
                              "JSON (activates the injector even with all "
                              "rates 0)")
+
+
+def _fault_knobs(args: argparse.Namespace) -> Dict[str, Any]:
+    """The fault flags as :data:`repro.faults.harness.FAULT_KNOBS`:
+    keywords of ``fault_plan_for_profile`` and trace-spec params."""
+    return {
+        "drop_rate": args.drop_rate,
+        "duplicate_rate": args.duplicate_rate,
+        "delay_rate": args.delay_rate,
+        "max_delay": args.max_delay,
+        "crash_nodes": args.crash,
+        "crash_round": args.crash_round,
+        "restart_after": args.crash_restart,
+        "fault_seed": args.fault_seed,
+    }
 
 
 def _add_transport_flags(parser: argparse.ArgumentParser) -> None:
@@ -318,7 +332,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
     telemetry = _telemetry_for(args, args.algorithm, params)
 
     t0 = time.perf_counter()
-    rows: List[Dict[str, Any]] = []
     if args.algorithm == "asm":
         result = asm(prefs, args.eps, telemetry=telemetry)
     elif args.algorithm == "rand-asm":
@@ -327,8 +340,13 @@ def _cmd_run(args: argparse.Namespace) -> int:
         result = almost_regular_asm(
             prefs, args.eps, seed=args.seed, telemetry=telemetry
         )
-    elif args.algorithm == "gale-shapley":
-        gs = gale_shapley(prefs)
+    elif args.algorithm in ("gale-shapley", "truncated-gs"):
+        truncated = args.algorithm == "truncated-gs"
+        gs = (
+            truncated_gale_shapley(prefs, args.gs_iterations)
+            if truncated
+            else gale_shapley(prefs)
+        )
         rep = stability_report(prefs, gs.matching)
         if telemetry is not None:
             telemetry.metrics.inc("gs.proposals", gs.proposals)
@@ -336,38 +354,22 @@ def _cmd_run(args: argparse.Namespace) -> int:
             telemetry.metrics.set_gauge("gs.matching_size", rep.matching_size)
             telemetry.metrics.set_gauge("run.wall_seconds", time.perf_counter() - t0)
         _export_telemetry(args, telemetry)
-        rows.append(
-            {
-                "algorithm": "gale-shapley",
-                "matching_size": rep.matching_size,
-                "blocking_pairs": rep.blocking_pairs,
-                "instability": rep.instability,
-                "proposals": gs.proposals,
-                "seconds": time.perf_counter() - t0,
-            }
-        )
-        print(format_table(rows, title=f"{args.workload} n={args.n}"))
-        return 0
-    elif args.algorithm == "truncated-gs":
-        gs = truncated_gale_shapley(prefs, args.gs_iterations)
-        rep = stability_report(prefs, gs.matching)
-        if telemetry is not None:
-            telemetry.metrics.inc("gs.proposals", gs.proposals)
-            telemetry.metrics.inc("gs.rounds", gs.rounds)
-            telemetry.metrics.set_gauge("gs.matching_size", rep.matching_size)
-            telemetry.metrics.set_gauge("run.wall_seconds", time.perf_counter() - t0)
-        _export_telemetry(args, telemetry)
-        rows.append(
-            {
-                "algorithm": f"truncated-gs@{args.gs_iterations}",
-                "matching_size": rep.matching_size,
-                "blocking_pairs": rep.blocking_pairs,
-                "instability": rep.instability,
-                "rounds": gs.rounds,
-                "seconds": time.perf_counter() - t0,
-            }
-        )
-        print(format_table(rows, title=f"{args.workload} n={args.n}"))
+        row: Dict[str, Any] = {
+            "algorithm": (
+                f"truncated-gs@{args.gs_iterations}"
+                if truncated
+                else "gale-shapley"
+            ),
+            "matching_size": rep.matching_size,
+            "blocking_pairs": rep.blocking_pairs,
+            "instability": rep.instability,
+        }
+        if truncated:
+            row["rounds"] = gs.rounds
+        else:
+            row["proposals"] = gs.proposals
+        row["seconds"] = time.perf_counter() - t0
+        print(format_table([row], title=f"{args.workload} n={args.n}"))
         return 0
     else:  # pragma: no cover - argparse restricts choices
         raise AssertionError(args.algorithm)
@@ -384,24 +386,22 @@ def _cmd_run(args: argparse.Namespace) -> int:
         print(json.dumps(payload, indent=2))
         return 0
     rep = stability_report(prefs, result.matching, eps=2.0 / result.k)
-    rows.append(
-        {
-            "algorithm": args.algorithm,
-            "eps": args.eps,
-            "matching_size": rep.matching_size,
-            "blocking_pairs": rep.blocking_pairs,
-            "instability": rep.instability,
-            "eps_bound_ok": rep.instability <= args.eps,
-            "good_men": len(result.good_men),
-            "bad_men": len(result.bad_men),
-            "rounds_active": result.rounds_active,
-            "rounds_scheduled": result.rounds_scheduled,
-            "seconds": time.perf_counter() - t0,
-        }
-    )
+    row = {
+        "algorithm": args.algorithm,
+        "eps": args.eps,
+        "matching_size": rep.matching_size,
+        "blocking_pairs": rep.blocking_pairs,
+        "instability": rep.instability,
+        "eps_bound_ok": rep.instability <= args.eps,
+        "good_men": len(result.good_men),
+        "bad_men": len(result.bad_men),
+        "rounds_active": result.rounds_active,
+        "rounds_scheduled": result.rounds_scheduled,
+        "seconds": time.perf_counter() - t0,
+    }
     print(
         format_table(
-            rows, title=f"{args.workload} n={args.n} |E|={prefs.num_edges}"
+            [row], title=f"{args.workload} n={args.n} |E|={prefs.num_edges}"
         )
     )
     return 0
@@ -493,6 +493,7 @@ def _cmd_congest(args: argparse.Namespace) -> int:
         run_congest_gale_shapley,
         run_congest_rand_asm,
     )
+    from repro.faults.harness import fault_plan_for_profile
 
     prefs = _make_workload(args.workload, args.n, args.seed)
     try:
@@ -500,28 +501,9 @@ def _cmd_congest(args: argparse.Namespace) -> int:
     except InvalidParameterError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    fault_active = (
-        args.drop_rate > 0
-        or args.duplicate_rate > 0
-        or args.delay_rate > 0
-        or args.crash > 0
-        or args.fault_trace_out is not None
-    )
-    plan = None
-    if fault_active:
-        from repro.faults.harness import fault_plan_for_profile
-
-        plan = fault_plan_for_profile(
-            prefs,
-            fault_seed=args.fault_seed,
-            drop_rate=args.drop_rate,
-            duplicate_rate=args.duplicate_rate,
-            delay_rate=args.delay_rate,
-            max_delay=args.max_delay,
-            crash_nodes=args.crash,
-            crash_round=args.crash_round,
-            restart_after=args.crash_restart,
-        )
+    plan = fault_plan_for_profile(prefs, **_fault_knobs(args))
+    if plan.is_null and args.fault_trace_out is None:
+        plan = None  # no fault flag set: run fault-free
     telemetry = _telemetry_for(
         args,
         f"congest-{args.protocol}",
@@ -540,25 +522,15 @@ def _cmd_congest(args: argparse.Namespace) -> int:
             and transport is not None:
         telemetry.manifest.record_transport(transport)
     t0 = time.perf_counter()
-    fault_trace: List[Dict[str, Any]] = []
-    fault_row: Dict[str, Any] = {}
+    unresolved: Any = "-"
+    retries: Any = "-"
     if args.protocol == "gale-shapley":
         matching, sim = run_congest_gale_shapley(
             prefs, telemetry=telemetry, faults=plan, transport=transport
         )
-        stats = sim.stats
-        if plan is not None and sim.faults is not None:
-            fault_trace = list(sim.faults.records)
-            fstats = sim.faults.stats
-            fault_row = {
-                "outcome": stats.outcome,
-                "dropped": fstats.messages_dropped,
-                "delayed": fstats.messages_delayed,
-                "duplicated": fstats.messages_duplicated,
-                "crashed": fstats.nodes_crashed,
-                "unresolved": "-",
-                "retries": "-",
-            }
+        stats, injector = sim.stats, sim.faults
+        fault_records = injector.records if injector is not None else []
+        fstats = injector.stats if injector is not None else None
     else:
         overrides = dict(
             inner_iterations=args.inner,
@@ -585,19 +557,21 @@ def _cmd_congest(args: argparse.Namespace) -> int:
                 transport=transport,
             )
         matching, stats = result.matching, result.stats
-        if plan is not None:
-            fault_trace = [dict(r) for r in result.fault_trace]
-            fstats = result.fault_stats
-            fault_row = {
-                "outcome": stats.outcome,
-                "dropped": fstats.messages_dropped,
-                "delayed": fstats.messages_delayed,
-                "duplicated": fstats.messages_duplicated,
-                "crashed": fstats.nodes_crashed,
-                "unresolved": len(result.unresolved_men)
-                + len(result.unresolved_women),
-                "retries": result.retries,
-            }
+        fault_records, fstats = result.fault_trace, result.fault_stats
+        unresolved = len(result.unresolved_men) + len(result.unresolved_women)
+        retries = result.retries
+    fault_trace = [dict(r) for r in fault_records]
+    fault_row: Dict[str, Any] = {}
+    if fstats is not None:
+        fault_row = {
+            "outcome": stats.outcome,
+            "dropped": fstats.messages_dropped,
+            "delayed": fstats.messages_delayed,
+            "duplicated": fstats.messages_duplicated,
+            "crashed": fstats.nodes_crashed,
+            "unresolved": unresolved,
+            "retries": retries,
+        }
     rep = stability_report(prefs, matching)
     if telemetry is not None:
         telemetry.metrics.set_gauge("run.wall_seconds", time.perf_counter() - t0)
@@ -663,17 +637,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         )
         return 2
     protocol = "gs" if args.protocol == "gale-shapley" else "asm"
-    extra: Dict[str, Any] = {
-        "protocol": protocol,
-        "drop_rate": args.drop_rate,
-        "duplicate_rate": args.duplicate_rate,
-        "delay_rate": args.delay_rate,
-        "max_delay": args.max_delay,
-        "crash_nodes": args.crash,
-        "crash_round": args.crash_round,
-        "restart_after": args.crash_restart,
-        "fault_seed": args.fault_seed,
-    }
+    extra: Dict[str, Any] = {"protocol": protocol, **_fault_knobs(args)}
     for name in ("k", "inner", "outer", "mm_iterations"):
         value = getattr(args, name)
         if value is not None:

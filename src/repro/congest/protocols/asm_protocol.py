@@ -31,6 +31,7 @@ import random
 from dataclasses import dataclass
 from typing import Dict, Generator, Optional, Tuple
 
+from repro.congest.driver import player_partner, run_protocol
 from repro.congest.message import Await, Message
 from repro.congest.protocols.fragments import (
     Woke,
@@ -38,17 +39,22 @@ from repro.congest.protocols.fragments import (
     pointer_matching_fragment,
     port_order_fragment,
 )
-from repro.congest.simulator import SimulationStats, Simulator
+from repro.congest.simulator import SimulationStats
 from repro.core.matching import Matching
 from repro.core.preferences import PreferenceProfile
 from repro.core.quantile import QuantizedList
-from repro.core.asm import params_for_eps
-from repro.errors import InvalidParameterError, SimulationError
+from repro.core.asm import (
+    default_inner_iterations,
+    default_outer_iterations,
+    params_for_eps,
+)
+from repro.errors import InvalidParameterError
 from repro.faults.injector import FaultStats
 from repro.faults.plan import FaultPlan, RetryTally
 from repro.graphs import (
     NodeId,
     bipartite_graph_from_edges,
+    is_man_node,
     man_node,
     node_index,
     woman_node,
@@ -328,14 +334,14 @@ def _woman_program(
 class CongestASMResult:
     """Output of a message-level ASM run.
 
-    The fault-related fields are populated only when the run carried a
-    :class:`~repro.faults.plan.FaultPlan`; a fault-free run leaves them
-    at their defaults.  ``matching`` then holds only *mutually
-    confirmed* pairs, with every node whose final view is missing
-    (crashed / timed out) or inconsistent reported in
-    ``unresolved_men`` / ``unresolved_women``; the achieved
-    blocking-pair fraction of the degraded matching is what
-    ``repro.analysis.stability`` computes over it.
+    ``matching`` holds the *mutually confirmed* pairs
+    (:mod:`repro.congest.driver`).  A run with a
+    :class:`~repro.faults.plan.FaultPlan` or a reordering transport
+    reports every node whose final view is missing (crashed / timed
+    out) or unconfirmed in ``unresolved_men`` / ``unresolved_women``;
+    the achieved blocking-pair fraction of the degraded matching is
+    what ``repro.analysis.stability`` computes over it.  The fault
+    fields are populated only when the run carried a plan.
     """
 
     matching: Matching
@@ -408,16 +414,15 @@ def run_congest_asm(
     precisely to run the big cases; this protocol exists to prove the
     algorithm really is a CONGEST protocol and to cross-validate).
     """
-    import math
-
     default_k, default_delta = params_for_eps(eps)
     k = default_k if k is None else k
     delta = default_delta if delta is None else delta
     if inner_iterations is None:
-        inner_iterations = math.ceil(2.0 * k / delta)
+        inner_iterations = default_inner_iterations(k, delta)
     if outer_iterations is None:
-        n = max(2, prefs.n_men, prefs.n_women)
-        outer_iterations = math.ceil(math.log2(n)) + 1
+        outer_iterations = default_outer_iterations(
+            prefs.n_men, prefs.n_women
+        )
     if mm_iterations is None:
         mm_iterations = prefs.n_men + prefs.n_women
     sched = ASMSchedule(
@@ -536,9 +541,6 @@ def _run_with_schedule(
     transport=None,
 ) -> CongestASMResult:
     """Build the node programs for ``sched`` and run the simulation."""
-    graph = bipartite_graph_from_edges(
-        prefs.iter_edges(), prefs.n_men, prefs.n_women
-    )
     programs: Dict[NodeId, Generator] = {}
     randomized = sched.mm_kind == "israeli_itai"
     seed = sched.seed
@@ -553,115 +555,39 @@ def _run_with_schedule(
         programs[woman_node(w)] = _woman_program(
             w, prefs.woman_list(w), sched, rng, tally
         )
-    sim = Simulator(
-        graph, programs, telemetry=telemetry,
-        faults=faults, transport=transport,
-    )
-    # A reordering transport (nonzero latency) degrades runs the same
-    # way fault injection does: late messages can leave one-sided
-    # views, so assembly must be tolerant.  Zero-latency transports
-    # keep the strict path — and its bit-identity to the sync default.
-    reordering = transport is not None and transport.reorders
-    tracer = telemetry.tracer if telemetry is not None else None
-    span_id = (
-        tracer.open_span(
-            "protocol.asm",
+    run = run_protocol(
+        bipartite_graph_from_edges(
+            prefs.iter_edges(), prefs.n_men, prefs.n_women
+        ),
+        programs,
+        "protocol.asm",
+        dict(
             k=sched.k,
             outer=sched.outer_iterations,
             inner=sched.inner_iterations,
             mm_kind=sched.mm_kind,
-            faulty=faults is not None,
-        )
-        if tracer is not None
-        else None
+        ),
+        round_bound=schedule_round_bound(sched),
+        telemetry=telemetry,
+        faults=faults,
+        transport=transport,
+        tally=tally,
+        partner_node=player_partner,
     )
-    try:
-        if faults is not None or reordering:
-            # The schedule is finite, so the run always terminates; the
-            # bound is a backstop, and "stop" keeps degraded runs
-            # reporting instead of raising.
-            stats = sim.run(schedule_round_bound(sched), on_timeout="stop")
-        else:
-            stats = sim.run()
-    finally:
-        if span_id is not None:
-            tracer.close_span(
-                span_id,
-                outcome=sim.stats.outcome,
-                rounds=sim.stats.rounds,
-                retries=tally.count,
-            )
-    if telemetry is not None and telemetry.enabled and tally.count > 0:
-        telemetry.metrics.inc("congest.retries", tally.count)
-    if faults is None and not reordering:
-        # Assemble the matching from the women's outputs and
-        # cross-check against the men's view.
-        pairs = []
-        for w in range(prefs.n_women):
-            m = sim.results[woman_node(w)]
-            if m is not None:
-                pairs.append((m, w))
-        matching = Matching(pairs)
-        for m in range(prefs.n_men):
-            his = sim.results[man_node(m)]
-            if matching.partner_of_man(m) != his:
-                raise SimulationError(
-                    f"inconsistent final state: man {m} believes his "
-                    f"partner is {his}, women's side says "
-                    f"{matching.partner_of_man(m)}"
-                )
-        return CongestASMResult(
-            matching=matching,
-            stats=stats,
-            schedule=sched,
-            retries=tally.count,
-        )
-    # Tolerant assembly under fault injection or reordered delivery:
-    # keep only mutually confirmed pairs; report everyone else
-    # (crashed, timed out, or with a one-sided view) as unresolved.
-    crashed = sim.crashed
-    pairs = []
-    confirmed: Dict[int, int] = {}
-    unresolved_men = []
-    unresolved_women = []
-    for w in range(prefs.n_women):
-        node = woman_node(w)
-        if node in crashed or node not in sim.results:
-            unresolved_women.append(w)
-            continue
-        m = sim.results[node]
-        if m is None:
-            continue
-        mnode = man_node(m)
-        if (
-            mnode not in crashed
-            and sim.results.get(mnode, _NO_RESULT) == w
-        ):
-            pairs.append((m, w))
-            confirmed[m] = w
-        else:
-            unresolved_women.append(w)
-    for m in range(prefs.n_men):
-        node = man_node(m)
-        if node in crashed or node not in sim.results:
-            unresolved_men.append(m)
-            continue
-        his = sim.results[node]
-        if his is not None and m not in confirmed:
-            unresolved_men.append(m)
+    sim = run.sim
     injector = sim.faults
     return CongestASMResult(
-        matching=Matching(pairs),
-        stats=stats,
+        matching=run.matching(),
+        stats=sim.stats,
         schedule=sched,
-        unresolved_men=tuple(sorted(unresolved_men)),
-        unresolved_women=tuple(sorted(unresolved_women)),
-        crashed_nodes=tuple(sorted(repr(v) for v in crashed)),
+        unresolved_men=tuple(sorted(
+            node_index(v) for v in run.unresolved if is_man_node(v)
+        )),
+        unresolved_women=tuple(sorted(
+            node_index(v) for v in run.unresolved if not is_man_node(v)
+        )),
+        crashed_nodes=tuple(sorted(repr(v) for v in sim.crashed)),
         retries=tally.count,
         fault_stats=injector.stats if injector is not None else None,
         fault_trace=tuple(injector.records) if injector is not None else (),
     )
-
-
-#: Sentinel distinguishing "no result" from a result of ``None``.
-_NO_RESULT = object()

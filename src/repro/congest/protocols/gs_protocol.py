@@ -19,6 +19,7 @@ from __future__ import annotations
 from typing import Dict, Generator, Optional, Tuple
 
 from repro.baselines.gale_shapley import parallel_gale_shapley
+from repro.congest.driver import player_partner, run_protocol
 from repro.congest.message import Await, Message
 from repro.congest.simulator import Simulator
 from repro.core.matching import Matching
@@ -140,17 +141,16 @@ def run_congest_gale_shapley(
     rounds/messages/bits).  ``iterations`` defaults to one past the
     logical engine's quiescence point.
 
-    With ``faults``, delivery runs through the injector and the final
-    matching keeps only mutually confirmed engagements (a one-sided
-    view — e.g. a man whose fiancée moved on while his REJECT was in
-    flight — contributes no pair); the simulator's ``faults`` injector
-    and ``stats.outcome`` carry the degradation details.
+    The matching keeps only mutually confirmed engagements.  Fault-free
+    and in lockstep, a one-sided view raises
+    :class:`~repro.errors.SimulationError`; with ``faults`` or a
+    reordering ``transport`` it contributes no pair (e.g. a man whose
+    fiancée moved on while his REJECT was in flight), and the
+    simulator's ``faults`` injector and ``stats.outcome`` carry the
+    degradation details.
     """
     if iterations is None:
         iterations = parallel_gale_shapley(prefs).iterations + 1
-    graph = bipartite_graph_from_edges(
-        prefs.iter_edges(), prefs.n_men, prefs.n_women
-    )
     programs: Dict[NodeId, Generator] = {}
     tally = RetryTally()
     for m in range(prefs.n_men):
@@ -160,47 +160,17 @@ def run_congest_gale_shapley(
     for w in range(prefs.n_women):
         rank = {m: r for r, m in enumerate(prefs.woman_list(w), 1)}
         programs[woman_node(w)] = _woman_program(w, rank, iterations, tally)
-    sim = Simulator(
-        graph, programs, telemetry=telemetry,
-        faults=faults, transport=transport,
+    run = run_protocol(
+        bipartite_graph_from_edges(
+            prefs.iter_edges(), prefs.n_men, prefs.n_women
+        ),
+        programs,
+        "protocol.gale_shapley",
+        dict(iterations=iterations),
+        telemetry=telemetry,
+        faults=faults,
+        transport=transport,
+        tally=tally,
+        partner_node=player_partner,
     )
-    # Reordered delivery (nonzero transport latency) degrades runs the
-    # same way fault injection does — keep only mutually confirmed
-    # engagements (docs/transport.md).
-    reordering = transport is not None and transport.reorders
-    tracer = telemetry.tracer if telemetry is not None else None
-    span_id = (
-        tracer.open_span(
-            "protocol.gale_shapley",
-            iterations=iterations,
-            faulty=faults is not None,
-        )
-        if tracer is not None
-        else None
-    )
-    try:
-        sim.run()
-    finally:
-        if span_id is not None:
-            tracer.close_span(
-                span_id,
-                outcome=sim.stats.outcome,
-                rounds=sim.stats.rounds,
-                retries=tally.count,
-            )
-    if telemetry is not None and telemetry.enabled and tally.count > 0:
-        telemetry.metrics.inc("congest.retries", tally.count)
-    pairs = []
-    for w in range(prefs.n_women):
-        node = woman_node(w)
-        if node not in sim.results:
-            continue
-        m = sim.results[node]
-        if m is None:
-            continue
-        if faults is not None or reordering:
-            mnode = man_node(m)
-            if mnode in sim.crashed or sim.results.get(mnode) != w:
-                continue
-        pairs.append((m, w))
-    return Matching(pairs), sim
+    return run.matching(), run.sim

@@ -1,24 +1,27 @@
 """Standalone CONGEST drivers for the maximal-matching protocols.
 
-These wrap the fragments of
-:mod:`repro.congest.protocols.fragments` into complete node programs on
-an arbitrary graph, so the matching subroutines can be exercised (and
-measured) outside of ASM.
+These run the fragments of :mod:`repro.congest.protocols.fragments`
+as complete node programs on an arbitrary graph (a fragment returns
+its node's partner, all a node program need return), so the matching
+subroutines can be exercised (and measured) outside of ASM.  Results
+are assembled by :func:`repro.congest.driver.run_protocol`: only
+mutual partnerships count, and a fault-free run with a one-sided
+claim raises.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Dict, Optional
+from typing import Optional
 
+from repro.congest.driver import run_protocol
 from repro.congest.protocols.fragments import (
     israeli_itai_fragment,
     pointer_matching_fragment,
     port_order_fragment,
 )
-from repro.congest.simulator import SimulationStats, Simulator
 from repro.faults.plan import FaultPlan
-from repro.graphs import Graph, NodeId
+from repro.graphs import Graph
 from repro.mm.result import MMResult
 
 __all__ = [
@@ -26,61 +29,6 @@ __all__ = [
     "run_congest_israeli_itai_mm",
     "run_congest_port_order_mm",
 ]
-
-
-def _node_program(fragment):
-    """Lift a matching fragment into a full node program."""
-
-    def program():
-        partner = yield from fragment
-        return partner
-
-    return program()
-
-
-def _run_traced(sim: Simulator, name: str, **attrs) -> SimulationStats:
-    """Run ``sim`` inside a protocol span when a tracer is attached."""
-    tracer = sim.telemetry.tracer
-    span_id = (
-        tracer.open_span(name, **attrs) if tracer is not None else None
-    )
-    try:
-        return sim.run()
-    finally:
-        if span_id is not None:
-            tracer.close_span(
-                span_id,
-                outcome=sim.stats.outcome,
-                rounds=sim.stats.rounds,
-            )
-
-
-def _collect(
-    graph: Graph,
-    sim: Simulator,
-    stats: SimulationStats,
-    tolerant: bool = False,
-) -> MMResult:
-    """Assemble an MMResult from per-node partner outputs.
-
-    ``tolerant`` (set by fault-injected runs, where one-directional
-    message loss can leave a claim unreciprocated) keeps only mutual
-    partnerships instead of raising.
-    """
-    partner: Dict[NodeId, NodeId] = {}
-    for v, p in sim.results.items():
-        if p is not None:
-            partner[v] = p
-    if tolerant:
-        mutual = {v: p for v, p in partner.items() if partner.get(p) == v}
-        return MMResult(partner=mutual, rounds=stats.rounds)
-    # Consistency: every claimed partnership must be mutual.
-    for v, p in partner.items():
-        if partner.get(p) != v:
-            raise AssertionError(
-                f"inconsistent partnership: {v!r} -> {p!r} not mutual"
-            )
-    return MMResult(partner=partner, rounds=stats.rounds)
 
 
 def run_congest_deterministic_mm(
@@ -99,17 +47,14 @@ def run_congest_deterministic_mm(
     if iterations is None:
         iterations = graph.num_nodes // 2 + 1
     programs = {
-        v: _node_program(
-            pointer_matching_fragment(graph.neighbors(v), iterations)
-        )
+        v: pointer_matching_fragment(graph.neighbors(v), iterations)
         for v in graph.nodes()
     }
-    sim = Simulator(graph, programs, telemetry=telemetry, faults=faults)
-    stats = _run_traced(
-        sim, "protocol.pointer_mm", iterations=iterations,
-        faulty=faults is not None,
+    run = run_protocol(
+        graph, programs, "protocol.pointer_mm", dict(iterations=iterations),
+        telemetry=telemetry, faults=faults,
     )
-    return _collect(graph, sim, stats, tolerant=faults is not None)
+    return MMResult(partner=run.partner, rounds=run.sim.stats.rounds)
 
 
 def run_congest_port_order_mm(
@@ -133,19 +78,16 @@ def run_congest_port_order_mm(
             (graph.degree(v) for v in left), default=0
         ) or 1
     programs = {
-        v: _node_program(
-            port_order_fragment(
-                graph.neighbors(v), iterations, is_left=v in left
-            )
+        v: port_order_fragment(
+            graph.neighbors(v), iterations, is_left=v in left
         )
         for v in graph.nodes()
     }
-    sim = Simulator(graph, programs, telemetry=telemetry, faults=faults)
-    stats = _run_traced(
-        sim, "protocol.port_order_mm", iterations=iterations,
-        faulty=faults is not None,
+    run = run_protocol(
+        graph, programs, "protocol.port_order_mm", dict(iterations=iterations),
+        telemetry=telemetry, faults=faults,
     )
-    return _collect(graph, sim, stats, tolerant=faults is not None)
+    return MMResult(partner=run.partner, rounds=run.sim.stats.rounds)
 
 
 def run_congest_israeli_itai_mm(
@@ -162,18 +104,13 @@ def run_congest_israeli_itai_mm(
     own id, matching the CONGEST assumption of independent local coins.
     """
     programs = {
-        v: _node_program(
-            israeli_itai_fragment(
-                graph.neighbors(v),
-                iterations,
-                random.Random(f"{seed}-{v!r}"),
-            )
+        v: israeli_itai_fragment(
+            graph.neighbors(v), iterations, random.Random(f"{seed}-{v!r}")
         )
         for v in graph.nodes()
     }
-    sim = Simulator(graph, programs, telemetry=telemetry, faults=faults)
-    stats = _run_traced(
-        sim, "protocol.israeli_itai_mm", iterations=iterations,
-        faulty=faults is not None,
+    run = run_protocol(
+        graph, programs, "protocol.israeli_itai_mm",
+        dict(iterations=iterations), telemetry=telemetry, faults=faults,
     )
-    return _collect(graph, sim, stats, tolerant=faults is not None)
+    return MMResult(partner=run.partner, rounds=run.sim.stats.rounds)

@@ -96,8 +96,9 @@ class Transport:
     def reorders(self) -> bool:
         """Whether delivery can cross round boundaries.
 
-        Protocol drivers consult this to decide between strict and
-        tolerant result assembly, exactly as they do for fault plans.
+        :func:`repro.congest.driver.run_protocol` consults this to
+        decide between strict and tolerant result assembly, exactly as
+        it does for fault plans.
         """
         return False
 

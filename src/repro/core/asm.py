@@ -104,6 +104,16 @@ def params_for_eps(eps: float) -> Tuple[int, float]:
     return math.ceil(8.0 / eps), eps / 8.0
 
 
+def default_inner_iterations(k: int, delta: float) -> int:
+    """Algorithm 3's inner-loop length ``⌈2δ⁻¹k⌉``."""
+    return math.ceil(2.0 * k / delta)
+
+
+def default_outer_iterations(n_men: int, n_women: int) -> int:
+    """Algorithm 3's outer-loop length ``⌈log₂ n⌉ + 1``."""
+    return math.ceil(math.log2(max(2, n_men, n_women))) + 1
+
+
 @dataclass
 class MessageStats:
     """Counts of algorithm-level messages (CONGEST payloads)."""
@@ -1078,14 +1088,13 @@ class ASMEngine:
         """Number of outer-loop iterations: ``i = 0 .. ⌈log₂ n⌉``."""
         if self._outer_iterations_override is not None:
             return self._outer_iterations_override
-        n = max(2, self.n_men, self.n_women)
-        return math.ceil(math.log2(n)) + 1
+        return default_outer_iterations(self.n_men, self.n_women)
 
     def inner_iteration_count(self) -> int:
         """Inner-loop length ``⌈2δ⁻¹k⌉`` (Algorithm 3)."""
         if self._inner_iterations_override is not None:
             return self._inner_iterations_override
-        return math.ceil(2.0 * self.k / self.delta)
+        return default_inner_iterations(self.k, self.delta)
 
     def run_outer_iteration(self, i: int) -> OuterIterationStats:
         """One iteration of Algorithm 3's outer loop (threshold ``2^i``)."""

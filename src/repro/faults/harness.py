@@ -9,6 +9,8 @@ Bridges the fault layer to the rest of the repo:
   ``--drop-rate/--crash/--fault-seed`` flags and the ``faults``
   experiment both call, so a given (profile, knobs) pair always maps
   to the same plan.
+* :func:`fault_plan_for_spec` reads those knobs from a trial spec's
+  params (:data:`FAULT_KNOBS`), for this runner and the trace runner.
 * :func:`run_fault_trial` is a :class:`~repro.parallel.spec.TrialSpec`
   runner (reference :data:`FAULT_TRIAL_RUNNER`), so faulty runs shard
   through :class:`~repro.parallel.pool.TrialPool` with bit-identical
@@ -26,12 +28,27 @@ from repro.parallel.spec import TrialSpec
 
 __all__ = [
     "FAULT_TRIAL_RUNNER",
+    "FAULT_KNOBS",
     "fault_plan_for_profile",
+    "fault_plan_for_spec",
     "run_fault_trial",
 ]
 
 #: Runner reference for fault trial specs (see docs/parallel.md).
 FAULT_TRIAL_RUNNER = "repro.faults.harness:run_fault_trial"
+
+#: The trial-spec params (and CLI knobs) that name a fault plan, each
+#: a keyword of :func:`fault_plan_for_profile`.
+FAULT_KNOBS = (
+    "drop_rate",
+    "duplicate_rate",
+    "delay_rate",
+    "max_delay",
+    "crash_nodes",
+    "crash_round",
+    "restart_after",
+    "fault_seed",
+)
 
 
 def fault_plan_for_profile(
@@ -77,6 +94,17 @@ def fault_plan_for_profile(
     )
 
 
+def fault_plan_for_spec(
+    prefs: PreferenceProfile, spec: TrialSpec
+) -> FaultPlan:
+    """:func:`fault_plan_for_profile` over ``spec``'s :data:`FAULT_KNOBS`;
+    a knob the spec leaves out (or sets to ``None``) keeps its default."""
+    knobs = {name: spec.param(name) for name in FAULT_KNOBS}
+    return fault_plan_for_profile(
+        prefs, **{k: v for k, v in knobs.items() if v is not None}
+    )
+
+
 def run_fault_trial(spec: TrialSpec) -> Dict[str, Any]:
     """Run message-level ASM on one instance under one fault profile.
 
@@ -103,17 +131,7 @@ def run_fault_trial(spec: TrialSpec) -> Dict[str, Any]:
     )
     plan: Optional[FaultPlan] = None
     if spec.param("use_plan", True):
-        plan = fault_plan_for_profile(
-            prefs,
-            fault_seed=spec.param("fault_seed", 0),
-            drop_rate=spec.param("drop_rate", 0.0),
-            duplicate_rate=spec.param("duplicate_rate", 0.0),
-            delay_rate=spec.param("delay_rate", 0.0),
-            max_delay=spec.param("max_delay", 2),
-            crash_nodes=spec.param("crash_nodes", 0),
-            crash_round=spec.param("crash_round", 3),
-            restart_after=spec.param("restart_after"),
-        )
+        plan = fault_plan_for_spec(prefs, spec)
     result = run_congest_asm(prefs, eps, faults=plan, **overrides)
     stats = result.fault_stats
     record: Dict[str, Any] = {

@@ -36,12 +36,11 @@ def run_trace_trial(spec: TrialSpec) -> Dict[str, Any]:
 
     The spec's ``workload`` field names the generator (default
     ``complete``).  Spec params: ``protocol`` (``asm`` or ``gs``),
-    schedule overrides ``k`` /
-    ``inner`` / ``outer`` / ``mm_iterations``, and the fault knobs of
-    :func:`repro.faults.harness.fault_plan_for_profile` (``drop_rate``,
-    ``duplicate_rate``, ``delay_rate``, ``max_delay``, ``crash_nodes``,
-    ``crash_round``, ``restart_after``, ``fault_seed``).  The returned
-    dict is JSON-safe; ``trace`` holds the causal-trace records,
+    schedule overrides ``k`` / ``inner`` / ``outer`` /
+    ``mm_iterations``, and the fault knobs
+    :data:`repro.faults.harness.FAULT_KNOBS` (a plan that can inject
+    nothing runs fault-free).  The returned dict is JSON-safe;
+    ``trace`` holds the causal-trace records,
     ``profile_summary`` the registry's wall-free
     :meth:`~repro.obs.metrics.MetricsRegistry.summary` — the two
     objects the worker-identity tests diff byte-for-byte — and
@@ -52,40 +51,23 @@ def run_trace_trial(spec: TrialSpec) -> Dict[str, Any]:
     from repro.congest.protocols.gs_protocol import (
         run_congest_gale_shapley,
     )
-    from repro.faults.harness import fault_plan_for_profile
+    from repro.faults.harness import fault_plan_for_spec
     from repro.obs import Telemetry
     from repro.workloads.generators import default_instance
 
     prefs = default_instance(spec.workload or "complete", spec.n, spec.seed)
     tracer = CausalTracer()
     telemetry = Telemetry.create(tracer=tracer)
-    plan = None
-    if _fault_knobs_active(spec):
-        plan = fault_plan_for_profile(
-            prefs,
-            fault_seed=spec.param("fault_seed", 0),
-            drop_rate=spec.param("drop_rate", 0.0),
-            duplicate_rate=spec.param("duplicate_rate", 0.0),
-            delay_rate=spec.param("delay_rate", 0.0),
-            max_delay=spec.param("max_delay", 2),
-            crash_nodes=spec.param("crash_nodes", 0),
-            crash_round=spec.param("crash_round", 3),
-            restart_after=spec.param("restart_after"),
-        )
+    plan = fault_plan_for_spec(prefs, spec)
+    if plan.is_null:
+        plan = None
     protocol = spec.param("protocol", "asm")
+    unresolved: Sequence[Sequence[int]] = ((), ())
     if protocol == "gs":
         matching, sim = run_congest_gale_shapley(
             prefs, telemetry=telemetry, faults=plan
         )
         stats = sim.stats
-        record: Dict[str, Any] = {
-            "matching": sorted(matching.pairs()),
-            "outcome": stats.outcome,
-            "rounds": stats.rounds,
-            "messages": stats.messages,
-            "unresolved_men": [],
-            "unresolved_women": [],
-        }
     elif protocol == "asm":
         result = run_congest_asm(
             prefs,
@@ -99,32 +81,24 @@ def run_trace_trial(spec: TrialSpec) -> Dict[str, Any]:
             telemetry=telemetry,
             faults=plan,
         )
-        matching = result.matching
-        record = {
-            "matching": sorted(matching.pairs()),
-            "outcome": result.stats.outcome,
-            "rounds": result.stats.rounds,
-            "messages": result.stats.messages,
-            "unresolved_men": list(result.unresolved_men),
-            "unresolved_women": list(result.unresolved_women),
-        }
+        matching, stats = result.matching, result.stats
+        unresolved = (result.unresolved_men, result.unresolved_women)
     else:
         raise ValueError(f"unknown trace protocol {protocol!r}")
+    record: Dict[str, Any] = {
+        "matching": sorted(matching.pairs()),
+        "outcome": stats.outcome,
+        "rounds": stats.rounds,
+        "messages": stats.messages,
+        "unresolved_men": list(unresolved[0]),
+        "unresolved_women": list(unresolved[1]),
+    }
     record["instability"] = instability(prefs, matching)
     record["trace"] = tracer.to_records()
     record["open_spans"] = tracer.open_spans()
     record["profile_summary"] = telemetry.metrics.summary()
     record["metrics"] = telemetry.metrics.raw_state()
     return record
-
-
-def _fault_knobs_active(spec: TrialSpec) -> bool:
-    return bool(
-        spec.param("drop_rate", 0.0)
-        or spec.param("duplicate_rate", 0.0)
-        or spec.param("delay_rate", 0.0)
-        or spec.param("crash_nodes", 0)
-    )
 
 
 def merge_trace_trials(

@@ -25,8 +25,10 @@ and requires the same sends and result.
 Both rewrites live on the test side only: the expansion is a
 ``Simulator`` subclass that wraps every program before handing it to
 the real simulator, and the drivers are pointed at it (or at the
-reference programs) by patching the names they build.  Nothing in the
-library selects between the paths.  The negative control pins that a
+reference programs) by patching the names they build: the one
+``Simulator`` that :mod:`repro.congest.driver` constructs, counted to
+check that the patch took.  Nothing in the library selects between
+the paths.  The negative control pins that a
 program treating an early wake as its timer fails the oracle, and a
 resumption count pins the saving itself: a player with an empty list
 is resumed at most three times over a whole schedule.
@@ -47,6 +49,7 @@ from repro.congest import (
     Message,
     Simulator,
 )
+from repro.congest import driver
 from repro.congest.protocols import (
     asm_protocol,
     fragments,
@@ -113,11 +116,18 @@ def _timer_only(node, program, tally):
 
 @contextlib.contextmanager
 def _wrapped(wrap, tally):
-    """Point every driver in use here at a simulator that hands each
-    node's program to ``wrap(node, program, tally)`` first."""
+    """Point every driver at a simulator that hands each node's program
+    to ``wrap(node, program, tally)`` first.
+
+    Yields the number of programs each such simulator wrapped, so a
+    caller can check that the drivers really built it: a patch of a
+    name no driver reads would wrap nothing and pass vacuously.
+    """
+    wrapped: list = []
 
     class WrappingSimulator(Simulator):
         def __init__(self, graph, programs, **kwargs):
+            wrapped.append(len(programs))
             super().__init__(
                 graph,
                 {v: wrap(v, p, tally) for v, p in programs.items()},
@@ -125,9 +135,8 @@ def _wrapped(wrap, tally):
             )
 
     with pytest.MonkeyPatch.context() as mp:
-        for module in (asm_protocol, gs_protocol, mm_protocols):
-            mp.setattr(module, "Simulator", WrappingSimulator)
-        yield
+        mp.setattr(driver, "Simulator", WrappingSimulator)
+        yield wrapped
 
 
 @contextlib.contextmanager
@@ -296,8 +305,9 @@ def _oracle(run):
     programs; returns the three outcomes and the expanded Awaits."""
     tally: list = []
     awaited = _outcome(run)
-    with _wrapped(_expanded, tally):
+    with _wrapped(_expanded, tally) as wrapped:
         expanded = _outcome(run)
+    assert len(wrapped) == 1 and wrapped[0] > 0, wrapped
     with _reference_programs():
         reference = _outcome(run)
     return awaited, expanded, reference, tally
@@ -526,8 +536,9 @@ def test_negative_control_an_early_wake_read_as_the_timer_fails(protocol):
 
     awaited, _, reference, _ = _oracle(run)
     assert awaited == reference
-    with _wrapped(_timer_only, None):
+    with _wrapped(_timer_only, None) as wrapped:
         confused = _outcome(run)
+    assert wrapped == [_PREFS.n_men + _PREFS.n_women]
     assert confused != reference
 
 
@@ -578,8 +589,9 @@ def test_a_player_with_an_empty_list_is_resumed_at_most_three_times(
         return sim.stats.rounds
 
     tally: dict = {}
-    with _wrapped(_counted, tally):
+    with _wrapped(_counted, tally) as wrapped:
         rounds = run()
+    assert wrapped == [len(tally)] == [6]
     assert rounds > 24
     assert tally[man_node(1)] <= 3
     assert tally[woman_node(2)] <= 3
