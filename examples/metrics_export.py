@@ -5,12 +5,13 @@ Runs the paper's deterministic ASM and the Gale–Shapley baseline on
 the same workload, exports each run's metrics with
 :func:`repro.io.save_metrics` (manifest included), then loads the
 files back and prints a side-by-side comparison of rounds, messages,
-and wall time — everything read from the exported JSON, exactly as a
-downstream analysis script would consume it.
+event records and wall time — everything read from the exported JSON,
+exactly as a downstream analysis script would consume it.
 
-The same files can be produced from the command line:
+The same file, event records included, can be produced from the
+command line:
 
-    repro run --algorithm asm --metrics-out m.json --events-out e.jsonl
+    repro run --algorithm asm --metrics-out m.json
 
 Run:  python examples/metrics_export.py [n] [eps]
 """
@@ -86,6 +87,7 @@ def summarize(path: Path) -> dict:
         "algorithm": manifest["algorithm"],
         "rounds": rounds,
         "messages": messages,
+        "events": len(metrics["events"]),
         "wall_ms": round(1000 * wall, 2),
         "instability": round(metrics["gauges"]["run.instability"], 4),
     }

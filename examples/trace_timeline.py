@@ -2,7 +2,7 @@
 """Scenario: inspect how an ASM run converges, round by round.
 
 Runs ASM with an enabled :class:`~repro.obs.telemetry.Telemetry`
-bundle, reads the engine's event log through
+bundle, reads the engine's event records through
 :class:`~repro.analysis.trace.Timeline`, and prints the proposal-round
 timeline: proposals/accepts/rejects, the accepted-proposal graph G₀'s
 size, the matching size, and the good/bad men counts after every round
@@ -27,7 +27,7 @@ def main() -> None:
     prefs = gnp_incomplete(n, 0.3, seed=1)
     telemetry = Telemetry.create()
     run = asm(prefs, eps, telemetry=telemetry)
-    trace = Timeline(telemetry.events)
+    trace = Timeline(telemetry.metrics.events)
 
     print(trace.timeline_table(max_rows=25))
 

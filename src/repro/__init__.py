@@ -38,7 +38,6 @@ from repro.analysis import (
 )
 from repro.analysis.trace import Timeline
 from repro.analysis.welfare import welfare_report
-from repro.obs.events import EventLog
 from repro.obs.manifest import RunManifest
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.telemetry import Telemetry
@@ -107,7 +106,6 @@ __all__ = [
     "Timeline",
     "welfare_report",
     # observability (repro.obs)
-    "EventLog",
     "MetricsRegistry",
     "RunManifest",
     "Telemetry",

@@ -1,14 +1,15 @@
-"""Per-round timeline of an ASM run, read from its event log.
+"""Per-round timeline of an ASM run, read from its event records.
 
-:class:`~repro.core.asm.ASMEngine` writes one ``proposal_round`` /
+:class:`~repro.core.asm.ASMEngine` emits one ``proposal_round`` /
 ``quantile_match`` / ``outer_iteration`` record per executed step into
-its telemetry's :class:`~repro.obs.events.EventLog`.  :class:`Timeline`
-is a read-only view over such a log: one record per executed
+its telemetry's registry
+(:attr:`~repro.obs.metrics.MetricsRegistry.events`).  :class:`Timeline`
+is a read-only view over such records: one row per executed
 ProposalRound (proposals, accepts, rejects, the accepted-proposal graph
 size, the matching size so far) plus per-outer-iteration summaries,
-rendered as an ASCII table or exported as plain dicts.  A live
-``telemetry.events`` and a log reloaded from an ``--events-out`` file
-(:meth:`EventLog.from_records` over :func:`repro.io.load_events`) give
+rendered as an ASCII table or exported as plain dicts.  The live
+``telemetry.metrics.events`` and the ``["metrics"]["events"]`` of a
+reloaded ``--metrics-out`` file (:func:`repro.io.load_metrics`) give
 the same timeline.
 
 Example
@@ -18,7 +19,7 @@ Example
 >>> from repro.workloads.generators import complete_uniform
 >>> tel = Telemetry.create()
 >>> _ = asm(complete_uniform(16, seed=0), eps=0.5, telemetry=tel)
->>> len(Timeline(tel.events).proposal_rounds) > 0
+>>> len(Timeline(tel.metrics.events).proposal_rounds) > 0
 True
 """
 
@@ -29,7 +30,6 @@ from typing import Any, Dict, List, Optional
 
 from repro.analysis.tables import format_table
 from repro.core.asm import OuterIterationStats
-from repro.obs.events import EventLog
 
 __all__ = ["ProposalRoundRecord", "Timeline"]
 
@@ -62,42 +62,42 @@ class Timeline:
     Parameters
     ----------
     events:
-        The run's event log; read on every access, never written.
+        The run's flat event records (``{"kind", "seq", "t",
+        **fields}``); read on every access, never written.
     """
 
-    def __init__(self, events: EventLog) -> None:
+    def __init__(self, events: List[Dict[str, Any]]) -> None:
         self.events = events
 
     # ------------------------------------------------------------------
-    # Views over the event log
+    # Views over the event records
     # ------------------------------------------------------------------
 
     @property
     def proposal_rounds(self) -> List[ProposalRoundRecord]:
         """One record per executed ProposalRound, in order."""
         return [
-            ProposalRoundRecord(
-                **{name: e.fields[name] for name in _RECORD_FIELDS}
-            )
-            for e in self.events.by_kind("proposal_round")
+            ProposalRoundRecord(**{name: r[name] for name in _RECORD_FIELDS})
+            for r in self.events
+            if r["kind"] == "proposal_round"
         ]
 
     @property
     def quantile_match_boundaries(self) -> List[int]:
         """Cumulative ProposalRound count at each QuantileMatch end."""
         return [
-            e.fields["proposal_rounds_so_far"]
-            for e in self.events.by_kind("quantile_match")
+            r["proposal_rounds_so_far"]
+            for r in self.events
+            if r["kind"] == "quantile_match"
         ]
 
     @property
     def outer_iterations(self) -> List[OuterIterationStats]:
         """Per-outer-iteration summaries (Algorithm 3's ``i`` loop)."""
         return [
-            OuterIterationStats(
-                **{name: e.fields[name] for name in _OUTER_FIELDS}
-            )
-            for e in self.events.by_kind("outer_iteration")
+            OuterIterationStats(**{name: r[name] for name in _OUTER_FIELDS})
+            for r in self.events
+            if r["kind"] == "outer_iteration"
         ]
 
     # ------------------------------------------------------------------

@@ -31,10 +31,10 @@ Subcommands
 
 Telemetry
 ---------
-``run`` and ``congest`` accept ``--metrics-out FILE`` (JSON: counters,
-gauges, phase-timing histograms) and ``--events-out FILE`` (JSONL:
-structured run events).  Both artifacts embed a
-:class:`~repro.obs.manifest.RunManifest` so they are self-describing;
+``run``, ``congest`` and ``dynamic`` accept ``--metrics-out FILE``
+(JSON: counters, gauges, phase-timing histograms and the structured
+run events).  The artifact embeds a
+:class:`~repro.obs.manifest.RunManifest` so it is self-describing;
 see ``docs/observability.md``.
 """
 
@@ -138,8 +138,8 @@ def _telemetry_for(
     algorithm: str,
     params: Dict[str, Any],
 ) -> Optional[Telemetry]:
-    """An enabled telemetry bundle iff an export flag was given."""
-    if not (args.metrics_out or args.events_out):
+    """An enabled telemetry bundle iff ``--metrics-out`` was given."""
+    if not args.metrics_out:
         return None
     manifest = RunManifest.capture(
         algorithm=algorithm,
@@ -154,22 +154,19 @@ def _telemetry_for(
 def _export_telemetry(
     args: argparse.Namespace, telemetry: Optional[Telemetry]
 ) -> None:
-    """Dump the bundle to the requested files (notices on stderr)."""
+    """Dump the bundle to ``--metrics-out`` (notice on stderr)."""
     if telemetry is None:
         return
-    from repro.io import save_events, save_metrics
+    from repro.io import save_metrics
 
     if telemetry.manifest is not None:
         telemetry.manifest.finish()
-    if args.metrics_out:
-        save_metrics(telemetry.metrics, args.metrics_out, telemetry.manifest)
-        print(f"wrote metrics to {args.metrics_out}", file=sys.stderr)
-    if args.events_out:
-        save_events(telemetry.events, args.events_out, telemetry.manifest)
-        print(
-            f"wrote {len(telemetry.events)} events to {args.events_out}",
-            file=sys.stderr,
-        )
+    save_metrics(telemetry.metrics, args.metrics_out, telemetry.manifest)
+    print(
+        f"wrote metrics to {args.metrics_out} "
+        f"({len(telemetry.metrics.events)} events)",
+        file=sys.stderr,
+    )
 
 
 def _add_fault_flags(
@@ -270,31 +267,15 @@ def _add_telemetry_flags(parser: argparse.ArgumentParser) -> None:
         "--metrics-out",
         default=None,
         metavar="FILE",
-        help="export run metrics (counters/gauges/histograms) as JSON",
+        help="export run metrics (counters/gauges/histograms) and the "
+        "structured event records as JSON",
     )
-    parser.add_argument(
-        "--events-out",
-        default=None,
-        metavar="FILE",
-        help="export the structured event stream as JSONL",
-    )
-
-
-def _make_workload(name: str, n: int, seed: int):
-    """Instantiate a workload by registry name with sensible defaults.
-
-    The per-generator defaults live in
-    :func:`repro.workloads.generators.default_instance` so that
-    in-process trial runners (``repro.trace.harness``) build exactly
-    the same instances as the CLI.
-    """
-    return default_instance(name, n, seed)
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
     from repro.io import save_profile
 
-    prefs = _make_workload(args.workload, args.n, args.seed)
+    prefs = default_instance(args.workload, args.n, args.seed)
     save_profile(
         prefs,
         args.out,
@@ -321,7 +302,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         args.workload = f"file:{args.input}"
         args.n = prefs.n_men
     else:
-        prefs = _make_workload(args.workload, args.n, args.seed)
+        prefs = default_instance(args.workload, args.n, args.seed)
 
     if args.algorithm in ("asm", "rand-asm", "almost-regular-asm"):
         params: Dict[str, Any] = {"eps": args.eps}
@@ -487,6 +468,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 def _cmd_congest(args: argparse.Namespace) -> int:
     """Run a message-level protocol and print simulation statistics."""
+    from repro.congest.driver import assemble, player_partner
     from repro.congest.protocols import (
         run_congest_almost_regular_asm,
         run_congest_asm,
@@ -495,7 +477,7 @@ def _cmd_congest(args: argparse.Namespace) -> int:
     )
     from repro.faults.harness import fault_plan_for_profile
 
-    prefs = _make_workload(args.workload, args.n, args.seed)
+    prefs = default_instance(args.workload, args.n, args.seed)
     try:
         transport = _build_transport(args)
     except InvalidParameterError as exc:
@@ -528,6 +510,7 @@ def _cmd_congest(args: argparse.Namespace) -> int:
         matching, sim = run_congest_gale_shapley(
             prefs, telemetry=telemetry, faults=plan, transport=transport
         )
+        unresolved = len(assemble(sim, player_partner).unresolved)
         stats, injector = sim.stats, sim.faults
         fault_records = injector.records if injector is not None else []
         fstats = injector.stats if injector is not None else None
@@ -751,7 +734,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     from repro.obs.metrics import chrome_trace_document
     from repro.trace import SLOMonitor, StabilitySLO
 
-    prefs = _make_workload(args.workload, args.n, args.seed)
+    prefs = default_instance(args.workload, args.n, args.seed)
     telemetry = Telemetry.create()
     monitor: Optional[SLOMonitor] = None
     if args.slo_eps is not None:

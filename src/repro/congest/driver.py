@@ -2,10 +2,12 @@
 
 :func:`run_protocol` builds the :class:`~repro.congest.simulator.Simulator`
 over the given node programs, runs it inside the protocol's span, and
-assembles the nodes' outputs by one rule: a pair counts only when both
-endpoints' results name each other.  Any other node — no result
-(crashed or timed out) or a claim its partner does not confirm — is
-*unresolved*.
+assembles the nodes' outputs with :func:`assemble` by one rule: a pair
+counts only when both endpoints' results name each other.  Any other
+node — no result (crashed or timed out) or a claim its partner does
+not confirm — is *unresolved*.  A caller holding only a finished
+simulator (``run_congest_gale_shapley`` returns one) reassembles it
+with the same function.
 
 The mode is decided once, here.  A run with a fault plan, or over a
 transport that reorders delivery (nonzero latency,
@@ -19,7 +21,7 @@ unresolved node raises :class:`~repro.errors.SimulationError`
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Mapping, Optional
+from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 
 from repro.congest.simulator import NodeProgram, Simulator
 from repro.core.matching import Matching
@@ -34,7 +36,7 @@ from repro.graphs import (
     woman_node,
 )
 
-__all__ = ["ProtocolRun", "player_partner", "run_protocol"]
+__all__ = ["ProtocolRun", "assemble", "player_partner", "run_protocol"]
 
 
 def _same(v: NodeId, result: Any) -> NodeId:
@@ -65,6 +67,43 @@ class ProtocolRun:
             if is_man_node(v)
         )
 
+    def unresolved_players(self) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
+        """Sorted indices of the unresolved men and of the unresolved
+        women of a man/woman market."""
+        men = sorted(node_index(v) for v in self.unresolved if is_man_node(v))
+        women = sorted(
+            node_index(v) for v in self.unresolved if not is_man_node(v)
+        )
+        return tuple(men), tuple(women)
+
+
+def assemble(
+    sim: Simulator,
+    partner_node: Callable[[NodeId, Any], NodeId] = _same,
+) -> ProtocolRun:
+    """Assemble a finished simulator's node results into mutual pairs
+    and unresolved nodes.
+
+    ``partner_node(v, result)`` is the node a non-``None`` result of
+    ``v`` names (the result itself by default).
+    """
+    # A crashed node never has a result (the simulator crashes only
+    # running programs), so "no result" covers crashes and timeouts.
+    results = sim.results
+    partner: Dict[NodeId, NodeId] = {}
+    unresolved: List[NodeId] = []
+    for v, p in results.items():
+        if p is None:
+            continue
+        u = partner_node(v, p)
+        q = results.get(u)
+        if q is not None and partner_node(u, q) == v:
+            partner[v] = u
+        else:
+            unresolved.append(v)
+    unresolved += [v for v in sim.programs if v not in results]
+    return ProtocolRun(sim, partner, unresolved)
+
 
 def run_protocol(
     graph: Graph,
@@ -86,9 +125,8 @@ def run_protocol(
     ``tally``, its retries (also added to ``congest.retries``).
     ``round_bound`` caps tolerant runs; ``None`` runs them to
     completion too (the ``congest.run`` span records the cap, so a
-    protocol's traces pin its choice).  ``partner_node(v, result)``
-    is the node a non-``None`` result of ``v`` names (the result
-    itself by default).
+    protocol's traces pin its choice).  ``partner_node`` is
+    :func:`assemble`'s.
     """
     sim = Simulator(
         graph, programs, telemetry=telemetry,
@@ -119,27 +157,13 @@ def run_protocol(
             tracer.close_span(span_id, **closing)
     if tally is not None and tally.count > 0 and sim.telemetry.enabled:
         sim.telemetry.metrics.inc("congest.retries", tally.count)
-    # A crashed node never has a result (the simulator crashes only
-    # running programs), so "no result" covers crashes and timeouts.
-    results = sim.results
-    partner: Dict[NodeId, NodeId] = {}
-    unresolved: List[NodeId] = []
-    for v, p in results.items():
-        if p is None:
-            continue
-        u = partner_node(v, p)
-        q = results.get(u)
-        if q is not None and partner_node(u, q) == v:
-            partner[v] = u
-        else:
-            unresolved.append(v)
-    unresolved += [v for v in sim.programs if v not in results]
-    if unresolved and not tolerant:
-        v = unresolved[0]
+    run = assemble(sim, partner_node)
+    if run.unresolved and not tolerant:
+        v = run.unresolved[0]
         raise SimulationError(
-            f"inconsistent final state: {len(unresolved)} node(s) "
+            f"inconsistent final state: {len(run.unresolved)} node(s) "
             f"unresolved, e.g. {v!r} (result "
-            f"{results.get(v, 'missing')!r}) is not confirmed by its "
+            f"{sim.results.get(v, 'missing')!r}) is not confirmed by its "
             f"partner"
         )
-    return ProtocolRun(sim, partner, unresolved)
+    return run

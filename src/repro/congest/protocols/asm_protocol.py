@@ -54,7 +54,6 @@ from repro.faults.plan import FaultPlan, RetryTally
 from repro.graphs import (
     NodeId,
     bipartite_graph_from_edges,
-    is_man_node,
     man_node,
     node_index,
     woman_node,
@@ -576,16 +575,13 @@ def _run_with_schedule(
     )
     sim = run.sim
     injector = sim.faults
+    unresolved_men, unresolved_women = run.unresolved_players()
     return CongestASMResult(
         matching=run.matching(),
         stats=sim.stats,
         schedule=sched,
-        unresolved_men=tuple(sorted(
-            node_index(v) for v in run.unresolved if is_man_node(v)
-        )),
-        unresolved_women=tuple(sorted(
-            node_index(v) for v in run.unresolved if not is_man_node(v)
-        )),
+        unresolved_men=unresolved_men,
+        unresolved_women=unresolved_women,
         crashed_nodes=tuple(sorted(repr(v) for v in sim.crashed)),
         retries=tally.count,
         fault_stats=injector.stats if injector is not None else None,

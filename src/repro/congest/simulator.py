@@ -110,7 +110,7 @@ class Simulator:
         Optional :class:`~repro.obs.telemetry.Telemetry` bundle; when
         enabled, every round is timed (``congest.round_seconds``
         histogram), message/bit totals accumulate as counters, and the
-        event log receives one ``congest_round`` record per round plus
+        registry receives one ``congest_round`` event per round plus
         a ``message_batch`` record (per-kind counts) for every round
         that carried messages.  A bundle carrying a
         :class:`~repro.trace.span.CausalTracer` gets every validated
@@ -183,8 +183,8 @@ class Simulator:
         self._deadline: Dict[NodeId, int] = {}
         self._wake: Dict[int, List[NodeId]] = {}
         self._woken: List[NodeId] = []
-        # Optional telemetry bundle (see repro.obs): per-round timings
-        # and message counts flow into its registry and event log.
+        # Optional telemetry bundle (see repro.obs): per-round timings,
+        # message counts and round events flow into its registry.
         self.telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
         # Optional fault injection (see repro.faults): crashes close
         # programs, and every delivery is routed through the injector.
@@ -394,7 +394,7 @@ class Simulator:
             metrics.inc("congest.messages", round_messages)
             metrics.inc("congest.bits", round_bits)
             metrics.observe("congest.messages_per_round", round_messages)
-            telemetry.events.emit(
+            metrics.emit(
                 "congest_round",
                 round=self.stats.rounds,
                 messages=round_messages,
@@ -402,7 +402,7 @@ class Simulator:
                 seconds=round(round_timer.elapsed, 9),
             )
             if kind_counts:
-                telemetry.events.emit(
+                metrics.emit(
                     "message_batch",
                     round=self.stats.rounds,
                     kinds=kind_counts,

@@ -977,7 +977,7 @@ class ASMEngine:
         metrics.set_gauge("asm.matching_size", matching_size)
         metrics.set_gauge("asm.good_men", good)
         metrics.set_gauge("asm.bad_men", bad)
-        self.telemetry.events.emit(
+        metrics.emit(
             "proposal_round",
             index=self.proposal_rounds_executed - 1,
             **asdict(stats),
@@ -1064,7 +1064,7 @@ class ASMEngine:
                 telemetry.metrics.inc(
                     "asm.participating_men", state.count(participating)
                 )
-                telemetry.events.emit(
+                telemetry.metrics.emit(
                     "quantile_match",
                     index=self.quantile_match_calls_executed - 1,
                     proposal_rounds_so_far=self.proposal_rounds_executed,
@@ -1123,7 +1123,7 @@ class ASMEngine:
             self.outer_stats.append(stats)
             if telemetry.enabled:
                 telemetry.metrics.inc("asm.outer_iterations")
-                telemetry.events.emit("outer_iteration", **asdict(stats))
+                telemetry.metrics.emit("outer_iteration", **asdict(stats))
             if self.observer is not None:
                 self.observer.on_outer_iteration_end(self, stats)
             return stats

@@ -246,15 +246,16 @@ class DynamicMatchingEngine:
             self.marriages += marriages
         eps_after = self.current_eps()
         fallback = False
+        metrics = self.telemetry.metrics
         if eps_after > self.slo.target_eps:
-            self._emit(
+            metrics.emit(
                 "slo_violation",
                 round=self.deltas_applied,
                 eps=eps_after,
                 target_eps=self.slo.target_eps,
                 blocking_pairs=len(self.index),
             )
-            self._emit(
+            metrics.emit(
                 "dynamic_fallback",
                 delta=self.deltas_applied,
                 eps=eps_after,
@@ -277,10 +278,12 @@ class DynamicMatchingEngine:
             blocking_pairs=len(self.index),
             fallback=fallback,
         )
+        # The record's own "kind" and "seq" are the event envelope's.
         fields = outcome.to_dict()
         fields["delta_kind"] = fields.pop("kind")
-        self._emit("dynamic_delta", **fields)
-        self._emit(
+        fields["delta"] = fields.pop("seq")
+        metrics.emit("dynamic_delta", **fields)
+        metrics.emit(
             "slo_sample",
             round=self.deltas_applied,
             eps=eps_after,
@@ -444,13 +447,6 @@ class DynamicMatchingEngine:
             for m in range(self.market.n_men)
         ]
         self.index.update_from_partner_lists(partner)
-
-    # -- telemetry -----------------------------------------------------
-
-    def _emit(self, kind: str, **fields: object) -> None:
-        events = self.telemetry.events
-        if events.enabled:
-            events.emit(kind, **fields)
 
     def __repr__(self) -> str:
         return (

@@ -109,7 +109,7 @@ class FaultInjector:
                 metrics.inc("congest.nodes_crashed")
             elif action == "restart":
                 metrics.inc("congest.nodes_restarted")
-            self.telemetry.events.emit("fault", **record)
+            metrics.emit("fault", **record)
 
     def _record_message(
         self,

@@ -9,11 +9,8 @@ Plain JSON on disk so experiments are reproducible and shareable:
 * :func:`save_result` — an :class:`~repro.core.asm.ASMResult` summary.
 * :func:`save_metrics` / :func:`load_metrics` — a
   :class:`~repro.obs.metrics.MetricsRegistry` snapshot (counters,
-  gauges, histogram summaries) embedding its
+  gauges, histogram summaries, event records) embedding its
   :class:`~repro.obs.manifest.RunManifest`.
-* :func:`save_events` / :func:`load_events` — an
-  :class:`~repro.obs.events.EventLog` as JSONL: a manifest-bearing
-  header line followed by one flat JSON record per event.
 * :func:`save_fault_trace` / :func:`load_fault_trace` — a
   deterministic fault-injection trace
   (:attr:`repro.faults.injector.FaultInjector.records`); timestamp-free
@@ -40,7 +37,6 @@ from repro.core.asm import ASMResult
 from repro.core.matching import Matching
 from repro.core.preferences import PreferenceProfile
 from repro.errors import ReproError
-from repro.obs.events import EventLog
 from repro.obs.manifest import RunManifest
 from repro.obs.metrics import MetricsRegistry
 
@@ -54,8 +50,6 @@ __all__ = [
     "save_result",
     "save_metrics",
     "load_metrics",
-    "save_events",
-    "load_events",
     "save_bench",
     "load_bench",
     "save_fault_trace",
@@ -194,8 +188,8 @@ def save_metrics(
     """Write a metrics snapshot (plus its manifest) as versioned JSON.
 
     ``metrics`` is a :class:`~repro.obs.metrics.MetricsRegistry` (its
-    :meth:`~repro.obs.metrics.MetricsRegistry.to_dict` snapshot is
-    taken) or an already-snapshotted dict.
+    :meth:`~repro.obs.metrics.MetricsRegistry.to_dict` snapshot, event
+    records included, is taken) or an already-snapshotted dict.
     """
     snapshot = (
         metrics.to_dict() if isinstance(metrics, MetricsRegistry) else metrics
@@ -211,77 +205,10 @@ def load_metrics(path: PathLike) -> Dict[str, Any]:
     """Read a document written by :func:`save_metrics`.
 
     Returns the full envelope dict; the interesting keys are
-    ``"metrics"`` (counters / gauges / histograms) and ``"manifest"``.
+    ``"metrics"`` (counters / gauges / histograms / events) and
+    ``"manifest"``.
     """
     return _read(path, "metrics")
-
-
-def save_events(
-    events: Union[EventLog, Iterable[Dict[str, Any]]],
-    path: PathLike,
-    manifest: Optional[Union[RunManifest, Dict[str, Any]]] = None,
-) -> None:
-    """Write an event stream as JSONL.
-
-    The first line is the envelope (format, version, kind
-    ``"event_stream"``, and the embedded manifest); every following
-    line is one flat event record.
-    """
-    records = (
-        events.to_records() if isinstance(events, EventLog) else list(events)
-    )
-    header = {
-        "format": "repro",
-        "version": FORMAT_VERSION,
-        "kind": "event_stream",
-        "manifest": _manifest_dict(manifest),
-        "num_events": len(records),
-    }
-    lines = [json.dumps(header)]
-    lines.extend(json.dumps(record) for record in records)
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
-def load_events(
-    path: PathLike,
-) -> Tuple[Dict[str, Any], List[Dict[str, Any]]]:
-    """Read a JSONL stream written by :func:`save_events`.
-
-    Returns ``(manifest, records)``.
-
-    Raises
-    ------
-    FileFormatError
-        If the header line is missing/invalid or any line is not JSON.
-    """
-    text = Path(path).read_text()
-    lines = [line for line in text.splitlines() if line.strip()]
-    if not lines:
-        raise FileFormatError(f"{path}: empty event stream")
-    try:
-        header = json.loads(lines[0])
-    except json.JSONDecodeError as exc:
-        raise FileFormatError(f"{path}: header is not valid JSON ({exc})") from exc
-    if not isinstance(header, dict) or header.get("format") != "repro":
-        raise FileFormatError(f"{path}: missing repro format envelope")
-    if header.get("version") != FORMAT_VERSION:
-        raise FileFormatError(
-            f"{path}: unsupported format version {header.get('version')!r}"
-        )
-    if header.get("kind") != "event_stream":
-        raise FileFormatError(
-            f"{path}: expected kind 'event_stream', found "
-            f"{header.get('kind')!r}"
-        )
-    records: List[Dict[str, Any]] = []
-    for i, line in enumerate(lines[1:], start=2):
-        try:
-            records.append(json.loads(line))
-        except json.JSONDecodeError as exc:
-            raise FileFormatError(
-                f"{path}: line {i} is not valid JSON ({exc})"
-            ) from exc
-    return header.get("manifest", {}), records
 
 
 def save_fault_trace(

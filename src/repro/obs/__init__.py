@@ -3,13 +3,13 @@
 One subsystem carries every quantitative claim the repo makes:
 
 * :class:`~repro.obs.metrics.MetricsRegistry` — counters, gauges,
-  histograms (p50/p95/max), and a :func:`time.perf_counter`-based
-  :class:`~repro.obs.metrics.Timer`, with a near-zero-overhead no-op
-  mode when disabled;
-* :class:`~repro.obs.events.EventLog` — JSONL-able structured records
-  over the run-scoped schema :data:`~repro.obs.events.EVENT_KINDS`
-  (``proposal_round``, ``quantile_match``, ``outer_iteration``,
-  ``congest_round``, ``message_batch``);
+  histograms (p50/p95/max), a :func:`time.perf_counter`-based
+  :class:`~repro.obs.metrics.Timer` whose spans feed a Chrome trace,
+  and flat event records over the run-scoped schema
+  :data:`~repro.obs.metrics.EVENT_KINDS` (``proposal_round``,
+  ``quantile_match``, ``outer_iteration``, ``congest_round``, ...) on
+  the spans' clock, with a near-zero-overhead no-op mode when
+  disabled;
 * :class:`~repro.obs.manifest.RunManifest` — provenance embedded in
   every exported artifact;
 * :class:`~repro.obs.telemetry.Telemetry` — the bundle instrumented
@@ -17,17 +17,18 @@ One subsystem carries every quantitative claim the repo makes:
   trial pool, CLI) and write into directly, defaulting to the shared
   no-op :data:`~repro.obs.telemetry.NULL_TELEMETRY`.
 
-Exports flow through :func:`repro.io.save_metrics` /
-:func:`repro.io.save_events`; the CLI exposes them as
-``--metrics-out`` / ``--events-out`` on ``run`` and ``congest``.
+Exports flow through :func:`repro.io.save_metrics`, one versioned
+document holding counters, gauges, histogram summaries and event
+records; the CLI exposes it as ``--metrics-out`` on ``run``,
+``congest`` and ``dynamic``.
 See ``docs/observability.md``.
 """
 
 from __future__ import annotations
 
-from repro.obs.events import EVENT_KINDS, Event, EventLog
 from repro.obs.manifest import RunManifest, git_describe
 from repro.obs.metrics import (
+    EVENT_KINDS,
     MetricsRegistry,
     Timer,
     histogram_summary,
@@ -37,8 +38,6 @@ from repro.obs.telemetry import NULL_TELEMETRY, Telemetry
 
 __all__ = [
     "EVENT_KINDS",
-    "Event",
-    "EventLog",
     "MetricsRegistry",
     "NULL_TELEMETRY",
     "RunManifest",

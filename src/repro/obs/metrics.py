@@ -1,4 +1,4 @@
-"""Metrics primitives: counters, gauges, histograms, and timers.
+"""Metrics primitives: counters, gauges, histograms, timers and events.
 
 A :class:`MetricsRegistry` is a named bag of
 
@@ -11,16 +11,21 @@ A :class:`MetricsRegistry` is a named bag of
 Every enabled :meth:`MetricsRegistry.timer` also appends one
 ``{name, ts, dur, depth}`` wall-clock span to
 :attr:`MetricsRegistry.spans`, which :func:`chrome_trace_document`
-turns into Chrome trace-event JSON.  :meth:`MetricsRegistry.summary`
-is the wall-free view: counters plus the number of observations per
-histogram, bit-identical across runs and worker counts for the same
-seeded work.
+turns into Chrome trace-event JSON.  :meth:`MetricsRegistry.emit`
+appends one flat ``{kind, seq, t, **fields}`` record to
+:attr:`MetricsRegistry.events`; ``t`` is seconds on the spans' clock,
+so a record emitted inside a timer falls within its span, and
+``kind`` is one of the run-scoped schema :data:`EVENT_KINDS` (each
+kind's emitter and fields are tabled in ``docs/observability.md``).
+:meth:`MetricsRegistry.summary` is the wall-free view: counters plus
+the number of observations per histogram, bit-identical across runs
+and worker counts for the same seeded work.
 
 A disabled registry (``MetricsRegistry(enabled=False)``) turns every
 operation into a near-zero-cost no-op — ``timer()`` returns a shared
-do-nothing context manager and ``inc``/``set_gauge``/``observe``
-return immediately — so instrumented hot paths cost almost nothing
-when telemetry is off (the benchmark guard in
+do-nothing context manager and ``inc``/``set_gauge``/``observe``/
+``emit`` return immediately — so instrumented hot paths cost almost
+nothing when telemetry is off (the benchmark guard in
 ``tests/test_obs_overhead.py`` enforces this).
 
 Example
@@ -33,20 +38,49 @@ Example
 3
 >>> reg.to_dict()["histograms"]["phase.work"]["count"]
 1
+>>> reg.emit("congest_round", round=1, messages=4, bits=48)
+>>> [(r["kind"], r["seq"], r["messages"]) for r in reg.events]
+[('congest_round', 0, 4)]
+>>> reg.emit("nonsense")  # doctest: +IGNORE_EXCEPTION_DETAIL
+Traceback (most recent call last):
+    ...
+InvalidParameterError: unknown event kind 'nonsense'
 """
 
 from __future__ import annotations
 
 import time
-from typing import Any, Dict, Iterable, List, Optional, Union
+from typing import Any, Dict, FrozenSet, Iterable, List, Optional, Union
+
+from repro.errors import InvalidParameterError
 
 __all__ = [
+    "EVENT_KINDS",
     "MetricsRegistry",
     "Timer",
     "chrome_trace_document",
     "histogram_summary",
     "percentile",
 ]
+
+
+#: The run-scoped schema: every event kind :meth:`MetricsRegistry.emit`
+#: accepts.
+EVENT_KINDS: FrozenSet[str] = frozenset(
+    {
+        "proposal_round",
+        "quantile_match",
+        "outer_iteration",
+        "congest_round",
+        "message_batch",
+        "trial_chunk",
+        "fault",
+        "slo_sample",
+        "slo_violation",
+        "dynamic_delta",
+        "dynamic_fallback",
+    }
+)
 
 
 def _us(seconds: float) -> float:
@@ -134,7 +168,8 @@ class Timer:
 
 
 class MetricsRegistry:
-    """Named counters, gauges and histograms with a no-op mode.
+    """Named counters, gauges, histograms and event records with a
+    no-op mode.
 
     Parameters
     ----------
@@ -151,6 +186,8 @@ class MetricsRegistry:
         #: Completed timer spans; merged registries tag theirs with a
         #: Chrome ``tid`` lane (see :meth:`merge`).
         self.spans: List[Dict[str, Any]] = []
+        #: Emitted event records, in emission (or merge) order.
+        self.events: List[Dict[str, Any]] = []
         self._t0 = time.perf_counter()
         self._depth = 0
 
@@ -183,6 +220,25 @@ class MetricsRegistry:
             return _NULL_TIMER
         return Timer(self, name)
 
+    def emit(self, kind: str, **fields: Any) -> None:
+        """Append one event record of schema ``kind``: ``{"kind",
+        "seq", "t", **fields}``, ``t`` in seconds since the registry
+        was created (the clock its spans' ``ts`` count from)."""
+        if not self.enabled:
+            return
+        if kind not in EVENT_KINDS:
+            raise InvalidParameterError(
+                f"unknown event kind {kind!r}; known kinds: "
+                f"{', '.join(sorted(EVENT_KINDS))}"
+            )
+        record: Dict[str, Any] = {
+            "kind": kind,
+            "seq": len(self.events),
+            "t": round(time.perf_counter() - self._t0, 9),
+        }
+        record.update(fields)
+        self.events.append(record)
+
     # ------------------------------------------------------------------
     # Merging (repro.parallel worker -> parent aggregation)
     # ------------------------------------------------------------------
@@ -198,7 +254,9 @@ class MetricsRegistry:
         ``other``'s spans follow this registry's on lanes of their own:
         its lane ``t`` becomes lane ``lanes + t``, where ``lanes`` is
         one past the highest lane already here, so registries merged
-        one per trial keep one Chrome ``tid`` lane each.
+        one per trial keep one Chrome ``tid`` lane each.  ``other``'s
+        event records follow this registry's, renumbered in merge
+        order (their ``t`` stays on ``other``'s clock).
         """
         if not self.enabled:
             return
@@ -210,6 +268,8 @@ class MetricsRegistry:
         lanes = 1 + max((s.get("tid", 0) for s in self.spans), default=-1)
         for span in other.spans:
             self.spans.append({**span, "tid": lanes + span.get("tid", 0)})
+        for record in other.events:
+            self.events.append({**record, "seq": len(self.events)})
 
     def raw_state(self) -> Dict[str, Any]:
         """Lossless JSON/pickle-safe state (histograms keep raw values).
@@ -223,6 +283,7 @@ class MetricsRegistry:
             "gauges": dict(self.gauges),
             "histograms": {k: list(v) for k, v in self.histograms.items()},
             "spans": [dict(span) for span in self.spans],
+            "events": [dict(record) for record in self.events],
         }
 
     @classmethod
@@ -239,6 +300,9 @@ class MetricsRegistry:
             str(k): list(v) for k, v in state.get("histograms", {}).items()
         }
         registry.spans = [dict(span) for span in state.get("spans", ())]
+        registry.events = [
+            dict(record) for record in state.get("events", ())
+        ]
         return registry
 
     # ------------------------------------------------------------------
@@ -253,11 +317,13 @@ class MetricsRegistry:
         }
 
     def to_dict(self) -> Dict[str, Any]:
-        """JSON-safe snapshot: counters, gauges, histogram summaries."""
+        """JSON-safe snapshot: counters, gauges, histogram summaries
+        and the event records."""
         return {
             "counters": dict(sorted(self.counters.items())),
             "gauges": dict(sorted(self.gauges.items())),
             "histograms": self.histogram_summaries(),
+            "events": [dict(record) for record in self.events],
         }
 
     def summary(self) -> Dict[str, Dict[str, int]]:

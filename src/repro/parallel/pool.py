@@ -246,7 +246,7 @@ class TrialPool:
                 MetricsRegistry.from_raw_state(record["metrics"])
             )
             telemetry.metrics.inc("parallel.chunks")
-            telemetry.events.emit(
+            telemetry.metrics.emit(
                 "trial_chunk",
                 start=record["start"],
                 trials=len(record["results"]),

@@ -44,9 +44,11 @@ def run_trace_trial(spec: TrialSpec) -> Dict[str, Any]:
     ``profile_summary`` the registry's wall-free
     :meth:`~repro.obs.metrics.MetricsRegistry.summary` — the two
     objects the worker-identity tests diff byte-for-byte — and
-    ``metrics`` its raw state, timer spans included.
+    ``metrics`` its raw state, timer spans included and event
+    records left out.
     """
     from repro.analysis.stability import instability
+    from repro.congest.driver import assemble, player_partner
     from repro.congest.protocols.asm_protocol import run_congest_asm
     from repro.congest.protocols.gs_protocol import (
         run_congest_gale_shapley,
@@ -62,12 +64,12 @@ def run_trace_trial(spec: TrialSpec) -> Dict[str, Any]:
     if plan.is_null:
         plan = None
     protocol = spec.param("protocol", "asm")
-    unresolved: Sequence[Sequence[int]] = ((), ())
     if protocol == "gs":
         matching, sim = run_congest_gale_shapley(
             prefs, telemetry=telemetry, faults=plan
         )
         stats = sim.stats
+        unresolved = assemble(sim, player_partner).unresolved_players()
     elif protocol == "asm":
         result = run_congest_asm(
             prefs,
@@ -97,6 +99,9 @@ def run_trace_trial(spec: TrialSpec) -> Dict[str, Any]:
     record["trace"] = tracer.to_records()
     record["open_spans"] = tracer.open_spans()
     record["profile_summary"] = telemetry.metrics.summary()
+    # The merged trace document carries no event records (about two
+    # per round), so they stay out of the state shipped back.
+    telemetry.metrics.events.clear()
     record["metrics"] = telemetry.metrics.raw_state()
     return record
 

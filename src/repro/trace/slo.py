@@ -9,8 +9,8 @@ observer.  After every ProposalRound it measures
 :class:`~repro.perf.blocking_index.BlockingPairIndex` (O(n + deg·Δ)
 per round, not a full edge scan), records the trajectory and the
 blocking-pair counts, and emits ``slo_sample`` / ``slo_violation``
-events into the engine's telemetry event log (a no-op unless that log
-is enabled).  It reads the matching through the backend-neutral
+events into the engine's telemetry registry (a no-op unless that
+registry is enabled).  It reads the matching through the backend-neutral
 :meth:`~repro.core.asm.ASMEngine.current_matching`, so it works on
 both the stdlib and the vec backend.
 
@@ -109,8 +109,8 @@ class SLOMonitor(ASMObserver):
         self.trajectory.append((self._rounds, eps))
         self.blocking_counts.append(blocking)
         binding = self.slo.in_effect(self._rounds)
-        events = engine.telemetry.events
-        events.emit(
+        metrics = engine.telemetry.metrics
+        metrics.emit(
             "slo_sample",
             round=self._rounds,
             eps=eps,
@@ -126,7 +126,7 @@ class SLOMonitor(ASMObserver):
                 "blocking_pairs": blocking,
             }
             self.violations.append(violation)
-            events.emit("slo_violation", **violation)
+            metrics.emit("slo_violation", **violation)
 
     # -- reporting -----------------------------------------------------
 

@@ -154,16 +154,14 @@ class TestCommands:
         assert payload["instability"] <= 0.5
 
     def test_run_metrics_and_events_export(self, tmp_path, capsys):
-        from repro.io import load_events, load_metrics
+        from repro.io import load_metrics
 
         metrics_path = tmp_path / "m.json"
-        events_path = tmp_path / "e.jsonl"
         code = main(
             [
                 "run", "--algorithm", "asm", "--workload", "complete",
                 "--n", "12", "--eps", "0.5", "--seed", "3",
                 "--metrics-out", str(metrics_path),
-                "--events-out", str(events_path),
             ]
         )
         assert code == 0
@@ -180,14 +178,13 @@ class TestCommands:
             assert {"p50", "p95", "max"} <= set(hists[f"asm.phase.{phase}"])
         assert doc["metrics"]["counters"]["asm.proposal_rounds"] > 0
         assert doc["metrics"]["gauges"]["run.wall_seconds"] > 0
-        ev_manifest, records = load_events(events_path)
-        assert ev_manifest["algorithm"] == "asm"
+        records = doc["metrics"]["events"]
         kinds = {r["kind"] for r in records}
         assert "proposal_round" in kinds
         # the export notice goes to stderr, keeping stdout clean
         captured = capsys.readouterr()
         assert "wrote metrics to" in captured.err
-        assert "events to" in captured.err
+        assert f"({len(records)} events)" in captured.err
         assert "wrote metrics to" not in captured.out
 
     def test_run_json_with_metrics_out_keeps_stdout_json(
@@ -219,17 +216,33 @@ class TestCommands:
         assert doc["metrics"]["counters"]["gs.proposals"] > 0
         assert doc["metrics"]["gauges"]["gs.matching_size"] == 10
 
+    def test_congest_gale_shapley_reports_unresolved_nodes(self, capsys):
+        assert main(
+            [
+                "congest", "--protocol", "gale-shapley",
+                "--workload", "complete", "--n", "6", "--seed", "0",
+                "--crash", "2", "--crash-round", "2", "--fault-seed", "1",
+            ]
+        ) == 0
+        header, _, row = capsys.readouterr().out.splitlines()[1:4]
+        cells = dict(
+            zip(
+                (c.strip() for c in header.split("|")),
+                (c.strip() for c in row.split("|")),
+            )
+        )
+        assert cells["outcome"] == "degraded"
+        assert cells["unresolved"] == "2"
+
     def test_congest_metrics_and_events_export(self, tmp_path):
-        from repro.io import load_events, load_metrics
+        from repro.io import load_metrics
 
         metrics_path = tmp_path / "m.json"
-        events_path = tmp_path / "e.jsonl"
         code = main(
             [
                 "congest", "--protocol", "asm", "--n", "5",
                 "--inner", "3", "--outer", "2", "--mm-iterations", "8",
                 "--metrics-out", str(metrics_path),
-                "--events-out", str(events_path),
             ]
         )
         assert code == 0
@@ -239,8 +252,7 @@ class TestCommands:
         assert counters["congest.rounds"] > 0
         assert counters["congest.messages"] > 0
         assert "congest.round_seconds" in doc["metrics"]["histograms"]
-        manifest, records = load_events(events_path)
-        assert manifest["algorithm"] == "congest-asm"
+        records = doc["metrics"]["events"]
         kinds = {r["kind"] for r in records}
         assert {"congest_round", "message_batch"} <= kinds
         round_total = sum(

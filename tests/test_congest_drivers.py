@@ -40,7 +40,9 @@ from repro.graphs import (
     woman_node,
 )
 from repro.obs import Telemetry
+from repro.parallel import TrialSpec
 from repro.trace import CausalTracer
+from repro.trace.harness import TRACE_TRIAL_RUNNER, run_trace_trial
 from repro.workloads import UniformLatency, gnp_incomplete
 
 GOLDEN = Path(__file__).parent / "golden" / "congest_drivers.json"
@@ -272,6 +274,22 @@ def test_tolerant_gale_shapley_drops_the_unconfirmed_pair(monkeypatch):
     assert sorted(matching.pairs()) == sorted(
         (m, w) for m, w in honest.pairs() if m != 0
     )
+
+
+def test_degraded_gale_shapley_trial_reports_its_unresolved_nodes():
+    """A crash-degraded Gale–Shapley trace trial reports the nodes the
+    driver's assembly leaves unresolved (the crashed ('M', 2) and
+    ('W', 4)), not empty sets."""
+    record = run_trace_trial(
+        TrialSpec.make(
+            TRACE_TRIAL_RUNNER, workload="complete", n=6, seed=0,
+            protocol="gs", crash_nodes=2, crash_round=2, fault_seed=1,
+        )
+    )
+    assert record["outcome"] == "degraded"
+    assert len(record["matching"]) == 3
+    assert record["unresolved_men"] == [2]
+    assert record["unresolved_women"] == [4]
 
 
 def _claims_first_neighbor(g0_neighbors, iterations, *rest):

@@ -274,7 +274,7 @@ def _snapshot(protocol, transport_name, plan_name):
         "pairs": sorted((repr(a), repr(b)) for a, b in matching.pairs()),
         "stats": asdict(stats),
         "metrics": _scrub_metrics(telemetry.metrics.raw_state()),
-        "events": _scrub_events(telemetry.events.to_records()),
+        "events": _scrub_events(telemetry.metrics.events),
         "trace": tracer.to_records(),
         "fault_trace": fault_trace,
         "transport": (
@@ -367,7 +367,7 @@ def test_standalone_matching_awaits_invisibly(kind, plan_name):
             ),
             "rounds": res.rounds,
             "metrics": _scrub_metrics(telemetry.metrics.raw_state()),
-            "events": _scrub_events(telemetry.events.to_records()),
+            "events": _scrub_events(telemetry.metrics.events),
             "trace": tracer.to_records(),
         }
 

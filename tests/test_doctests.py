@@ -30,7 +30,6 @@ MODULE_NAMES = [
     "repro.graphs",
     "repro.mm.bipartite",
     "repro.mm.greedy",
-    "repro.obs.events",
     "repro.obs.manifest",
     "repro.obs.metrics",
     "repro.obs.telemetry",

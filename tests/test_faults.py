@@ -656,9 +656,9 @@ class TestTelemetry:
         assert counters["congest.messages_dropped"] == (
             result.fault_stats.messages_dropped
         )
-        fault_events = tel.events.by_kind("fault")
+        fault_events = [r for r in tel.metrics.events if r["kind"] == "fault"]
         assert len(fault_events) == result.fault_stats.faults_injected
-        assert fault_events[0].fields["action"] in (
+        assert fault_events[0]["action"] in (
             "drop", "delay", "duplicate"
         )
 

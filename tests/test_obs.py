@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import json
+import re
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -14,12 +16,13 @@ from repro.congest.simulator import Simulator
 from repro.core.asm import asm
 from repro.core.almost_regular import almost_regular_asm
 from repro.core.rand_asm import rand_asm
+from repro.dynamic import DynamicMatchingEngine
 from repro.errors import InvalidParameterError
+from repro.faults.harness import fault_plan_for_profile
 from repro.graphs import Graph
-from repro.io import load_events, load_metrics, save_events, save_metrics
+from repro.io import load_metrics, save_metrics
 from repro.obs import (
     EVENT_KINDS,
-    EventLog,
     MetricsRegistry,
     NULL_TELEMETRY,
     RunManifest,
@@ -27,15 +30,40 @@ from repro.obs import (
     histogram_summary,
     percentile,
 )
+from repro.parallel import TrialPool, TrialSpec
 from repro.trace.analysis import CausalTrace
+from repro.trace.slo import SLOMonitor, StabilitySLO
 from repro.trace.span import CausalTracer
+from repro.workloads import ChurnConfig, churn_stream
 from repro.workloads.generators import complete_uniform, gnp_incomplete
+
+_OBSERVABILITY_DOC = (
+    Path(__file__).resolve().parents[1] / "docs" / "observability.md"
+)
+SELFTEST = "repro.parallel.runners:selftest_trial"
 
 
 def _traced_kind_counts(tracer):
     """Per-kind counts of the tracer's message records (one per send)."""
     messages = CausalTrace(tracer.records).messages()
     return dict(Counter(r["kind"] for r in messages))
+
+
+def _documented_event_fields():
+    """``{kind: field names}`` read from the event table in
+    docs/observability.md (rows ``| `kind` | fields |``)."""
+    table = {}
+    for line in _OBSERVABILITY_DOC.read_text().splitlines():
+        cells = line.split("|")
+        kind = cells[1].strip().strip("`") if len(cells) == 4 else ""
+        if kind in EVENT_KINDS:
+            table[kind] = set(re.findall(r"`(\w+)`", cells[2]))
+    return table
+
+
+def _of_kind(telemetry, kind):
+    """The registry's event records of one kind, in emission order."""
+    return [r for r in telemetry.metrics.events if r["kind"] == kind]
 
 
 def _summed_kinds(kind_counts):
@@ -110,45 +138,85 @@ class TestMetricsRegistry:
         assert reg.timer("a") is reg.timer("b")
 
 
+# The class keeps its name so the test ids stay stable; the registry's
+# ``emit`` is the one event path.
 class TestEventLog:
     def test_emit_and_query(self):
-        log = EventLog()
-        log.emit("congest_round", round=1, messages=2, bits=16)
-        log.emit("message_batch", round=1, kinds={"PING": 2})
-        assert len(log) == 2
-        assert [e.kind for e in log.by_kind("congest_round")] == [
-            "congest_round"
+        reg = MetricsRegistry()
+        reg.emit("congest_round", round=1, messages=2, bits=16)
+        reg.emit("message_batch", round=1, kinds={"PING": 2})
+        assert [(r["kind"], r["seq"]) for r in reg.events] == [
+            ("congest_round", 0),
+            ("message_batch", 1),
         ]
-        assert log.count_by_kind() == {"congest_round": 1, "message_batch": 1}
+        assert reg.events[1]["kinds"] == {"PING": 2}
 
     def test_schema_is_closed(self):
-        log = EventLog()
+        reg = MetricsRegistry()
         with pytest.raises(InvalidParameterError):
-            log.emit("not_a_kind")
-        with pytest.raises(InvalidParameterError):
-            EventLog.from_records([{"kind": "not_a_kind", "seq": 0}])
+            reg.emit("not_a_kind")
+        assert reg.events == []
 
     def test_timestamps_monotone_and_seq_dense(self):
-        log = EventLog()
+        reg = MetricsRegistry()
         for i in range(5):
-            log.emit("congest_round", round=i)
-        ts = [e.t for e in log.events]
+            reg.emit("congest_round", round=i)
+        ts = [r["t"] for r in reg.events]
         assert ts == sorted(ts)
-        assert [e.seq for e in log.events] == list(range(5))
+        assert [r["seq"] for r in reg.events] == list(range(5))
 
     def test_disabled_log_drops_everything(self):
-        log = EventLog(enabled=False)
-        log.emit("congest_round", round=1)
-        log.emit("not_even_validated")
-        assert len(log) == 0
+        reg = MetricsRegistry(enabled=False)
+        reg.emit("congest_round", round=1)
+        reg.emit("not_even_validated")
+        assert reg.events == []
+        tracing = Telemetry.tracing(CausalTracer())
+        run_congest_asm(
+            complete_uniform(4, seed=0), eps=0.5,
+            inner_iterations=2, outer_iterations=2, mm_iterations=4,
+            telemetry=tracing,
+        )
+        assert tracing.tracer.records and tracing.metrics.events == []
 
     def test_records_are_flat_and_json_safe(self):
-        log = EventLog()
-        log.emit("congest_round", round=3, messages=1, bits=8)
-        record = log.to_records()[0]
+        reg = MetricsRegistry()
+        reg.emit("congest_round", round=3, messages=1, bits=8)
+        record = reg.events[0]
         assert record["kind"] == "congest_round"
         assert record["round"] == 3
-        json.dumps(record)  # must not raise
+        json.dumps(reg.to_dict())  # must not raise
+
+    def test_event_inside_timer_falls_within_its_span(self):
+        reg = MetricsRegistry()
+        with reg.timer("outer"):
+            reg.emit("congest_round", round=1)
+        (span,), (record,) = reg.spans, reg.events
+        t_us = record["t"] * 1e6
+        assert span["ts"] <= t_us <= span["ts"] + span["dur"]
+        # Each ProposalRound record lands inside its QuantileMatch span.
+        tel = Telemetry.create()
+        asm(complete_uniform(12, seed=0), eps=0.5, telemetry=tel)
+        calls = [
+            (s["ts"], s["ts"] + s["dur"])
+            for s in tel.metrics.spans
+            if s["name"] == "asm.quantile_match"
+        ]
+        rounds = _of_kind(tel, "proposal_round")
+        assert rounds and all(
+            any(lo <= r["t"] * 1e6 <= hi for lo, hi in calls) for r in rounds
+        )
+
+    def test_raw_state_and_merge_carry_events(self):
+        a, b = MetricsRegistry(), MetricsRegistry()
+        a.emit("trial_chunk", start=0)
+        b.emit("trial_chunk", start=2)
+        b.emit("trial_chunk", start=4)
+        shipped = json.loads(json.dumps(b.raw_state()))
+        a.merge(MetricsRegistry.from_raw_state(shipped))
+        assert [(r["seq"], r["start"]) for r in a.events] == [
+            (0, 0), (1, 2), (2, 4)
+        ]
+        assert a.events[1]["t"] == b.events[0]["t"]
 
     def test_schema_constant(self):
         assert EVENT_KINDS == {
@@ -219,8 +287,9 @@ class TestTelemetry:
         assert not NULL_TELEMETRY.enabled
         with NULL_TELEMETRY.metrics.timer("x"):
             pass
-        NULL_TELEMETRY.events.emit("anything-goes-here")  # no-op, unvalidated
+        NULL_TELEMETRY.metrics.emit("anything-goes-here")  # no-op, unvalidated
         assert NULL_TELEMETRY.metrics.histograms == {}
+        assert NULL_TELEMETRY.metrics.events == []
 
     def test_create_enabled(self):
         tel = Telemetry.create()
@@ -248,6 +317,7 @@ class TestEnginePhaseTiming:
         result = asm(complete_uniform(12, seed=0), eps=0.5)
         assert result.matching  # engine default is the shared null bundle
         assert NULL_TELEMETRY.metrics.histograms == {}
+        assert NULL_TELEMETRY.metrics.events == []
 
     def test_telemetry_does_not_change_behavior(self):
         prefs = gnp_incomplete(16, 0.5, seed=7)
@@ -288,21 +358,50 @@ class TestMetricsObserver:
         )
 
     def test_event_stream_schema(self):
+        """Every emitter writes exactly the fields the event table in
+        docs/observability.md lists, and every schema kind appears."""
         tel = Telemetry.create()
-        result = asm(complete_uniform(12, seed=3), eps=0.5, telemetry=tel)
-        log = tel.events
-        assert len(log.by_kind("proposal_round")) == (
+        prefs = complete_uniform(12, seed=3)
+        monitor = SLOMonitor(prefs, StabilitySLO(0.001, deadline_rounds=0))
+        result = asm(prefs, eps=0.5, telemetry=tel, observer=monitor)
+        assert monitor.violations
+        assert len(_of_kind(tel, "proposal_round")) == (
             result.proposal_rounds_executed
         )
-        assert len(log.by_kind("quantile_match")) == (
+        assert len(_of_kind(tel, "quantile_match")) == (
             result.quantile_match_calls_executed
         )
-        assert len(log.by_kind("outer_iteration")) == len(
+        assert len(_of_kind(tel, "outer_iteration")) == len(
             result.outer_iterations
         )
-        first = log.by_kind("proposal_round")[0]
-        assert {"proposals", "accepts", "rejects", "matching_size"} <= set(
-            first.fields
+        faulty = complete_uniform(6, seed=1)
+        run_congest_asm(
+            faulty, 0.5, k=4, inner_iterations=4, outer_iterations=3,
+            mm_iterations=12, telemetry=tel,
+            faults=fault_plan_for_profile(
+                faulty, fault_seed=7, drop_rate=0.2, delay_rate=0.2,
+                crash_nodes=1, crash_round=2, restart_after=2,
+            ),
+        )
+        TrialPool(workers=1, telemetry=tel).run(
+            [TrialSpec.make(SELFTEST, n=i, seed=i) for i in range(2)]
+        )
+        market = complete_uniform(6, seed=0)
+        engine = DynamicMatchingEngine(
+            market, 0.5, repair_radius=0, telemetry=tel,
+            slo=StabilitySLO(target_eps=0.01, deadline_rounds=0),
+        )
+        engine.apply_stream(churn_stream(market, ChurnConfig(steps=4), 0))
+        assert engine.fallbacks == 1
+        observed = {}
+        for record in tel.metrics.events:
+            observed.setdefault(record["kind"], set()).update(
+                set(record) - {"kind", "seq", "t"}
+            )
+        assert set(observed) == EVENT_KINDS
+        assert observed == _documented_event_fields()
+        assert [r["seq"] for r in tel.metrics.events] == list(
+            range(len(tel.metrics.events))
         )
 
     def test_final_gauges(self):
@@ -317,7 +416,7 @@ class TestMetricsObserver:
         tel = Telemetry.disabled()
         asm(complete_uniform(12, seed=4), eps=0.5, telemetry=tel)
         assert tel.metrics.counters == {} and tel.metrics.gauges == {}
-        assert len(tel.events) == 0
+        assert tel.metrics.events == []
 
 
 class TestSimulatorTelemetry:
@@ -346,12 +445,12 @@ class TestSimulatorTelemetry:
         assert counters["congest.rounds"] == sim.stats.rounds
         assert counters["congest.messages"] == sim.stats.messages
         assert counters["congest.bits"] == sim.stats.total_bits
-        rounds = tel.events.by_kind("congest_round")
+        rounds = _of_kind(tel, "congest_round")
         assert len(rounds) == sim.stats.rounds
-        assert [e.fields["messages"] for e in rounds] == (
+        assert [r["messages"] for r in rounds] == (
             sim.stats.messages_per_round
         )
-        assert all(e.fields["seconds"] >= 0.0 for e in rounds)
+        assert all(r["seconds"] >= 0.0 for r in rounds)
         hist = tel.metrics.histogram_summaries()["congest.round_seconds"]
         assert hist["count"] == sim.stats.rounds
 
@@ -360,7 +459,7 @@ class TestSimulatorTelemetry:
         tel = Telemetry.create(tracer=tracer)
         self._run_ping(telemetry=tel)
         total_by_kind = _summed_kinds(
-            e.fields["kinds"] for e in tel.events.by_kind("message_batch")
+            r["kinds"] for r in _of_kind(tel, "message_batch")
         )
         assert total_by_kind == _traced_kind_counts(tracer) == {"PING": 3}
 
@@ -402,11 +501,13 @@ class TestIORoundTrip:
     def test_events_round_trip_cross_checks_trace(self, tmp_path):
         tel = Telemetry.create(RunManifest.capture(algorithm="asm", n=16))
         result = asm(complete_uniform(16, seed=6), eps=0.4, telemetry=tel)
-        trace = Timeline(tel.events)
-        path = tmp_path / "events.jsonl"
-        save_events(tel.events, path, tel.manifest)
-        manifest, records = load_events(path)
-        assert manifest["algorithm"] == "asm"
+        trace = Timeline(tel.metrics.events)
+        path = tmp_path / "metrics.json"
+        save_metrics(tel.metrics, path, tel.manifest)
+        doc = load_metrics(path)
+        assert doc["manifest"]["algorithm"] == "asm"
+        records = doc["metrics"]["events"]
+        assert records == tel.metrics.events
         loaded_rounds = [r for r in records if r["kind"] == "proposal_round"]
         assert len(loaded_rounds) == len(trace.proposal_rounds)
         assert sum(r["proposals"] for r in loaded_rounds) == (
@@ -424,9 +525,9 @@ class TestIORoundTrip:
             inner_iterations=2, outer_iterations=2, mm_iterations=4,
             telemetry=tel,
         )
-        path = tmp_path / "events.jsonl"
-        save_events(tel.events, path, tel.manifest)
-        _, records = load_events(path)
+        path = tmp_path / "metrics.json"
+        save_metrics(tel.metrics, path, tel.manifest)
+        records = load_metrics(path)["metrics"]["events"]
         batch_by_kind = _summed_kinds(
             r["kinds"] for r in records if r["kind"] == "message_batch"
         )
@@ -436,20 +537,3 @@ class TestIORoundTrip:
             r["messages"] for r in records if r["kind"] == "congest_round"
         )
         assert round_total == result.stats.messages
-
-    def test_load_events_rejects_garbage(self, tmp_path):
-        from repro.io import FileFormatError
-
-        bad = tmp_path / "bad.jsonl"
-        bad.write_text("not json\n")
-        with pytest.raises(FileFormatError):
-            load_events(bad)
-        empty = tmp_path / "empty.jsonl"
-        empty.write_text("")
-        with pytest.raises(FileFormatError):
-            load_events(empty)
-        wrong = tmp_path / "wrong.jsonl"
-        wrong.write_text(json.dumps({"format": "repro", "version": 1,
-                                     "kind": "metrics"}) + "\n")
-        with pytest.raises(FileFormatError):
-            load_events(wrong)

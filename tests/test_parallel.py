@@ -286,8 +286,8 @@ class TestPoolTelemetry:
     def test_chunk_events_worker_count_invariant(self):
         def shape(telemetry):
             return [
-                (e.kind, e.fields["start"], e.fields["trials"])
-                for e in telemetry.events.events
+                (r["kind"], r["start"], r["trials"])
+                for r in telemetry.metrics.events
             ]
 
         assert shape(self._run(1)) == shape(self._run(2))
@@ -316,4 +316,4 @@ class TestPoolTelemetry:
         telemetry = Telemetry.disabled()
         TrialPool(workers=1, telemetry=telemetry).run(_specs(3))
         assert telemetry.metrics.counters == {}
-        assert len(telemetry.events) == 0
+        assert telemetry.metrics.events == []

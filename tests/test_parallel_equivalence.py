@@ -67,8 +67,8 @@ def test_merged_metrics_identical_across_worker_counts():
         counters = dict(telemetry.metrics.counters)
         # Wall-time histograms legitimately differ; everything else may not.
         events = [
-            (e.kind, e.fields["start"], e.fields["trials"])
-            for e in telemetry.events.events
+            (r["kind"], r["start"], r["trials"])
+            for r in telemetry.metrics.events
         ]
         return counters, events
 

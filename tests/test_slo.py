@@ -70,19 +70,17 @@ class TestSLOMonitor:
         _, _, monitor = _run(
             slo=StabilitySLO(0.001, deadline_rounds=0), telemetry=tel
         )
-        events = tel.events
-        kinds = [e.kind for e in events.events]
+        events = tel.metrics.events
+        kinds = [r["kind"] for r in events]
         assert "slo_sample" in kinds
         assert "slo_violation" in kinds
-        samples = events.by_kind("slo_sample")
+        samples = [r for r in events if r["kind"] == "slo_sample"]
         assert len(samples) == len(monitor.trajectory)
-        assert samples[0].fields["binding"] is True
-        assert [e.fields["blocking_pairs"] for e in samples] == (
+        assert samples[0]["binding"] is True
+        assert [r["blocking_pairs"] for r in samples] == (
             monitor.blocking_counts
         )
-        assert len(events.by_kind("slo_violation")) == len(
-            monitor.violations
-        )
+        assert kinds.count("slo_violation") == len(monitor.violations)
         # Each round's sample follows the engine's proposal_round record.
         assert kinds[kinds.index("slo_sample") - 1] == "proposal_round"
 

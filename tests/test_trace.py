@@ -7,7 +7,7 @@ from dataclasses import fields
 from repro.analysis.trace import ProposalRoundRecord, Timeline
 from repro.core.asm import asm
 from repro.core.rand_asm import rand_asm
-from repro.obs.events import EventLog
+from repro.obs.metrics import MetricsRegistry
 from repro.obs.telemetry import Telemetry
 from repro.workloads.generators import complete_uniform, gnp_incomplete
 
@@ -16,7 +16,7 @@ def _timeline(prefs, eps, runner=asm, **kwargs):
     """Run ``runner`` with an enabled bundle; return (result, timeline)."""
     tel = Telemetry.create()
     result = runner(prefs, eps, telemetry=tel, **kwargs)
-    return result, Timeline(tel.events)
+    return result, Timeline(tel.metrics.events)
 
 
 # The class keeps its name so the test ids stay stable; it exercises
@@ -78,7 +78,7 @@ class TestTraceObserver:
         assert summary["total_proposals"] > 0
 
     def test_empty_trace_summary(self):
-        summary = Timeline(EventLog()).convergence_summary()
+        summary = Timeline([]).convergence_summary()
         assert summary["proposal_rounds"] == 0
         assert summary["rounds_to_90pct_matched"] is None
 
@@ -99,25 +99,25 @@ class TestTraceObserver:
         """Regression: a run whose final matching is empty must report
         ``rounds_to_90pct_matched = None``, not round 1 (0.9 * 0 == 0 is
         trivially reached immediately)."""
-        log = EventLog()
+        reg = MetricsRegistry()
         zeros = {f.name: 0 for f in fields(ProposalRoundRecord)}
         for i in range(3):
-            log.emit("proposal_round", **{**zeros, "index": i})
-        summary = Timeline(log).convergence_summary()
+            reg.emit("proposal_round", **{**zeros, "index": i})
+        summary = Timeline(reg.events).convergence_summary()
         assert summary["proposal_rounds"] == 3
         assert summary["final_matching_size"] == 0
         assert summary["rounds_to_90pct_matched"] is None
 
     def test_reloaded_event_file_gives_the_same_timeline(self, tmp_path):
-        from repro.io import load_events, save_events
+        from repro.io import load_metrics, save_metrics
 
         tel = Telemetry.create()
         asm(gnp_incomplete(18, 0.4, seed=8), 0.4, telemetry=tel)
-        path = tmp_path / "events.jsonl"
-        save_events(tel.events, path)
-        _, records = load_events(path)
-        live = Timeline(tel.events)
-        loaded = Timeline(EventLog.from_records(records))
+        path = tmp_path / "metrics.json"
+        save_metrics(tel.metrics, path)
+        records = load_metrics(path)["metrics"]["events"]
+        live = Timeline(tel.metrics.events)
+        loaded = Timeline(records)
         assert loaded.records() == live.records()
         assert loaded.timeline_table() == live.timeline_table()
         assert loaded.convergence_summary() == live.convergence_summary()

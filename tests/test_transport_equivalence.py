@@ -174,7 +174,7 @@ def _snapshot(runner, prefs, transport):
         ),
         "stats": asdict(result.stats),
         "metrics": _scrub_metrics(telemetry.metrics.raw_state()),
-        "events": _scrub_events(telemetry.events.to_records()),
+        "events": _scrub_events(telemetry.metrics.events),
         "trace": tracer.to_records(),
     }
 
