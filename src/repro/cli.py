@@ -835,6 +835,7 @@ def _cmd_dynamic(args: argparse.Namespace) -> int:
         DYNAMIC_TRIAL_RUNNER,
         merge_dynamic_trials,
     )
+    from repro.obs.metrics import MetricsRegistry
     from repro.parallel.spec import TrialSpec, derive_seed
 
     t0 = time.perf_counter()
@@ -850,6 +851,18 @@ def _cmd_dynamic(args: argparse.Namespace) -> int:
         extra["slo_eps"] = args.slo_eps
     if args.repair_passes is not None:
         extra["repair_passes"] = args.repair_passes
+    telemetry = _telemetry_for(
+        args,
+        "dynamic",
+        {
+            "churn_steps": args.churn_steps,
+            "slo_eps": args.slo_eps,
+            "repair_radius": args.repair_radius,
+            "trials": args.trials,
+        },
+    )
+    if telemetry is not None:
+        extra["metrics"] = True  # each trial ships its engine's registry
     specs = [
         TrialSpec.make(
             DYNAMIC_TRIAL_RUNNER,
@@ -864,20 +877,16 @@ def _cmd_dynamic(args: argparse.Namespace) -> int:
         )
         for index in range(args.trials)
     ]
-    telemetry = _telemetry_for(
-        args,
-        "dynamic",
-        {
-            "churn_steps": args.churn_steps,
-            "slo_eps": args.slo_eps,
-            "repair_radius": args.repair_radius,
-            "trials": args.trials,
-        },
-    )
     results = TrialPool(workers=args.workers, telemetry=telemetry).run(specs)
     merged = merge_dynamic_trials(results)
+    # Kept out of the --json document, which must not depend on wall
+    # time or worker count.
+    trial_metrics = merged.pop("metrics", None)
     wall = time.perf_counter() - t0
     if telemetry is not None:
+        telemetry.metrics.merge(
+            MetricsRegistry.from_raw_state(trial_metrics or {})
+        )
         telemetry.metrics.set_gauge("run.wall_seconds", wall)
         telemetry.metrics.set_gauge("dynamic.deltas", merged["deltas"])
         telemetry.metrics.set_gauge("dynamic.fallbacks", merged["fallbacks"])

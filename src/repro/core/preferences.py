@@ -251,8 +251,37 @@ class PreferenceProfile:
             or not _symmetric(*men, *women)
         ):
             _diagnose(men_rows, women_rows)
-        self._m_indptr, self._m_targets = men
-        self._w_indptr, self._w_targets = women
+        self._own(*men, *women)
+
+    @classmethod
+    def _adopt(
+        cls,
+        m_indptr: array,
+        m_targets: array,
+        w_indptr: array,
+        w_targets: array,
+    ) -> "PreferenceProfile":
+        """A profile that takes ownership of four already-checked buffers.
+
+        For builders that validate their lists themselves: the buffers
+        must be ``array('q')`` CSR sides (the vec compiler adopts them
+        as int64 views) holding in-range, duplicate-free, symmetric
+        lists — what ``__init__`` checks — and nobody may mutate them
+        afterwards.
+        """
+        profile = cls.__new__(cls)
+        profile._own(m_indptr, m_targets, w_indptr, w_targets)
+        return profile
+
+    def _own(
+        self,
+        m_indptr: array,
+        m_targets: array,
+        w_indptr: array,
+        w_targets: array,
+    ) -> None:
+        self._m_indptr, self._m_targets = m_indptr, m_targets
+        self._w_indptr, self._w_targets = w_indptr, w_targets
         self._view: Optional[_PlayerView] = None
         self._edges_cache: Optional[FrozenSet[Tuple[int, int]]] = None
         # Struct-of-arrays compilations keyed by quantile count k (see

@@ -386,18 +386,20 @@ class DynamicMatchingEngine:
         index = self.index
         market = self.market
         men_rank = market.men_rank
+        blocking_men = index.blocking_men()
         blocking_women = index.blocking_women
         passes = 0
         marriages = 0
         for _ in range(self.repair_passes):
-            # Each region man proposes to his favorite in-region
-            # blocking partner, the least-ranked of the women the
-            # index's per-man view holds for him (none: one lookup).
+            # Each region man who blocks proposes to his favorite
+            # in-region blocking partner, the least-ranked of the
+            # women the index's per-man view holds for him; men who
+            # block with no one are not visited.  The order of the
+            # visits does not matter: each woman takes the best of
+            # her suitors, and their ranks are distinct.
             proposals: Dict[int, List[int]] = {}
-            for m in region_men:
+            for m in sorted(blocking_men & region_men.keys()):
                 women = blocking_women(m)
-                if not women:
-                    continue
                 w = min(
                     (w for w in women if w in region_women),
                     key=men_rank[m].__getitem__,
@@ -442,10 +444,9 @@ class DynamicMatchingEngine:
             telemetry=self.telemetry,
             optimized=self.solver_optimized,
         )
-        partner = [
-            result.matching.partner_of_man(m)
-            for m in range(self.market.n_men)
-        ]
+        partner = list(
+            map(result.matching.partner_of_man, range(self.market.n_men))
+        )
         self.index.update_from_partner_lists(partner)
 
     def __repr__(self) -> str:

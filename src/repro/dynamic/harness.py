@@ -9,13 +9,18 @@ or worker identity — ε values are exact integer ratios and the final
 matching is a pure function of the seeds — so a sharded
 ``repro-asm dynamic --workers N`` run is byte-identical to the serial
 one, and :func:`merge_dynamic_trials` merges shards in trial-spec
-order (the same discipline as ``repro.trace.harness``).
+order (the same discipline as ``repro.trace.harness``).  A trial run
+with the ``metrics`` param also ships its telemetry registry (the
+engine's ``dynamic_delta`` / ``dynamic_fallback`` / ``slo_*`` records,
+counters and timer spans); the merge folds those into one registry,
+also in spec order, kept apart from the wall-free trial document.
 """
 
 from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Sequence
 
+from repro.obs.metrics import MetricsRegistry
 from repro.parallel.spec import TrialSpec
 
 __all__ = [
@@ -38,9 +43,12 @@ def run_dynamic_trial(spec: TrialSpec) -> Dict[str, Any]:
     ``repair_radius``, ``repair_passes``, and the
     :class:`~repro.workloads.churn.ChurnConfig` weight knobs
     (``arrival_weight`` / ``departure_weight`` / ``edge_weight`` /
-    ``swap_weight`` / ``arrival_degree``).
+    ``swap_weight`` / ``arrival_degree``).  With ``metrics`` true the
+    engine runs with an enabled registry, returned under ``metrics``
+    as its :meth:`~repro.obs.metrics.MetricsRegistry.raw_state`.
     """
     from repro.dynamic.engine import DynamicMatchingEngine
+    from repro.obs import Telemetry
     from repro.trace.slo import StabilitySLO
     from repro.workloads.churn import ChurnConfig, churn_stream
     from repro.workloads.generators import default_instance
@@ -56,6 +64,7 @@ def run_dynamic_trial(spec: TrialSpec) -> Dict[str, Any]:
     )
     deltas = churn_stream(prefs, config, spec.param("churn_seed", 0))
     slo_eps = spec.param("slo_eps")
+    telemetry = Telemetry.create() if spec.param("metrics") else None
     engine = DynamicMatchingEngine(
         prefs,
         spec.eps,
@@ -65,10 +74,11 @@ def run_dynamic_trial(spec: TrialSpec) -> Dict[str, Any]:
             target_eps=slo_eps if slo_eps is not None else spec.eps,
             deadline_rounds=0,
         ),
+        telemetry=telemetry,
     )
     outcomes = engine.apply_stream(deltas)
     report = engine.report()
-    return {
+    record: Dict[str, Any] = {
         "trial": spec.param("trial", 0),
         "workload": spec.workload or "complete",
         "n": spec.n,
@@ -88,6 +98,9 @@ def run_dynamic_trial(spec: TrialSpec) -> Dict[str, Any]:
         "final_matching": sorted(engine.current_matching().pairs()),
         "trajectory": report["trajectory"],
     }
+    if telemetry is not None:
+        record["metrics"] = telemetry.metrics.raw_state()
+    return record
 
 
 def merge_dynamic_trials(
@@ -97,16 +110,25 @@ def merge_dynamic_trials(
 
     ``results`` must be in trial-spec order (what
     :meth:`~repro.parallel.pool.TrialPool.run` returns), making the
-    merged document independent of the worker count.
+    merged document independent of the worker count.  Trials that
+    carry a registry lose it from their row; the registries merge in
+    spec order, and the document gains their merged raw state under
+    ``metrics`` (absent when no trial carried one).
     """
     trials: List[Dict[str, Any]] = []
+    metrics = MetricsRegistry()
+    carried = False
     for index, result in enumerate(results):
         if result is None:
             continue
         row = dict(result)
+        state = row.pop("metrics", None)
+        if state is not None:
+            metrics.merge(MetricsRegistry.from_raw_state(state))
+            carried = True
         row["trial"] = index
         trials.append(row)
-    return {
+    merged: Dict[str, Any] = {
         "trials": trials,
         "deltas": sum(t["deltas"] for t in trials),
         "fallbacks": sum(t["fallbacks"] for t in trials),
@@ -114,3 +136,6 @@ def merge_dynamic_trials(
         "eps_ok": all(t["eps_ok"] for t in trials),
         "worst_eps": max((t["worst_eps"] for t in trials), default=0.0),
     }
+    if carried:
+        merged["metrics"] = metrics.raw_state()
+    return merged

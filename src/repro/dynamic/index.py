@@ -147,6 +147,9 @@ class DynamicBlockingIndex(BlockingPairIndex):
         rescans, run while the edge still exists so rank lookups hold),
         then the edge and its pool entry are dropped.
         """
+        # Check the ids before the divorce touches partner state.
+        m = self._market._check_man(m)
+        w = self._market._check_woman(w)
         was_matched = self._man_partner[m] == w
         if was_matched:
             self.unmatch_man(m)
@@ -187,6 +190,7 @@ class DynamicBlockingIndex(BlockingPairIndex):
 
     def depart_man(self, m: int) -> Optional[int]:
         """Man ``m`` departs (tombstoned); returns his ex-partner."""
+        m = self._market._check_man(m)
         ex = self._man_partner[m]
         if ex is not None:
             self.unmatch_man(m)
@@ -196,6 +200,7 @@ class DynamicBlockingIndex(BlockingPairIndex):
 
     def depart_woman(self, w: int) -> Optional[int]:
         """Woman ``w`` departs (tombstoned); returns her ex-partner."""
+        w = self._market._check_woman(w)
         ex = self._woman_partner[w]
         if ex is not None:
             self.unmatch_woman(w)
@@ -208,10 +213,14 @@ class DynamicBlockingIndex(BlockingPairIndex):
     def verify(self) -> None:
         """Assert exact agreement with a fresh index on a frozen snapshot.
 
-        Also checks that :meth:`blocking_women` is the pool grouped by
-        man (departed men included: theirs must be empty).  O(|E|) —
-        the equivalence suite runs this after every delta.
+        First audits the market itself (:meth:`DynamicMarket.verify`:
+        the profile's full validation, which :meth:`DynamicMarket.freeze`
+        skips).  Also checks that :meth:`blocking_women` is the pool
+        grouped by man (departed men included: theirs must be empty).
+        O(|E| log |E|) — the equivalence suite runs this after every
+        delta.
         """
+        self._market.verify()
         frozen = self._market.freeze()
         fresh = BlockingPairIndex(frozen, self.current_matching())
         mine = self.pairs()

@@ -4,8 +4,8 @@
 immutable — validation, rank tables, and the edge cache are computed
 once and shared.  A long-lived market with churn needs the opposite
 trade-off: preference lists that mutate in ``O(deg)`` per delta while
-keeping the same invariants (symmetry, duplicate-free lists, 1-based
-rank tables equal to list position + 1).
+keeping the same invariants (integer ids, symmetry, duplicate-free
+lists, 1-based rank tables equal to list position + 1).
 
 :class:`DynamicMarket` is that mutable twin.  It owns four structures
 with exactly the shapes the blocking-pair index iterates —
@@ -17,15 +17,22 @@ directly instead of copying per delta.  Departed players are
 keeps every id stable for the lifetime of the market — the property
 the delta stream, telemetry keys, and matching pairs all rely on.
 
-:meth:`DynamicMarket.freeze` snapshots the current state into a fully
-validated ``PreferenceProfile`` — the bridge to the static ASM solver
-used by the engine's full-restabilization fallback and by the
-equivalence tests.
+The invariants are enforced where they could break: every mutator
+checks its ids and positions (``int``, not ``bool``, in range) and,
+for arrivals, the whole incoming list, before it touches any list.
+So :meth:`DynamicMarket.freeze` — the bridge to the static ASM solver
+used by the engine's full-restabilization fallback — only copies the
+lists into CSR buffers and hands them to the profile without
+re-validating them, and :meth:`DynamicMarket.verify` is the audit:
+it runs the profile's full validation over the live lists.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+import operator
+from array import array
+from itertools import accumulate, chain
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.preferences import PreferenceProfile
 from repro.errors import InvalidParameterError, InvalidPreferencesError
@@ -36,6 +43,29 @@ __all__ = ["DynamicMarket"]
 def _rank_table(lst: Sequence[int]) -> Dict[int, int]:
     """1-based rank dict for one preference list (rank = position + 1)."""
     return {u: r + 1 for r, u in enumerate(lst)}
+
+
+def _as_int(value: object, label: str) -> int:
+    """``value`` as a plain ``int``; ``bool`` and non-integers are refused.
+
+    ``operator.index`` takes ints and numpy integers and refuses floats
+    and strings; ``bool`` passes it, so it is screened by type, as the
+    validating ``PreferenceProfile`` constructor does.
+    """
+    if type(value) is not bool:
+        try:
+            return operator.index(value)  # type: ignore[arg-type]
+        except TypeError:
+            pass
+    raise InvalidParameterError(f"{label} must be an integer, got {value!r}")
+
+
+def _csr_side(lists: List[List[int]]) -> Tuple[array, array]:
+    """``(indptr, targets)`` of one side, copied without any check."""
+    return (
+        array("q", accumulate(map(len, lists), initial=0)),
+        array("q", chain.from_iterable(lists)),
+    )
 
 
 class DynamicMarket:
@@ -106,28 +136,61 @@ class DynamicMarket:
 
     # -- validation helpers --------------------------------------------
 
-    def _check_man(self, m: int) -> None:
+    def _check_man(self, m: object) -> int:
+        m = _as_int(m, "man")
         if not 0 <= m < self.n_men:
             raise InvalidParameterError(
                 f"man {m} out of range (n_men={self.n_men})"
             )
+        return m
 
-    def _check_woman(self, w: int) -> None:
+    def _check_woman(self, w: object) -> int:
+        w = _as_int(w, "woman")
         if not 0 <= w < self.n_women:
             raise InvalidParameterError(
                 f"woman {w} out of range (n_women={self.n_women})"
             )
+        return w
 
     @staticmethod
-    def _check_pos(pos: Optional[int], length: int, label: str) -> int:
+    def _check_pos(pos: object, length: int, label: str) -> int:
         if pos is None:
             return length
+        pos = _as_int(pos, f"{label} insertion position")
         if not 0 <= pos <= length:
             raise InvalidParameterError(
                 f"{label} insertion position {pos} out of range "
                 f"[0, {length}]"
             )
         return pos
+
+    def _check_arrival(
+        self,
+        prefs: Sequence[object],
+        positions: Sequence[object],
+        check: Callable[[object], int],
+        opposite_lists: List[List[int]],
+        side: str,
+        opposite: str,
+    ) -> Tuple[List[int], List[int]]:
+        """An arriving player's list and slots, checked and as ints."""
+        if len(prefs) != len(positions):
+            raise InvalidParameterError(
+                f"prefs/positions length mismatch: "
+                f"{len(prefs)} vs {len(positions)}"
+            )
+        ranked: Dict[int, None] = {}
+        for u in map(check, prefs):
+            if u in ranked:
+                raise InvalidPreferencesError(
+                    f"arriving {side} ranks {opposite} {u} more than once"
+                )
+            ranked[u] = None
+        slots = [
+            self._check_pos(pos, len(opposite_lists[u]), opposite)
+            for u, pos in zip(ranked, positions)
+        ]
+        return list(ranked), slots
 
     # -- edge deltas ---------------------------------------------------
 
@@ -145,8 +208,8 @@ class DynamicMarket:
         ``woman_pos``.  Cost: O(deg(m) + deg(w)) to rebuild the two
         rank tables.
         """
-        self._check_man(m)
-        self._check_woman(w)
+        m = self._check_man(m)
+        w = self._check_woman(w)
         if w in self.men_rank[m]:
             raise InvalidPreferencesError(f"edge ({m}, {w}) already exists")
         mpos = self._check_pos(man_pos, len(self.men_lists[m]), "man")
@@ -159,8 +222,8 @@ class DynamicMarket:
 
     def remove_edge(self, m: int, w: int) -> None:
         """Delete the edge ``(m, w)``.  Cost: O(deg(m) + deg(w))."""
-        self._check_man(m)
-        self._check_woman(w)
+        m = self._check_man(m)
+        w = self._check_woman(w)
         if w not in self.men_rank[m]:
             raise InvalidPreferencesError(f"edge ({m}, {w}) does not exist")
         self.men_lists[m].remove(w)
@@ -171,7 +234,7 @@ class DynamicMarket:
 
     # -- preference edits ----------------------------------------------
 
-    def swap_man_adjacent(self, m: int, pos: int) -> tuple:
+    def swap_man_adjacent(self, m: int, pos: int) -> Tuple[int, int]:
         """Swap positions ``pos`` and ``pos + 1`` in man ``m``'s list.
 
         Adjacent transpositions are the atomic preference edit: any
@@ -180,30 +243,27 @@ class DynamicMarket:
         keeps the blocking-index delta O(1) rechecks.  Returns the two
         women swapped (new order).
         """
-        self._check_man(m)
-        lst = self.men_lists[m]
-        if not 0 <= pos < len(lst) - 1:
-            raise InvalidParameterError(
-                f"swap position {pos} out of range for man {m} "
-                f"(deg={len(lst)})"
-            )
-        lst[pos], lst[pos + 1] = lst[pos + 1], lst[pos]
-        rank = self.men_rank[m]
-        rank[lst[pos]] = pos + 1
-        rank[lst[pos + 1]] = pos + 2
-        return lst[pos], lst[pos + 1]
+        m = self._check_man(m)
+        return self._swap(self.men_lists[m], self.men_rank[m], pos,
+                          f"man {m}")
 
-    def swap_woman_adjacent(self, w: int, pos: int) -> tuple:
+    def swap_woman_adjacent(self, w: int, pos: int) -> Tuple[int, int]:
         """Swap positions ``pos`` and ``pos + 1`` in woman ``w``'s list."""
-        self._check_woman(w)
-        lst = self.women_lists[w]
+        w = self._check_woman(w)
+        return self._swap(self.women_lists[w], self.women_rank[w], pos,
+                          f"woman {w}")
+
+    @staticmethod
+    def _swap(
+        lst: List[int], rank: Dict[int, int], pos: object, owner: str
+    ) -> Tuple[int, int]:
+        pos = _as_int(pos, "swap position")
         if not 0 <= pos < len(lst) - 1:
             raise InvalidParameterError(
-                f"swap position {pos} out of range for woman {w} "
+                f"swap position {pos} out of range for {owner} "
                 f"(deg={len(lst)})"
             )
         lst[pos], lst[pos + 1] = lst[pos + 1], lst[pos]
-        rank = self.women_rank[w]
         rank[lst[pos]] = pos + 1
         rank[lst[pos + 1]] = pos + 2
         return lst[pos], lst[pos + 1]
@@ -218,58 +278,36 @@ class DynamicMarket:
         ``prefs`` is his preference list over existing women (best
         first, duplicate-free); ``positions[i]`` is the 0-based slot he
         takes in ``prefs[i]``'s list.  Symmetry is restored atomically:
-        validation happens before any list is touched.
+        every id and slot is checked before any list is touched.
         """
-        if len(prefs) != len(positions):
-            raise InvalidParameterError(
-                f"prefs/positions length mismatch: "
-                f"{len(prefs)} vs {len(positions)}"
-            )
-        seen: Dict[int, None] = {}
-        for w in prefs:
-            self._check_woman(w)
-            if w in seen:
-                raise InvalidPreferencesError(
-                    f"arriving man ranks woman {w} more than once"
-                )
-            seen[w] = None
-        for w, pos in zip(prefs, positions):
-            self._check_pos(pos, len(self.women_lists[w]), "woman")
+        women, slots = self._check_arrival(
+            prefs, positions, self._check_woman, self.women_lists,
+            "man", "woman",
+        )
         m = self.n_men
-        self.men_lists.append(list(prefs))
-        self.men_rank.append(_rank_table(prefs))
-        for w, pos in zip(prefs, positions):
+        self.men_lists.append(women)
+        self.men_rank.append(_rank_table(women))
+        for w, pos in zip(women, slots):
             self.women_lists[w].insert(pos, m)
             self.women_rank[w] = _rank_table(self.women_lists[w])
-        self._num_edges += len(prefs)
+        self._num_edges += len(women)
         return m
 
     def add_woman(
         self, prefs: Sequence[int], positions: Sequence[int]
     ) -> int:
         """A new woman arrives; returns her (dense) index."""
-        if len(prefs) != len(positions):
-            raise InvalidParameterError(
-                f"prefs/positions length mismatch: "
-                f"{len(prefs)} vs {len(positions)}"
-            )
-        seen: Dict[int, None] = {}
-        for m in prefs:
-            self._check_man(m)
-            if m in seen:
-                raise InvalidPreferencesError(
-                    f"arriving woman ranks man {m} more than once"
-                )
-            seen[m] = None
-        for m, pos in zip(prefs, positions):
-            self._check_pos(pos, len(self.men_lists[m]), "man")
+        men, slots = self._check_arrival(
+            prefs, positions, self._check_man, self.men_lists,
+            "woman", "man",
+        )
         w = self.n_women
-        self.women_lists.append(list(prefs))
-        self.women_rank.append(_rank_table(prefs))
-        for m, pos in zip(prefs, positions):
+        self.women_lists.append(men)
+        self.women_rank.append(_rank_table(men))
+        for m, pos in zip(men, slots):
             self.men_lists[m].insert(pos, w)
             self.men_rank[m] = _rank_table(self.men_lists[m])
-        self._num_edges += len(prefs)
+        self._num_edges += len(men)
         return w
 
     def clear_man(self, m: int) -> List[int]:
@@ -279,7 +317,7 @@ class DynamicMarket:
         other id is unaffected.  Returns the women he was connected to
         (in his preference order) for the caller's pool cleanup.
         """
-        self._check_man(m)
+        m = self._check_man(m)
         women = list(self.men_lists[m])
         for w in women:
             self.women_lists[w].remove(m)
@@ -291,7 +329,7 @@ class DynamicMarket:
 
     def clear_woman(self, w: int) -> List[int]:
         """Tombstone woman ``w`` (departure): drop all her edges."""
-        self._check_woman(w)
+        w = self._check_woman(w)
         men = list(self.women_lists[w])
         for m in men:
             self.men_lists[m].remove(w)
@@ -304,10 +342,47 @@ class DynamicMarket:
     # -- snapshot ------------------------------------------------------
 
     def freeze(self) -> PreferenceProfile:
-        """A fully validated immutable snapshot of the current market.
+        """An immutable snapshot of the current market.
 
         O(|E|) — the bridge to the static solver (full-restabilization
-        fallback) and the oracle cross-checks.  Tombstoned players
-        appear with empty lists, keeping indices aligned.
+        fallback) and the oracle cross-checks.  It copies the lists
+        into CSR buffers and adopts them without re-validating: the
+        mutators keep the invariants at every edit, and
+        :meth:`verify` audits them.  Tombstoned players appear with
+        empty lists, keeping indices aligned.
         """
-        return PreferenceProfile(self.men_lists, self.women_lists)
+        return PreferenceProfile._adopt(
+            *_csr_side(self.men_lists), *_csr_side(self.women_lists)
+        )
+
+    def verify(self) -> None:
+        """Audit the live structures against every profile invariant.
+
+        Builds the lists through the validating ``PreferenceProfile``
+        constructor (integer ids, ranges, duplicates, symmetry; it
+        raises ``InvalidPreferencesError``), then requires its buffers
+        to equal :meth:`freeze`'s, :attr:`num_edges` to count them and
+        every rank table to be list position + 1.  O(|E| log |E|) —
+        the check :meth:`freeze` leaves out.
+        """
+        checked = PreferenceProfile(self.men_lists, self.women_lists)
+        # Explicit raises, not ``assert``: the audit must survive -O.
+        if checked != self.freeze():
+            raise AssertionError(
+                "freeze() buffers differ from the validated profile's"
+            )
+        if checked.num_edges != self._num_edges:
+            raise AssertionError(
+                f"num_edges is {self._num_edges}, the lists hold "
+                f"{checked.num_edges} edges"
+            )
+        for side, lists, ranks in (
+            ("man", self.men_lists, self.men_rank),
+            ("woman", self.women_lists, self.women_rank),
+        ):
+            if len(ranks) != len(lists) or any(
+                map(operator.ne, ranks, map(_rank_table, lists))
+            ):
+                raise AssertionError(
+                    f"a {side} rank table is not list position + 1"
+                )

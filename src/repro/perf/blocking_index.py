@@ -209,6 +209,15 @@ class BlockingPairIndex:
         """
         return self._pool.by_man.get(m, _NO_WOMEN).keys()
 
+    def blocking_men(self) -> KeysView[int]:
+        """The men in at least one blocking pair, as a live view.
+
+        A man enters when his first pair enters the pool and leaves
+        with his last, so ``m in blocking_men()`` iff
+        :meth:`blocking_women` of ``m`` is nonempty.
+        """
+        return self._pool.by_man.keys()
+
     def choose(self, rng: random.Random) -> Tuple[int, int]:
         """A uniformly random current blocking pair."""
         if not self._pool:

@@ -8,6 +8,15 @@ from typing import List, Optional
 from repro.analysis.stability import count_blocking_pairs
 from repro.core.matching import Matching
 from repro.core.preferences import PreferenceProfile
+from repro.vec import HAS_NUMPY
+
+#: The compiled arrays a vec solve reads, compared by
+#: :func:`assert_freeze_both_ways`.
+_VEC_ARRAYS = (
+    "m_indptr", "m_woman", "m_owner", "m_quant",
+    "w_indptr", "w_man", "w_owner", "w_quant",
+    "m2w_pos", "w2m_pos", "wq_of_edge", "w_first_same_q",
+)
 
 
 def all_perfect_matchings(n: int):
@@ -38,3 +47,32 @@ def man_rank_of_partner(
     if w is None:
         return None
     return prefs.rank_of_woman(m, w)
+
+
+def assert_freeze_both_ways(market) -> None:
+    """``market.freeze()`` equals the validating constructor's profile.
+
+    ``freeze()`` adopts the market's CSR copy without re-validating it;
+    the same lists through ``PreferenceProfile(...)`` must give equal
+    profiles, buffers and dicts, and (with numpy) identical vec
+    compilations.
+    """
+    adopted = market.freeze()
+    checked = PreferenceProfile(market.men_lists, market.women_lists)
+    assert adopted == checked
+    assert adopted.men_csr() == checked.men_csr()
+    assert adopted.women_csr() == checked.women_csr()
+    assert all(
+        buf.typecode == "q" for buf in adopted.men_csr() + adopted.women_csr()
+    )
+    assert adopted.to_dict() == checked.to_dict()
+    if HAS_NUMPY:
+        import numpy as np
+
+        from repro.vec.compile import compile_profile
+
+        mine, theirs = compile_profile(adopted, 4), compile_profile(checked, 4)
+        for name in _VEC_ARRAYS:
+            np.testing.assert_array_equal(
+                getattr(mine, name), getattr(theirs, name), err_msg=name
+            )

@@ -46,6 +46,7 @@ from repro.workloads.generators import (
     gnp_incomplete,
     master_list,
 )
+from tests.helpers import assert_freeze_both_ways
 
 ALL_DELTAS = [
     AddEdge(man=1, woman=2, man_pos=0, woman_pos=1),
@@ -149,6 +150,7 @@ def _drive(prefs, deltas, *, target_eps, **kwargs):
         outcome = engine.apply(delta)
         # 1. index exactness (vs fresh index + full-scan oracle)
         engine.index.verify()
+        assert_freeze_both_ways(engine.market)
         # 2. stability contract: never worse than what a full re-run
         #    would certify
         frozen = engine.market.freeze()
@@ -271,6 +273,7 @@ class TestRepairOracle:
         for delta in deltas:
             assert engine.apply(delta) == reference.apply(delta)
             _assert_view_is_pool(engine.index)
+            assert_freeze_both_ways(engine.market)
             if isinstance(delta, DepartMan):
                 departures += 1
                 assert not engine.index.blocking_women(delta.man)

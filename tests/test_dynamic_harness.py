@@ -103,6 +103,53 @@ class TestMerge:
         assert merged["eps_ok"] is True
 
 
+class TestTrialMetrics:
+    """With ``metrics`` a trial ships its engine's registry."""
+
+    def test_off_by_default(self):
+        assert "metrics" not in run_dynamic_trial(_spec())
+
+    def test_records_merge_in_spec_order(self):
+        # No repair and a tight SLO: each trial falls back once.
+        knobs = dict(slo_eps=0.01, repair_radius=0)
+        results = [
+            run_dynamic_trial(_spec(trial=i, metrics=True, **knobs))
+            for i in range(2)
+        ]
+        plain = merge_dynamic_trials(
+            [run_dynamic_trial(_spec(trial=i, **knobs)) for i in range(2)]
+        )
+        merged = merge_dynamic_trials(results)
+        assert merged["fallbacks"] == 2
+        state = merged.pop("metrics")
+        assert merged == plain  # the trial document is unchanged
+        events = state["events"]
+        assert [e["seq"] for e in events] == list(range(len(events)))
+        deltas = [e for e in events if e["kind"] == "dynamic_delta"]
+        assert [e["delta"] for e in deltas] == list(range(1, 13)) * 2
+        kinds = {e["kind"] for e in events}
+        assert {"dynamic_fallback", "slo_sample", "slo_violation"} <= kinds
+        assert len(state["events"]) == sum(
+            len(r["metrics"]["events"]) for r in results
+        )
+
+    def test_cli_metrics_out_holds_engine_records(self, tmp_path, capsys):
+        from repro.io import load_metrics
+
+        out = tmp_path / "m.json"
+        argv = ["dynamic", "--workload", "gnp", "--n", "30",
+                "--churn-steps", "10", "--trials", "2", "--json"]
+        assert main(argv) == 0
+        plain = capsys.readouterr().out
+        assert main(argv + ["--workers", "2", "--metrics-out", str(out)]) == 0
+        assert capsys.readouterr().out == plain
+        events = load_metrics(out)["metrics"]["events"]
+        kinds = [e["kind"] for e in events]
+        assert kinds.count("dynamic_delta") == 20
+        assert kinds.count("slo_sample") == 20
+        assert kinds.count("trial_chunk") == 2
+
+
 class TestWorkersEquivalence:
     def test_sharded_run_matches_serial(self):
         specs = [_spec(trial=i) for i in range(4)]

@@ -19,6 +19,7 @@ from repro.core.preferences import PreferenceProfile
 from repro.dynamic import DynamicBlockingIndex, DynamicMarket
 from repro.errors import InvalidParameterError
 from repro.workloads.generators import complete_uniform, gnp_incomplete
+from tests.helpers import assert_freeze_both_ways
 
 
 def _make(prefs):
@@ -195,3 +196,4 @@ class TestRandomOpSequences:
                     index.depart_woman(rng.randrange(market.n_women))
                 )
             index.verify()
+            assert_freeze_both_ways(market)

@@ -1,9 +1,10 @@
 """Tests for the mutable market state (``repro.dynamic.market``).
 
 Every mutation must keep the four structures mutually consistent
-(symmetry, duplicate-free lists, rank = position + 1) and
-:meth:`DynamicMarket.freeze` must always yield a *validated*
-``PreferenceProfile`` — freezing is how the invariants are audited.
+(integer ids, symmetry, duplicate-free lists, rank = position + 1).
+:meth:`DynamicMarket.freeze` adopts the lists without re-checking
+them, so the mutators refuse bad input before touching any list and
+:meth:`DynamicMarket.verify` is how the invariants are audited.
 """
 
 from __future__ import annotations
@@ -11,19 +12,26 @@ from __future__ import annotations
 import pytest
 
 from repro.core.preferences import PreferenceProfile
-from repro.dynamic import DynamicMarket
+from repro.dynamic import DynamicBlockingIndex, DynamicMarket
 from repro.errors import InvalidParameterError, InvalidPreferencesError
 from repro.workloads.generators import complete_uniform, gnp_incomplete
 
 
 def _assert_consistent(market: DynamicMarket) -> None:
-    """Symmetry + rank-table invariants, via freeze's full validation."""
-    frozen = market.freeze()
-    assert frozen.num_edges == market.num_edges
-    for m, lst in enumerate(market.men_lists):
-        assert market.men_rank[m] == {w: r + 1 for r, w in enumerate(lst)}
-    for w, lst in enumerate(market.women_lists):
-        assert market.women_rank[w] == {m: r + 1 for r, m in enumerate(lst)}
+    """Symmetry + rank-table invariants, via the market's own audit."""
+    market.verify()
+    assert market.freeze().num_edges == market.num_edges
+
+
+def _state(market: DynamicMarket):
+    """Everything a failed edit must leave untouched."""
+    return (
+        [list(lst) for lst in market.men_lists],
+        [list(lst) for lst in market.women_lists],
+        [dict(rank) for rank in market.men_rank],
+        [dict(rank) for rank in market.women_rank],
+        market.num_edges,
+    )
 
 
 class TestConstruction:
@@ -172,3 +180,143 @@ class TestArrivalsDepartures:
         market.add_edge(0, 1)
         assert market.women_lists[1] == [0]
         _assert_consistent(market)
+
+
+class TestEditTimeValidation:
+    """Bad ids and positions are refused before any list changes."""
+
+    BAD = [True, False, 1.0, 1.5, "1", None]
+
+    @pytest.mark.parametrize("bad", BAD)
+    def test_player_ids_refused(self, bad):
+        market = DynamicMarket(gnp_incomplete(6, 0.5, seed=2))
+        before = _state(market)
+        edits = [
+            lambda: market.add_edge(bad, 0),
+            lambda: market.add_edge(0, bad),
+            lambda: market.remove_edge(bad, 0),
+            lambda: market.remove_edge(0, bad),
+            lambda: market.swap_man_adjacent(bad, 0),
+            lambda: market.swap_woman_adjacent(bad, 0),
+            lambda: market.clear_man(bad),
+            lambda: market.clear_woman(bad),
+            lambda: market.add_man([0, bad], [0, 0]),
+            lambda: market.add_woman([bad], [0]),
+        ]
+        for edit in edits:
+            with pytest.raises(InvalidParameterError):
+                edit()
+            assert _state(market) == before
+        market.verify()
+
+    @pytest.mark.parametrize("bad", [True, 1.0, 1.5, "0"])
+    def test_positions_refused(self, bad):
+        market = DynamicMarket(complete_uniform(3, seed=1))
+        market.remove_edge(0, 2)  # so that (0, 2) can be added back
+        before = _state(market)
+        edits = [
+            lambda: market.add_edge(0, 2, man_pos=bad),
+            lambda: market.add_edge(0, 2, woman_pos=bad),
+            lambda: market.swap_man_adjacent(1, bad),
+            lambda: market.swap_woman_adjacent(1, bad),
+            lambda: market.add_man([0, 1], [0, bad]),
+            lambda: market.add_woman([2], [bad]),
+        ]
+        for edit in edits:
+            with pytest.raises(InvalidParameterError):
+                edit()
+            assert _state(market) == before
+        market.verify()
+
+    def test_bool_edge_not_written(self):
+        market = DynamicMarket(PreferenceProfile([[0], [1]], [[0], [1]]))
+        with pytest.raises(InvalidParameterError):
+            market.add_edge(True, 0)
+        assert market.women_lists[0] == [0]
+        market.verify()
+
+    def test_failed_arrival_leaves_market_intact(self):
+        market = DynamicMarket(complete_uniform(3, seed=1))
+        before = _state(market)
+        with pytest.raises(InvalidParameterError):
+            market.add_man([0, 1], [0, 1.5])
+        assert _state(market) == before
+        assert market.n_men == 3
+        market.verify()
+
+    def test_integer_likes_stored_as_int(self):
+        np = pytest.importorskip("numpy")
+        market = DynamicMarket(complete_uniform(3, seed=1))
+        market.remove_edge(np.int64(0), np.int64(2))
+        market.add_edge(np.int64(0), np.int64(2), np.int64(0), np.int64(1))
+        m = market.add_man([np.int64(1)], [np.int64(0)])
+        assert type(market.men_lists[m][0]) is int
+        assert all(
+            type(u) is int for lst in market.women_lists for u in lst
+        )
+        _assert_consistent(market)
+
+    def test_index_refuses_before_touching_partners(self):
+        market = DynamicMarket(complete_uniform(3, seed=0))
+        index = DynamicBlockingIndex(market)
+        index.satisfy(1, market.men_lists[1][0])
+        partners = [index.man_partner(m) for m in range(3)]
+        for edit in (
+            lambda: index.remove_edge(True, partners[1]),
+            lambda: index.depart_man(True),
+            lambda: index.depart_woman(True),
+        ):
+            with pytest.raises(InvalidParameterError):
+                edit()
+        assert [index.man_partner(m) for m in range(3)] == partners
+        index.verify()
+
+
+class TestVerify:
+    """verify() keeps the full validation that freeze() skips."""
+
+    def test_clean_market_passes(self):
+        market = DynamicMarket(gnp_incomplete(8, 0.5, seed=4))
+        market.add_man([0, 3], [0, 0])
+        market.verify()
+
+    def test_asymmetric_lists_refused(self):
+        market = DynamicMarket(complete_uniform(3, seed=0))
+        market.women_lists[0].remove(1)  # bypasses the mutators
+        with pytest.raises(InvalidPreferencesError, match="asymmetric"):
+            market.verify()
+
+    def test_bool_id_refused(self):
+        market = DynamicMarket(PreferenceProfile([[0], [1]], [[0], [1]]))
+        market.women_lists[1][0] = True  # what add_edge used to write
+        with pytest.raises(InvalidPreferencesError, match="non-integer"):
+            market.verify()
+
+    def test_stale_rank_table_refused(self):
+        market = DynamicMarket(complete_uniform(3, seed=0))
+        market.men_lists[0].reverse()
+        with pytest.raises(AssertionError, match="rank table"):
+            market.verify()
+
+    def test_edge_count_drift_refused(self):
+        market = DynamicMarket(complete_uniform(3, seed=0))
+        market._num_edges += 1
+        with pytest.raises(AssertionError, match="num_edges"):
+            market.verify()
+
+    def test_index_verify_audits_market(self):
+        market = DynamicMarket(complete_uniform(3, seed=0))
+        index = DynamicBlockingIndex(market)
+        market.men_rank[2][market.men_lists[2][0]] = 9
+        with pytest.raises(AssertionError, match="rank table"):
+            index.verify()
+
+    def test_freeze_adopts_without_revalidating(self, monkeypatch):
+        market = DynamicMarket(gnp_incomplete(6, 0.5, seed=1))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("freeze() ran the validating constructor")
+
+        expected = PreferenceProfile(market.men_lists, market.women_lists)
+        monkeypatch.setattr(PreferenceProfile, "__init__", refuse)
+        assert market.freeze() == expected

@@ -444,6 +444,37 @@ class TestLazyView:
         assert not _view_built(p) and not _view_built(frozen)
 
 
+class TestAdopt:
+    """``_adopt`` takes checked CSR buffers as they are."""
+
+    def test_adopted_profile_equals_validated(self):
+        p = bounded_degree(30, 4, seed=5)
+        adopted = PreferenceProfile._adopt(*p.men_csr(), *p.women_csr())
+        assert adopted == p and hash(adopted) == hash(p)
+        assert adopted.men_csr()[1] is p.men_csr()[1]  # owned, not copied
+        assert adopted.to_dict() == p.to_dict()
+        assert adopted.men_rank_tables() == p.men_rank_tables()
+        assert adopted.edges() == p.edges()
+        assert adopted.soa_cache() == {}
+        assert adopted.soa_cache() is not p.soa_cache()
+
+    def test_adopt_skips_validation(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("_adopt ran the validating constructor")
+
+        p = PreferenceProfile([[0, 1], [0]], [[0, 1], [0]])
+        monkeypatch.setattr(PreferenceProfile, "__init__", refuse)
+        adopted = PreferenceProfile._adopt(*p.men_csr(), *p.women_csr())
+        assert adopted.num_edges == 3
+        assert adopted.rank_of_man(0, 1) == 2
+
+    def test_constructor_still_validates(self):
+        with pytest.raises(InvalidPreferencesError, match="asymmetric"):
+            PreferenceProfile([[0]], [[]])
+        with pytest.raises(InvalidPreferencesError, match="non-integer"):
+            PreferenceProfile([[True]], [[0]])
+
+
 def test_narrow_numpy_rows_validate_on_the_arrays():
     """Keys are packed from the int64 buffers, never from the caller's
     scalars: int16 rows with ``woman·n_men + man`` beyond int16 pass."""
