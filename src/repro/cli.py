@@ -4,38 +4,46 @@ Subcommands
 -----------
 ``run``
     Run one algorithm on one generated instance and print a stability
-    report.
+    report; ``--slo-eps`` (ASM variants) gates the run on an
+    ε-stability SLO and exits 1 when it fails.
+``generate``
+    Write a generated instance to a JSON file that ``run --input``
+    reads back.
 ``experiment``
     Run one experiment from DESIGN.md §3 and print its table.
 ``report``
     Run every experiment (at a chosen scale) and print all tables —
     this regenerates the numbers recorded in EXPERIMENTS.md.
-``list``
-    List available experiments, workloads and algorithms.
-``lint``
-    Statically analyze the source tree for CONGEST-model compliance,
-    determinism, and telemetry hygiene (see ``docs/static_analysis.md``).
+``congest``
+    Run a message-level protocol on the CONGEST simulator, optionally
+    under seeded faults and a latency model, and print its statistics.
 ``trace``
-    Run a message-level protocol with causal span tracing enabled and
-    export the trace (``--trace-out``) and the wall-clock profile
-    (``--profile-out``, Chrome trace-event JSON); can explain how a
-    blocking pair came to be (``--explain M W``).
-``profile``
-    Run an ASM variant with its timings and op counts recorded (and an
-    optional ε-stability SLO) and print the wall-free summary.
+    Run message-level protocol trials with causal tracing and print
+    their outcomes; can explain how a blocking pair came to be
+    (``--explain M W``).
 ``dynamic``
     Drive the online dynamic matching engine over seeded churn streams
     of arrivals, departures, and preference edits; localized repair
     with a full-ASM SLO fallback keeps ε within target after every
     delta (see ``docs/dynamic.md``).
+``bench``
+    Run the pinned counter matrix, write ``BENCH_<rev>.json``, and
+    optionally gate it against a committed baseline.
+``lint``
+    Statically analyze the source tree for CONGEST-model compliance,
+    determinism, and telemetry hygiene (see ``docs/static_analysis.md``).
+``list``
+    List available experiments, workloads and algorithms.
 
 Telemetry
 ---------
-``run``, ``congest`` and ``dynamic`` accept ``--metrics-out FILE``
-(JSON: counters, gauges, phase-timing histograms and the structured
-run events).  The artifact embeds a
-:class:`~repro.obs.manifest.RunManifest` so it is self-describing;
-see ``docs/observability.md``.
+``run``, ``congest``, ``trace`` and ``dynamic`` accept ``--metrics-out
+FILE``, the run's one artifact: counters, gauges, phase-timing
+histograms and the structured event records (fault records included),
+the timer spans as Chrome ``traceEvents`` (the file opens in Perfetto
+as it is), the causal trace under ``trace`` when the run was traced,
+and a :class:`~repro.obs.manifest.RunManifest` so it is
+self-describing; see ``docs/observability.md``.
 """
 
 from __future__ import annotations
@@ -154,14 +162,21 @@ def _telemetry_for(
 def _export_telemetry(
     args: argparse.Namespace, telemetry: Optional[Telemetry]
 ) -> None:
-    """Dump the bundle to ``--metrics-out`` (notice on stderr)."""
+    """Dump the bundle to ``--metrics-out`` (notice on stderr): the
+    registry, the manifest, and the tracer's records when it has one."""
     if telemetry is None:
         return
     from repro.io import save_metrics
 
     if telemetry.manifest is not None:
         telemetry.manifest.finish()
-    save_metrics(telemetry.metrics, args.metrics_out, telemetry.manifest)
+    tracer = telemetry.tracer
+    save_metrics(
+        telemetry.metrics,
+        args.metrics_out,
+        telemetry.manifest,
+        trace=tracer.to_records() if tracer is not None else None,
+    )
     print(
         f"wrote metrics to {args.metrics_out} "
         f"({len(telemetry.metrics.events)} events)",
@@ -169,9 +184,7 @@ def _export_telemetry(
     )
 
 
-def _add_fault_flags(
-    parser: argparse.ArgumentParser, *, trace_out: bool = False
-) -> None:
+def _add_fault_flags(parser: argparse.ArgumentParser) -> None:
     """The shared fault-injection flag group (``congest`` / ``trace``)."""
     fault_g = parser.add_argument_group(
         "fault injection",
@@ -199,12 +212,6 @@ def _add_fault_flags(
                          "(default: crashes are permanent)")
     fault_g.add_argument("--fault-seed", type=int, default=0,
                          help="root seed for all fault decisions")
-    if trace_out:
-        fault_g.add_argument("--fault-trace-out", default=None,
-                             metavar="FILE",
-                             help="write the deterministic fault trace as "
-                             "JSON (activates the injector even with all "
-                             "rates 0)")
 
 
 def _fault_knobs(args: argparse.Namespace) -> Dict[str, Any]:
@@ -267,8 +274,9 @@ def _add_telemetry_flags(parser: argparse.ArgumentParser) -> None:
         "--metrics-out",
         default=None,
         metavar="FILE",
-        help="export run metrics (counters/gauges/histograms) and the "
-        "structured event records as JSON",
+        help="write the run's one artifact as JSON: metrics, event "
+        "records, timer spans as Chrome traceEvents, and the causal "
+        "trace when the run is traced",
     )
 
 
@@ -304,22 +312,44 @@ def _cmd_run(args: argparse.Namespace) -> int:
     else:
         prefs = default_instance(args.workload, args.n, args.seed)
 
-    if args.algorithm in ("asm", "rand-asm", "almost-regular-asm"):
+    is_asm = args.algorithm in ("asm", "rand-asm", "almost-regular-asm")
+    if args.slo_deadline is not None and args.slo_eps is None:
+        print("error: --slo-deadline requires --slo-eps", file=sys.stderr)
+        return 2
+    if args.slo_eps is not None and not is_asm:
+        print(
+            "error: --slo-eps applies to the ASM variants only",
+            file=sys.stderr,
+        )
+        return 2
+    if is_asm:
         params: Dict[str, Any] = {"eps": args.eps}
     elif args.algorithm == "truncated-gs":
         params = {"iterations": args.gs_iterations}
     else:
         params = {}
     telemetry = _telemetry_for(args, args.algorithm, params)
+    monitor = None
+    if args.slo_eps is not None:
+        from repro.trace import SLOMonitor, StabilitySLO
+
+        monitor = SLOMonitor(
+            prefs,
+            StabilitySLO(args.slo_eps, deadline_rounds=args.slo_deadline),
+        )
 
     t0 = time.perf_counter()
     if args.algorithm == "asm":
-        result = asm(prefs, args.eps, telemetry=telemetry)
+        result = asm(prefs, args.eps, observer=monitor, telemetry=telemetry)
     elif args.algorithm == "rand-asm":
-        result = rand_asm(prefs, args.eps, seed=args.seed, telemetry=telemetry)
+        result = rand_asm(
+            prefs, args.eps, seed=args.seed,
+            observer=monitor, telemetry=telemetry,
+        )
     elif args.algorithm == "almost-regular-asm":
         result = almost_regular_asm(
-            prefs, args.eps, seed=args.seed, telemetry=telemetry
+            prefs, args.eps, seed=args.seed,
+            observer=monitor, telemetry=telemetry,
         )
     elif args.algorithm in ("gale-shapley", "truncated-gs"):
         truncated = args.algorithm == "truncated-gs"
@@ -359,13 +389,16 @@ def _cmd_run(args: argparse.Namespace) -> int:
         telemetry.metrics.inc("asm.rounds_active", result.rounds_active)
         telemetry.metrics.inc("asm.rounds_scheduled", result.rounds_scheduled)
     _export_telemetry(args, telemetry)
+    slo_ok = monitor is None or monitor.satisfied
     if args.json:
         payload = result.to_dict()
         payload["instability"] = stability_report(
             prefs, result.matching
         ).instability
+        if monitor is not None:
+            payload["slo"] = monitor.report()
         print(json.dumps(payload, indent=2))
-        return 0
+        return 0 if slo_ok else 1
     rep = stability_report(prefs, result.matching, eps=2.0 / result.k)
     row = {
         "algorithm": args.algorithm,
@@ -385,7 +418,17 @@ def _cmd_run(args: argparse.Namespace) -> int:
             [row], title=f"{args.workload} n={args.n} |E|={prefs.num_edges}"
         )
     )
-    return 0
+    if monitor is not None:
+        report = monitor.report()
+        print(
+            f"SLO target_eps={report['target_eps']} "
+            f"deadline={report['deadline_rounds']}: "
+            f"final_eps={report['final_eps']:.4f} "
+            f"worst_eps={report['worst_eps']:.4f} "
+            f"violations={len(report['violations'])} "
+            f"-> {'PASS' if slo_ok else 'FAIL'}"
+        )
+    return 0 if slo_ok else 1
 
 
 def _cmd_experiment(args: argparse.Namespace) -> int:
@@ -484,7 +527,7 @@ def _cmd_congest(args: argparse.Namespace) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     plan = fault_plan_for_profile(prefs, **_fault_knobs(args))
-    if plan.is_null and args.fault_trace_out is None:
+    if plan.is_null:
         plan = None  # no fault flag set: run fault-free
     telemetry = _telemetry_for(
         args,
@@ -512,7 +555,6 @@ def _cmd_congest(args: argparse.Namespace) -> int:
         )
         unresolved = len(assemble(sim, player_partner).unresolved)
         stats, injector = sim.stats, sim.faults
-        fault_records = injector.records if injector is not None else []
         fstats = injector.stats if injector is not None else None
     else:
         overrides = dict(
@@ -540,10 +582,9 @@ def _cmd_congest(args: argparse.Namespace) -> int:
                 transport=transport,
             )
         matching, stats = result.matching, result.stats
-        fault_records, fstats = result.fault_trace, result.fault_stats
+        fstats = result.fault_stats
         unresolved = len(result.unresolved_men) + len(result.unresolved_women)
         retries = result.retries
-    fault_trace = [dict(r) for r in fault_records]
     fault_row: Dict[str, Any] = {}
     if fstats is not None:
         fault_row = {
@@ -562,22 +603,6 @@ def _cmd_congest(args: argparse.Namespace) -> int:
         telemetry.metrics.set_gauge("congest.max_message_bits",
                                     stats.max_message_bits)
     _export_telemetry(args, telemetry)
-    if args.fault_trace_out is not None:
-        from repro.io import save_fault_trace
-
-        save_fault_trace(
-            fault_trace,
-            args.fault_trace_out,
-            metadata={
-                "protocol": args.protocol,
-                "workload": args.workload,
-                "n": args.n,
-                "eps": args.eps,
-                "seed": args.seed,
-                "fault_seed": args.fault_seed,
-            },
-        )
-        print(f"fault trace written to {args.fault_trace_out}")
     row: Dict[str, Any] = {
         "protocol": args.protocol,
         "matching_size": rep.matching_size,
@@ -605,12 +630,16 @@ def _cmd_congest(args: argparse.Namespace) -> int:
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
-    """Run traced message-level trials; export trace + wall profile."""
+    """Run traced message-level trials; export them via --metrics-out."""
     import json
 
-    from repro.obs.metrics import chrome_trace_document
     from repro.parallel.spec import TrialSpec, derive_seed
-    from repro.trace import CausalTrace, TRACE_TRIAL_RUNNER, merge_trace_trials
+    from repro.trace import (
+        CausalTrace,
+        CausalTracer,
+        TRACE_TRIAL_RUNNER,
+        merge_trace_trials,
+    )
 
     if args.explain is not None and args.trials != 1:
         print(
@@ -625,6 +654,12 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         value = getattr(args, name)
         if value is not None:
             extra[name] = value
+    telemetry = _telemetry_for(
+        args,
+        f"congest-{args.protocol}",
+        {"eps": args.eps, "trials": args.trials, **extra},
+    )
+    t0 = time.perf_counter()
     specs = [
         TrialSpec.make(
             TRACE_TRIAL_RUNNER,
@@ -643,39 +678,13 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     trace = CausalTrace(merged["trace"])
     dropped = trace.dropped()
     open_spans = trace.unclosed_spans()
-
-    metadata = {
-        "protocol": args.protocol,
-        "workload": args.workload,
-        "n": args.n,
-        "eps": args.eps,
-        "seed": args.seed,
-        "trials": args.trials,
-        "fault_seed": args.fault_seed,
-        "drop_rate": args.drop_rate,
-        "duplicate_rate": args.duplicate_rate,
-        "delay_rate": args.delay_rate,
-        "crash": args.crash,
-    }
-    if args.trace_out:
-        from repro.io import save_trace
-
-        save_trace(merged["trace"], args.trace_out, metadata=metadata)
-        print(
-            f"wrote {len(merged['trace'])} trace records to "
-            f"{args.trace_out}",
-            file=sys.stderr,
+    if telemetry is not None:
+        telemetry.metrics.merge(merged["metrics"])
+        telemetry.metrics.set_gauge(
+            "run.wall_seconds", time.perf_counter() - t0
         )
-    if args.profile_out:
-        from repro.io import save_chrome_trace
-
-        document = chrome_trace_document(merged["spans"], metadata=metadata)
-        save_chrome_trace(document, args.profile_out)
-        print(
-            f"wrote {len(document['traceEvents'])} profile events to "
-            f"{args.profile_out}",
-            file=sys.stderr,
-        )
+        telemetry.tracer = CausalTracer.from_records(merged["trace"])
+    _export_telemetry(args, telemetry)
     if args.json:
         print(
             json.dumps(
@@ -724,106 +733,6 @@ def _cmd_trace(args: argparse.Namespace) -> int:
             for action, count in impact["by_action"].items()
         )
         print(f"faults: {parts}")
-    return 0
-
-
-def _cmd_profile(args: argparse.Namespace) -> int:
-    """Run one ASM variant with timings and op counts (+ optional SLO)."""
-    import json
-
-    from repro.obs.metrics import chrome_trace_document
-    from repro.trace import SLOMonitor, StabilitySLO
-
-    prefs = default_instance(args.workload, args.n, args.seed)
-    telemetry = Telemetry.create()
-    monitor: Optional[SLOMonitor] = None
-    if args.slo_eps is not None:
-        monitor = SLOMonitor(
-            prefs,
-            StabilitySLO(args.slo_eps, deadline_rounds=args.slo_deadline),
-        )
-    elif args.slo_deadline is not None:
-        print(
-            "error: --slo-deadline requires --slo-eps", file=sys.stderr
-        )
-        return 2
-    t0 = time.perf_counter()
-    if args.algorithm == "asm":
-        result = asm(prefs, args.eps, observer=monitor, telemetry=telemetry)
-    elif args.algorithm == "rand-asm":
-        result = rand_asm(
-            prefs, args.eps, seed=args.seed,
-            observer=monitor, telemetry=telemetry,
-        )
-    else:  # almost-regular-asm
-        result = almost_regular_asm(
-            prefs, args.eps, seed=args.seed,
-            observer=monitor, telemetry=telemetry,
-        )
-    wall = time.perf_counter() - t0
-    rep = stability_report(prefs, result.matching)
-    summary = telemetry.metrics.summary()
-
-    if args.profile_out:
-        from repro.io import save_chrome_trace
-
-        document = chrome_trace_document(
-            telemetry.metrics.spans,
-            metadata={
-                "algorithm": args.algorithm,
-                "workload": args.workload,
-                "n": args.n,
-                "eps": args.eps,
-                "seed": args.seed,
-            },
-        )
-        save_chrome_trace(document, args.profile_out)
-        print(
-            f"wrote {len(document['traceEvents'])} profile events to "
-            f"{args.profile_out}",
-            file=sys.stderr,
-        )
-    if args.json:
-        payload: Dict[str, Any] = {
-            "algorithm": args.algorithm,
-            "matching_size": rep.matching_size,
-            "instability": rep.instability,
-            "rounds_active": result.rounds_active,
-            "profile_summary": summary,
-        }
-        if monitor is not None:
-            payload["slo"] = monitor.report()
-        print(json.dumps(payload, indent=2))
-        return 0 if monitor is None or monitor.satisfied else 1
-    rows = [
-        {"kind": kind, "name": name, "value": value}
-        for kind in ("calls", "counters")
-        for name, value in summary[kind].items()
-    ]
-    print(
-        format_table(
-            rows,
-            title=f"profile {args.algorithm} on {args.workload} "
-            f"n={args.n}",
-        )
-    )
-    print(
-        f"matching_size={rep.matching_size} "
-        f"instability={rep.instability:.4f} "
-        f"rounds_active={result.rounds_active} wall={wall:.3f}s"
-    )
-    if monitor is not None:
-        report = monitor.report()
-        print(
-            f"SLO target_eps={report['target_eps']} "
-            f"deadline={report['deadline_rounds']}: "
-            f"final_eps={report['final_eps']:.4f} "
-            f"worst_eps={report['worst_eps']:.4f} "
-            f"violations={len(report['violations'])} "
-            f"-> {'PASS' if report['satisfied'] else 'FAIL'}"
-        )
-        if not report["satisfied"]:
-            return 1
     return 0
 
 
@@ -1180,6 +1089,14 @@ def build_parser() -> argparse.ArgumentParser:
         help="load the instance from a file written by `generate` "
         "(overrides --workload/--n/--seed)",
     )
+    run_p.add_argument("--slo-eps", type=_rate_arg, default=None,
+                       metavar="EPS",
+                       help="declare an eps-stability SLO target (ASM "
+                       "variants); exit 1 if it is not met")
+    run_p.add_argument("--slo-deadline", type=int, default=None,
+                       metavar="ROUNDS",
+                       help="ProposalRound deadline after which the "
+                       "SLO must hold (default: final matching only)")
     _add_telemetry_flags(run_p)
     run_p.set_defaults(func=_cmd_run)
 
@@ -1249,15 +1166,15 @@ def build_parser() -> argparse.ArgumentParser:
                        help="outer-loop iterations override")
     con_p.add_argument("--mm-iterations", type=int, default=16,
                        help="matching-phase iteration budget")
-    _add_fault_flags(con_p, trace_out=True)
+    _add_fault_flags(con_p)
     _add_transport_flags(con_p)
     _add_telemetry_flags(con_p)
     con_p.set_defaults(func=_cmd_congest)
 
     trace_p = sub.add_parser(
         "trace",
-        help="run a traced protocol; export the causal trace and the "
-        "wall-clock profile",
+        help="run traced protocol trials; --metrics-out carries the "
+        "causal trace and the wall-clock spans",
     )
     trace_p.add_argument(
         "--protocol", choices=["asm", "gale-shapley"], default="asm"
@@ -1282,12 +1199,6 @@ def build_parser() -> argparse.ArgumentParser:
     trace_p.add_argument("--trials", type=int, default=1,
                          help="independent traced trials (merged in "
                          "spec order; default 1)")
-    trace_p.add_argument("--trace-out", default=None, metavar="FILE",
-                         help="write the causal trace as JSON "
-                         "(byte-identical for any --workers)")
-    trace_p.add_argument("--profile-out", default=None, metavar="FILE",
-                         help="write the wall-clock profile as Chrome "
-                         "trace-event JSON")
     trace_p.add_argument("--explain", nargs=2, type=int, default=None,
                          metavar=("M", "W"),
                          help="print the causal explanation for pair "
@@ -1297,38 +1208,8 @@ def build_parser() -> argparse.ArgumentParser:
                          "fields; deterministic across --workers)")
     _add_fault_flags(trace_p)
     _add_workers_flag(trace_p)
+    _add_telemetry_flags(trace_p)
     trace_p.set_defaults(func=_cmd_trace)
-
-    prof_p = sub.add_parser(
-        "profile",
-        help="run an ASM variant with its timings and op counts "
-        "recorded (optionally against an eps-stability SLO)",
-    )
-    prof_p.add_argument(
-        "--algorithm",
-        choices=["asm", "rand-asm", "almost-regular-asm"],
-        default="asm",
-    )
-    prof_p.add_argument("--workload", choices=sorted(GENERATORS),
-                        default="complete")
-    prof_p.add_argument("--n", type=int, default=64)
-    prof_p.add_argument("--eps", type=_eps_arg, default=0.2)
-    prof_p.add_argument("--seed", type=int, default=0)
-    prof_p.add_argument("--slo-eps", type=_rate_arg, default=None,
-                        metavar="EPS",
-                        help="declare an eps-stability SLO target; "
-                        "exit 1 if it is not met")
-    prof_p.add_argument("--slo-deadline", type=int, default=None,
-                        metavar="ROUNDS",
-                        help="ProposalRound deadline after which the "
-                        "SLO must hold (default: final matching only)")
-    prof_p.add_argument("--profile-out", default=None, metavar="FILE",
-                        help="write the wall-clock profile as Chrome "
-                        "trace-event JSON")
-    prof_p.add_argument("--json", action="store_true",
-                        help="emit the profile summary (and SLO "
-                        "report) as JSON")
-    prof_p.set_defaults(func=_cmd_profile)
 
     dyn_p = sub.add_parser(
         "dynamic",

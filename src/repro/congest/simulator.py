@@ -45,6 +45,7 @@ has something to do rather than one per node.
 from __future__ import annotations
 
 import math
+from time import perf_counter
 from dataclasses import dataclass, field
 from typing import Any, Dict, Generator, List, Mapping, Optional
 
@@ -108,11 +109,11 @@ class Simulator:
         :class:`ProtocolViolationError`.
     telemetry:
         Optional :class:`~repro.obs.telemetry.Telemetry` bundle; when
-        enabled, every round is timed (``congest.round_seconds``
-        histogram), message/bit totals accumulate as counters, and the
-        registry receives one ``congest_round`` event per round plus
-        a ``message_batch`` record (per-kind counts) for every round
-        that carried messages.  A bundle carrying a
+        enabled, round/message/bit totals accumulate as counters over
+        every round, and each round that carries a message is timed
+        (a ``congest.round_seconds`` span and observation) and leaves
+        one ``congest_round`` event and one ``message_batch`` record
+        (per-kind counts).  A bundle carrying a
         :class:`~repro.trace.span.CausalTracer` gets every validated
         send recorded with a causal trace id (fault fates included);
         the hook is skipped entirely when absent.
@@ -338,70 +339,76 @@ class Simulator:
         elif not awake and not self._deadline:
             return False
         observing = telemetry.enabled
-        metrics = telemetry.metrics
-        with metrics.timer("congest.round_seconds") as round_timer:
-            outboxes: Dict[NodeId, Dict[NodeId, Message]] = {}
-            programs = self.programs
-            inboxes = self._inboxes
-            since_of = self._since
-            still_awake: List[NodeId] = []
-            for v in awake:
-                since = since_of.pop(v, None)
-                if since is None:
-                    value: Any = inboxes[v]
-                elif since:
-                    value = (inboxes[v], executing_round - since)
-                else:
-                    value = None  # a fresh generator
-                try:
-                    out = programs[v].send(value)
-                except StopIteration as stop:
-                    self.results[v] = stop.value
-                    # The program may have returned (a structure
-                    # holding) its final inbox dict; detach it from the
-                    # pool so recycling never mutates a captured result.
-                    inboxes[v] = {}
-                    continue
-                if isinstance(out, Await):
-                    self._await(v, out, executing_round)
-                    continue
-                still_awake.append(v)
-                if out:
-                    outboxes[v] = out
-            self._awake = still_awake
-            # Last round's messages have now been consumed (every live
-            # program they reached was resumed past the yield that
-            # received them — mail wakes an awaiting one); recycle the
-            # touched inbox pools before delivering this round.
-            for v in self._touched_inboxes:
-                inboxes[v].clear()
-            self._touched_inboxes.clear()
-            # Delivery is the transport's job (docs/transport.md):
-            # injector deferrals land first, then transport deferrals,
-            # then fresh sends in canonical node order.
-            kind_counts: Optional[Dict[str, int]] = (
-                {} if observing else None
-            )
-            round_messages, round_bits = self.transport.deliver_round(
-                executing_round, outboxes, kind_counts
-            )
-            self.stats.rounds += 1
-            self.stats.messages_per_round.append(round_messages)
-            if tracer is not None:
-                tracer.end_round(executing_round)
         if observing:
+            t0 = perf_counter()
+        outboxes: Dict[NodeId, Dict[NodeId, Message]] = {}
+        programs = self.programs
+        inboxes = self._inboxes
+        since_of = self._since
+        still_awake: List[NodeId] = []
+        for v in awake:
+            since = since_of.pop(v, None)
+            if since is None:
+                value: Any = inboxes[v]
+            elif since:
+                value = (inboxes[v], executing_round - since)
+            else:
+                value = None  # a fresh generator
+            try:
+                out = programs[v].send(value)
+            except StopIteration as stop:
+                self.results[v] = stop.value
+                # The program may have returned (a structure
+                # holding) its final inbox dict; detach it from the
+                # pool so recycling never mutates a captured result.
+                inboxes[v] = {}
+                continue
+            if isinstance(out, Await):
+                self._await(v, out, executing_round)
+                continue
+            still_awake.append(v)
+            if out:
+                outboxes[v] = out
+        self._awake = still_awake
+        # Last round's messages have now been consumed (every live
+        # program they reached was resumed past the yield that
+        # received them — mail wakes an awaiting one); recycle the
+        # touched inbox pools before delivering this round.
+        for v in self._touched_inboxes:
+            inboxes[v].clear()
+        self._touched_inboxes.clear()
+        # Delivery is the transport's job (docs/transport.md):
+        # injector deferrals land first, then transport deferrals,
+        # then fresh sends in canonical node order.
+        kind_counts: Optional[Dict[str, int]] = (
+            {} if observing else None
+        )
+        round_messages, round_bits = self.transport.deliver_round(
+            executing_round, outboxes, kind_counts
+        )
+        self.stats.rounds += 1
+        self.stats.messages_per_round.append(round_messages)
+        if tracer is not None:
+            tracer.end_round(executing_round)
+        if observing:
+            elapsed = perf_counter() - t0
+            metrics = telemetry.metrics
             metrics.inc("congest.rounds")
             metrics.inc("congest.messages", round_messages)
             metrics.inc("congest.bits", round_bits)
-            metrics.observe("congest.messages_per_round", round_messages)
-            metrics.emit(
-                "congest_round",
-                round=self.stats.rounds,
-                messages=round_messages,
-                bits=round_bits,
-                seconds=round(round_timer.elapsed, 9),
-            )
-            if kind_counts:
+            # Only a round that carries a message leaves a span and
+            # records: most rounds of a paper schedule move nothing, and
+            # the telemetry should grow with the work, not the schedule.
+            if round_messages:
+                metrics.record_span("congest.round_seconds", t0, elapsed)
+                metrics.observe("congest.messages_per_round", round_messages)
+                metrics.emit(
+                    "congest_round",
+                    round=self.stats.rounds,
+                    messages=round_messages,
+                    bits=round_bits,
+                    seconds=round(elapsed, 9),
+                )
                 metrics.emit(
                     "message_batch",
                     round=self.stats.rounds,

@@ -126,6 +126,13 @@ class DynamicMarket:
         return len(self.women_lists[w])
 
     def has_edge(self, m: int, w: int) -> bool:
+        """Whether ``(m, w)`` is an edge; ``False`` for out-of-range ids.
+
+        Ids go through the mutators' integer check, so ``True`` or
+        ``1.0`` raise rather than alias player 1.
+        """
+        m = _as_int(m, "man")
+        w = _as_int(w, "woman")
         return 0 <= m < self.n_men and w in self.men_rank[m]
 
     def __repr__(self) -> str:

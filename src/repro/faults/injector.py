@@ -15,10 +15,11 @@ Every injected fault appends one plain-dict record to :attr:`records`
 — round, action, link, message kind, and (for deferrals) the delivery
 round.  The record list is the run's *fault trace*: it carries no
 timestamps or process identity, so the same plan over the same
-simulation serializes byte-identically everywhere (see
-:func:`repro.io.save_fault_trace`).  Telemetry counters and ``fault``
-events are emitted only when a fault actually fires, keeping zero-rate
-plans invisible to metrics.
+simulation serializes byte-identically everywhere.  Telemetry counters
+and ``fault`` events are emitted only when a fault actually fires,
+keeping zero-rate plans invisible to metrics; each ``fault`` event is
+one record, field for field, so a run's ``--metrics-out`` artifact
+carries its fault trace.
 """
 
 from __future__ import annotations

@@ -7,22 +7,14 @@ Plain JSON on disk so experiments are reproducible and shareable:
   provenance if provided).
 * :func:`save_matching` / :func:`load_matching` — matchings.
 * :func:`save_result` — an :class:`~repro.core.asm.ASMResult` summary.
-* :func:`save_metrics` / :func:`load_metrics` — a
-  :class:`~repro.obs.metrics.MetricsRegistry` snapshot (counters,
-  gauges, histogram summaries, event records) embedding its
+* :func:`save_metrics` / :func:`load_metrics` — a run's one telemetry
+  artifact: the :class:`~repro.obs.metrics.MetricsRegistry` snapshot
+  (counters, gauges, histogram summaries, event records, the fault
+  records among them), its timer spans as top-level Chrome
+  ``traceEvents``, the causal trace when the run had a tracer, and the
   :class:`~repro.obs.manifest.RunManifest`.
-* :func:`save_fault_trace` / :func:`load_fault_trace` — a
-  deterministic fault-injection trace
-  (:attr:`repro.faults.injector.FaultInjector.records`); timestamp-free
-  by construction, so equal plans yield byte-identical files.
-* :func:`save_trace` / :func:`load_trace` — a causal trace
-  (:meth:`repro.trace.span.CausalTracer.to_records`); timestamp-free
-  like the fault trace, so the trace-smoke CI job can diff it against
-  a committed golden file.
-* :func:`save_chrome_trace` — a metrics registry's timer spans in the
-  Chrome trace-event format, loadable directly in ``chrome://tracing``
-  or Perfetto (raw Chrome JSON, intentionally **not** wrapped in the
-  repro envelope).
+* :func:`save_bench` / :func:`load_bench` — a ``repro.perf.bench``
+  report.
 
 The envelope is versioned so future format changes stay readable.
 """
@@ -31,14 +23,14 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Any, Dict, Iterable, List, Optional, Tuple, Union
+from typing import Any, Dict, Iterable, Optional, Union
 
 from repro.core.asm import ASMResult
 from repro.core.matching import Matching
 from repro.core.preferences import PreferenceProfile
 from repro.errors import ReproError
 from repro.obs.manifest import RunManifest
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import MetricsRegistry, chrome_trace_document
 
 __all__ = [
     "FORMAT_VERSION",
@@ -52,11 +44,6 @@ __all__ = [
     "load_metrics",
     "save_bench",
     "load_bench",
-    "save_fault_trace",
-    "load_fault_trace",
-    "save_trace",
-    "load_trace",
-    "save_chrome_trace",
 ]
 
 FORMAT_VERSION = 1
@@ -181,131 +168,39 @@ def _manifest_dict(
 
 
 def save_metrics(
-    metrics: Union[MetricsRegistry, Dict[str, Any]],
+    metrics: MetricsRegistry,
     path: PathLike,
     manifest: Optional[Union[RunManifest, Dict[str, Any]]] = None,
+    trace: Optional[Iterable[Dict[str, Any]]] = None,
 ) -> None:
-    """Write a metrics snapshot (plus its manifest) as versioned JSON.
+    """Write a run's telemetry artifact as versioned JSON.
 
-    ``metrics`` is a :class:`~repro.obs.metrics.MetricsRegistry` (its
-    :meth:`~repro.obs.metrics.MetricsRegistry.to_dict` snapshot, event
-    records included, is taken) or an already-snapshotted dict.
+    ``metrics``' :meth:`~repro.obs.metrics.MetricsRegistry.to_dict`
+    snapshot goes under ``"metrics"`` and its timer spans go top-level
+    as Chrome ``traceEvents``; the Trace Event Format reads the other
+    top-level keys as metadata, so the file opens in
+    https://ui.perfetto.dev as it is.  ``trace`` (a
+    :meth:`repro.trace.span.CausalTracer.to_records` list) goes under
+    ``"trace"``.
     """
-    snapshot = (
-        metrics.to_dict() if isinstance(metrics, MetricsRegistry) else metrics
-    )
-    _write(
-        path,
-        "metrics",
-        {"manifest": _manifest_dict(manifest), "metrics": snapshot},
-    )
+    body: Dict[str, Any] = {
+        "manifest": _manifest_dict(manifest),
+        "metrics": metrics.to_dict(),
+        **chrome_trace_document(metrics.spans),
+    }
+    if trace is not None:
+        body["trace"] = [dict(record) for record in trace]
+    _write(path, "metrics", body)
 
 
 def load_metrics(path: PathLike) -> Dict[str, Any]:
     """Read a document written by :func:`save_metrics`.
 
-    Returns the full envelope dict; the interesting keys are
-    ``"metrics"`` (counters / gauges / histograms / events) and
-    ``"manifest"``.
+    Returns the full envelope dict; its keys are ``"metrics"``
+    (counters / gauges / histograms / events), ``"traceEvents"``,
+    ``"manifest"``, and ``"trace"`` when the run was traced.
     """
     return _read(path, "metrics")
-
-
-def save_fault_trace(
-    records: Iterable[Dict[str, Any]],
-    path: PathLike,
-    metadata: Optional[Dict[str, Any]] = None,
-) -> None:
-    """Write a fault-injection trace as versioned JSON.
-
-    ``records`` is a :attr:`repro.faults.injector.FaultInjector.records`
-    list (or equivalent dicts).  The document carries no timestamps, so
-    two runs with the same plan produce byte-identical files — the
-    property the CI fault-smoke job diffs against a committed golden
-    trace.
-    """
-    body_records = [dict(r) for r in records]
-    _write(
-        path,
-        "fault_trace",
-        {
-            "num_records": len(body_records),
-            "metadata": metadata or {},
-            "trace": body_records,
-        },
-    )
-
-
-def load_fault_trace(
-    path: PathLike,
-) -> Tuple[Dict[str, Any], List[Dict[str, Any]]]:
-    """Read a trace written by :func:`save_fault_trace`.
-
-    Returns ``(metadata, records)``.
-    """
-    document = _read(path, "fault_trace")
-    trace = document.get("trace")
-    if not isinstance(trace, list):
-        raise FileFormatError(f"{path}: missing fault trace body")
-    return document.get("metadata", {}), trace
-
-
-def save_trace(
-    records: Iterable[Dict[str, Any]],
-    path: PathLike,
-    metadata: Optional[Dict[str, Any]] = None,
-) -> None:
-    """Write a causal trace as versioned JSON.
-
-    ``records`` is a :meth:`repro.trace.span.CausalTracer.to_records`
-    list (or a merged multi-trial trace).  Trace ids are SHA-256 chains
-    over causal history and the records carry no timestamps, so equal
-    seeded runs produce byte-identical files for any worker count —
-    the property the trace-smoke CI job and the worker-identity tests
-    diff.
-    """
-    body_records = [dict(r) for r in records]
-    _write(
-        path,
-        "causal_trace",
-        {
-            "num_records": len(body_records),
-            "metadata": metadata or {},
-            "trace": body_records,
-        },
-    )
-
-
-def load_trace(
-    path: PathLike,
-) -> Tuple[Dict[str, Any], List[Dict[str, Any]]]:
-    """Read a causal trace written by :func:`save_trace`.
-
-    Returns ``(metadata, records)``; feed the records to
-    :class:`repro.trace.analysis.CausalTrace` for chain queries.
-    """
-    document = _read(path, "causal_trace")
-    trace = document.get("trace")
-    if not isinstance(trace, list):
-        raise FileFormatError(f"{path}: missing causal trace body")
-    return document.get("metadata", {}), trace
-
-
-def save_chrome_trace(
-    document: Dict[str, Any],
-    path: PathLike,
-) -> None:
-    """Write a Chrome trace-event document produced by
-    :func:`repro.obs.metrics.chrome_trace_document`.
-
-    The file is raw Chrome JSON — no repro envelope — so it loads
-    directly in ``chrome://tracing`` and https://ui.perfetto.dev.
-    """
-    if "traceEvents" not in document:
-        raise FileFormatError(
-            f"{path}: not a Chrome trace document (no 'traceEvents')"
-        )
-    Path(path).write_text(json.dumps(document, indent=1) + "\n")
 
 
 def save_bench(

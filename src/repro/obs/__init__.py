@@ -18,9 +18,10 @@ One subsystem carries every quantitative claim the repo makes:
   no-op :data:`~repro.obs.telemetry.NULL_TELEMETRY`.
 
 Exports flow through :func:`repro.io.save_metrics`, one versioned
-document holding counters, gauges, histogram summaries and event
-records; the CLI exposes it as ``--metrics-out`` on ``run``,
-``congest`` and ``dynamic``.
+artifact holding counters, gauges, histogram summaries, event records,
+the timer spans as Chrome ``traceEvents`` and, for traced runs, the
+causal trace; the CLI exposes it as ``--metrics-out`` on ``run``,
+``congest``, ``trace`` and ``dynamic``.
 See ``docs/observability.md``.
 """
 

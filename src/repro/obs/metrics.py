@@ -11,7 +11,7 @@ A :class:`MetricsRegistry` is a named bag of
 Every enabled :meth:`MetricsRegistry.timer` also appends one
 ``{name, ts, dur, depth}`` wall-clock span to
 :attr:`MetricsRegistry.spans`, which :func:`chrome_trace_document`
-turns into Chrome trace-event JSON.  :meth:`MetricsRegistry.emit`
+turns into the Chrome trace events of the run's artifact.  :meth:`MetricsRegistry.emit`
 appends one flat ``{kind, seq, t, **fields}`` record to
 :attr:`MetricsRegistry.events`; ``t`` is seconds on the spans' clock,
 so a record emitted inside a timer falls within its span, and
@@ -155,15 +155,7 @@ class Timer:
         self.elapsed = time.perf_counter() - self._t0
         registry = self._registry
         registry._depth -= 1
-        registry.observe(self._name, self.elapsed)
-        registry.spans.append(
-            {
-                "name": self._name,
-                "ts": _us(self._t0 - registry._t0),
-                "dur": _us(self.elapsed),
-                "depth": registry._depth,
-            }
-        )
+        registry.record_span(self._name, self._t0, self.elapsed)
         return False
 
 
@@ -219,6 +211,26 @@ class MetricsRegistry:
         if not self.enabled:
             return _NULL_TIMER
         return Timer(self, name)
+
+    def record_span(self, name: str, t0: float, elapsed: float) -> None:
+        """Record a timing taken by hand: ``elapsed`` seconds from the
+        :func:`time.perf_counter` reading ``t0``, as one observation of
+        histogram ``name`` and one span at the current timer depth.
+
+        What a :meth:`timer` records on exit, for callers that decide
+        only after the work whether it is worth a record.
+        """
+        if not self.enabled:
+            return
+        self.observe(name, elapsed)
+        self.spans.append(
+            {
+                "name": name,
+                "ts": _us(t0 - self._t0),
+                "dur": _us(elapsed),
+                "depth": self._depth,
+            }
+        )
 
     def emit(self, kind: str, **fields: Any) -> None:
         """Append one event record of schema ``kind``: ``{"kind",
@@ -342,16 +354,15 @@ class MetricsRegistry:
         }
 
 
-def chrome_trace_document(
-    spans: Iterable[Dict[str, Any]],
-    metadata: Optional[Dict[str, Any]] = None,
-) -> Dict[str, Any]:
-    """Timer spans (:attr:`MetricsRegistry.spans`) as a Chrome
-    trace-event document.
+def chrome_trace_document(spans: Iterable[Dict[str, Any]]) -> Dict[str, Any]:
+    """Timer spans (:attr:`MetricsRegistry.spans`) as the keys of a
+    Chrome trace-event document: ``traceEvents`` and
+    ``displayTimeUnit``.
 
-    Load the saved file (:func:`repro.io.save_chrome_trace`) in
-    ``chrome://tracing`` or https://ui.perfetto.dev.  A span's lane is
-    its ``tid`` (0 unless a merge assigned one).
+    :func:`repro.io.save_metrics` writes them at the top level of the
+    run's artifact, which then loads in ``chrome://tracing`` or
+    https://ui.perfetto.dev as it is.  A span's lane is its ``tid`` (0
+    unless a merge assigned one).
     """
     events = [
         {
@@ -365,8 +376,4 @@ def chrome_trace_document(
         }
         for span in spans
     ]
-    return {
-        "traceEvents": events,
-        "displayTimeUnit": "ms",
-        "otherData": dict(metadata or {}),
-    }
+    return {"traceEvents": events, "displayTimeUnit": "ms"}

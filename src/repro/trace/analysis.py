@@ -1,7 +1,8 @@
 """Analysis over causal traces: chains, critical paths, fault impact.
 
 Operates on the flat record lists a :class:`~repro.trace.span.
-CausalTracer` produces (or :func:`repro.io.load_trace` reloads).  The
+CausalTracer` produces (or the ``trace`` section of a
+:func:`repro.io.load_metrics` artifact holds).  The
 central object is :class:`CausalTrace`, which indexes messages by id
 and by link and answers the questions the paper's trajectory claims
 raise:

@@ -44,8 +44,7 @@ def run_trace_trial(spec: TrialSpec) -> Dict[str, Any]:
     ``profile_summary`` the registry's wall-free
     :meth:`~repro.obs.metrics.MetricsRegistry.summary` — the two
     objects the worker-identity tests diff byte-for-byte — and
-    ``metrics`` its raw state, timer spans included and event
-    records left out.
+    ``metrics`` its raw state, timer spans and event records included.
     """
     from repro.analysis.stability import instability
     from repro.congest.driver import assemble, player_partner
@@ -99,9 +98,6 @@ def run_trace_trial(spec: TrialSpec) -> Dict[str, Any]:
     record["trace"] = tracer.to_records()
     record["open_spans"] = tracer.open_spans()
     record["profile_summary"] = telemetry.metrics.summary()
-    # The merged trace document carries no event records (about two
-    # per round), so they stay out of the state shipped back.
-    telemetry.metrics.events.clear()
     record["metrics"] = telemetry.metrics.raw_state()
     return record
 
@@ -115,8 +111,9 @@ def merge_trace_trials(
     :meth:`~repro.parallel.pool.TrialPool.run` returns), which makes
     the merged document independent of the worker count.  Each trace
     record is tagged with its ``trial`` index; the trials' registries
-    merge into one, so counters and call counts sum and each trial's
-    timer spans keep a Chrome ``tid`` lane of their own.
+    merge into one (``metrics``), so counters and call counts sum,
+    event records follow in trial order, and each trial's timer spans
+    keep a Chrome ``tid`` lane of their own.
     """
     merged_tracer = CausalTracer()
     merged_metrics = MetricsRegistry()
@@ -144,5 +141,5 @@ def merge_trace_trials(
         "trials": trials,
         "trace": merged_tracer.to_records(),
         "profile_summary": merged_metrics.summary(),
-        "spans": merged_metrics.spans,
+        "metrics": merged_metrics,
     }

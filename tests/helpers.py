@@ -19,6 +19,17 @@ _VEC_ARRAYS = (
 )
 
 
+def artifact_fault_records(artifact) -> List[dict]:
+    """The ``fault`` events of a ``--metrics-out`` artifact without
+    their event fields (``kind``, ``seq``, ``t``): the injector's
+    records, as a golden fault trace holds them."""
+    return [
+        {k: v for k, v in event.items() if k not in ("kind", "seq", "t")}
+        for event in artifact["metrics"]["events"]
+        if event["kind"] == "fault"
+    ]
+
+
 def all_perfect_matchings(n: int):
     """Yield every perfect matching of an n x n complete instance."""
     for perm in itertools.permutations(range(n)):

@@ -216,6 +216,41 @@ class TestCommands:
         assert doc["metrics"]["counters"]["gs.proposals"] > 0
         assert doc["metrics"]["gauges"]["gs.matching_size"] == 10
 
+    def test_run_slo_eps_pass(self, tmp_path, capsys):
+        import json
+
+        from repro.io import load_metrics
+
+        path = tmp_path / "m.json"
+        code = main(
+            ["run", "--n", "12", "--eps", "0.25", "--slo-eps", "0.25",
+             "--json", "--metrics-out", str(path)]
+        )
+        assert code == 0
+        slo = json.loads(capsys.readouterr().out)["slo"]
+        assert slo["satisfied"] and slo["target_eps"] == 0.25
+        kinds = {e["kind"] for e in load_metrics(path)["metrics"]["events"]}
+        assert "slo_sample" in kinds
+
+    def test_run_slo_eps_fail(self, capsys):
+        code = main(
+            ["run", "--n", "12", "--eps", "0.25", "--slo-eps", "0.001",
+             "--slo-deadline", "0"]
+        )
+        assert code == 1
+        assert "-> FAIL" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--slo-deadline", "3"],
+            ["--algorithm", "gale-shapley", "--slo-eps", "0.1"],
+        ],
+    )
+    def test_run_slo_usage_errors(self, argv, capsys):
+        assert main(["run", "--n", "8"] + argv) == 2
+        assert "error:" in capsys.readouterr().err
+
     def test_congest_gale_shapley_reports_unresolved_nodes(self, capsys):
         assert main(
             [
@@ -328,3 +363,38 @@ class TestCommands:
     def test_report_only_unknown_exits_2(self, capsys):
         assert main(["report", "--quick", "--only", "zz"]) == 2
         assert "unknown experiment ids zz" in capsys.readouterr().err
+
+
+class TestRunArtifact:
+    """``--metrics-out`` is each command's one artifact: the registry
+    snapshot, its spans as Chrome ``"X"`` events, and (``trace``) the
+    causal trace."""
+
+    COMMANDS = {
+        "run": ["run", "--n", "12", "--eps", "0.5"],
+        "congest": _CONGEST_SMALL,
+        "trace": ["trace", "--n", "4", "--eps", "0.5", "--k", "2",
+                  "--inner", "2", "--outer", "2", "--mm-iterations", "4",
+                  "--trials", "2"],
+        "dynamic": ["dynamic", "--n", "12", "--churn-steps", "6",
+                    "--trials", "2"],
+    }
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_one_artifact(self, command, tmp_path, capsys):
+        from repro.io import load_metrics
+
+        path = tmp_path / "m.json"
+        assert main(self.COMMANDS[command] + ["--metrics-out", str(path)]) == 0
+        artifact = load_metrics(path)
+        assert isinstance(artifact["metrics"]["events"], list)
+        events = artifact["traceEvents"]
+        assert events
+        for event in events:
+            assert event["ph"] == "X"
+            assert {"name", "ts", "dur", "pid", "tid"} <= set(event)
+        if command == "trace":
+            assert {e["tid"] for e in events} == {0, 1}
+            assert {r["trial"] for r in artifact["trace"]} == {0, 1}
+        else:
+            assert "trace" not in artifact

@@ -228,6 +228,17 @@ class TestEditTimeValidation:
             assert _state(market) == before
         market.verify()
 
+    @pytest.mark.parametrize("bad", BAD)
+    def test_has_edge_refuses_non_integer_ids(self, bad):
+        market = DynamicMarket(complete_uniform(3, seed=1))
+        for probe in (lambda: market.has_edge(bad, 1),
+                      lambda: market.has_edge(1, bad)):
+            with pytest.raises(InvalidParameterError):
+                probe()
+        assert market.has_edge(1, 1)
+        for m, w in ((-1, 0), (3, 0), (0, -1), (0, 3)):
+            assert market.has_edge(m, w) is False
+
     def test_bool_edge_not_written(self):
         market = DynamicMarket(PreferenceProfile([[0], [1]], [[0], [1]]))
         with pytest.raises(InvalidParameterError):

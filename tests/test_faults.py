@@ -38,10 +38,11 @@ from repro.faults.harness import (
     run_fault_trial,
 )
 from repro.graphs import Graph, man_node, woman_node
-from repro.io import load_fault_trace, save_fault_trace
+from repro.io import load_metrics, save_metrics
 from repro.obs.telemetry import Telemetry
 from repro.parallel import TrialPool, TrialSpec
 from repro.workloads.generators import complete_uniform
+from tests.helpers import artifact_fault_records
 
 GOLDEN = Path(__file__).parent / "golden" / "fault_trace.json"
 
@@ -496,9 +497,11 @@ class TestDeterminism:
 
 
 class TestTraceSerialization:
-    def test_save_load_roundtrip(self, tmp_path):
-        prefs = complete_uniform(5, seed=1)
-        plan = FaultPlan(seed=2, drop_rate=0.3)
+    """The fault trace travels as the artifact's ``fault`` events."""
+
+    @staticmethod
+    def _artifact_records(prefs, plan, path):
+        telemetry = Telemetry.create()
         result = run_congest_asm(
             prefs,
             0.5,
@@ -507,31 +510,35 @@ class TestTraceSerialization:
             inner_iterations=3,
             outer_iterations=2,
             mm_iterations=10,
+            telemetry=telemetry,
         )
-        path = tmp_path / "trace.json"
-        save_fault_trace(result.fault_trace, path, metadata={"seed": 1})
-        metadata, records = load_fault_trace(path)
-        assert metadata == {"seed": 1}
+        save_metrics(telemetry.metrics, path)
+        return result, artifact_fault_records(load_metrics(path))
+
+    def test_save_load_roundtrip(self, tmp_path):
+        prefs = complete_uniform(5, seed=1)
+        plan = FaultPlan(seed=2, drop_rate=0.3)
+        result, records = self._artifact_records(
+            prefs, plan, tmp_path / "m.json"
+        )
+        assert records, "drop rate 0.3 should inject faults"
         assert records == [dict(r) for r in result.fault_trace]
 
     def test_same_plan_same_bytes(self, tmp_path):
         prefs = complete_uniform(5, seed=1)
         plan = FaultPlan(seed=2, drop_rate=0.3)
-        kwargs = dict(
-            k=4, inner_iterations=3, outer_iterations=2, mm_iterations=10
-        )
-        paths = []
-        for name in ("a.json", "b.json"):
-            result = run_congest_asm(prefs, 0.5, faults=plan, **kwargs)
-            path = tmp_path / name
-            save_fault_trace(result.fault_trace, path)
-            paths.append(path)
-        assert paths[0].read_bytes() == paths[1].read_bytes()
+        dumps = [
+            json.dumps(
+                self._artifact_records(prefs, plan, tmp_path / name)[1]
+            )
+            for name in ("a.json", "b.json")
+        ]
+        assert dumps[0] == dumps[1]
 
 
 # The exact CLI invocation the CI fault-smoke job replays; the golden
-# file pins the trace bytes (regenerate by running the command below
-# with --fault-trace-out tests/golden/fault_trace.json).
+# file pins the fault records (regenerate its "trace" list from the
+# `fault` events of the command's --metrics-out artifact).
 GOLDEN_ARGS = [
     "congest",
     "--n", "6",
@@ -545,14 +552,17 @@ GOLDEN_ARGS = [
 
 class TestGoldenTrace:
     def test_cli_reproduces_committed_trace(self, tmp_path):
-        out = tmp_path / "trace.json"
-        code = main(GOLDEN_ARGS + ["--fault-trace-out", str(out)])
+        out = tmp_path / "m.json"
+        code = main(GOLDEN_ARGS + ["--metrics-out", str(out)])
         assert code == 0
-        assert out.read_bytes() == GOLDEN.read_bytes()
+        golden = json.loads(GOLDEN.read_text())
+        records = artifact_fault_records(load_metrics(out))
+        assert json.dumps(records) == json.dumps(golden["trace"])
 
     def test_golden_is_well_formed(self):
-        metadata, records = load_fault_trace(GOLDEN)
-        assert metadata["fault_seed"] == 7
+        golden = json.loads(GOLDEN.read_text())
+        assert golden["metadata"]["fault_seed"] == 7
+        records = golden["trace"]
         assert records, "golden trace should contain fault records"
         assert all(r["action"] == "drop" for r in records)
 
@@ -611,22 +621,6 @@ class TestCLI:
         )
         assert code == 0
         assert "outcome" in capsys.readouterr().out
-
-    def test_trace_out_activates_injector_at_zero_rates(self, tmp_path):
-        out = tmp_path / "trace.json"
-        code = main(
-            [
-                "congest",
-                "--n", "5",
-                "--inner", "3",
-                "--outer", "2",
-                "--mm-iterations", "10",
-                "--fault-trace-out", str(out),
-            ]
-        )
-        assert code == 0
-        _, records = load_fault_trace(out)
-        assert records == []  # zero rates: injector active but silent
 
 
 # ----------------------------------------------------------------------

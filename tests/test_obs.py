@@ -445,14 +445,28 @@ class TestSimulatorTelemetry:
         assert counters["congest.rounds"] == sim.stats.rounds
         assert counters["congest.messages"] == sim.stats.messages
         assert counters["congest.bits"] == sim.stats.total_bits
+        # One record, span and observation per round that carries a
+        # message; the run's final silent round leaves counters only.
+        carrying = [
+            (index, count)
+            for index, count in enumerate(sim.stats.messages_per_round, 1)
+            if count
+        ]
+        assert len(carrying) < sim.stats.rounds
         rounds = _of_kind(tel, "congest_round")
-        assert len(rounds) == sim.stats.rounds
-        assert [r["messages"] for r in rounds] == (
-            sim.stats.messages_per_round
-        )
+        assert [(r["round"], r["messages"]) for r in rounds] == carrying
+        assert sum(r["messages"] for r in rounds) == sim.stats.messages
         assert all(r["seconds"] >= 0.0 for r in rounds)
-        hist = tel.metrics.histogram_summaries()["congest.round_seconds"]
-        assert hist["count"] == sim.stats.rounds
+        summaries = tel.metrics.histogram_summaries()
+        assert summaries["congest.round_seconds"]["count"] == len(carrying)
+        assert summaries["congest.messages_per_round"]["count"] == len(
+            carrying
+        )
+        spans = [
+            s for s in tel.metrics.spans
+            if s["name"] == "congest.round_seconds"
+        ]
+        assert len(spans) == len(carrying)
 
     def test_message_batches_match_tracer(self):
         tracer = CausalTracer()

@@ -1,6 +1,7 @@
 """Profiling through the metrics registry: timer spans and their
 nesting, the wall-free summary, merges that keep one Chrome lane per
-trial, the Chrome export, and the spans the trace command writes.
+trial, the Chrome export, and the spans the trace command's artifact
+carries.
 
 The class and test names predate the registry (they pinned a separate
 phase profiler); they are kept so the test ids stay stable.
@@ -14,6 +15,7 @@ import pytest
 
 from repro.cli import main
 from repro.core.asm import asm
+from repro.io import load_metrics
 from repro.obs.metrics import MetricsRegistry, chrome_trace_document
 from repro.obs.telemetry import Telemetry
 from repro.workloads.generators import complete_uniform
@@ -39,6 +41,19 @@ class TestPhaseTimer:
         assert span["dur"] >= 0 and span["ts"] >= 0
         assert span["dur"] == round(timer.elapsed * 1e6, 3)
         assert registry.histograms["work"] == [timer.elapsed]
+
+    def test_record_span_matches_a_timer(self):
+        registry = MetricsRegistry()
+        with registry.timer("outer"):
+            registry.record_span("by_hand", registry._t0 + 0.5, 0.25)
+        by_hand = registry.spans[0]
+        assert by_hand == {
+            "name": "by_hand", "ts": 500000.0, "dur": 250000.0, "depth": 1
+        }
+        assert registry.histograms["by_hand"] == [0.25]
+        disabled = MetricsRegistry(enabled=False)
+        disabled.record_span("by_hand", 0.0, 1.0)
+        assert disabled.spans == [] and not disabled.histograms
 
     def test_nesting_depth(self):
         registry = MetricsRegistry()
@@ -147,9 +162,9 @@ class TestMergeSummaries:
 class TestChromeExport:
     def test_document_shape(self):
         registry = _timed("work")
-        doc = chrome_trace_document(registry.spans, metadata={"n": 8})
+        doc = chrome_trace_document(registry.spans)
+        assert set(doc) == {"traceEvents", "displayTimeUnit"}
         assert doc["displayTimeUnit"] == "ms"
-        assert doc["otherData"] == {"n": 8}
         (event,) = doc["traceEvents"]
         assert event["ph"] == "X"
         assert event["cat"] == "repro"
@@ -216,25 +231,35 @@ class TestEngineIntegration:
 
 
 class TestTraceCommandSpans:
-    def test_one_round_span_per_round_on_each_trial_lane(
+    def test_one_round_span_per_message_round_on_each_trial_lane(
         self, tmp_path, capsys
     ):
-        out = tmp_path / "profile.json"
+        out = tmp_path / "m.json"
         code = main(
             ["trace", "--n", "4", "--eps", "0.5", "--seed", "0",
-             "--trials", "2", "--profile-out", str(out), "--json"]
+             "--trials", "2", "--metrics-out", str(out), "--json"]
         )
         assert code == 0
         payload = json.loads(capsys.readouterr().out)
-        document = json.loads(out.read_text())
+        artifact = load_metrics(out)
         lanes = {}
-        for event in document["traceEvents"]:
+        for event in artifact["traceEvents"]:
             if event["name"] == "congest.round_seconds":
                 lanes[event["tid"]] = lanes.get(event["tid"], 0) + 1
-        assert lanes == {
-            trial["trial"]: trial["rounds"] for trial in payload["trials"]
-        }
-        assert all(count > 0 for count in lanes.values())
+        trials = {t["trial"]: t for t in payload["trials"]}
+        assert set(lanes) == set(trials)
+        # Silent rounds of the schedule leave no span.
+        for lane, count in lanes.items():
+            assert 0 < count < trials[lane]["rounds"]
+        rounds = [
+            e for e in artifact["metrics"]["events"]
+            if e["kind"] == "congest_round"
+        ]
+        assert len(rounds) == sum(lanes.values())
+        assert all(r["messages"] > 0 for r in rounds)
+        assert sum(r["messages"] for r in rounds) == sum(
+            t["messages"] for t in trials.values()
+        )
 
 
 if __name__ == "__main__":  # pragma: no cover

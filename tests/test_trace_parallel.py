@@ -1,7 +1,7 @@
 """Worker-identity of the trace layer: sharded traced trials must be
-byte-identical for any ``--workers`` count, and the CLI must reproduce
-the committed golden causal trace (the CI trace-smoke job replays
-exactly these checks)."""
+byte-identical for any ``--workers`` count, and the CLI's
+``--metrics-out`` artifact must carry the committed golden causal trace
+(the CI trace-smoke job replays exactly these checks)."""
 
 from __future__ import annotations
 
@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from repro.cli import main
-from repro.io import load_trace
+from repro.io import load_metrics
 from repro.parallel import TrialPool, TrialSpec
 from repro.parallel.spec import derive_seed
 from repro.trace.harness import (
@@ -110,8 +110,8 @@ class TestWorkerIdentity:
 
 
 # The exact CLI invocation the CI trace-smoke job replays; the golden
-# file pins the trace bytes (regenerate by running the command below
-# with --trace-out tests/golden/causal_trace.json).
+# file pins the trace records (regenerate its "trace" list from the
+# "trace" section of the command's --metrics-out artifact).
 GOLDEN_ARGS = [
     "trace",
     "--n", "4",
@@ -127,21 +127,38 @@ GOLDEN_ARGS = [
 ]
 
 
+def _artifact(tmp_path, workers):
+    out = tmp_path / f"m{workers}.json"
+    code = main(GOLDEN_ARGS + ["--workers", str(workers), "--metrics-out",
+                               str(out)])
+    assert code == 0
+    return load_metrics(out)
+
+
+def _wall_free(artifact):
+    """The artifact's counters and timer call counts (no wall time)."""
+    metrics = artifact["metrics"]
+    return {
+        "calls": {
+            name: hist["count"] for name, hist in metrics["histograms"].items()
+        },
+        "counters": metrics["counters"],
+    }
+
+
 class TestGoldenCausalTrace:
     @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_cli_reproduces_committed_trace(self, tmp_path, workers):
-        out = tmp_path / "trace.json"
-        code = main(
-            GOLDEN_ARGS
-            + ["--workers", str(workers), "--trace-out", str(out)]
-        )
-        assert code == 0
-        assert out.read_bytes() == GOLDEN.read_bytes()
+        artifact = _artifact(tmp_path, workers)
+        golden = json.loads(GOLDEN.read_text())
+        assert json.dumps(artifact["trace"]) == json.dumps(golden["trace"])
+        assert _wall_free(artifact) == _wall_free(_artifact(tmp_path, 1))
 
     def test_golden_is_well_formed(self):
-        metadata, records = load_trace(GOLDEN)
-        assert metadata["fault_seed"] == 7
-        assert metadata["trials"] == 2
+        golden = json.loads(GOLDEN.read_text())
+        assert golden["metadata"]["fault_seed"] == 7
+        assert golden["metadata"]["trials"] == 2
+        records = golden["trace"]
         messages = [r for r in records if r.get("type") == "message"]
         assert messages, "golden trace should contain messages"
         dropped = [m for m in messages if m.get("fate") == "dropped"]
@@ -176,34 +193,11 @@ class TestCLISurface:
         assert payload["pair"] == [0, 0]
         assert "verdict" in payload
 
-    def test_profile_out_is_chrome_shaped(self, tmp_path):
-        out = tmp_path / "prof.json"
-        code = main(GOLDEN_ARGS + ["--profile-out", str(out)])
-        assert code == 0
-        document = json.loads(out.read_text())
-        assert document["traceEvents"]
-        assert all(e["ph"] == "X" for e in document["traceEvents"])
-
-    def test_profile_command_slo_gate(self, tmp_path, capsys):
-        ok = main(
-            ["profile", "--n", "12", "--eps", "0.25",
-             "--slo-eps", "0.25"]
-        )
-        assert ok == 0
-        bad = main(
-            ["profile", "--n", "12", "--eps", "0.25",
-             "--slo-eps", "0.001", "--slo-deadline", "0"]
-        )
-        assert bad == 1
-
-    def test_profile_command_json(self, capsys):
-        code = main(
-            ["profile", "--n", "12", "--eps", "0.25", "--json"]
-        )
-        assert code == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["matching_size"] == 12
-        assert "asm.quantile_match" in payload["profile_summary"]["calls"]
+    def test_metrics_out_spans_are_chrome_shaped(self, tmp_path):
+        events = _artifact(tmp_path, 2)["traceEvents"]
+        assert events
+        assert all(e["ph"] == "X" for e in events)
+        assert {e["tid"] for e in events} == {0, 1}  # one lane per trial
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -4,8 +4,8 @@ The injector and the transport compose in a fixed order (injector-due
 redeliveries, then transport-due redeliveries, then fresh sends), so:
 
 * a zero-latency :class:`AsyncEventTransport` must produce a fault
-  trace *byte-identical* to the sync lockstep path under the same
-  :class:`FaultPlan` — including the committed golden trace;
+  trace identical to the sync lockstep path under the same
+  :class:`FaultPlan` — including the committed golden trace's records;
 * under nonzero latency the combined run is still deterministic
   (same plan + seeds → same trace);
 * crashes and partitions keep their semantics when deliveries arrive
@@ -22,6 +22,7 @@ the committed golden traces valid.
 from __future__ import annotations
 
 import dataclasses
+import json
 from pathlib import Path
 
 from repro import cli
@@ -31,11 +32,13 @@ from repro.congest.message import Message
 from repro.congest.protocols.asm_protocol import run_congest_asm
 from repro.faults import FaultInjector, FaultPlan, NodeCrash, PartitionWindow
 from repro.graphs import Graph
+from repro.io import load_metrics
 from repro.workloads import FixedLatency, GeometricLatency
 from repro.workloads.generators import complete_uniform
+from tests.helpers import artifact_fault_records
 
 # Mirrors tests/test_faults.py: the committed golden trace and the CLI
-# invocation that regenerates it.
+# invocation whose artifact reproduces its records.
 GOLDEN = Path(__file__).parent / "golden" / "fault_trace.json"
 GOLDEN_ARGS = [
     "congest",
@@ -116,11 +119,13 @@ class TestZeroLatencyFaultIdentity:
             return built[-1]
 
         monkeypatch.setattr(cli, "_build_transport", build_async)
-        out = tmp_path / "trace.json"
-        code = main(GOLDEN_ARGS + ["--fault-trace-out", str(out)])
+        out = tmp_path / "m.json"
+        code = main(GOLDEN_ARGS + ["--metrics-out", str(out)])
         assert code == 0
         assert len(built) == 1 and built[0].kind == "async"
-        assert out.read_bytes() == GOLDEN.read_bytes()
+        golden = json.loads(GOLDEN.read_text())
+        records = artifact_fault_records(load_metrics(out))
+        assert json.dumps(records) == json.dumps(golden["trace"])
 
 
 # ----------------------------------------------------------------------
