@@ -356,7 +356,10 @@ class _PyState:
     a dict of his present man-side positions in the activated quantile,
     in ascending woman order; deletions preserve that order, so ``A``
     is iterated canonically without a per-round sort (DET001 stays
-    satisfied structurally).  A *participating* value is a list of men.
+    satisfied structurally).  Candidates are an ascending list of men,
+    read from a frontier of the bad men (as in ``VecState``): matched,
+    exhausted and removed men drop out when a gate filters it, and men
+    Step 5 unseats with ``|Q| > 0`` join.
 
     The ProposalRound steps avoid per-round allocation:
 
@@ -410,6 +413,10 @@ class _PyState:
         self.active: List[Dict[int, None]] = [{} for _ in range(n_men)]
         # Almost-regular mode: men removed from play.
         self.removed: List[bool] = [False] * n_men
+        # Ascending superset of the bad men, and the men unseated since
+        # a gate last filtered it (see _bad_frontier).
+        self._frontier = [m for m in range(n_men) if self.m_remaining[m]]
+        self._joiners: List[int] = []
         self._suitor_buf: List[List[int]] = [[] for _ in range(n_women)]
         self._touched_women: List[int] = []
         self._active_men: List[int] = []
@@ -422,29 +429,51 @@ class _PyState:
     # Outer-loop queries and classification (Section 4)
     # ------------------------------------------------------------------
 
-    def participating(self, threshold: int) -> List[int]:
-        """Men with ``|Q| >= threshold`` (Algorithm 3's ``2^i`` gate),
-        not removed."""
-        remaining, removed = self.m_remaining, self.removed
-        return [
-            m
-            for m in range(self.n_men)
-            if not removed[m] and remaining[m] >= threshold
-        ]
+    def participating_count(self, threshold: int) -> int:
+        """How many men, not removed, have ``|Q| >= threshold``
+        (Algorithm 3's ``2^i`` gate)."""
+        return sum(
+            1
+            for r, gone in zip(self.m_remaining, self.removed)
+            if r >= threshold and not gone
+        )
 
-    def count(self, participating: Sequence[int]) -> int:
-        """How many men ``participating`` holds."""
-        return len(participating)
+    def remaining_snapshot(self) -> array:
+        """A copy of ``|Q|`` per man, for :meth:`candidates`."""
+        return array("q", self.m_remaining)
 
-    def candidates(self, participating: Sequence[int]) -> List[int]:
-        """The participating men who would propose: unmatched, with
-        ``|Q| > 0``."""
-        man_partner, remaining = self.man_partner, self.m_remaining
-        return [
+    def candidates(
+        self, threshold: int, remaining: Optional[Sequence[int]] = None
+    ) -> List[int]:
+        """The men who would propose at ``threshold``, ascending: bad
+        (unmatched, ``|Q| > 0``, not removed) with ``|Q| >= threshold``.
+
+        ``remaining``, a :meth:`remaining_snapshot`, is read for ``|Q|``
+        in the threshold test instead.  O(|frontier|).
+        """
+        if remaining is None:
+            remaining = self.m_remaining
+        return [m for m in self._bad_frontier() if remaining[m] >= threshold]
+
+    def _bad_frontier(self) -> List[int]:
+        """The bad men, ascending: the frontier and its joiners, filtered
+        by the live predicate (and stored back)."""
+        frontier = self._frontier
+        if self._joiners:
+            # A joiner may already be in the frontier (matched and
+            # unseated since the last filter).
+            frontier = sorted(set(frontier).union(self._joiners))
+            self._joiners = []
+        man_partner, remaining, removed = (
+            self.man_partner, self.m_remaining, self.removed
+        )
+        frontier = [
             m
-            for m in participating
-            if man_partner[m] is None and remaining[m] > 0
+            for m in frontier
+            if man_partner[m] is None and remaining[m] > 0 and not removed[m]
         ]
+        self._frontier = frontier
+        return frontier
 
     def man_is_good(self, m: int) -> bool:
         """Good = matched, or rejected by every acceptable partner."""
@@ -460,11 +489,7 @@ class _PyState:
 
     def bad_men(self) -> List[int]:
         """Bad men, not removed, ascending."""
-        return [
-            m
-            for m in range(self.n_men)
-            if not self.removed[m] and not self.man_is_good(m)
-        ]
+        return list(self._bad_frontier())
 
     def removed_men(self) -> List[int]:
         """Men removed from play, ascending."""
@@ -482,7 +507,7 @@ class _PyState:
 
     def activate(self, candidates: Sequence[int]) -> None:
         """Candidate men (see :meth:`candidates`) activate their best
-        nonempty quantile; removed men sit out.
+        nonempty quantile.
 
         A man's first present position is his best remaining rank, whose
         quantile is his best nonempty quantile (quantiles are
@@ -492,11 +517,9 @@ class _PyState:
         present, first, indptr, m_woman = (
             self.present, self._m_first, self.m_indptr, self.m_woman
         )
-        active, removed, k = self.active, self.removed, self.k
+        active, k = self.active, self.k
         active_men: List[int] = []
         for m in candidates:
-            if removed[m]:
-                continue
             f = first[m]
             while not present[f]:  # |Q| > 0: stops inside his segment
                 f += 1
@@ -688,9 +711,13 @@ class _PyState:
             if a:
                 a.pop(p, None)
         # A replaced partner was matched, so he proposed to no one this
-        # round and was not re-seated by Step 4.
+        # round and was not re-seated by Step 4; with partners left, he
+        # is bad again.
+        joiners = self._joiners
         for m in unseated:
             man_partner[m] = None
+            if remaining[m]:
+                joiners.append(m)
         return n_rejects, matched_in_m0, step_max
 
 
@@ -1023,26 +1050,26 @@ class ASMEngine:
 
     def quantile_match(
         self,
-        participating: Sequence[int],
+        threshold: int = 0,
         candidates: Optional[Sequence[int]] = None,
     ) -> bool:
-        """One QuantileMatch over ``participating`` men.
+        """One QuantileMatch over the men with ``|Q| >= threshold``
+        (everyone at the default 0).
 
         Unmatched participating men activate their best nonempty
         quantile, then ProposalRound runs ``k`` times (stopping early —
         with scheduled rounds still charged — once no proposals remain).
         Returns whether any communication happened.
 
-        ``participating`` is in the backend's native form: a list of
-        men for the pure-Python backend, a boolean mask over men for
-        vec (as the outer loop produces it).  ``candidates`` is the
-        backend's ``candidates(participating)``, when the caller's gate
-        already computed it.
+        ``candidates`` is the backend's ``candidates(threshold)``, when
+        the caller's gate already computed it.
         """
         state = self._state
         if candidates is None:
-            candidates = state.candidates(participating)
+            candidates = state.candidates(threshold)
         telemetry = self.telemetry
+        if telemetry.enabled:
+            participating = state.participating_count(threshold)
         with telemetry.metrics.timer("asm.quantile_match"):
             state.activate(candidates)
             self.quantile_match_calls_executed += 1
@@ -1062,7 +1089,7 @@ class ASMEngine:
             if telemetry.enabled:
                 telemetry.metrics.inc("asm.quantile_match_calls")
                 telemetry.metrics.inc(
-                    "asm.participating_men", state.count(participating)
+                    "asm.participating_men", participating
                 )
                 telemetry.metrics.emit(
                     "quantile_match",
@@ -1097,26 +1124,37 @@ class ASMEngine:
         return default_inner_iterations(self.k, self.delta)
 
     def run_outer_iteration(self, i: int) -> OuterIterationStats:
-        """One iteration of Algorithm 3's outer loop (threshold ``2^i``)."""
+        """One iteration of Algorithm 3's outer loop (threshold ``2^i``).
+
+        Its statistics cost O(|frontier|), plus, when a QuantileMatch
+        runs, one ``|Q|`` snapshot and one recount: an iteration that
+        runs none leaves the state as it found it.
+        """
         state = self._state
         telemetry = self.telemetry
         with telemetry.metrics.timer("asm.outer_iteration"):
             threshold = 2 ** i
             inner = self.inner_iteration_count()
-            participating_start = state.participating(threshold)
-            executed = self._quantile_matches(threshold, inner)
-            participating_end = state.participating(threshold)
+            participating_start = state.participating_count(threshold)
+            candidates = state.candidates(threshold)
+            remaining_start = (
+                state.remaining_snapshot() if len(candidates) else None
+            )
+            executed = self._quantile_matches(threshold, inner, candidates)
+            bad_end = len(state.candidates(threshold))
+            participating_end, bad_in_start_end = participating_start, bad_end
+            if remaining_start is not None:
+                participating_end = state.participating_count(threshold)
+                bad_in_start_end = len(
+                    state.candidates(threshold, remaining_start)
+                )
             stats = OuterIterationStats(
                 index=i,
                 threshold=threshold,
-                participating_men_start=state.count(participating_start),
-                participating_men_end=state.count(participating_end),
-                bad_participating_men_end=state.count(
-                    state.candidates(participating_end)
-                ),
-                bad_in_start_set_end=state.count(
-                    state.candidates(participating_start)
-                ),
+                participating_men_start=participating_start,
+                participating_men_end=participating_end,
+                bad_participating_men_end=bad_end,
+                bad_in_start_set_end=bad_in_start_end,
                 quantile_match_calls_executed=executed,
                 quantile_match_calls_scheduled=inner,
             )
@@ -1128,19 +1166,26 @@ class ASMEngine:
                 self.observer.on_outer_iteration_end(self, stats)
             return stats
 
-    def _quantile_matches(self, threshold: int, calls: int) -> int:
+    def _quantile_matches(
+        self,
+        threshold: int,
+        calls: int,
+        candidates: Optional[Sequence[int]] = None,
+    ) -> int:
         """Up to ``calls`` QuantileMatch calls over the men with
-        ``|Q| >= threshold``; returns how many ran."""
+        ``|Q| >= threshold``; returns how many ran.  ``candidates`` is
+        the first gate's, when the caller computed it."""
         state = self._state
         for j in range(calls):
-            participating = state.participating(threshold)
-            candidates = state.candidates(participating)
-            if not state.count(candidates):
+            if candidates is None:
+                candidates = state.candidates(threshold)
+            if not len(candidates):
                 # No proposals can occur: the state is frozen for the
                 # rest of the loop; charge the fixed schedule.
                 self._charge_skipped_quantile_matches(calls - j)
                 return j
-            self.quantile_match(participating, candidates)
+            self.quantile_match(threshold, candidates)
+            candidates = None
         return calls
 
     def run(self) -> ASMResult:

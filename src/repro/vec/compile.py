@@ -13,10 +13,11 @@ is the partner's id under the deterministic maximal-matching order.
   precomputed form of :func:`repro.core.quantile.quantile_index`;
 * cross-side position maps (``m2w_pos``/``w2m_pos``) aligning the two
   CSR views of the same edge;
-* ``w_first_same_q`` — for each woman-side position, the first position
-  of its quantile run, turning Step 4's "reject every man in a
-  lesser-or-equal quantile" into a contiguous suffix slice (quantiles
-  are non-decreasing along a preference list);
+* no table of quantile runs: quantiles are non-decreasing along a
+  preference list, so quantile ``q`` of a ``deg``-long list is the run
+  of positions ``[indptr + ((q-1)·deg)//k, indptr + (q·deg)//k)``,
+  computed where a step needs it (Step 4's run start, activation's
+  run end);
 * ``m_mm_key``/``w_mm_key`` — integer keys whose order matches the
   ``repr``-of-node-id order the deterministic maximal-matching oracle
   ties-breaks by, so Step 3 runs without materializing any strings.
@@ -123,7 +124,6 @@ class VecProfile:
         "m2w_pos",
         "w2m_pos",
         "wq_of_edge",
-        "w_first_same_q",
         "m_mm_key",
         "w_mm_key",
         "_pair_keys",
@@ -165,21 +165,6 @@ class VecProfile:
         self.w2m_pos[order_w] = order_m
         self.wq_of_edge = self.w_quant[self.m2w_pos]
 
-        # First position of each quantile run within a woman's segment:
-        # quantiles are non-decreasing along a list, so "members at
-        # quantile >= q(pos)" is exactly the suffix from this index.
-        if e:
-            idx = np.arange(e, dtype=np.int64)
-            boundary = np.zeros(e, dtype=bool)
-            starts = self.w_indptr[:-1][self.w_degree > 0]
-            boundary[starts] = True
-            boundary[1:] |= self.w_quant[1:] != self.w_quant[:-1]
-            self.w_first_same_q = np.maximum.accumulate(
-                np.where(boundary, idx, 0)
-            )
-        else:
-            self.w_first_same_q = np.empty(0, dtype=np.int64)
-
         self.m_mm_key = decimal_str_order_keys(self.n_men)
         self.w_mm_key = decimal_str_order_keys(self.n_women)
 
@@ -200,7 +185,6 @@ class VecProfile:
             "m2w_pos",
             "w2m_pos",
             "wq_of_edge",
-            "w_first_same_q",
             "m_mm_key",
             "w_mm_key",
         ):

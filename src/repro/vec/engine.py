@@ -10,28 +10,49 @@ exactly when Step 5 removes her from his), and a
 man's active set ``A`` is represented implicitly as *the present edges
 of his activated quantile* (``active_q[m]``; ``-1`` = empty).
 
+Three per-player pointers make every step cost O(what it changes), not
+O(n) or O(|E|):
+
+* a per-man *first-present cursor* (``_m_first``): every position of
+  his before it is absent, so activation reads his best nonempty
+  quantile from there instead of his whole segment;
+* a per-woman *cut* (``_w_cut``): her positions before it are still on
+  her list, and from it on only her partner's is (Lemma 1);
+* a *bad-men frontier* (``_frontier``): an ascending superset of the
+  bad men.  Matched and exhausted men drop out when a gate filters it;
+  men unseated by Step 5 with ``|Q| > 0`` join.  Every gate, and
+  :meth:`bad_men`, filters it by the live predicate, so the outer loop
+  never scans all men to find who proposes.
+
 The five steps of Algorithm 1 become whole-array operations over every
 active man at once:
 
-1. *propose* — filter the activated-position array ``P`` by presence
-   and activation;
+1. *propose* — along the activated-position array ``P``: each
+   candidate's present positions in his best nonempty quantile, read
+   from his cursor to the end of that quantile's run;
 2. *accept* — per-woman best proposing quantile via ``np.minimum.at``;
 3. *maximal matching* — the deterministic mutual-pointer protocol,
    vectorized, with min-by-``repr`` tie-breaking reproduced through the
    compiled integer keys (identical iteration counts, hence identical
    round charges, to :func:`repro.mm.deterministic
    .deterministic_maximal_matching`);
-4. *reject* — each newly matched woman's "quantile >= q(p0)" set is a
-   contiguous woman-side CSR suffix, gathered in one batch;
-5. *bookkeeping* — partner clears for men rejected by their current
-   partner, batched.
+4. *reject* — a newly matched woman rejects her positions from the
+   start of her new partner's quantile run up to her cut, less his,
+   plus her old partner's: two contiguous woman-side runs and one
+   position, gathered in one batch with no presence mask; her cut
+   moves to the run start;
+5. *bookkeeping* — the re-matched women's old partners lose their
+   partner and, with partners left, rejoin the frontier; ``P`` keeps
+   the positions still present of men still unmatched.
 
 State-transition order mirrors the reference engine exactly where order
 matters (partner assignment before rejection clears); everywhere else
 the reference's per-player loops are order-independent, which is what
 makes the batched version bit-identical.  The equivalence suite
 (``tests/test_vec_equivalence.py``) pins this against the seed
-reference ProposalRound, kept in the tests, over the full workload grid.
+reference ProposalRound, kept in the tests, over the full workload grid,
+and ``tests/test_vec_pointers.py`` recomputes the cut, cursor and
+frontier invariants from ``present`` after every Step 4.
 
 This module is internal to :class:`~repro.core.asm.ASMEngine`'s
 ``optimized="vec"`` mode; it deliberately knows nothing about
@@ -58,6 +79,33 @@ __all__ = ["G0Stats", "VecState"]
 
 # Larger than any valid mm key / quantile; scratch-reset sentinel.
 _BIG = np.iinfo(np.int64).max if np is not None else 0
+
+
+def _ranges(starts: "np.ndarray", lens: "np.ndarray") -> "np.ndarray":
+    """The runs ``[starts[i], starts[i] + lens[i])``, concatenated."""
+    offs = np.cumsum(lens)
+    idx = np.arange(int(offs[-1]) if offs.size else 0, dtype=np.int64)
+    offs -= lens
+    idx += np.repeat(starts - offs, lens)
+    return idx
+
+
+def _tally(keys: "np.ndarray", scratch: "np.ndarray") -> Tuple[int, int]:
+    """``(distinct values, largest multiplicity)`` of nonempty ``keys``.
+
+    ``scratch`` spans every possible value.  Few keys are counted in it
+    on exactly the entries they touch, in O(|keys|); many keys get one
+    ``bincount``, in O(|keys| + |scratch|).
+    """
+    if 4 * keys.size >= scratch.size:
+        counts = np.bincount(keys)
+        return int(np.count_nonzero(counts)), int(counts.max())
+    order = np.arange(keys.size)
+    scratch[keys] = order  # one write per distinct key survives
+    distinct = int(np.count_nonzero(scratch[keys] == order))
+    scratch[keys] = 0
+    np.add.at(scratch, keys, 1)
+    return distinct, int(scratch[keys].max())
 
 
 class G0Stats:
@@ -94,16 +142,31 @@ class VecState:
         # Man-side position of each woman's matched edge (-1 = none);
         # lets invariant checks find her current partner's quantile.
         self.woman_partner_pos = np.full(n_women, -1, dtype=np.int64)
-        # Activated quantile per man (-1 = A empty).
+        # Activated quantile per man (-1 = A empty); only the men of
+        # the last activation can hold another value.
         self.active_q = np.full(n_men, -1, dtype=np.int64)
+        self._activated = np.empty(0, dtype=np.int64)
         # Candidate positions of the activated quantiles, refiltered
         # each round (monotonically shrinking within a QuantileMatch).
         self._P = np.empty(0, dtype=np.int64)
+        # First-present cursor per man (man-side position): every
+        # position of his before it is absent.
+        self._m_first = profile.m_indptr[:-1].copy()
+        # Cut per woman (woman-side position): her positions before it
+        # are present; from it on, only her partner's is.
+        self._w_cut = profile.w_indptr[1:].copy()
+        # Ascending superset of the bad men, and the men unseated since
+        # a gate last filtered it (see _bad_frontier).
+        self._frontier = np.flatnonzero(self.m_remaining > 0)
+        self._joiners: List["np.ndarray"] = []
+        # Men with |Q| >= t, indexed by t; None once a rejection has
+        # changed some |Q|.
+        self._at_least: Optional["np.ndarray"] = None
 
         # Scratch arrays, reset per use on exactly the touched indices.
         self._best_q_of_woman = np.empty(n_women, dtype=np.int64)
-        self._min_wkey_of_man = np.empty(n_men, dtype=np.int64)
-        self._min_mkey_of_woman = np.empty(n_women, dtype=np.int64)
+        self._scratch_m = np.empty(n_men, dtype=np.int64)
+        self._scratch_w = np.empty(n_women, dtype=np.int64)
         self._married_m = np.zeros(n_men, dtype=bool)
         self._married_w = np.zeros(n_women, dtype=bool)
 
@@ -116,25 +179,57 @@ class VecState:
     # Outer-loop queries
     # ------------------------------------------------------------------
 
-    def participating(self, threshold: int) -> "np.ndarray":
-        """Men with ``|Q| >= threshold`` (Algorithm 3's ``2^i`` gate)."""
-        return self.m_remaining >= threshold
+    def participating_count(self, threshold: int) -> int:
+        """How many men have ``|Q| >= threshold`` (Algorithm 3's ``2^i``
+        gate).
 
-    def count(self, part_mask: "np.ndarray") -> int:
-        """How many men ``part_mask`` holds."""
-        return int(part_mask.sum())
-
-    def candidates(self, part_mask: "np.ndarray") -> "np.ndarray":
-        """The masked men who would propose: unmatched, with ``|Q| > 0``.
-
-        One QuantileMatch gate computes this once and passes it on to
-        :meth:`activate`.
+        Read from a suffix-summed histogram of ``|Q|``, rebuilt in O(n)
+        only after a rejection has changed some ``|Q|``.
         """
-        return part_mask & self.bad_mask()
+        at_least = self._at_least
+        if at_least is None:
+            at_least = np.cumsum(np.bincount(self.m_remaining)[::-1])[::-1]
+            self._at_least = at_least
+        return int(at_least[threshold]) if threshold < at_least.size else 0
 
-    def bad_mask(self) -> "np.ndarray":
-        """Bad men: unmatched with partners left to propose to."""
-        return (self.man_partner == -1) & (self.m_remaining > 0)
+    def remaining_snapshot(self) -> "np.ndarray":
+        """A copy of ``|Q|`` per man, for :meth:`candidates`."""
+        return self.m_remaining.copy()
+
+    def candidates(
+        self, threshold: int, remaining: Optional["np.ndarray"] = None
+    ) -> "np.ndarray":
+        """The men who would propose at ``threshold``, ascending: bad
+        (unmatched, ``|Q| > 0``) with ``|Q| >= threshold``.
+
+        ``remaining``, a :meth:`remaining_snapshot`, is read for ``|Q|``
+        in the threshold test instead: the bad men among those who took
+        part when it was taken.  O(|frontier|); one QuantileMatch gate
+        computes this once and passes it on to :meth:`activate`.
+        """
+        bad = self._bad_frontier()
+        if remaining is None:
+            remaining = self.m_remaining
+        return bad[remaining[bad] >= threshold]
+
+    def _bad_frontier(self) -> "np.ndarray":
+        """The bad men, ascending: the frontier and its joiners, filtered
+        by the live predicate (and stored back)."""
+        f = self._frontier
+        if self._joiners:
+            # A sorted run plus the joiners, which a stable sort (a
+            # run-merging one) orders in O(f + j log j); a joiner may
+            # already be in the run (matched and unseated since the
+            # last filter).
+            f = np.concatenate([f, *self._joiners])
+            f.sort(kind="stable")
+            self._joiners = []
+            keep = np.ones(f.size, dtype=bool)
+            np.not_equal(f[1:], f[:-1], out=keep[1:])
+            f = f[keep]
+        f = f[(self.man_partner[f] == -1) & (self.m_remaining[f] > 0)]
+        self._frontier = f
+        return f
 
     # ------------------------------------------------------------------
     # Classification and result conversions (array state -> Python ints)
@@ -146,11 +241,13 @@ class VecState:
 
     def good_men(self) -> List[int]:
         """Good men (matched or fully rejected), ascending."""
-        return np.flatnonzero(~self.bad_mask()).tolist()
+        good = np.ones(self.profile.n_men, dtype=bool)
+        good[self._bad_frontier()] = False
+        return np.flatnonzero(good).tolist()
 
     def bad_men(self) -> List[int]:
         """Bad men, ascending."""
-        return np.flatnonzero(self.bad_mask()).tolist()
+        return self._bad_frontier().tolist()
 
     def removed_men(self) -> List[int]:
         """Always empty: the almost-regular removal is Python-only."""
@@ -185,40 +282,48 @@ class VecState:
     # QuantileMatch activation
     # ------------------------------------------------------------------
 
-    def activate(self, cand: "np.ndarray") -> None:
+    def activate(self, men: "np.ndarray") -> None:
         """Candidate men activate their best nonempty quantile.
 
-        ``cand`` is the mask :meth:`candidates` returns.  Only the
-        candidates' CSR segments are read, so a call costs
-        O(Σ deg(candidates)), not O(|E|).  A man's first present
-        position is his best remaining rank, whose quantile is his best
-        nonempty quantile (quantiles are non-decreasing along a list);
-        ``A`` is the present positions of that quantile.  Every other
-        man's ``A`` is (and stays) empty — Lemma 2 guarantees all sets
-        are empty on entry.
+        ``men`` is what :meth:`candidates` returns.  A man's first
+        present position is his best remaining rank, whose quantile is
+        his best nonempty quantile (quantiles are non-decreasing along a
+        list); ``A`` is the present positions of that quantile's run,
+        which ends at ``indptr + (q·deg)//k``.  His cursor finds the
+        first one, so a call reads only the skipped positions and the
+        activated runs.  Every other man's ``A`` is (and stays) empty —
+        Lemma 2 guarantees all sets are empty on entry, so only the
+        previous activation's men need their ``active_q`` cleared.
         """
         p = self.profile
-        active_q = self.active_q
-        active_q.fill(-1)
-        men = np.flatnonzero(cand)
+        self.active_q[self._activated] = -1
+        self._activated = men
         if not men.size:
             self._P = np.empty(0, dtype=np.int64)
             return
-        # The candidates' segments, concatenated: segment i starts at
-        # offs[i] in idx and at m_indptr[men[i]] in the CSR arrays.
-        lens = p.m_degree[men]
-        offs = np.cumsum(lens)
-        idx = np.arange(int(offs[-1]), dtype=np.int64)
-        offs -= lens
-        idx += np.repeat(p.m_indptr[men] - offs, lens)
-        pos = idx[self.present[idx]]  # present positions, ascending
-        del idx
-        # A man's |Q| is his count of present positions (>= 1 for a
-        # candidate), so his first one sits at the exclusive prefix sum.
-        counts = self.m_remaining[men]
-        q = p.m_quant[pos[np.cumsum(counts) - counts]]
-        active_q[men] = q
-        self._P = pos[p.m_quant[pos] == np.repeat(q, counts)]
+        first = self._advance_cursors(men)
+        q = p.m_quant[first]
+        self.active_q[men] = q
+        ends = p.m_indptr[men] + (q * p.m_degree[men]) // p.k
+        idx = _ranges(first, ends - first)
+        self._P = idx[self.present[idx]]
+
+    def _advance_cursors(self, men: "np.ndarray") -> "np.ndarray":
+        """Move each man's cursor to his first present position; returns
+        the cursors of ``men``.
+
+        Each pass steps every cursor still on an absent position once,
+        so a call reads each skipped position once.  Each man has
+        ``|Q| > 0``, so every cursor stops inside his segment.
+        """
+        present = self.present
+        first = self._m_first[men]
+        todo = np.flatnonzero(~present[first])
+        while todo.size:
+            first[todo] += 1
+            todo = todo[~present[first[todo]]]
+        self._m_first[men] = first
+        return first
 
     def lemma2_holds(self) -> bool:
         """Whether every man's ``A`` is empty (post-QuantileMatch check)."""
@@ -234,20 +339,19 @@ class VecState:
     # ------------------------------------------------------------------
 
     def step_propose(self) -> Optional[Tuple[int, int]]:
-        """Step 1: filter ``P``; returns ``(n_proposals, max_work)`` or None.
+        """Step 1: men propose along ``P``; returns ``(n_proposals,
+        max_work)`` or None.
 
         ``None`` mirrors the reference's "no proposals" early return.
+        ``P`` is exact here: :meth:`activate` builds it and
+        :meth:`step_reject` filters it.
         """
         p = self.profile
         P = self._P
-        if P.size:
-            keep = self.present[P] & (self.active_q[p.m_owner[P]] == p.m_quant[P])
-            P = P[keep]
-            self._P = P
         if not P.size:
             return None
         # max |A| over proposing men (Remark 4 per-processor work).
-        max_work = int(np.bincount(p.m_owner[P]).max())
+        max_work = _tally(p.m_owner[P], self._scratch_m)[1]
         return int(P.size), max_work
 
     def step_accept(self) -> Tuple[int, int]:
@@ -264,7 +368,7 @@ class VecState:
         best[pw] = _BIG  # reset exactly the touched entries
         np.minimum.at(best, pw, wq)
         acc = wq == best[pw]
-        step_max = int(np.bincount(pw).max())
+        step_max = _tally(pw, self._scratch_w)[1]
         self._acc_pos = P[acc]
         self._acc_m = p.m_owner[self._acc_pos]
         self._acc_w = pw[acc]
@@ -289,16 +393,13 @@ class VecState:
         """
         p = self.profile
         am, aw, apos = self._acc_m, self._acc_w, self._acc_pos
-        degm = np.bincount(am)
-        degw = np.bincount(aw)
-        g0 = G0Stats(
-            num_nodes=int((degm > 0).sum() + (degw > 0).sum()),
-            num_edges=int(am.size),
-        )
-        max_g0_deg = int(max(degm.max(), degw.max()))
+        minw = self._scratch_m
+        minm = self._scratch_w
+        men, max_deg_m = _tally(am, minw)
+        women, max_deg_w = _tally(aw, minm)
+        g0 = G0Stats(num_nodes=men + women, num_edges=int(am.size))
+        max_g0_deg = max(max_deg_m, max_deg_w)
 
-        minw = self._min_wkey_of_man
-        minm = self._min_mkey_of_woman
         marr_m, marr_w = self._married_m, self._married_w
         mkey, wkey = p.m_mm_key, p.w_mm_key
         matched_m: List["np.ndarray"] = []
@@ -348,68 +449,73 @@ class VecState:
         matched_in_m0 = int(mm_m.size)
         present = self.present
 
-        # Each woman's "quantile >= q(p0)" set is the suffix of her CSR
-        # segment starting at the first position of p0's quantile run.
-        wpos0 = p.m2w_pos[mm_pos]
-        starts = p.w_first_same_q[wpos0]
-        ends = p.w_indptr[mm_w + 1]
-        lens = ends - starts
-        total = int(lens.sum())
-        rep = np.repeat(np.arange(mm_m.size, dtype=np.int64), lens)
-        offs = np.cumsum(lens) - lens
-        idx = np.arange(total, dtype=np.int64) - offs[rep] + starts[rep]
-        cand_pos = p.w2m_pos[idx]
-        mask = (idx != wpos0[rep]) & present[cand_pos]
-        rej_pos = cand_pos[mask]
-        n_rejects = int(rej_pos.size)
-        step_max = 0
-        if matched_in_m0 and n_rejects:
-            counts = np.bincount(rep[mask], minlength=matched_in_m0)
-            step_max = int(counts.max())
-
+        # Each woman's "quantile >= q0" set starts at the first position
+        # of her new partner's quantile run; by the cut invariant, what
+        # she still holds of it is [start, cut) plus her old partner.
+        q0 = p.wq_of_edge[mm_pos]
+        wp0 = p.m2w_pos[mm_pos]
+        base = p.w_indptr[mm_w]
+        start = base + ((q0 - 1) * (p.w_indptr[mm_w + 1] - base)) // p.k
+        cut = self._w_cut[mm_w]
+        old = self.woman_partner[mm_w]
         if self.check_invariants:
-            self._check_trade_up(mm_m, mm_w, mm_pos)
+            self._check_trade_up(mm_m, mm_w, q0, old)
+        had = old != -1
+        old = old[had]
+        old_pos = self.woman_partner_pos[mm_w[had]]
+        idx = _ranges(
+            np.concatenate([start, wp0 + 1]),
+            np.concatenate([wp0 - start, cut - wp0 - 1]),
+        )
+        n_rejects = int(idx.size + old.size)
+        step_max = int((cut - start - 1 + had).max()) if matched_in_m0 else 0
 
         # Step 4 state: remove rejected edges (both sides at once — the
         # reference's paired wq.remove/mq.remove), then seat the pairs.
-        present[rej_pos] = False
-        rej_m = p.m_owner[rej_pos]
-        rej_w = p.m_woman[rej_pos]
-        np.subtract.at(self.m_remaining, rej_m, 1)
+        present[p.w2m_pos[idx]] = False
+        present[old_pos] = False
+        np.subtract.at(self.m_remaining, p.w_man[idx], 1)
+        np.subtract.at(self.m_remaining, old, 1)
+        if n_rejects:
+            self._at_least = None
+        self._w_cut[mm_w] = start
         self.woman_partner[mm_w] = mm_m
         self.woman_partner_pos[mm_w] = mm_pos
         self.man_partner[mm_m] = mm_w
         self.active_q[mm_m] = -1
         # Step 5: a man loses his partner when she is among his
-        # rejectors — checked after all Step-4 seatings, as in the
-        # reference (a just-seated man is never unseated).
-        cur = self.man_partner[rej_m] == rej_w
-        self.man_partner[rej_m[cur]] = -1
+        # rejectors, i.e. he is a re-matched woman's old partner.  He
+        # was matched, so he proposed to no one this round and is not
+        # among the just-seated men.
+        self.man_partner[old] = -1
+        joiners = old[self.m_remaining[old] > 0]
+        if joiners.size:
+            self._joiners.append(joiners)
+        # Next round's P: what is still present of still-unmatched men.
+        P = self._P
+        self._P = P[present[P] & (self.active_q[p.m_owner[P]] != -1)]
         return n_rejects, matched_in_m0, step_max
 
     def _check_trade_up(
-        self, mm_m: "np.ndarray", mm_w: "np.ndarray", mm_pos: "np.ndarray"
+        self,
+        mm_m: "np.ndarray",
+        mm_w: "np.ndarray",
+        q0: "np.ndarray",
+        old: "np.ndarray",
     ) -> None:
         """Lemma 1 invariant: a matched woman only trades up.
 
         Her old partner must still be on her list with a weakly-worse
         quantile than the new one — i.e. he is in the rejected set.
+        Raises for the first offending woman in ``mm_w`` order.
         """
         p = self.profile
-        for i in range(int(mm_m.size)):
-            w = int(mm_w[i])
-            m0 = int(mm_m[i])
-            old = int(self.woman_partner[w])
-            if old == -1:
-                continue
-            old_pos = int(self.woman_partner_pos[w])
-            q0 = int(p.wq_of_edge[mm_pos[i]])
-            if (
-                old == m0
-                or not bool(self.present[old_pos])
-                or int(p.wq_of_edge[old_pos]) < q0
-            ):
-                raise SimulationError(
-                    f"woman {w} traded up to man {m0} but did not "
-                    f"reject previous partner {old}"
-                )
+        old_pos = self.woman_partner_pos[mm_w]
+        kept = self.present[old_pos] & (p.wq_of_edge[old_pos] >= q0)
+        bad = (old != -1) & ((old == mm_m) | ~kept)
+        if bad.any():
+            i = int(np.flatnonzero(bad)[0])
+            raise SimulationError(
+                f"woman {int(mm_w[i])} traded up to man {int(mm_m[i])} but "
+                f"did not reject previous partner {int(old[i])}"
+            )

@@ -15,7 +15,7 @@ from repro.vec import HAS_NUMPY
 _VEC_ARRAYS = (
     "m_indptr", "m_woman", "m_owner", "m_quant",
     "w_indptr", "w_man", "w_owner", "w_quant",
-    "m2w_pos", "w2m_pos", "wq_of_edge", "w_first_same_q",
+    "m2w_pos", "w2m_pos", "wq_of_edge",
 )
 
 

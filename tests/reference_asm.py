@@ -31,9 +31,9 @@ class SeedState:
     """The seed per-player state: Section 3.1's quantile sets, per player.
 
     Supplies the queries the engine's schedule asks of a backend
-    (``participating``, ``candidates``, ``activate``, the
-    classification queries); :class:`ReferenceASMEngine` runs the
-    ProposalRound steps over it.
+    (``participating_count``, ``candidates``, ``activate``, the
+    classification queries), each by a scan over every man;
+    :class:`ReferenceASMEngine` runs the ProposalRound steps over it.
     """
 
     def __init__(self, prefs: PreferenceProfile, k: int) -> None:
@@ -50,22 +50,22 @@ class SeedState:
         self.active: List[Dict[int, None]] = [{} for _ in range(prefs.n_men)]
         self.removed: List[bool] = [False] * prefs.n_men
 
-    def participating(self, threshold: int) -> List[int]:
-        return [
-            m
+    def participating_count(self, threshold: int) -> int:
+        return sum(
+            1
             for m in range(self.n_men)
             if not self.removed[m] and self.men_q[m].remaining >= threshold
-        ]
+        )
 
-    def count(self, participating: Sequence[int]) -> int:
-        return len(participating)
+    def remaining_snapshot(self) -> List[int]:
+        return [mq.remaining for mq in self.men_q]
 
-    def candidates(self, participating: Sequence[int]) -> List[int]:
-        return [
-            m
-            for m in participating
-            if self.man_partner[m] is None and self.men_q[m].remaining > 0
-        ]
+    def candidates(
+        self, threshold: int, remaining: Optional[Sequence[int]] = None
+    ) -> List[int]:
+        if remaining is None:
+            remaining = self.remaining_snapshot()
+        return [m for m in self.bad_men() if remaining[m] >= threshold]
 
     def activate(self, candidates: Sequence[int]) -> None:
         for m in candidates:

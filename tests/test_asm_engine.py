@@ -174,7 +174,7 @@ class TestLemma2:
     def test_single_quantile_match_empties_active_sets(self):
         prefs = complete_uniform(12, seed=1)
         engine = ASMEngine(prefs, 0.5, check_invariants=True)
-        engine.quantile_match(list(range(12)))
+        engine.quantile_match()
         assert all(not a for a in engine.active)
 
     def test_quantile_match_resolves_every_activated_man(self):
@@ -190,7 +190,7 @@ class TestLemma2:
             quantiles = quantile_boundaries(hi - lo, engine.k)
             best = quantiles[live[0] - lo]
             activated[m] = [p for p in live if quantiles[p - lo] == best]
-        engine.quantile_match(list(range(12)))
+        engine.quantile_match()
         for m, positions in activated.items():
             partner = engine.man_partner[m]
             if partner is not None:
@@ -219,7 +219,7 @@ class TestLemma2:
         prefs = complete_uniform(8, seed=4)
         recorder = Recorder()
         engine = ASMEngine(prefs, 0.5, k=2, observer=recorder)
-        engine.quantile_match(list(range(8)))
+        engine.quantile_match()
         # The instance exercises the case: all k rounds ran, the last
         # one rejected, and some man active going into it ended
         # unmatched, i.e. was rejected by all of his remaining A.

@@ -1,7 +1,8 @@
 """Candidate-segment activation ≡ the full-scan activation it replaced.
 
-``VecState.activate`` reads only the CSR segments of its candidate men.
-The seed implementation scanned every present edge of the market on
+``VecState.activate`` reads only its candidate men's positions from their
+first-present cursors to the end of their best nonempty quantile.  The
+seed implementation scanned every present edge of the market on
 each call; it is kept here verbatim as :func:`full_scan_activate`, a
 test-only oracle in the manner of :mod:`tests.reference_asm`.  At every
 QuantileMatch of every solve on the vec equivalence grid, the product
@@ -76,8 +77,10 @@ def _check_against_oracle(activate, state: VecState, part_mask, cand) -> None:
 def checked_activation(monkeypatch):
     """Check every ``VecState.activate`` call against the oracle.
 
-    The oracle takes the participating mask the gate started from, so
-    ``candidates`` is pinned along with ``activate``.  Returns the
+    The oracle takes the participating mask of the gate's threshold,
+    rebuilt from ``|Q|`` when the gate runs, so ``candidates`` is
+    pinned along with ``activate``; the gate's candidates must be
+    exactly the mask's unmatched men with ``|Q| > 0``.  Returns the
     list of checked calls' candidate counts.
     """
     product_candidates = VecState.candidates
@@ -85,15 +88,22 @@ def checked_activation(monkeypatch):
     participating = {}
     checked = []
 
-    def candidates(self, part_mask):
-        participating[id(self)] = part_mask
-        return product_candidates(self, part_mask)
+    def candidates(self, threshold, remaining=None):
+        cand = product_candidates(self, threshold, remaining)
+        if remaining is None:
+            part_mask = self.m_remaining >= threshold
+            participating[id(self)] = part_mask
+            bad = (self.man_partner == -1) & (self.m_remaining > 0)
+            np.testing.assert_array_equal(
+                cand, np.flatnonzero(part_mask & bad)
+            )
+        return cand
 
     def activate(self, cand):
         _check_against_oracle(
             product_activate, self, participating[id(self)], cand
         )
-        checked.append(int(cand.sum()))
+        checked.append(int(cand.size))
 
     monkeypatch.setattr(VecState, "candidates", candidates)
     monkeypatch.setattr(VecState, "activate", activate)
@@ -150,8 +160,8 @@ class TestHandBuiltState:
         # remain.  Man 1: his whole first quantile is gone.
         start1 = int(p.m_indptr[1])
         self._reject(state, [start0, start0 + 2, start1, start1 + 1])
-        part = state.participating(1)
-        cand = state.candidates(part)
+        part = state.m_remaining >= 1
+        cand = state.candidates(1)
         _check_against_oracle(VecState.activate, state, part, cand)
         assert state.active_q.tolist() == [1, 2]
         assert state._P.tolist() == [
@@ -164,9 +174,9 @@ class TestHandBuiltState:
         self._reject(state, list(range(start1, start1 + 4)))
         state.man_partner[0] = 5
         state.woman_partner[5] = 0
-        part = state.participating(0)
-        cand = state.candidates(part)
-        assert not cand.any()
+        part = state.m_remaining >= 0
+        cand = state.candidates(0)
+        assert not cand.size
         _check_against_oracle(VecState.activate, state, part, cand)
         assert state.active_q.tolist() == [-1, -1]
         assert state._P.size == 0

@@ -49,11 +49,10 @@ from repro.workloads.generators import (  # noqa: E402
 
 
 def lexsort_alignment(p: VecProfile):
-    """``(m2w_pos, w2m_pos, wq_of_edge, w_first_same_q)`` by lexsort.
+    """``(m2w_pos, w2m_pos, wq_of_edge)`` by lexsort.
 
     The seed alignment: sort both CSR views by (woman, man); matching
-    sort positions are the same edge.  Quantile-run starts come from a
-    plain walk over each woman's segment.
+    sort positions are the same edge.
     """
     e = p.num_edges
     order_m = np.lexsort((p.m_owner, p.m_woman))
@@ -62,14 +61,7 @@ def lexsort_alignment(p: VecProfile):
     w2m_pos = np.empty(e, dtype=np.int64)
     m2w_pos[order_m] = order_w
     w2m_pos[order_w] = order_m
-    first = []
-    for w in range(p.n_women):
-        lo, hi = int(p.w_indptr[w]), int(p.w_indptr[w + 1])
-        for pos in range(lo, hi):
-            same = pos > lo and p.w_quant[pos] == p.w_quant[pos - 1]
-            first.append(first[-1] if same else pos)
-    first_same_q = np.array(first, dtype=np.int64)
-    return m2w_pos, w2m_pos, p.w_quant[m2w_pos], first_same_q
+    return m2w_pos, w2m_pos, p.w_quant[m2w_pos]
 
 
 MARKETS = [
@@ -97,11 +89,30 @@ MARKETS = [
 class TestAlignment:
     def test_matches_lexsort_oracle(self, name, build, k):
         p = VecProfile(build(), k)
-        m2w_pos, w2m_pos, wq_of_edge, w_first_same_q = lexsort_alignment(p)
+        m2w_pos, w2m_pos, wq_of_edge = lexsort_alignment(p)
         assert np.array_equal(p.m2w_pos, m2w_pos)
         assert np.array_equal(p.w2m_pos, w2m_pos)
         assert np.array_equal(p.wq_of_edge, wq_of_edge)
-        assert np.array_equal(p.w_first_same_q, w_first_same_q)
+
+    def test_quantile_runs_by_arithmetic(self, name, build, k):
+        """Step 4's run start ``indptr + ((q-1)·deg)//k`` and
+        activation's run end ``indptr + (q·deg)//k`` bracket exactly
+        the positions of each quantile, found by a plain walk."""
+        p = VecProfile(build(), k)
+        sides = (
+            (p.w_indptr, p.w_quant, p.w_degree),
+            (p.m_indptr, p.m_quant, p.m_degree),
+        )
+        for indptr, quant, degree in sides:
+            for v in range(len(degree)):
+                lo, deg = int(indptr[v]), int(degree[v])
+                for pos in range(lo, lo + deg):
+                    q = int(quant[pos])
+                    run = [
+                        r for r in range(lo, lo + deg) if quant[r] == q
+                    ]
+                    assert lo + (q - 1) * deg // k == run[0]
+                    assert lo + q * deg // k == run[-1] + 1
 
     def test_invariants(self, name, build, k):
         p = VecProfile(build(), k)

@@ -367,7 +367,6 @@ class TestFrozenCaches:
             "m2w_pos",
             "w2m_pos",
             "wq_of_edge",
-            "w_first_same_q",
             "m_mm_key",
             "w_mm_key",
         ):
