@@ -677,7 +677,6 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     merged = merge_trace_trials(results)
     trace = CausalTrace(merged["trace"])
     dropped = trace.dropped()
-    open_spans = trace.unclosed_spans()
     if telemetry is not None:
         telemetry.metrics.merge(merged["metrics"])
         telemetry.metrics.set_gauge(
@@ -692,7 +691,6 @@ def _cmd_trace(args: argparse.Namespace) -> int:
                     "trials": merged["trials"],
                     "trace_records": len(merged["trace"]),
                     "dropped_messages": len(dropped),
-                    "open_spans": open_spans,
                     "profile_summary": merged["profile_summary"],
                 },
                 indent=2,
@@ -724,8 +722,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     impact = trace.fault_impact()
     print(
         f"trace: {len(merged['trace'])} records, "
-        f"{len(dropped)} dropped messages, "
-        f"{len(open_spans)} open spans"
+        f"{len(dropped)} dropped messages"
     )
     if impact["by_action"]:
         parts = ", ".join(

@@ -1,9 +1,9 @@
 """The one run path every CONGEST protocol driver takes.
 
 :func:`run_protocol` builds the :class:`~repro.congest.simulator.Simulator`
-over the given node programs, runs it inside the protocol's span, and
-assembles the nodes' outputs with :func:`assemble` by one rule: a pair
-counts only when both endpoints' results name each other.  Any other
+over the given node programs, runs it, and assembles the nodes'
+outputs with :func:`assemble` by one rule: a pair counts only when
+both endpoints' results name each other.  Any other
 node — no result (crashed or timed out) or a claim its partner does
 not confirm — is *unresolved*.  A caller holding only a finished
 simulator (``run_congest_gale_shapley`` returns one) reassembles it
@@ -108,8 +108,6 @@ def assemble(
 def run_protocol(
     graph: Graph,
     programs: Mapping[NodeId, NodeProgram],
-    span: str,
-    attrs: Dict[str, Any],
     *,
     round_bound: Optional[int] = None,
     telemetry=None,
@@ -120,13 +118,9 @@ def run_protocol(
 ) -> ProtocolRun:
     """Run ``programs`` over ``graph`` and assemble their outputs.
 
-    ``span`` is opened with ``attrs`` and ``faulty`` when a tracer is
-    attached, and closed with the outcome, the rounds and, given a
-    ``tally``, its retries (also added to ``congest.retries``).
     ``round_bound`` caps tolerant runs; ``None`` runs them to
-    completion too (the ``congest.run`` span records the cap, so a
-    protocol's traces pin its choice).  ``partner_node`` is
-    :func:`assemble`'s.
+    completion too.  A ``tally``'s retries are added to
+    ``congest.retries``.  ``partner_node`` is :func:`assemble`'s.
     """
     sim = Simulator(
         graph, programs, telemetry=telemetry,
@@ -135,26 +129,13 @@ def run_protocol(
     tolerant = faults is not None or (
         transport is not None and transport.reorders
     )
-    tracer = sim.telemetry.tracer
-    span_id = (
-        tracer.open_span(span, **attrs, faulty=faults is not None)
-        if tracer is not None
-        else None
-    )
-    try:
-        if tolerant:
-            # Schedules are finite, so the run always terminates; a
-            # bound is a backstop, and "stop" keeps degraded runs
-            # reporting instead of raising.
-            sim.run(round_bound, on_timeout="stop")
-        else:
-            sim.run()
-    finally:
-        if span_id is not None:
-            closing = dict(outcome=sim.stats.outcome, rounds=sim.stats.rounds)
-            if tally is not None:
-                closing["retries"] = tally.count
-            tracer.close_span(span_id, **closing)
+    if tolerant:
+        # Schedules are finite, so the run always terminates; a bound
+        # is a backstop, and "stop" keeps degraded runs reporting
+        # instead of raising.
+        sim.run(round_bound, on_timeout="stop")
+    else:
+        sim.run()
     if tally is not None and tally.count > 0 and sim.telemetry.enabled:
         sim.telemetry.metrics.inc("congest.retries", tally.count)
     run = assemble(sim, partner_node)

@@ -559,13 +559,6 @@ def _run_with_schedule(
             prefs.iter_edges(), prefs.n_men, prefs.n_women
         ),
         programs,
-        "protocol.asm",
-        dict(
-            k=sched.k,
-            outer=sched.outer_iterations,
-            inner=sched.inner_iterations,
-            mm_kind=sched.mm_kind,
-        ),
         round_bound=schedule_round_bound(sched),
         telemetry=telemetry,
         faults=faults,

@@ -165,8 +165,6 @@ def run_congest_gale_shapley(
             prefs.iter_edges(), prefs.n_men, prefs.n_women
         ),
         programs,
-        "protocol.gale_shapley",
-        dict(iterations=iterations),
         telemetry=telemetry,
         faults=faults,
         transport=transport,

@@ -50,10 +50,7 @@ def run_congest_deterministic_mm(
         v: pointer_matching_fragment(graph.neighbors(v), iterations)
         for v in graph.nodes()
     }
-    run = run_protocol(
-        graph, programs, "protocol.pointer_mm", dict(iterations=iterations),
-        telemetry=telemetry, faults=faults,
-    )
+    run = run_protocol(graph, programs, telemetry=telemetry, faults=faults)
     return MMResult(partner=run.partner, rounds=run.sim.stats.rounds)
 
 
@@ -83,10 +80,7 @@ def run_congest_port_order_mm(
         )
         for v in graph.nodes()
     }
-    run = run_protocol(
-        graph, programs, "protocol.port_order_mm", dict(iterations=iterations),
-        telemetry=telemetry, faults=faults,
-    )
+    run = run_protocol(graph, programs, telemetry=telemetry, faults=faults)
     return MMResult(partner=run.partner, rounds=run.sim.stats.rounds)
 
 
@@ -109,8 +103,5 @@ def run_congest_israeli_itai_mm(
         )
         for v in graph.nodes()
     }
-    run = run_protocol(
-        graph, programs, "protocol.israeli_itai_mm",
-        dict(iterations=iterations), telemetry=telemetry, faults=faults,
-    )
+    run = run_protocol(graph, programs, telemetry=telemetry, faults=faults)
     return MMResult(partner=run.partner, rounds=run.sim.stats.rounds)

@@ -112,8 +112,8 @@ class Simulator:
         enabled, round/message/bit totals accumulate as counters over
         every round, and each round that carries a message is timed
         (a ``congest.round_seconds`` span and observation) and leaves
-        one ``congest_round`` event and one ``message_batch`` record
-        (per-kind counts).  A bundle carrying a
+        one ``congest_round`` record (its messages, bits and per-kind
+        counts).  A bundle carrying a
         :class:`~repro.trace.span.CausalTracer` gets every validated
         send recorded with a causal trace id (fault fates included);
         the hook is skipped entirely when absent.
@@ -396,8 +396,8 @@ class Simulator:
             metrics.inc("congest.rounds")
             metrics.inc("congest.messages", round_messages)
             metrics.inc("congest.bits", round_bits)
-            # Only a round that carries a message leaves a span and
-            # records: most rounds of a paper schedule move nothing, and
+            # Only a round that carries a message leaves a span and a
+            # record: most rounds of a paper schedule move nothing, and
             # the telemetry should grow with the work, not the schedule.
             if round_messages:
                 metrics.record_span("congest.round_seconds", t0, elapsed)
@@ -407,11 +407,6 @@ class Simulator:
                     round=self.stats.rounds,
                     messages=round_messages,
                     bits=round_bits,
-                    seconds=round(elapsed, 9),
-                )
-                metrics.emit(
-                    "message_batch",
-                    round=self.stats.rounds,
                     kinds=kind_counts,
                 )
         return not self.finished
@@ -454,43 +449,28 @@ class Simulator:
             raise InvalidParameterError(
                 f"max_rounds must be >= 0, got {max_rounds}"
             )
-        tracer = self.telemetry.tracer
-        sid = (
-            tracer.open_span("congest.run", max_rounds=max_rounds)
-            if tracer is not None
-            else None
-        )
-        try:
-            # The cap is checked before each round, so a run never
-            # executes more than max_rounds of them.
-            while True:
-                if max_rounds is not None and self.stats.rounds >= max_rounds:
-                    unfinished = [
-                        v
-                        for v in self.programs
-                        if v not in self.results and v not in self.crashed
-                    ]
-                    if unfinished:
-                        self.stats.outcome = "timeout"
-                        self.stats.unfinished_nodes = len(unfinished)
-                        self.stats.crashed_nodes = len(self.crashed)
-                        if on_timeout == "raise":
-                            raise SimulationError(
-                                f"{len(unfinished)} program(s) still "
-                                f"running after {max_rounds} rounds, e.g. "
-                                f"{unfinished[0]!r}"
-                            )
-                        return self.stats
-                if not self.step():
-                    break
-            self.stats.outcome = "degraded" if self.crashed else "converged"
-            self.stats.crashed_nodes = len(self.crashed)
-            return self.stats
-        finally:
-            if sid is not None:
-                tracer.close_span(
-                    sid,
-                    outcome=self.stats.outcome,
-                    rounds=self.stats.rounds,
-                    messages=self.stats.messages,
-                )
+        # The cap is checked before each round, so a run never
+        # executes more than max_rounds of them.
+        while True:
+            if max_rounds is not None and self.stats.rounds >= max_rounds:
+                unfinished = [
+                    v
+                    for v in self.programs
+                    if v not in self.results and v not in self.crashed
+                ]
+                if unfinished:
+                    self.stats.outcome = "timeout"
+                    self.stats.unfinished_nodes = len(unfinished)
+                    self.stats.crashed_nodes = len(self.crashed)
+                    if on_timeout == "raise":
+                        raise SimulationError(
+                            f"{len(unfinished)} program(s) still "
+                            f"running after {max_rounds} rounds, e.g. "
+                            f"{unfinished[0]!r}"
+                        )
+                    return self.stats
+            if not self.step():
+                break
+        self.stats.outcome = "degraded" if self.crashed else "converged"
+        self.stats.crashed_nodes = len(self.crashed)
+        return self.stats

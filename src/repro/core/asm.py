@@ -495,6 +495,14 @@ class _PyState:
         """Men removed from play, ascending."""
         return [m for m in range(self.n_men) if self.removed[m]]
 
+    def removed_count(self) -> int:
+        """How many men are removed from play."""
+        return self.removed.count(True)
+
+    def matching_size(self) -> int:
+        """``|M|``: how many women hold a partner."""
+        return len(self.woman_partner) - self.woman_partner.count(None)
+
     def matching(self) -> Matching:
         """The current matching ``{(p(w), w) | p(w) ≠ ∅}``."""
         return Matching(
@@ -988,10 +996,15 @@ class ASMEngine:
         return stats
 
     def _emit_round(self, stats: ProposalRoundStats) -> None:
-        """``asm.*`` counters/gauges and the ``proposal_round`` event."""
-        matching_size = len(self.current_matching())
-        good = len(self._state.good_men())
-        bad = len(self._state.bad_men())
+        """``asm.*`` counters/gauges and the ``proposal_round`` event.
+
+        The sizes come from counts the backend keeps: good men are the
+        men neither removed nor bad.
+        """
+        state = self._state
+        matching_size = state.matching_size()
+        bad = len(state.bad_men())
+        good = self.n_men - state.removed_count() - bad
         metrics = self.telemetry.metrics
         metrics.inc("asm.proposal_rounds")
         metrics.inc("asm.messages.proposes", stats.proposals)

@@ -11,8 +11,8 @@ simulated round runs:
   against the declared schemas at ``O(log n)`` bits.
 * **Determinism** (``DET001–002``) — no unordered set iteration or
   global RNG use in the algorithm layers.
-* **Telemetry hygiene** (``TEL001–004``) — no ``print``, wall-clock
-  reads, ad-hoc file exports, or leaked spans in library code.
+* **Telemetry hygiene** (``TEL001–003``) — no ``print``, wall-clock
+  reads, or ad-hoc file exports in library code.
 * **Determinism flow** (``FLOW001–004``, opt-in via ``--flow``) — a
   whole-program, interprocedural taint analysis: unordered iteration
   and unseeded randomness must not reach message emission, telemetry

@@ -17,13 +17,6 @@ writes bypass the versioned envelopes of :mod:`repro.io`.
     No direct file exports (``open``, ``Path.write_text``/
     ``write_bytes``, ``json.dump``) — persistence routes through
     :mod:`repro.io` so every artifact carries the format envelope.
-``TEL004``
-    Every ``open_span()`` call needs a matching ``close_span()`` in
-    the same function (a ``try/finally``, or the
-    :meth:`~repro.trace.span.CausalTracer.span` context manager).  A
-    span leaked across function boundaries survives protocol errors
-    unclosed, and ``CausalTrace.unclosed_spans`` then reports a
-    phantom hang.
 
 Scope: all of ``src/repro`` except the CLI entry points, ``repro.io``
 itself, and the ``repro.obs`` telemetry layer (see
@@ -43,7 +36,6 @@ __all__ = [
     "PrintRule",
     "WallClockRule",
     "DirectExportRule",
-    "SpanBalanceRule",
 ]
 
 
@@ -167,56 +159,3 @@ class DirectExportRule(Rule):
                         "fine)",
                     )
 
-
-def _scope_nodes(body: list) -> Iterator[ast.AST]:
-    """All nodes in a function (or module) body, excluding nested
-    function/class scopes — their spans are their own business."""
-    stack = list(body)
-    while stack:
-        node = stack.pop()
-        if isinstance(
-            node,
-            (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef),
-        ):
-            continue
-        yield node
-        stack.extend(ast.iter_child_nodes(node))
-
-
-@register
-class SpanBalanceRule(Rule):
-    rule_id = "TEL004"
-    family = "TEL"
-    scope = "library"
-    description = (
-        "open_span() without a close_span() in the same function; use "
-        "try/finally or the span() context manager."
-    )
-
-    def check(self, src: SourceFile, config: LintConfig) -> Iterator[Violation]:
-        scopes = [src.tree.body]
-        for node in ast.walk(src.tree):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                scopes.append(node.body)
-        for body in scopes:
-            opens = []
-            closes = 0
-            for node in _scope_nodes(body):
-                if not (
-                    isinstance(node, ast.Call)
-                    and isinstance(node.func, ast.Attribute)
-                ):
-                    continue
-                if node.func.attr == "open_span":
-                    opens.append(node)
-                elif node.func.attr == "close_span":
-                    closes += 1
-            if opens and closes == 0:
-                for call in opens:
-                    yield self.violation(
-                        src,
-                        call,
-                        "open_span() has no close_span() in this function — "
-                        "a protocol error would leak the span; close it in "
-                        "a try/finally or use the span() context manager",
-                    )

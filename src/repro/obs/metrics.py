@@ -72,7 +72,6 @@ EVENT_KINDS: FrozenSet[str] = frozenset(
         "quantile_match",
         "outer_iteration",
         "congest_round",
-        "message_batch",
         "trial_chunk",
         "fault",
         "slo_sample",

@@ -46,7 +46,6 @@ class CausalTrace:
         self._children: Dict[str, List[str]] = {}
         self._by_link: Dict[Tuple[str, str], List[Dict[str, Any]]] = {}
         self._node_faults: Dict[str, List[Dict[str, Any]]] = {}
-        self._spans: List[Dict[str, Any]] = []
         for record in self.records:
             rtype = record.get("type")
             if rtype == "message":
@@ -61,8 +60,6 @@ class CausalTrace:
                 self._node_faults.setdefault(record["node"], []).append(
                     record
                 )
-            elif rtype == "span":
-                self._spans.append(record)
 
     # -- basic access --------------------------------------------------
 
@@ -89,10 +86,6 @@ class CausalTrace:
         """Crash/down/restart records for ``node``."""
         key = node if isinstance(node, str) else repr(node)
         return list(self._node_faults.get(key, []))
-
-    def unclosed_spans(self) -> List[Dict[str, Any]]:
-        """Spans opened but never closed (should be empty post-run)."""
-        return [s for s in self._spans if not s.get("closed", True)]
 
     # -- chain reconstruction ------------------------------------------
 

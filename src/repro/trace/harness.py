@@ -96,7 +96,6 @@ def run_trace_trial(spec: TrialSpec) -> Dict[str, Any]:
     }
     record["instability"] = instability(prefs, matching)
     record["trace"] = tracer.to_records()
-    record["open_spans"] = tracer.open_spans()
     record["profile_summary"] = telemetry.metrics.summary()
     record["metrics"] = telemetry.metrics.raw_state()
     return record

@@ -1,4 +1,4 @@
-"""Causal span tracing for CONGEST simulations.
+"""Causal message tracing for CONGEST simulations.
 
 Every message the simulator validates gets a deterministic **trace
 id**: a SHA-256 chain (same :func:`~repro.parallel.spec.derive_seed`
@@ -10,28 +10,25 @@ propose/accept/reject chain that produced any final state, which is
 the object the paper's trajectory claims (Theorem 3's ε-bound emerges
 from those chains) are about.
 
-A :class:`CausalTracer` records four kinds of flat, timestamp-free
+A :class:`CausalTracer` records three kinds of flat, timestamp-free
 dicts — byte-identical across runs, worker counts, and processes:
 
 ``message``
     One validated send: id, parent id, round, link, kind, and its
     ``fate`` (``delivered`` / ``deferred`` / ``dropped``).  Fault
     injections (:mod:`repro.faults`) annotate the record with the
-    ``fault`` action that touched it — the span that killed a chain.
+    ``fault`` action that touched it — the fault that killed a chain.
 ``redelivery``
     A deferred (delayed/duplicated) message landing in a later round.
 ``crash`` / ``down`` / ``restart``
     A node-level fault event, so chains ending at a dead node are
     explainable.
-``round_span`` / ``node_span``
-    Per-round and per-node-per-round activity spans the simulator
-    closes at the end of every round that carried traffic.
-``span``
-    An explicitly opened span (:meth:`CausalTracer.open_span` /
-    :meth:`CausalTracer.close_span`, or the :meth:`CausalTracer.span`
-    context manager) — protocol drivers wrap whole runs in one.  Lint
-    rule TEL004 flags ``open_span`` calls without a matching
-    ``close_span`` in the same function.
+
+The trace holds causes only.  How much each round carried and how long
+it took live in the metrics registry (a ``congest_round`` record and a
+``congest.round_seconds`` span per round that carries a message), and
+a run's outcome and round count in
+:class:`~repro.congest.simulator.SimulationStats`.
 
 The tracer is **disabled by absence**: components reach it via
 ``telemetry.tracer`` and skip every hook when it is ``None``, so
@@ -91,9 +88,9 @@ def derive_trace_id(parent: str, *components: Any) -> str:
 class CausalTracer:
     """Deterministic causal trace of one simulated run.
 
-    The simulator drives the ``on_*`` hooks; protocols and harnesses
-    use the span API.  All records are flat JSON-safe dicts with no
-    timestamps — see the module docstring for the schema.
+    The simulator drives the ``on_*`` hooks.  All records are flat
+    JSON-safe dicts with no timestamps — see the module docstring for
+    the schema.
     """
 
     def __init__(self) -> None:
@@ -111,11 +108,6 @@ class CausalTracer:
         # injector's fate decision is per-recipient-per-round, so FIFO
         # order can never mis-assign ids.
         self._deferred: Dict[Tuple[int, str, str, str], List[str]] = {}
-        # Per-round activity counters for node spans.
-        self._sent: Dict[str, int] = {}
-        self._received: Dict[str, int] = {}
-        self._span_count = 0
-        self._open_spans: Dict[str, Dict[str, Any]] = {}
 
     # ------------------------------------------------------------------
     # Message hooks (driven by the simulator)
@@ -140,7 +132,6 @@ class CausalTracer:
         }
         self.records.append(record)
         self._by_id[tid] = record
-        self._sent[s] = self._sent.get(s, 0) + 1
         return tid
 
     def on_fault(self, tid: str, fault_record: Dict[str, Any]) -> None:
@@ -177,9 +168,7 @@ class CausalTracer:
 
     def on_delivered(self, recipient: Any, tid: str) -> None:
         """Queue a same-round delivery's causal-head update."""
-        r = repr(recipient)
-        self._pending_heads.append((r, tid))
-        self._received[r] = self._received.get(r, 0) + 1
+        self._pending_heads.append((repr(recipient), tid))
 
     def on_deferred_delivery(
         self, round_index: int, sender_repr: str, to_repr: str, kind: str
@@ -199,7 +188,6 @@ class CausalTracer:
             }
         )
         self._pending_heads.append((to_repr, tid))
-        self._received[to_repr] = self._received.get(to_repr, 0) + 1
         return tid
 
     def on_deferred_drop(
@@ -260,7 +248,6 @@ class CausalTracer:
             }
         )
         self._pending_heads.append((to_repr, tid))
-        self._received[to_repr] = self._received.get(to_repr, 0) + 1
 
     def on_transport_drop(
         self, round_index: int, tid: Optional[str]
@@ -282,71 +269,10 @@ class CausalTracer:
         self.records.append(entry)
 
     def end_round(self, round_index: int) -> None:
-        """Close the round: apply head updates, emit activity spans."""
+        """Close the round: apply its buffered causal-head updates."""
         for node, tid in self._pending_heads:
             self._heads[node] = tid
         self._pending_heads.clear()
-        if not self._sent and not self._received:
-            return
-        sent_total = sum(self._sent.values())
-        delivered_total = sum(self._received.values())
-        self.records.append(
-            {
-                "type": "round_span",
-                "round": round_index,
-                "sent": sent_total,
-                "delivered": delivered_total,
-            }
-        )
-        touched = sorted(set(self._sent) | set(self._received))
-        for node in touched:
-            self.records.append(
-                {
-                    "type": "node_span",
-                    "round": round_index,
-                    "node": node,
-                    "sent": self._sent.get(node, 0),
-                    "recv": self._received.get(node, 0),
-                    "head": self._heads.get(node, ""),
-                }
-            )
-        self._sent.clear()
-        self._received.clear()
-
-    # ------------------------------------------------------------------
-    # Explicit spans (protocol drivers, harnesses)
-    # ------------------------------------------------------------------
-
-    def open_span(self, name: str, **attrs: Any) -> str:
-        """Open a named span; returns its id (close with close_span)."""
-        self._span_count += 1
-        sid = derive_trace_id("span", name, self._span_count)
-        record: Dict[str, Any] = {
-            "type": "span",
-            "id": sid,
-            "name": name,
-            "closed": False,
-        }
-        record.update(attrs)
-        self.records.append(record)
-        self._open_spans[sid] = record
-        return sid
-
-    def close_span(self, sid: str, **attrs: Any) -> None:
-        """Close a span opened with :meth:`open_span`."""
-        record = self._open_spans.pop(sid, None)
-        if record is None:
-            return
-        record.update(attrs)
-        record["closed"] = True
-
-    def span(self, name: str, **attrs: Any) -> "_SpanContext":
-        """Context manager opening/closing a span around a block."""
-        return _SpanContext(self, name, attrs)
-
-    def open_spans(self) -> List[str]:
-        """Names of spans currently open (should be empty after a run)."""
-        return [record["name"] for record in self._open_spans.values()]
 
     # ------------------------------------------------------------------
     # Introspection / serialization
@@ -396,32 +322,3 @@ class CausalTracer:
     def __len__(self) -> int:
         return len(self.records)
 
-
-class _SpanContext:
-    """``with tracer.span(...)`` — balanced open/close in one place."""
-
-    __slots__ = ("_tracer", "_name", "_attrs", "_sid")
-
-    def __init__(
-        self, tracer: CausalTracer, name: str, attrs: Dict[str, Any]
-    ) -> None:
-        self._tracer = tracer
-        self._name = name
-        self._attrs = attrs
-        self._sid = ""
-
-    def __enter__(self) -> "_SpanContext":
-        # The matching close_span lives in __exit__ — this class IS the
-        # blessed balanced pairing.
-        sid = self._tracer.open_span(  # lint: ignore[TEL004]
-            self._name, **self._attrs
-        )
-        self._sid = sid
-        return self
-
-    @property
-    def sid(self) -> str:
-        return self._sid
-
-    def __exit__(self, exc_type: Any, exc: Any, tb: Any) -> None:
-        self._tracer.close_span(self._sid)

@@ -253,6 +253,14 @@ class VecState:
         """Always empty: the almost-regular removal is Python-only."""
         return []
 
+    def removed_count(self) -> int:
+        """Always 0 (see :meth:`removed_men`)."""
+        return 0
+
+    def matching_size(self) -> int:
+        """``|M|``: how many women hold a partner."""
+        return int(np.count_nonzero(self.woman_partner >= 0))
+
     def matching(self) -> Matching:
         """The current matching, built from ``woman_partner`` as arrays.
 

@@ -99,6 +99,12 @@ class SeedState:
     def removed_men(self) -> List[int]:
         return [m for m in range(self.n_men) if self.removed[m]]
 
+    def removed_count(self) -> int:
+        return sum(self.removed)
+
+    def matching_size(self) -> int:
+        return sum(1 for m in self.woman_partner if m is not None)
+
     def matching(self) -> Matching:
         return Matching(
             (m, w) for w, m in enumerate(self.woman_partner) if m is not None

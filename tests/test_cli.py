@@ -289,7 +289,7 @@ class TestCommands:
         assert "congest.round_seconds" in doc["metrics"]["histograms"]
         records = doc["metrics"]["events"]
         kinds = {r["kind"] for r in records}
-        assert {"congest_round", "message_batch"} <= kinds
+        assert "congest_round" in kinds
         round_total = sum(
             r["messages"] for r in records if r["kind"] == "congest_round"
         )

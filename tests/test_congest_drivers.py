@@ -8,8 +8,8 @@ permanent crash and a crash that restarts, and an
 :class:`~repro.congest.transport.AsyncEventTransport` with nonzero
 latency (the maximal-matching drivers take no transport, so they run
 the first two).  Each run's assembled result — matching, unresolved
-players, outcome, rounds, messages, retries, fault trace, its protocol
-span and a digest of its causal trace — must equal
+players, outcome, rounds, messages, retries, fault trace, registry
+counters and a digest of its causal trace — must equal
 ``tests/golden/congest_drivers.json`` byte for byte.  Regenerate the
 file only for a deliberate change of results::
 
@@ -178,17 +178,12 @@ def _cases():
 
 
 def _run(driver, mode):
-    """One driver run's assembled result, protocol span and counters."""
+    """One driver run's assembled result, trace digest and counters."""
     tracer = CausalTracer()
     telemetry = Telemetry.create(tracer=tracer)
     record = _DRIVERS[driver](_PREFS, telemetry=telemetry, **_MODES[mode]())
-    trace = tracer.to_records()
-    record["protocol_span"] = [
-        list(r.items()) for r in trace
-        if r["type"] == "span" and r["name"].startswith("protocol.")
-    ]
     record["trace_sha256"] = hashlib.sha256(
-        json.dumps(trace, sort_keys=True).encode()
+        json.dumps(tracer.to_records(), sort_keys=True).encode()
     ).hexdigest()
     record["counters"] = telemetry.metrics.raw_state()["counters"]
     return record

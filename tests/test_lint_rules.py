@@ -253,7 +253,7 @@ class TestCLI:
         assert code == 0
         out = capsys.readouterr().out
         for rule_id in (
-            "CONGEST001", "MSG001", "DET001", "TEL001", "TEL004", "FLOW001"
+            "CONGEST001", "MSG001", "DET001", "TEL001", "FLOW001"
         ):
             assert rule_id in out
 
@@ -365,73 +365,3 @@ class TestSimulatorCrossReference:
         assert "round 1" in text
         assert "MSG002" in text
         assert "docs/static_analysis.md" in text
-
-
-class TestSpanBalance:
-    """TEL004: open_span without close_span in the same function."""
-
-    def _report(self, tmp_path, source):
-        target = _write(tmp_path, "src/repro/core/spans.py", source)
-        return run_lint([target], LintConfig())
-
-    def test_unbalanced_open_is_flagged(self, tmp_path):
-        report = self._report(
-            tmp_path,
-            "def f(tracer):\n"
-            "    sid = tracer.open_span('work')\n"
-            "    return sid\n",
-        )
-        assert not report.ok
-        assert [v.rule for v in report.violations] == ["TEL004"]
-
-    def test_try_finally_pairing_is_clean(self, tmp_path):
-        report = self._report(
-            tmp_path,
-            "def f(tracer):\n"
-            "    sid = tracer.open_span('work')\n"
-            "    try:\n"
-            "        return 1\n"
-            "    finally:\n"
-            "        tracer.close_span(sid)\n",
-        )
-        assert report.ok
-
-    def test_span_context_manager_is_clean(self, tmp_path):
-        report = self._report(
-            tmp_path,
-            "def f(tracer):\n"
-            "    with tracer.span('work'):\n"
-            "        return 1\n",
-        )
-        assert report.ok
-
-    def test_close_in_nested_function_does_not_count(self, tmp_path):
-        report = self._report(
-            tmp_path,
-            "def f(tracer):\n"
-            "    sid = tracer.open_span('work')\n"
-            "    def closer():\n"
-            "        tracer.close_span(sid)\n"
-            "    return closer\n",
-        )
-        assert not report.ok
-        assert [v.rule for v in report.violations] == ["TEL004"]
-
-    def test_module_level_pairing(self, tmp_path):
-        report = self._report(
-            tmp_path,
-            "import repro\n"
-            "TRACER = repro.CausalTracer()\n"
-            "SID = TRACER.open_span('module')\n",
-        )
-        assert not report.ok
-        assert [v.rule for v in report.violations] == ["TEL004"]
-
-    def test_suppression_comment(self, tmp_path):
-        report = self._report(
-            tmp_path,
-            "def f(tracer):\n"
-            "    return tracer.open_span('x')  # lint: ignore[TEL004]\n",
-        )
-        assert report.ok
-        assert report.suppressed == 1

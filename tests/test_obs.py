@@ -67,7 +67,7 @@ def _of_kind(telemetry, kind):
 
 
 def _summed_kinds(kind_counts):
-    """Sum of ``message_batch`` ``kinds`` dicts, per kind."""
+    """Sum of ``congest_round`` ``kinds`` dicts, per kind."""
     total = Counter()
     for kinds in kind_counts:
         total.update(kinds)
@@ -143,13 +143,16 @@ class TestMetricsRegistry:
 class TestEventLog:
     def test_emit_and_query(self):
         reg = MetricsRegistry()
-        reg.emit("congest_round", round=1, messages=2, bits=16)
-        reg.emit("message_batch", round=1, kinds={"PING": 2})
+        reg.emit(
+            "congest_round", round=1, messages=2, bits=16,
+            kinds={"PING": 2},
+        )
+        reg.emit("fault", round=1, action="drop")
         assert [(r["kind"], r["seq"]) for r in reg.events] == [
             ("congest_round", 0),
-            ("message_batch", 1),
+            ("fault", 1),
         ]
-        assert reg.events[1]["kinds"] == {"PING": 2}
+        assert reg.events[0]["kinds"] == {"PING": 2}
 
     def test_schema_is_closed(self):
         reg = MetricsRegistry()
@@ -224,7 +227,6 @@ class TestEventLog:
             "quantile_match",
             "outer_iteration",
             "congest_round",
-            "message_batch",
             "trial_chunk",
             "fault",
             "slo_sample",
@@ -456,7 +458,11 @@ class TestSimulatorTelemetry:
         rounds = _of_kind(tel, "congest_round")
         assert [(r["round"], r["messages"]) for r in rounds] == carrying
         assert sum(r["messages"] for r in rounds) == sim.stats.messages
-        assert all(r["seconds"] >= 0.0 for r in rounds)
+        # The round's elapsed time is its span, not a record field.
+        assert all(
+            sum(r["kinds"].values()) == r["messages"] and "seconds" not in r
+            for r in rounds
+        )
         summaries = tel.metrics.histogram_summaries()
         assert summaries["congest.round_seconds"]["count"] == len(carrying)
         assert summaries["congest.messages_per_round"]["count"] == len(
@@ -467,15 +473,6 @@ class TestSimulatorTelemetry:
             if s["name"] == "congest.round_seconds"
         ]
         assert len(spans) == len(carrying)
-
-    def test_message_batches_match_tracer(self):
-        tracer = CausalTracer()
-        tel = Telemetry.create(tracer=tracer)
-        self._run_ping(telemetry=tel)
-        total_by_kind = _summed_kinds(
-            r["kinds"] for r in _of_kind(tel, "message_batch")
-        )
-        assert total_by_kind == _traced_kind_counts(tracer) == {"PING": 3}
 
     def test_no_telemetry_default(self):
         sim = self._run_ping()
@@ -542,11 +539,11 @@ class TestIORoundTrip:
         path = tmp_path / "metrics.json"
         save_metrics(tel.metrics, path, tel.manifest)
         records = load_metrics(path)["metrics"]["events"]
-        batch_by_kind = _summed_kinds(
-            r["kinds"] for r in records if r["kind"] == "message_batch"
+        round_by_kind = _summed_kinds(
+            r["kinds"] for r in records if r["kind"] == "congest_round"
         )
-        assert batch_by_kind == _traced_kind_counts(tracer)
-        assert sum(batch_by_kind.values()) == result.stats.messages
+        assert round_by_kind == _traced_kind_counts(tracer)
+        assert sum(round_by_kind.values()) == result.stats.messages
         round_total = sum(
             r["messages"] for r in records if r["kind"] == "congest_round"
         )

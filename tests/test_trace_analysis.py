@@ -99,10 +99,6 @@ class TestFaultImpact:
         rounds = [r["round"] for r in via_tuple]
         assert rounds == sorted(rounds)
 
-    def test_no_unclosed_spans(self, faulty_run):
-        _, _, trace = faulty_run
-        assert trace.unclosed_spans() == []
-
 
 class TestExplainBlockingPairs:
     def test_every_blocking_pair_is_explained(self, faulty_run):

@@ -1,6 +1,6 @@
-"""Causal span tracing: id derivation, head discipline, fault
-annotation, explicit spans, and the traced-run determinism guarantees
-(bit-identical traces; disabled mode identical to untraced runs)."""
+"""Causal message tracing: id derivation, head discipline, fault
+annotation, and the traced-run determinism guarantees (bit-identical
+traces; disabled mode identical to untraced runs)."""
 
 from __future__ import annotations
 
@@ -180,36 +180,6 @@ class TestCausalTracerUnit:
         tracer.end_round(1)
         assert len(tracer) == 0
 
-    def test_round_and_node_spans(self):
-        tracer = CausalTracer()
-        tid = tracer.on_send(1, ("M", 0), ("W", 1), "PROPOSE")
-        tracer.on_delivered(("W", 1), tid)
-        tracer.end_round(1)
-        types = [r["type"] for r in tracer.records]
-        assert types == ["message", "round_span", "node_span", "node_span"]
-        round_span = tracer.records[1]
-        assert round_span["sent"] == 1 and round_span["delivered"] == 1
-        nodes = [r["node"] for r in tracer.records[2:]]
-        assert nodes == sorted(nodes)
-
-    def test_explicit_spans_and_context_manager(self):
-        tracer = CausalTracer()
-        sid = tracer.open_span("outer", k=2)
-        assert tracer.open_spans() == ["outer"]
-        with tracer.span("inner") as ctx:
-            assert ctx.sid
-            assert set(tracer.open_spans()) == {"outer", "inner"}
-        tracer.close_span(sid, outcome="converged")
-        assert tracer.open_spans() == []
-        spans = [r for r in tracer.records if r["type"] == "span"]
-        assert all(s["closed"] for s in spans)
-        assert spans[0]["outcome"] == "converged"
-
-    def test_close_unknown_span_is_a_noop(self):
-        tracer = CausalTracer()
-        tracer.close_span("deadbeefdeadbeef")
-        assert len(tracer) == 0
-
     def test_merge_tags_records(self):
         a = CausalTracer()
         a.on_send(1, ("M", 0), ("W", 0), "PROPOSE")
@@ -257,19 +227,6 @@ class TestTracedRuns:
         assert plain.stats.messages == traced.stats.messages
         assert plain.stats.outcome == traced.stats.outcome
 
-    def test_all_spans_closed_after_run(self):
-        _, result, tracer = _traced_asm()
-        assert tracer.open_spans() == []
-        spans = [r for r in tracer.records if r["type"] == "span"]
-        assert spans, "protocol driver should open a run span"
-        assert any(s["name"] == "protocol.asm" for s in spans)
-        for span in spans:
-            assert span["closed"]
-        protocol_span = next(
-            s for s in spans if s["name"] == "protocol.asm"
-        )
-        assert protocol_span["outcome"] == result.stats.outcome
-
     def test_every_parent_resolves_or_is_root(self):
         _, _, tracer = _traced_asm()
         ids = {
@@ -299,9 +256,8 @@ class TestTracedRuns:
             prefs, telemetry=Telemetry.tracing(tracer=tracer)
         )
         assert len(matching) == 4
-        spans = [r for r in tracer.records if r.get("type") == "span"]
-        assert any(s["name"] == "protocol.gale_shapley" for s in spans)
-        assert tracer.open_spans() == []
+        sends = [r for r in tracer.records if r["type"] == "message"]
+        assert len(sends) == sim.stats.messages
 
     def test_json_safety(self):
         _, _, tracer = _traced_asm()
