@@ -61,7 +61,11 @@ from repro.core.rounds import (
     MMCostModel,
     RoundCounter,
 )
-from repro.errors import InvalidParameterError, SimulationError
+from repro.errors import (
+    InvalidMatchingError,
+    InvalidParameterError,
+    SimulationError,
+)
 from repro.graphs import Graph, is_man_node, man_node, node_index, woman_node
 from repro.mm.deterministic import deterministic_maximal_matching
 from repro.mm.oracles import MMOracle, deterministic_oracle
@@ -191,7 +195,6 @@ class ASMResult:
     n_men: int
     n_women: int
     num_edges: int
-    good_men: FrozenSet[int]
     bad_men: FrozenSet[int]
     removed_men: FrozenSet[int]
     rounds: RoundCounter
@@ -212,6 +215,16 @@ class ASMResult:
     def rounds_scheduled(self) -> int:
         """Rounds of the paper's fixed worst-case schedule."""
         return self.rounds.rounds_scheduled
+
+    @property
+    def good_men(self) -> FrozenSet[int]:
+        """The men neither bad nor removed, derived on first read."""
+        good = self.__dict__.get("_good_men")
+        if good is None:
+            good = frozenset(range(self.n_men))
+            good -= self.bad_men | self.removed_men
+            self.__dict__["_good_men"] = good
+        return good
 
     @property
     def good_fraction(self) -> float:
@@ -479,14 +492,6 @@ class _PyState:
         """Good = matched, or rejected by every acceptable partner."""
         return self.man_partner[m] is not None or self.m_remaining[m] == 0
 
-    def good_men(self) -> List[int]:
-        """Good men, not removed, ascending."""
-        return [
-            m
-            for m in range(self.n_men)
-            if not self.removed[m] and self.man_is_good(m)
-        ]
-
     def bad_men(self) -> List[int]:
         """Bad men, not removed, ascending."""
         return list(self._bad_frontier())
@@ -504,9 +509,23 @@ class _PyState:
         return len(self.woman_partner) - self.woman_partner.count(None)
 
     def matching(self) -> Matching:
-        """The current matching ``{(p(w), w) | p(w) ≠ ∅}``."""
-        return Matching(
-            (m, w) for w, m in enumerate(self.woman_partner) if m is not None
+        """The current matching ``{(p(w), w) | p(w) ≠ ∅}``, as pairs
+        sorted by man.
+
+        Raises :class:`InvalidMatchingError` if a man is seated with two
+        women, naming the first repeat in woman order.
+        """
+        woman_of = [-1] * self.n_men
+        for w, m in enumerate(self.woman_partner):
+            if m is not None:
+                if woman_of[m] >= 0:
+                    raise InvalidMatchingError(
+                        f"man {m} is matched more than once"
+                    )
+                woman_of[m] = w
+        men = array("q", [m for m, w in enumerate(woman_of) if w >= 0])
+        return Matching._from_sorted_pairs(
+            men, array("q", [woman_of[m] for m in men])
         )
 
     # ------------------------------------------------------------------
@@ -904,10 +923,6 @@ class ASMEngine:
         """Good = matched, or rejected by every acceptable partner."""
         return self._state.man_is_good(m)
 
-    def good_men(self) -> FrozenSet[int]:
-        """All currently good men (excluding removed men)."""
-        return frozenset(self._state.good_men())
-
     def bad_men(self) -> FrozenSet[int]:
         """All currently bad men (excluding removed men)."""
         return frozenset(self._state.bad_men())
@@ -1243,7 +1258,6 @@ class ASMEngine:
             n_men=self.n_men,
             n_women=self.n_women,
             num_edges=self.prefs.num_edges,
-            good_men=self.good_men(),
             bad_men=self.bad_men(),
             removed_men=self.removed_men(),
             rounds=self.counter,

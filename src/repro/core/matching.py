@@ -12,6 +12,7 @@ algorithms is ``M = {(p(w), w) | w ∈ X, p(w) ≠ ∅}``.
 from __future__ import annotations
 
 import json
+from array import array
 from typing import Dict, FrozenSet, Iterable, Iterator, Optional, Tuple
 
 from repro.core.preferences import PreferenceProfile
@@ -34,6 +35,12 @@ class Matching:
     InvalidMatchingError
         If a player appears in more than one pair.
 
+    A matching has one of two forms with one behaviour.  ``Matching(pairs)``
+    checks its pairs into two per-player dicts.  A solver's result
+    (:meth:`_from_sorted_pairs`) keeps two parallel ``array("q")`` pair
+    sequences sorted by man, serves the whole-matching methods from
+    them, and builds the dicts on the first per-player query.
+
     Examples
     --------
     >>> m = Matching([(0, 1), (1, 0)])
@@ -45,7 +52,10 @@ class Matching:
     2
     """
 
-    __slots__ = ("_man_to_woman", "_woman_to_man")
+    # ``_men``/``_women`` are the pair sequences (``None`` in the dict
+    # form); the dict slots stay unset in the sequence form until
+    # ``__getattr__`` fills them, so a set slot is read directly.
+    __slots__ = ("_men", "_women", "_man_to_woman", "_woman_to_man")
 
     def __init__(self, pairs: Iterable[Tuple[int, int]] = ()) -> None:
         man_to_woman: Dict[int, int] = {}
@@ -60,25 +70,36 @@ class Matching:
             woman_to_man[w] = m
         # Canonicalize once: insertion order of the internal dicts is
         # sorted by player index, so every iteration surface (pairs(),
-        # items() in validate_against, repr) is deterministic no matter
-        # what order — or container — the constructor received (DET001).
+        # validate_against, repr) is deterministic no matter what order
+        # — or container — the constructor received (DET001).
         self._man_to_woman = dict(sorted(man_to_woman.items()))
         self._woman_to_man = dict(sorted(woman_to_man.items()))
+        self._men = self._women = None
 
     @classmethod
-    def _adopt(
-        cls, man_to_woman: Dict[int, int], woman_to_man: Dict[int, int]
-    ) -> "Matching":
-        """A matching that takes ownership of two already-checked dicts.
+    def _from_sorted_pairs(cls, men: array, women: array) -> "Matching":
+        """A matching that takes ownership of two parallel pair sequences.
 
-        For builders that validate their pairs themselves: the dicts
-        must be mutual inverses over ``int`` players, each inserted in
-        ascending key order — the canonical form ``__init__`` builds.
+        For builders that validate their pairs themselves: ``men`` and
+        ``women`` are ``array("q")`` of equal length, ``men`` strictly
+        ascending, ``women`` pairwise distinct, and ``women[i]`` is the
+        partner of ``men[i]``.
         """
         matching = cls.__new__(cls)
-        matching._man_to_woman = man_to_woman
-        matching._woman_to_man = woman_to_man
+        matching._men = men
+        matching._women = women
         return matching
+
+    def __getattr__(self, name: str) -> Dict[int, int]:
+        # Reached only for an unset slot: the per-player dicts of the
+        # sequence form, built on the first query that reads them.
+        if name not in ("_man_to_woman", "_woman_to_man"):
+            raise AttributeError(
+                f"{type(self).__name__!r} object has no attribute {name!r}"
+            )
+        self._man_to_woman = dict(zip(self._men, self._women))
+        self._woman_to_man = dict(zip(self._women, self._men))
+        return getattr(self, name)
 
     # ------------------------------------------------------------------
     # Queries
@@ -107,18 +128,23 @@ class Matching:
     def pairs(self) -> Iterator[Tuple[int, int]]:
         """Iterate over ``(man, woman)`` pairs in man-index order.
 
-        The internal dicts are insertion-ordered by man index at
-        construction, so this needs no per-call sort.
+        Both forms are sorted by man index at construction, so this
+        needs no per-call sort.
         """
-        yield from self._man_to_woman.items()
+        if self._men is None:
+            yield from self._man_to_woman.items()
+        else:
+            yield from zip(self._men, self._women)
 
     def matched_men(self) -> FrozenSet[int]:
         """The set of matched men."""
-        return frozenset(self._man_to_woman)
+        men = self._men
+        return frozenset(self._man_to_woman if men is None else men)
 
     def matched_women(self) -> FrozenSet[int]:
         """The set of matched women."""
-        return frozenset(self._woman_to_man)
+        women = self._women
+        return frozenset(self._woman_to_man if women is None else women)
 
     # ------------------------------------------------------------------
     # Validation
@@ -133,7 +159,7 @@ class Matching:
             If a pair involves an out-of-range player or is not mutually
             acceptable under ``prefs``.
         """
-        for m, w in self._man_to_woman.items():
+        for m, w in self.pairs():
             if not 0 <= m < prefs.n_men or not 0 <= w < prefs.n_women:
                 raise InvalidMatchingError(
                     f"pair ({m}, {w}) is out of range for {prefs!r}"
@@ -170,12 +196,20 @@ class Matching:
         """Deserialize from :meth:`to_json` output."""
         return cls.from_dict(json.loads(text))
 
+    def __reduce__(self) -> Tuple[object, ...]:
+        # Pickle the form's own data: the default would read every slot,
+        # building the sequence form's dicts.
+        if self._men is None:
+            return (type(self), (list(self.pairs()),))
+        return (type(self)._from_sorted_pairs, (self._men, self._women))
+
     # ------------------------------------------------------------------
     # Dunder methods
     # ------------------------------------------------------------------
 
     def __len__(self) -> int:
-        return len(self._man_to_woman)
+        men = self._men
+        return len(self._man_to_woman if men is None else men)
 
     def __iter__(self) -> Iterator[Tuple[int, int]]:
         return self.pairs()
@@ -188,13 +222,20 @@ class Matching:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Matching):
             return NotImplemented
-        return self._man_to_woman == other._man_to_woman
+        if self._men is None and other._men is None:
+            return self._man_to_woman == other._man_to_woman
+        if self._men is not None and other._men is not None:
+            return self._men == other._men and self._women == other._women
+        # Mixed forms: both iterate their pairs sorted by man.
+        return len(self) == len(other) and list(self.pairs()) == list(
+            other.pairs()
+        )
 
     def __hash__(self) -> int:
-        return hash(frozenset(self._man_to_woman.items()))
+        return hash(frozenset(self.pairs()))
 
     def __repr__(self) -> str:
-        return f"Matching({sorted(self._man_to_woman.items())})"
+        return f"Matching({list(self.pairs())})"
 
 
 class MutableMatching:

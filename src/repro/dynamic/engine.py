@@ -444,9 +444,9 @@ class DynamicMatchingEngine:
             telemetry=self.telemetry,
             optimized=self.solver_optimized,
         )
-        partner = list(
-            map(result.matching.partner_of_man, range(self.market.n_men))
-        )
+        partner: List[Optional[int]] = [None] * self.market.n_men
+        for m, w in result.matching.pairs():
+            partner[m] = w
         self.index.update_from_partner_lists(partner)
 
     def __repr__(self) -> str:

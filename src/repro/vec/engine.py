@@ -62,6 +62,7 @@ both backends share one implementation of the contract.
 
 from __future__ import annotations
 
+from array import array
 from typing import List, Optional, Tuple
 
 from repro.core.matching import Matching
@@ -88,6 +89,14 @@ def _ranges(starts: "np.ndarray", lens: "np.ndarray") -> "np.ndarray":
     offs -= lens
     idx += np.repeat(starts - offs, lens)
     return idx
+
+
+def _int64_array(a: "np.ndarray") -> array:
+    """``a`` as an ``array("q")``, in one buffer copy."""
+    buf = np.ascontiguousarray(a, dtype=np.int64)
+    out = array("q")
+    out.frombytes(memoryview(buf).cast("B"))
+    return out
 
 
 def _tally(keys: "np.ndarray", scratch: "np.ndarray") -> Tuple[int, int]:
@@ -239,12 +248,6 @@ class VecState:
         """Good = matched, or rejected by every acceptable partner."""
         return bool(self.man_partner[m] != -1 or self.m_remaining[m] == 0)
 
-    def good_men(self) -> List[int]:
-        """Good men (matched or fully rejected), ascending."""
-        good = np.ones(self.profile.n_men, dtype=bool)
-        good[self._bad_frontier()] = False
-        return np.flatnonzero(good).tolist()
-
     def bad_men(self) -> List[int]:
         """Bad men, ascending."""
         return self._bad_frontier().tolist()
@@ -262,17 +265,17 @@ class VecState:
         return int(np.count_nonzero(self.woman_partner >= 0))
 
     def matching(self) -> Matching:
-        """The current matching, built from ``woman_partner`` as arrays.
+        """The current matching, handed over as its pairs sorted by man.
 
         Raises :class:`InvalidMatchingError` if a man is seated with two
-        women, naming the man :class:`Matching` itself would name.
+        women, naming the first repeat in woman order as the Python
+        backend does.
         """
         ws = np.flatnonzero(self.woman_partner >= 0)
         ms = self.woman_partner[ws]
         seats = np.bincount(ms, minlength=self.profile.n_men)
         if ms.size and int(seats.max()) > 1:
-            # Matching(pairs) scans in woman order and stops at the
-            # first man it has already seen.
+            # The first man seen twice in a scan in woman order.
             _, first = np.unique(ms, return_index=True)
             repeat = np.ones(ms.size, dtype=bool)
             repeat[first] = False
@@ -281,9 +284,8 @@ class VecState:
         men = np.flatnonzero(seats)
         woman_of = np.empty(self.profile.n_men, dtype=np.int64)
         woman_of[ms] = ws
-        return Matching._adopt(
-            dict(zip(men.tolist(), woman_of[men].tolist())),
-            dict(zip(ws.tolist(), ms.tolist())),
+        return Matching._from_sorted_pairs(
+            _int64_array(men), _int64_array(woman_of[men])
         )
 
     # ------------------------------------------------------------------

@@ -82,13 +82,6 @@ class SeedState:
     def man_is_good(self, m: int) -> bool:
         return self.man_partner[m] is not None or self.men_q[m].remaining == 0
 
-    def good_men(self) -> List[int]:
-        return [
-            m
-            for m in range(self.n_men)
-            if not self.removed[m] and self.man_is_good(m)
-        ]
-
     def bad_men(self) -> List[int]:
         return [
             m
