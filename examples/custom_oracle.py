@@ -4,8 +4,9 @@
 Theorem 3's analysis needs exactly one thing from Step 3 of
 ProposalRound: the returned matching must be *maximal* in the
 accepted-proposal graph (Definition 3).  This example implements a
-custom oracle — highest-degree-first greedy — verifies its output
-against the library's Definition-3 checker on every call, runs ASM
+custom oracle — highest-degree-first greedy — on the label form of
+G₀ the engine hands every oracle, verifies its output against the
+library's Definition-3 checker on every call, runs ASM
 with it, and compares against the built-in oracles.
 
 Run:  python examples/custom_oracle.py
@@ -16,37 +17,46 @@ from __future__ import annotations
 from repro import asm, complete_uniform, instability
 from repro.analysis.tables import format_table
 from repro.core.rounds import ActualCost
-from repro.graphs import Graph
+from repro.mm.g0 import G0
 from repro.mm.oracles import (
     deterministic_oracle,
     israeli_itai_oracle,
     port_order_oracle,
 )
 from repro.mm.result import MMResult
-from repro.mm.verify import is_maximal_matching
+from repro.mm.verify import violating_vertices
 
 
-def degree_greedy_oracle(graph: Graph) -> MMResult:
+def degree_greedy_oracle(g0: G0) -> MMResult:
     """Custom oracle: repeatedly match the highest-degree free vertex.
 
-    A centralized heuristic (rounds reported as 0) that tends to
-    produce *large* maximal matchings — useful if you care about
-    matching size as well as stability.
+    An oracle receives ``G₀`` as parallel edge sequences over integer
+    labels (edge ``e`` joins man ``g0.u[e]`` and woman ``g0.v[e]``;
+    labels compare in the protocol's id order) and returns the matched
+    edges as indices into them.  A centralized heuristic (rounds
+    reported as 0) that tends to produce *large* maximal matchings —
+    useful if you care about matching size as well as stability.
     """
-    g = graph.copy()
-    partner = {}
-    while True:
-        candidates = [v for v in g.nodes() if g.degree(v) > 0]
-        if not candidates:
-            break
-        v = max(candidates, key=lambda u: (g.degree(u), repr(u)))
-        u = max(g.neighbors(v), key=lambda x: (g.degree(x), repr(x)))
+    incident = {}  # label -> {neighbour label: edge index}
+    for e, (a, b) in enumerate(zip(g0.u, g0.v)):
+        incident.setdefault(a, {})[b] = e
+        incident.setdefault(b, {})[a] = e
+    partner, matched = {}, []
+    while incident:
+        v = max(incident, key=lambda x: (len(incident[x]), x))
+        u = max(incident[v], key=lambda x: (len(incident[x]), x))
+        matched.append(incident[v][u])
         partner[v] = u
         partner[u] = v
-        g.remove_node(v)
-        g.remove_node(u)
-    assert is_maximal_matching(graph, partner), "oracle must be maximal!"
-    return MMResult(partner=partner, rounds=0)
+        for x in (v, u):
+            for y in incident.pop(x, {}):
+                if y in incident:
+                    del incident[y][x]
+                    if not incident[y]:
+                        del incident[y]
+    # Definition 3: no edge joins two unmatched vertices.
+    assert not violating_vertices(g0, partner), "oracle must be maximal!"
+    return MMResult(partner=partner, rounds=0, edges=matched)
 
 
 def main() -> None:

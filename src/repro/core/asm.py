@@ -66,8 +66,8 @@ from repro.errors import (
     InvalidParameterError,
     SimulationError,
 )
-from repro.graphs import Graph, is_man_node, man_node, node_index, woman_node
 from repro.mm.deterministic import deterministic_maximal_matching
+from repro.mm.g0 import G0, str_order_keys, woman_label_base
 from repro.mm.oracles import MMOracle, deterministic_oracle
 from repro.mm.result import MMResult
 from repro.mm.verify import violating_vertices
@@ -363,7 +363,9 @@ class _PyState:
     * ``w_quant`` — each woman-side position's quantile (Section 3.1's
       ``⌈rank·k/deg⌉``, from :func:`quantile_boundaries`);
     * ``m2w`` / ``w2m`` — the woman-side position of each man-side
-      edge, and the inverse.
+      edge, and the inverse;
+    * ``m_label`` / ``w_label`` — each player's ``G₀`` label
+      (:mod:`repro.mm.g0`), whose order is the oracles' id order.
 
     Partners are ``Optional[int]`` lists.  A man's active set ``A`` is
     a dict of his present man-side positions in the activated quantile,
@@ -406,6 +408,8 @@ class _PyState:
         self.m_indptr, self.m_woman = men
         self.w_indptr, self.w_man = women
         self.m2w, self.w2m = _cross_positions(men, women)
+        self.m_label = str_order_keys(n_men)
+        self.w_label = str_order_keys(n_women, woman_label_base(n_men))
         w_indptr = self.w_indptr
         w_degree = list(map(sub, islice(w_indptr, 1, None), w_indptr))
         quantiles = map(quantile_boundaries, w_degree, repeat(k))
@@ -434,8 +438,12 @@ class _PyState:
         self._touched_women: List[int] = []
         self._active_men: List[int] = []
         # Per-round intermediates (valid between the step_* calls of one
-        # ProposalRound).
-        self._g0 = Graph()
+        # ProposalRound): G₀, and per G₀ edge its man, woman and
+        # woman-side position.
+        self._g0 = G0((), ())
+        self._acc_m: List[int] = []
+        self._acc_w: List[int] = []
+        self._acc_wp: List[int] = []
         self._mm_result = MMResult(partner={}, rounds=0)
 
     # ------------------------------------------------------------------
@@ -487,10 +495,6 @@ class _PyState:
         ]
         self._frontier = frontier
         return frontier
-
-    def man_is_good(self, m: int) -> bool:
-        """Good = matched, or rejected by every acceptable partner."""
-        return self.man_partner[m] is not None or self.m_remaining[m] == 0
 
     def bad_men(self) -> List[int]:
         """Bad men, not removed, ascending."""
@@ -608,14 +612,16 @@ class _PyState:
         """Step 2: each woman accepts her best proposing quantile.
 
         Returns ``(n_accepts, step_max_work)``; the accepted-proposal
-        graph ``G₀`` is held for Step 3.
+        graph ``G₀`` is held for Step 3, with the man, woman and
+        woman-side position of each of its edges.
         """
         suitor_buf = self._suitor_buf
         w_quant, w_man = self.w_quant, self.w_man
-        g0 = Graph()
-        n_accepts = 0
+        acc_w: List[int] = []
+        acc_wp: List[int] = []
         step_max = 0
-        for w in self._touched_women:
+        touched = self._touched_women
+        for w in touched:
             suitors = suitor_buf[w]  # woman-side positions
             if len(suitors) > step_max:
                 step_max = len(suitors)
@@ -627,17 +633,22 @@ class _PyState:
                             f"removal from her list"
                         )
             best = min(map(w_quant.__getitem__, suitors))
-            wn = woman_node(w)
-            for wp in suitors:
-                if w_quant[wp] == best:
-                    g0.add_edge(man_node(w_man[wp]), wn)
-                    n_accepts += 1
-        self._g0 = g0
-        return n_accepts, step_max
+            before = len(acc_wp)
+            acc_wp.extend([wp for wp in suitors if w_quant[wp] == best])
+            acc_w.extend(repeat(w, len(acc_wp) - before))
+        acc_m = list(map(w_man.__getitem__, acc_wp))
+        # Every touched woman accepts someone.
+        self._g0 = G0(
+            list(map(self.m_label.__getitem__, acc_m)),
+            list(map(self.w_label.__getitem__, acc_w)),
+            num_nodes=len(touched) + len(set(acc_m)),
+        )
+        self._acc_m, self._acc_w, self._acc_wp = acc_m, acc_w, acc_wp
+        return len(acc_wp), step_max
 
     def step_maximal_matching(
         self, mm_oracle: MMOracle
-    ) -> Tuple[MMResult, Graph, int, int]:
+    ) -> Tuple[MMResult, G0, int, int]:
         """Step 3: ``mm_oracle`` on ``G₀``, then the almost-regular
         removal.
 
@@ -647,6 +658,11 @@ class _PyState:
         """
         g0 = self._g0
         mm_result: MMResult = mm_oracle(g0)
+        if 2 * len(mm_result.edges) != len(mm_result.partner):
+            raise SimulationError(
+                "the maximal-matching oracle must return its matched "
+                "edges as indices into G0 (MMResult.edges)"
+            )
         self._mm_result = mm_result
         # Remark 4 proxy for subroutine-local work: each MM round
         # costs a processor at most its G0 degree.
@@ -656,13 +672,12 @@ class _PyState:
         # Definition 3 after an almost-maximal matching leave the game.
         men_removed = 0
         if self.remove_unmatched_violators:
-            for v in violating_vertices(g0, mm_result.partner):
-                if is_man_node(v):
-                    mi = node_index(v)
-                    if not self.removed[mi]:
-                        self.removed[mi] = True
-                        self.active[mi] = {}
-                        men_removed += 1
+            violating = set(violating_vertices(g0, mm_result.partner))
+            for label, mi in zip(g0.u, self._acc_m):
+                if label in violating and not self.removed[mi]:
+                    self.removed[mi] = True
+                    self.active[mi] = {}
+                    men_removed += 1
         return mm_result, g0, mm_work, men_removed
 
     def step_reject(self) -> Tuple[int, int, int]:
@@ -675,8 +690,8 @@ class _PyState:
         woman_partner = self.woman_partner
         partner_pos = self.woman_partner_pos
         cut = self._w_cut
-        w_indptr, w_man = self.w_indptr, self.w_man
-        suitor_buf = self._suitor_buf
+        w_indptr = self.w_indptr
+        acc_m, acc_w, acc_wp = self._acc_m, self._acc_w, self._acc_wp
         k = self.k
         # Step 4: newly matched women reject all weakly-worse suitors.
         rejected: List[int] = []  # woman-side positions
@@ -684,16 +699,9 @@ class _PyState:
         n_rejects = 0
         matched_in_m0 = 0
         step_max = 0
-        for u, v in self._mm_result.pairs():
-            m0, w = (
-                (node_index(u), node_index(v))
-                if is_man_node(u)
-                else (node_index(v), node_index(u))
-            )
+        for e in self._mm_result.edges:
+            m0, w, wp0 = acc_m[e], acc_w[e], acc_wp[e]
             matched_in_m0 += 1
-            for wp0 in suitor_buf[w]:  # m0 proposed to w this round
-                if w_man[wp0] == m0:
-                    break
             base = w_indptr[w]
             run_starts = _quantile_runs(w_indptr[w + 1] - base, k)[0]
             start = base + run_starts[wp0 - base]
@@ -729,6 +737,7 @@ class _PyState:
 
         # Step 5: men process rejections.
         present, w2m, remaining = self.present, self.w2m, self.m_remaining
+        w_man = self.w_man
         for wp in rejected:
             p = w2m[wp]
             present[p] = 0
@@ -919,10 +928,6 @@ class ASMEngine:
     # Player classification (Section 4)
     # ------------------------------------------------------------------
 
-    def man_is_good(self, m: int) -> bool:
-        """Good = matched, or rejected by every acceptable partner."""
-        return self._state.man_is_good(m)
-
     def bad_men(self) -> FrozenSet[int]:
         """All currently bad men (excluding removed men)."""
         return frozenset(self._state.bad_men())
@@ -981,7 +986,7 @@ class ASMEngine:
         n_proposals: int,
         n_accepts: int,
         n_rejects: int,
-        g0: Graph,
+        g0: G0,
         mm_result: MMResult,
         matched_in_m0: int,
         men_removed: int,

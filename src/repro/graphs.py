@@ -1,8 +1,9 @@
 """A minimal undirected graph type shared by the substrates.
 
-The maximal-matching algorithms (``repro.mm``) and the CONGEST simulator
-(``repro.congest``) both operate on plain undirected graphs whose nodes
-are arbitrary hashable ids.  In the stable-matching setting, node ids
+The CONGEST simulator (``repro.congest``) operates on plain undirected
+graphs whose nodes are arbitrary hashable ids; the maximal-matching
+functions (``repro.mm``) accept one and rank it into their label form
+(:mod:`repro.mm.g0`).  In the stable-matching setting, node ids
 are ``("M", i)`` / ``("W", j)`` tuples produced by
 :func:`man_node` / :func:`woman_node`, but nothing in this module
 depends on that convention.
@@ -119,10 +120,6 @@ class Graph:
     def degree(self, v: NodeId) -> int:
         """The degree of ``v``."""
         return len(self._adj[v])
-
-    def max_degree(self) -> int:
-        """The largest degree of any node (0 for an empty graph)."""
-        return max(map(len, self._adj.values()), default=0)
 
     def nodes(self) -> List[NodeId]:
         """All nodes, in deterministic (sorted-by-repr) order."""

@@ -3,6 +3,8 @@
 ASM (Algorithm 1, Step 3) needs a distributed maximal-matching oracle on
 the accepted-proposal graph ``G₀``.  This subpackage provides:
 
+* :mod:`repro.mm.g0` — ``G₀`` over integer labels, the one id order
+  every function below breaks ties by; each also takes a ``Graph``.
 * :mod:`repro.mm.verify` — checkers for Definition 3 (maximality) and
   Definition 4 ((1−η)-maximality).
 * :mod:`repro.mm.greedy` — a centralized greedy reference implementation.
@@ -15,6 +17,7 @@ the accepted-proposal graph ``G₀``.  This subpackage provides:
 """
 
 from repro.mm.result import MMResult
+from repro.mm.g0 import G0, label_form
 from repro.mm.greedy import greedy_maximal_matching
 from repro.mm.israeli_itai import (
     matching_round,
@@ -34,6 +37,8 @@ from repro.mm.verify import (
 
 __all__ = [
     "MMResult",
+    "G0",
+    "label_form",
     "greedy_maximal_matching",
     "matching_round",
     "israeli_itai_maximal_matching",

@@ -27,10 +27,11 @@ A2 includes it in the oracle ablation.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 from repro.errors import InvalidParameterError
 from repro.graphs import Graph, NodeId
+from repro.mm.g0 import G0, label_form
 from repro.mm.result import MMResult
 
 __all__ = ["ROUNDS_PER_PORT_ROUND", "bipartite_port_order_matching"]
@@ -39,16 +40,18 @@ __all__ = ["ROUNDS_PER_PORT_ROUND", "bipartite_port_order_matching"]
 ROUNDS_PER_PORT_ROUND = 2
 
 
-def _bipartition(graph: Graph) -> Optional[List[NodeId]]:
-    """Return one side of a bipartition of ``graph``, or ``None``.
+def _bipartition(
+    ports: Dict[int, List[Tuple[int, int]]]
+) -> Optional[List[int]]:
+    """Return one side of a bipartition, or ``None``.
 
     BFS 2-coloring; the returned side is the one containing the
-    smallest-id vertex of each connected component (a deterministic
+    least-label vertex of each connected component (a deterministic
     choice so results are reproducible).
     """
-    color: Dict[NodeId, int] = {}
-    left: List[NodeId] = []
-    for start in graph.nodes():
+    color: Dict[int, int] = {}
+    left: List[int] = []
+    for start in sorted(ports):
         if start in color:
             continue
         color[start] = 0
@@ -57,7 +60,7 @@ def _bipartition(graph: Graph) -> Optional[List[NodeId]]:
         while frontier:
             nxt = []
             for v in frontier:
-                for u in graph.neighbors(v):
+                for u, _ in ports[v]:
                     if u not in color:
                         color[u] = 1 - color[v]
                         if color[u] == 0:
@@ -70,19 +73,22 @@ def _bipartition(graph: Graph) -> Optional[List[NodeId]]:
 
 
 def bipartite_port_order_matching(
-    graph: Graph, left_nodes: Optional[Iterable[NodeId]] = None
+    graph: Union[G0, Graph],
+    left_nodes: Optional[Iterable[NodeId]] = None,
 ) -> MMResult:
     """Compute a maximal matching of a bipartite graph by port order.
 
     Parameters
     ----------
     graph:
-        The bipartite input graph.
+        The bipartite input graph; a ``Graph`` is ranked by ``repr``
+        once (:func:`~repro.mm.g0.label_form`).
     left_nodes:
-        The proposing side.  Defaults to an automatic 2-coloring; pass
-        it explicitly (e.g. the men of ``G₀``) to match a distributed
-        run where each node knows its own side.  Must be an independent
-        set covering one endpoint of every edge.
+        The proposing side (labels on a ``G0``, node ids on a
+        ``Graph``).  Defaults to an automatic 2-coloring; pass it
+        explicitly (e.g. the men of ``G₀``, ``g0.u``) to match a
+        distributed run where each node knows its own side.  Must be
+        an independent set covering one endpoint of every edge.
 
     Raises
     ------
@@ -102,53 +108,55 @@ def bipartite_port_order_matching(
     >>> is_maximal_matching(g, result.partner)
     True
     """
-    if left_nodes is None:
-        left = _bipartition(graph)
-        if left is None:
+    if isinstance(graph, Graph):
+        g0, nodes = label_form(graph)
+        if left_nodes is not None:
+            rank = {node: r for r, node in enumerate(nodes)}
+            left_nodes = [rank[v] for v in left_nodes if v in rank]
+        return bipartite_port_order_matching(g0, left_nodes).relabel(nodes)
+    # Fixed port numbering: each vertex orders its incident edges by
+    # neighbour label (the CONGEST version would use actual ports).
+    ports: Dict[int, List[Tuple[int, int]]] = {x: [] for x in graph.isolated}
+    for e, (a, b) in enumerate(zip(graph.u, graph.v)):
+        ports.setdefault(a, []).append((b, e))
+        ports.setdefault(b, []).append((a, e))
+    for incident in ports.values():
+        incident.sort()
+    left = _bipartition(ports) if left_nodes is None else sorted(
+        {x for x in left_nodes if x in ports}
+    )
+    if left is None:
+        raise InvalidParameterError(
+            "bipartite_port_order_matching requires a bipartite graph"
+        )
+    left_set = set(left)
+    for a, b in zip(graph.u, graph.v):
+        if (a in left_set) == (b in left_set):
             raise InvalidParameterError(
-                "bipartite_port_order_matching requires a bipartite graph"
+                f"left_nodes is not one side of a bipartition: edge "
+                f"({a!r}, {b!r})"
             )
-    else:
-        left = [v for v in left_nodes if graph.has_node(v)]
-        left_set = set(left)
-        for u, v in graph.edges():
-            if (u in left_set) == (v in left_set):
-                raise InvalidParameterError(
-                    f"left_nodes is not one side of a bipartition: edge "
-                    f"({u!r}, {v!r})"
-                )
-    # Fixed port numbering: each left vertex orders its incident edges
-    # deterministically (the CONGEST version would use actual ports).
-    ports: Dict[NodeId, List[NodeId]] = {
-        v: sorted(graph.neighbors(v), key=repr) for v in left
-    }
-    max_degree = max((len(p) for p in ports.values()), default=0)
-    partner: Dict[NodeId, NodeId] = {}
+    max_degree = max((len(ports[v]) for v in left), default=0)
+    partner: Dict[int, int] = {}
+    matched: List[int] = []
     active_counts: List[int] = []
-    rounds = 0
     for i in range(max_degree):
         # Propose phase: unmatched left vertices use port i.
-        proposals: Dict[NodeId, List[NodeId]] = {}
+        proposals: Dict[int, List[Tuple[int, int]]] = {}
         for v in left:
-            if v in partner or i >= len(ports[v]):
-                continue
-            w = ports[v][i]
-            if w not in partner:
-                proposals.setdefault(w, []).append(v)
-        rounds += ROUNDS_PER_PORT_ROUND
-        if not proposals:
-            active_counts.append(
-                sum(1 for v in left if v not in partner)
-            )
-            continue
-        # Accept phase: each free right vertex takes the min-id proposer.
-        for w in sorted(proposals, key=repr):
-            v = min(proposals[w], key=repr)
-            partner[v] = w
-            partner[w] = v
+            if v not in partner and i < len(ports[v]):
+                w, e = ports[v][i]
+                if w not in partner:
+                    proposals.setdefault(w, []).append((v, e))
+        # Accept phase: each free right vertex takes its least proposer.
+        for w, proposers in proposals.items():
+            v, e = min(proposers)
+            partner[v], partner[w] = w, v
+            matched.append(e)
         active_counts.append(sum(1 for v in left if v not in partner))
     return MMResult(
         partner=partner,
-        rounds=rounds,
+        rounds=max_degree * ROUNDS_PER_PORT_ROUND,
         per_iteration_active=active_counts,
+        edges=matched,
     )

@@ -32,9 +32,10 @@ charge each oracle call the HKP bound instead of the simulated rounds
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence, Union
 
-from repro.graphs import Graph, NodeId
+from repro.graphs import Graph
+from repro.mm.g0 import G0, label_form
 from repro.mm.result import MMResult
 
 __all__ = ["ROUNDS_PER_POINTER_ROUND", "deterministic_maximal_matching"]
@@ -43,15 +44,13 @@ __all__ = ["ROUNDS_PER_POINTER_ROUND", "deterministic_maximal_matching"]
 ROUNDS_PER_POINTER_ROUND = 2
 
 
-def _node_key(v: NodeId):
-    """Deterministic total order on node ids (the protocol's "id")."""
-    return repr(v)
-
-
 def deterministic_maximal_matching(
-    graph: Graph, max_iterations: Optional[int] = None
+    graph: Union[G0, Graph], max_iterations: Optional[int] = None
 ) -> MMResult:
     """Compute a maximal matching deterministically (see module docstring).
+
+    The stdlib twin of the vec backend's Step-3 loop, with the least
+    label as the minimum id.
 
     Parameters
     ----------
@@ -62,37 +61,41 @@ def deterministic_maximal_matching(
         non-maximal) matching.  Unbounded by default — termination is
         guaranteed.
     """
-    partner: Dict[NodeId, NodeId] = {}
+    if isinstance(graph, Graph):
+        g0, nodes = label_form(graph)
+        return deterministic_maximal_matching(g0, max_iterations).relabel(
+            nodes
+        )
+    us, vs = graph.u, graph.v
+    partner: Dict[int, int] = {}
+    matched: List[int] = []
     active_counts: List[int] = []
-    current = graph.copy()
-    current.remove_nodes(current.isolated_nodes())
+    live: Sequence[int] = range(len(us))
     iterations = 0
-    while current.num_nodes > 0:
+    while live:
         if max_iterations is not None and iterations >= max_iterations:
             break
-        # Every active vertex points at its minimum-id active neighbor.
-        pointer: Dict[NodeId, NodeId] = {}
-        for v in current.nodes():
-            nbrs = current.neighbors(v)
-            if nbrs:
-                pointer[v] = min(nbrs, key=_node_key)
-        # Mutual pointers marry.
-        married = set()
-        for v in current.nodes():
-            w = pointer.get(v)
-            if w is None or v in married or w in married:
-                continue
-            if pointer.get(w) == v:
-                partner[v] = w
-                partner[w] = v
-                married.add(v)
-                married.add(w)
-        current.remove_nodes(married)
-        current.remove_nodes(current.isolated_nodes())
-        active_counts.append(current.num_nodes)
+        # Labels are unique, so mutual pointers pick disjoint edges.
+        pointer: Dict[int, int] = {}
+        for e in live:
+            a, b = us[e], vs[e]
+            if pointer.get(a, b) >= b:
+                pointer[a] = b
+            if pointer.get(b, a) >= a:
+                pointer[b] = a
+        for e in live:
+            a, b = us[e], vs[e]
+            if pointer[a] == b and pointer[b] == a:
+                partner[a], partner[b] = b, a
+                matched.append(e)
+        live = [
+            e for e in live if us[e] not in partner and vs[e] not in partner
+        ]
+        active_counts.append(graph.count_nodes(live))
         iterations += 1
     return MMResult(
         partner=partner,
         rounds=iterations * ROUNDS_PER_POINTER_ROUND,
         per_iteration_active=active_counts,
+        edges=matched,
     )

@@ -8,16 +8,18 @@ and round counts are charged analytically.
 
 from __future__ import annotations
 
-from typing import Dict
+from typing import Dict, List, Union
 
-from repro.graphs import Graph, NodeId
+from repro.graphs import Graph
+from repro.mm.g0 import G0, label_form
 from repro.mm.result import MMResult
 
 __all__ = ["greedy_maximal_matching"]
 
 
-def greedy_maximal_matching(graph: Graph) -> MMResult:
-    """Scan edges in deterministic order, matching whenever both ends are free.
+def greedy_maximal_matching(graph: Union[G0, Graph]) -> MMResult:
+    """Scan edges by lower, then higher label, matching whenever both
+    ends are free.
 
     The result is always a maximal matching (every edge was considered;
     an edge skipped had a matched endpoint).  ``rounds`` is reported as
@@ -26,9 +28,16 @@ def greedy_maximal_matching(graph: Graph) -> MMResult:
     :mod:`repro.mm.israeli_itai` / :mod:`repro.mm.deterministic` or an
     analytic cost model (see ``repro.core.rounds``).
     """
-    partner: Dict[NodeId, NodeId] = {}
-    for u, v in graph.edges():
-        if u not in partner and v not in partner:
-            partner[u] = v
-            partner[v] = u
-    return MMResult(partner=partner, rounds=0)
+    if isinstance(graph, Graph):
+        g0, nodes = label_form(graph)
+        return greedy_maximal_matching(g0).relabel(nodes)
+    partner: Dict[int, int] = {}
+    matched: List[int] = []
+    for a, b, e in sorted(
+        (min(a, b), max(a, b), e)
+        for e, (a, b) in enumerate(zip(graph.u, graph.v))
+    ):
+        if a not in partner and b not in partner:
+            partner[a], partner[b] = b, a
+            matched.append(e)
+    return MMResult(partner=partner, rounds=0, edges=matched)

@@ -25,10 +25,11 @@ from __future__ import annotations
 
 import math
 import random
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.errors import InvalidParameterError
-from repro.graphs import Graph, NodeId
+from repro.graphs import Graph
+from repro.mm.g0 import G0, label_form
 from repro.mm.result import MMResult
 
 __all__ = [
@@ -54,90 +55,110 @@ DEFAULT_DECAY_C = 0.75
 
 
 def matching_round(
-    graph: Graph, rng: random.Random
-) -> Tuple[List[Tuple[NodeId, NodeId]], Graph]:
+    graph: Union[G0, Graph], rng: random.Random
+) -> Tuple[list, Union[G0, Graph]]:
     """One ``MatchingRound`` (Algorithm 4) on ``graph``.
 
     Returns the matched edges ``M₁`` and the residual graph ``G₁``
-    (matched vertices and isolated vertices removed).  ``graph`` is not
-    modified.
+    (matched vertices and isolated vertices removed): on a ``G0``, edge
+    indices and the ``G0`` of the edges left; on a ``Graph``, node
+    pairs and a ``Graph``.  ``graph`` is not modified.
     """
-    nodes = graph.nodes()  # deterministic order for reproducible rng use
+    g0, nodes = (graph, None) if isinstance(graph, G0) else label_form(graph)
+    us, vs = g0.u, g0.v
+    matched, live = _matching_round(us, vs, range(len(us)), rng)
+    if nodes is None:
+        return matched, G0([us[e] for e in live], [vs[e] for e in live])
+    residual = Graph()
+    for e in live:
+        residual.add_edge(nodes[us[e]], nodes[vs[e]])
+    return [(nodes[us[e]], nodes[vs[e]]) for e in matched], residual
 
-    # Step 1: each vertex with neighbors picks one uniformly at random.
-    out_choice: Dict[NodeId, NodeId] = {}
-    for v in nodes:
-        nbrs = sorted(graph.neighbors(v), key=repr)
-        if nbrs:
-            out_choice[v] = nbrs[rng.randrange(len(nbrs))]
 
-    # Collect incoming edges.
-    incoming: Dict[NodeId, List[NodeId]] = {}
-    for v, w in out_choice.items():
-        incoming.setdefault(w, []).append(v)
+def _matching_round(
+    us: Sequence[int],
+    vs: Sequence[int],
+    live: Sequence[int],
+    rng: random.Random,
+) -> Tuple[List[int], List[int]]:
+    """One ``MatchingRound`` over the ``live`` edges of ``(us, vs)``:
+    the matched edges and the live edges left.  Every step draws in
+    ascending label order, among candidates in ascending label order."""
+    incident: Dict[int, List[Tuple[int, int]]] = {}
+    for e in live:
+        incident.setdefault(us[e], []).append((vs[e], e))
+        incident.setdefault(vs[e], []).append((us[e], e))
+    nodes = sorted(incident)
+
+    # Step 1: each vertex picks a uniformly random neighbour.
+    incoming: Dict[int, List[Tuple[int, int]]] = {}
+    for x in nodes:
+        nbrs = sorted(incident[x])
+        w, e = nbrs[rng.randrange(len(nbrs))]
+        incoming.setdefault(w, []).append((x, e))
 
     # Step 2: each vertex with in-degree > 0 keeps one incoming edge.
-    g_prime_adj: Dict[NodeId, set] = {v: set() for v in nodes}
-    for w in sorted(incoming, key=repr):
-        senders = sorted(incoming[w], key=repr)
-        v = senders[rng.randrange(len(senders))]
-        g_prime_adj[v].add(w)
-        g_prime_adj[w].add(v)
+    g_prime: Dict[int, Dict[int, int]] = {x: {} for x in nodes}
+    for w in sorted(incoming):
+        senders = sorted(incoming[w])
+        x, e = senders[rng.randrange(len(senders))]
+        g_prime[x][w] = g_prime[w][x] = e
 
     # Step 3: each non-isolated vertex of G' picks one incident edge.
-    pick: Dict[NodeId, NodeId] = {}
-    for v in nodes:
-        inc = sorted(g_prime_adj[v], key=repr)
-        if inc:
-            pick[v] = inc[rng.randrange(len(inc))]
+    pick: Dict[int, int] = {}
+    for x in nodes:
+        if g_prime[x]:
+            inc = sorted(g_prime[x])
+            pick[x] = inc[rng.randrange(len(inc))]
 
     # Step 4: mutual picks become matched edges.
-    matched: List[Tuple[NodeId, NodeId]] = []
-    in_matching = set()
-    for v in nodes:
-        w = pick.get(v)
-        if w is None or v in in_matching or w in in_matching:
+    matched: List[int] = []
+    gone = set()
+    for x in nodes:
+        w = pick.get(x)
+        if w is None or x in gone or w in gone:
             continue
-        if pick.get(w) == v:
-            matched.append((v, w))
-            in_matching.add(v)
-            in_matching.add(w)
-
-    residual = graph.copy()
-    residual.remove_nodes(in_matching)
-    residual.remove_nodes(residual.isolated_nodes())
-    return matched, residual
+        if pick.get(w) == x:
+            matched.append(g_prime[x][w])
+            gone.update((x, w))
+    left = [e for e in live if us[e] not in gone and vs[e] not in gone]
+    return matched, left
 
 
 def _iterate(
-    graph: Graph,
+    graph: Union[G0, Graph],
     rng: random.Random,
     max_iterations: Optional[int],
 ) -> MMResult:
     """Run MatchingRound until the graph is exhausted or the cap is hit."""
-    partner: Dict[NodeId, NodeId] = {}
+    if isinstance(graph, Graph):
+        g0, nodes = label_form(graph)
+        return _iterate(g0, rng, max_iterations).relabel(nodes)
+    us, vs = graph.u, graph.v
+    partner: Dict[int, int] = {}
+    matched: List[int] = []
     active_counts: List[int] = []
-    current = graph.copy()
-    current.remove_nodes(current.isolated_nodes())
+    live: Sequence[int] = range(len(us))
     iterations = 0
-    while current.num_nodes > 0:
+    while live:
         if max_iterations is not None and iterations >= max_iterations:
             break
-        matched, current = matching_round(current, rng)
-        for u, v in matched:
-            partner[u] = v
-            partner[v] = u
-        active_counts.append(current.num_nodes)
+        round_matched, live = _matching_round(us, vs, live, rng)
+        for e in round_matched:
+            partner[us[e]], partner[vs[e]] = vs[e], us[e]
+        matched.extend(round_matched)
+        active_counts.append(graph.count_nodes(live))
         iterations += 1
     return MMResult(
         partner=partner,
         rounds=iterations * ROUNDS_PER_MATCHING_ROUND,
         per_iteration_active=active_counts,
+        edges=matched,
     )
 
 
 def israeli_itai_maximal_matching(
-    graph: Graph,
+    graph: Union[G0, Graph],
     rng: Optional[random.Random] = None,
     max_iterations: Optional[int] = None,
 ) -> MMResult:
@@ -185,7 +206,7 @@ def rounds_for_amm(
 
 
 def amm(
-    graph: Graph,
+    graph: Union[G0, Graph],
     eta: float,
     delta: float,
     rng: Optional[random.Random] = None,

@@ -1,8 +1,19 @@
 """Oracle factories: maximal-matching subroutines as pluggable callables.
 
 The ASM engine treats Step 3 of ``ProposalRound`` as a black-box oracle
-``Graph -> MMResult``.  These factories build the oracles used in the
-paper's three algorithms:
+``G0 -> MMResult`` (:data:`MMOracle`):
+
+* it receives ``G₀`` as a :class:`~repro.mm.g0.G0`: edge ``e`` joins
+  man label ``g0.u[e]`` and woman label ``g0.v[e]``, and the labels'
+  numeric order is the one id order every tie-break follows (men
+  before women, each side in ``str`` order of its indices);
+* it returns an :class:`~repro.mm.result.MMResult` whose ``edges`` are
+  the matched edges as indices into ``g0`` and whose ``partner`` maps
+  label to label; ``rounds`` is what the call is charged.
+
+Every function of :mod:`repro.mm` also accepts a
+:class:`~repro.graphs.Graph`, ranked by ``repr`` once at entry.  These
+factories build the oracles used in the paper's three algorithms:
 
 * :func:`deterministic_oracle` — deterministic maximal matching
   (stands in for Hańćkowiak–Karoński–Panconesi; see DESIGN.md §5) —
@@ -23,9 +34,9 @@ from __future__ import annotations
 import random
 from typing import Callable
 
-from repro.graphs import Graph
 from repro.mm.bipartite import bipartite_port_order_matching
 from repro.mm.deterministic import deterministic_maximal_matching
+from repro.mm.g0 import G0
 from repro.mm.greedy import greedy_maximal_matching
 from repro.mm.israeli_itai import (
     israeli_itai_maximal_matching,
@@ -43,7 +54,7 @@ __all__ = [
     "amm_oracle",
 ]
 
-MMOracle = Callable[[Graph], MMResult]
+MMOracle = Callable[[G0], MMResult]
 
 
 def deterministic_oracle() -> MMOracle:
@@ -69,7 +80,7 @@ def israeli_itai_oracle(seed: int = 0) -> MMOracle:
     """Israeli–Itai run to completion — always maximal, random rounds."""
     rng = random.Random(seed)
 
-    def oracle(graph: Graph) -> MMResult:
+    def oracle(graph: G0) -> MMResult:
         return israeli_itai_maximal_matching(graph, rng)
 
     return oracle
@@ -86,7 +97,7 @@ def truncated_israeli_itai_oracle(
     """
     rng = random.Random(seed)
 
-    def oracle(graph: Graph) -> MMResult:
+    def oracle(graph: G0) -> MMResult:
         return israeli_itai_maximal_matching(
             graph, rng, max_iterations=max_iterations
         )
@@ -106,7 +117,7 @@ def amm_oracle(
     rng = random.Random(seed)
     budget = rounds_for_amm(eta, delta)
 
-    def oracle(graph: Graph) -> MMResult:
+    def oracle(graph: G0) -> MMResult:
         return israeli_itai_maximal_matching(graph, rng, max_iterations=budget)
 
     return oracle

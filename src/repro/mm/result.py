@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from repro.graphs import NodeId
 
@@ -31,30 +31,44 @@ class MMResult:
     ----------
     partner:
         Symmetric partner map; ``partner[u] == v`` iff ``{u, v}`` is a
-        matched edge.
+        matched edge.  On a :class:`~repro.mm.g0.G0` its keys are
+        labels; on a :class:`~repro.graphs.Graph` they are node ids,
+        inserted in the id order.
     rounds:
         Communication rounds the simulated distributed algorithm used.
     per_iteration_active:
         Number of *active* (non-removed) vertices remaining after each
         algorithm iteration — used to measure the geometric decay of
         Lemma 8.
+    edges:
+        The matched edges as indices into the input's edge sequences
+        (into ``graph.edges()`` for a ``Graph``), in no fixed order.
     """
 
     partner: Dict[NodeId, NodeId]
     rounds: int
     per_iteration_active: List[int] = field(default_factory=list)
+    edges: List[int] = field(default_factory=list)
 
     def pairs(self) -> List[Tuple[NodeId, NodeId]]:
-        """Matched edges, once each, in deterministic order."""
+        """Matched edges, once each, in the partner map's key order."""
         seen = set()
         out: List[Tuple[NodeId, NodeId]] = []
-        for u in sorted(self.partner, key=repr):
-            v = self.partner[u]
-            key = frozenset((u, v))
-            if key not in seen:
-                seen.add(key)
+        for u, v in self.partner.items():
+            if u not in seen:
+                seen.add(v)
                 out.append((u, v))
         return out
+
+    def relabel(self, nodes: Sequence[NodeId]) -> "MMResult":
+        """This label-form result over ``nodes[label]`` ids, the partner
+        map in ascending label order."""
+        partner = {
+            nodes[a]: nodes[self.partner[a]] for a in sorted(self.partner)
+        }
+        return MMResult(
+            partner, self.rounds, self.per_iteration_active, self.edges
+        )
 
     @property
     def size(self) -> int:

@@ -7,9 +7,10 @@ and experiment harnesses.
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Container, Dict, List, Union
 
 from repro.graphs import Graph, NodeId
+from repro.mm.g0 import G0, label_form
 
 __all__ = [
     "is_valid_matching",
@@ -36,22 +37,27 @@ def is_valid_matching(graph: Graph, partner: Dict[NodeId, NodeId]) -> bool:
 
 
 def violating_vertices(
-    graph: Graph, partner: Dict[NodeId, NodeId]
+    graph: Union[G0, Graph], partner: Container[NodeId]
 ) -> List[NodeId]:
-    """Vertices failing both conditions of Definition 3.
+    """Vertices failing both conditions of Definition 3, in id order.
 
     A vertex ``v`` satisfies Definition 3 if it is matched (condition 1)
     or every neighbor of ``v`` is matched (condition 2).  The returned
     vertices are the *unmatched* vertices of Definition 4 — unmatched
-    with at least one unmatched neighbor.
+    with at least one unmatched neighbor, i.e. the endpoints of the
+    edges with no matched endpoint.  ``partner`` is read for membership
+    only.
     """
-    out: List[NodeId] = []
-    for v in graph.nodes():
-        if v in partner:
-            continue
-        if any(u not in partner for u in graph.neighbors(v)):
-            out.append(v)
-    return out
+    if isinstance(graph, Graph):
+        g0, nodes = label_form(graph)
+        matched = {r for r, node in enumerate(nodes) if node in partner}
+        return [nodes[r] for r in violating_vertices(g0, matched)]
+    out = set()
+    for a, b in zip(graph.u, graph.v):
+        if a not in partner and b not in partner:
+            out.add(a)
+            out.add(b)
+    return sorted(out)
 
 
 def is_maximal_matching(graph: Graph, partner: Dict[NodeId, NodeId]) -> bool:

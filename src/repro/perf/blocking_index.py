@@ -340,14 +340,20 @@ class BlockingPairIndex:
 
         Returns the number of players whose partner changed.  Cost is
         ``O(n)`` for the diff plus ``O(deg)`` per changed player —
-        against ``O(|E|)`` for a fresh full scan.
+        against ``O(|E|)`` for a fresh full scan.  The partner table is
+        filled from ``matching.pairs()``, which builds no per-player
+        dict.  Raises :class:`InvalidParameterError` for a man out of
+        range, as for a pair that is not an edge.
         """
-        return self.update_from_partner_lists(
-            [
-                matching.partner_of_man(m)
-                for m in range(len(self._man_partner))
-            ]
-        )
+        n_men = len(self._man_partner)
+        man_partner: List[Optional[int]] = [None] * n_men
+        for m, w in matching.pairs():
+            if not 0 <= m < n_men:
+                raise InvalidParameterError(
+                    f"man {m} is out of range for {n_men} men"
+                )
+            man_partner[m] = w
+        return self.update_from_partner_lists(man_partner)
 
     def update_from_partner_lists(
         self, man_partner: Sequence[Optional[int]]

@@ -18,9 +18,10 @@ is the partner's id under the deterministic maximal-matching order.
   of positions ``[indptr + ((q-1)·deg)//k, indptr + (q·deg)//k)``,
   computed where a step needs it (Step 4's run start, activation's
   run end);
-* ``m_mm_key``/``w_mm_key`` — integer keys whose order matches the
-  ``repr``-of-node-id order the deterministic maximal-matching oracle
-  ties-breaks by, so Step 3 runs without materializing any strings.
+* ``m_mm_key``/``w_mm_key`` — each player's ``G₀`` label
+  (:func:`repro.mm.g0.decimal_str_order_keys`, the numpy twin of the
+  Python backend's), whose order is the id order the deterministic
+  maximal-matching oracle breaks ties by, so Step 3 runs on integers.
 
 Every array is frozen (``writeable=False``): compilations are cached on
 the profile (:meth:`PreferenceProfile.soa_cache`) and shared across
@@ -35,6 +36,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Optional, Tuple
 
 from repro.errors import InvalidParameterError
+from repro.mm.g0 import decimal_str_order_keys, woman_label_base
 from repro.vec import require_numpy
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -47,34 +49,7 @@ try:  # numpy is optional (repro[fast]); guarded like the package init.
 except ImportError:  # pragma: no cover
     np = None  # type: ignore[assignment]
 
-__all__ = ["VecProfile", "compile_profile", "decimal_str_order_keys"]
-
-
-def decimal_str_order_keys(n: int) -> "np.ndarray":
-    """Integer keys for ``0..n-1`` ordered like ``sorted(range(n), key=str)``.
-
-    The deterministic maximal-matching oracle breaks ties by
-    ``repr(node)``; within one side, ``repr(("M", i))`` ordering reduces
-    to lexicographic ordering of ``str(i)`` (the ``")"`` terminator,
-    ``ord(")") < ord("0")``, keeps prefix comparisons consistent).  That
-    order equals comparing the decimal digits padded *right* with zeros
-    to a common width, with ties (one string a zero-extension of the
-    other's value scale, e.g. ``"1"`` vs ``"10"``) broken by fewer
-    digits first.  Both parts pack into one int64 key::
-
-        key(i) = i * 10**(maxd - digits(i)) * 32 + digits(i)
-
-    which is strictly monotone in the string order and unique.
-    """
-    ids = np.arange(n, dtype=np.int64)
-    digits = np.ones(n, dtype=np.int64)
-    v = ids // 10
-    while v.size and int(v.max()) > 0:
-        digits += v > 0
-        v //= 10
-    maxd = int(digits.max()) if n else 1
-    padded = ids * (10 ** (maxd - digits))
-    return padded * 32 + digits
+__all__ = ["VecProfile", "compile_profile"]
 
 
 def _adopt_csr(
@@ -166,7 +141,9 @@ class VecProfile:
         self.wq_of_edge = self.w_quant[self.m2w_pos]
 
         self.m_mm_key = decimal_str_order_keys(self.n_men)
-        self.w_mm_key = decimal_str_order_keys(self.n_women)
+        self.w_mm_key = decimal_str_order_keys(
+            self.n_women, woman_label_base(self.n_men)
+        )
 
         self._pair_keys: Optional["np.ndarray"] = None
         self._pair_order: Optional["np.ndarray"] = None

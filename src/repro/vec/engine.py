@@ -32,9 +32,9 @@ active man at once:
    from his cursor to the end of that quantile's run;
 2. *accept* — per-woman best proposing quantile via ``np.minimum.at``;
 3. *maximal matching* — the deterministic mutual-pointer protocol,
-   vectorized, with min-by-``repr`` tie-breaking reproduced through the
-   compiled integer keys (identical iteration counts, hence identical
-   round charges, to :func:`repro.mm.deterministic
+   vectorized, on the compiled ``G₀`` labels of :mod:`repro.mm.g0`
+   (identical iteration counts, hence identical round charges, to its
+   stdlib twin :func:`repro.mm.deterministic
    .deterministic_maximal_matching`);
 4. *reject* — a newly matched woman rejects her positions from the
    start of her new partner's quantile run up to her cut, less his,
@@ -68,6 +68,7 @@ from typing import List, Optional, Tuple
 from repro.core.matching import Matching
 from repro.errors import InvalidMatchingError, SimulationError
 from repro.mm.deterministic import ROUNDS_PER_POINTER_ROUND
+from repro.mm.g0 import G0
 from repro.mm.result import MMResult
 from repro.vec.compile import VecProfile
 
@@ -76,7 +77,7 @@ try:  # numpy is optional (repro[fast]); guarded like the package init.
 except ImportError:  # pragma: no cover
     np = None  # type: ignore[assignment]
 
-__all__ = ["G0Stats", "VecState"]
+__all__ = ["VecState"]
 
 # Larger than any valid mm key / quantile; scratch-reset sentinel.
 _BIG = np.iinfo(np.int64).max if np is not None else 0
@@ -115,21 +116,6 @@ def _tally(keys: "np.ndarray", scratch: "np.ndarray") -> Tuple[int, int]:
     scratch[keys] = 0
     np.add.at(scratch, keys, 1)
     return distinct, int(scratch[keys].max())
-
-
-class G0Stats:
-    """Duck-typed stand-in for :class:`repro.graphs.Graph` in stats.
-
-    ``ASMEngine._finalize_round`` only reads ``num_nodes`` and
-    ``num_edges`` from the accepted-proposal graph; the vec path never
-    materializes node objects, so this carries just the two counts.
-    """
-
-    __slots__ = ("num_nodes", "num_edges")
-
-    def __init__(self, num_nodes: int, num_edges: int) -> None:
-        self.num_nodes = num_nodes
-        self.num_edges = num_edges
 
 
 class VecState:
@@ -243,10 +229,6 @@ class VecState:
     # ------------------------------------------------------------------
     # Classification and result conversions (array state -> Python ints)
     # ------------------------------------------------------------------
-
-    def man_is_good(self, m: int) -> bool:
-        """Good = matched, or rejected by every acceptable partner."""
-        return bool(self.man_partner[m] != -1 or self.m_remaining[m] == 0)
 
     def bad_men(self) -> List[int]:
         """Bad men, ascending."""
@@ -386,20 +368,21 @@ class VecState:
 
     def step_maximal_matching(
         self, mm_oracle: object
-    ) -> Tuple[MMResult, G0Stats, int, int]:
+    ) -> Tuple[MMResult, G0, int, int]:
         """Step 3: deterministic mutual-pointer MM on the accepted graph.
 
         ``mm_oracle`` is the engine's Step-3 subroutine; the engine only
         builds this backend for the deterministic oracle, whose protocol
         is compiled in here, so it is not called.
 
-        Returns ``(mm_result, g0_stats, mm_work, men_removed)``, with
+        Returns ``(mm_result, g0, mm_work, men_removed)``, with
         ``men_removed`` always 0 (no almost-regular removal here).
-        ``mm_result`` is a
-        shim carrying the exact simulated round count (identical to the
-        Python oracle's — same iterations, same ×2 rounds factor); its
-        ``partner`` map is empty and ``per_iteration_active`` is not
-        tracked (nothing in the result contract consumes it).
+        ``g0`` is ``G₀`` over the compiled labels, as int64 arrays.
+        ``mm_result`` is a shim carrying the exact simulated round
+        count (identical to the Python oracle's — same iterations, same
+        ×2 rounds factor); its ``partner`` map and ``edges`` are empty
+        and ``per_iteration_active`` is not tracked (nothing in the
+        result contract consumes them).
         """
         p = self.profile
         am, aw, apos = self._acc_m, self._acc_w, self._acc_pos
@@ -407,19 +390,17 @@ class VecState:
         minm = self._scratch_w
         men, max_deg_m = _tally(am, minw)
         women, max_deg_w = _tally(aw, minm)
-        g0 = G0Stats(num_nodes=men + women, num_edges=int(am.size))
+        mk, wk = p.m_mm_key[am], p.w_mm_key[aw]
+        g0 = G0(mk, wk, num_nodes=men + women)
         max_g0_deg = max(max_deg_m, max_deg_w)
 
         marr_m, marr_w = self._married_m, self._married_w
-        mkey, wkey = p.m_mm_key, p.w_mm_key
         matched_m: List["np.ndarray"] = []
         matched_w: List["np.ndarray"] = []
         matched_pos: List["np.ndarray"] = []
         e_m, e_w, e_pos = am, aw, apos
         iterations = 0
         while e_m.size:
-            wk = wkey[e_w]
-            mk = mkey[e_m]
             minw[e_m] = _BIG
             minm[e_w] = _BIG
             np.minimum.at(minw, e_m, wk)
@@ -441,6 +422,8 @@ class VecState:
             e_m = e_m[keep]
             e_w = e_w[keep]
             e_pos = e_pos[keep]
+            mk = mk[keep]
+            wk = wk[keep]
             iterations += 1
         self._mm_m = np.concatenate(matched_m) if matched_m else am[:0]
         self._mm_w = np.concatenate(matched_w) if matched_w else aw[:0]

@@ -193,7 +193,6 @@ class TestCongestASM:
     def test_port_order_kind_identical_to_logical_engine(self, seed):
         """Third mm_kind: the port-order oracle cross-validates too."""
         from repro.mm.bipartite import bipartite_port_order_matching as bpo
-        from repro.graphs import is_man_node
 
         prefs = gnp_incomplete(6, 0.6, seed=10 + seed)
         congest = run_congest_asm(
@@ -211,9 +210,8 @@ class TestCongestASM:
             k=4,
             inner_iterations=5,
             outer_iterations=3,
-            mm_oracle=lambda g: bpo(
-                g, left_nodes=[v for v in g.nodes() if is_man_node(v)]
-            ),
+            # G₀'s men, the labels on the u side, propose.
+            mm_oracle=lambda g0: bpo(g0, left_nodes=g0.u),
         )
         assert congest.matching == engine.run().matching
 

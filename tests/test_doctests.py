@@ -29,6 +29,7 @@ MODULE_NAMES = [
     "repro.dynamic.market",
     "repro.graphs",
     "repro.mm.bipartite",
+    "repro.mm.g0",
     "repro.mm.greedy",
     "repro.obs.manifest",
     "repro.obs.metrics",

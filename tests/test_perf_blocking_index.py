@@ -111,6 +111,26 @@ class TestAgainstOracle:
             assert index.current_matching() == target
             _assert_synced(index)
 
+    def test_update_to_reads_pairs_of_a_solver_matching(self):
+        """A solver's pair-sequence matching is read through ``pairs()``:
+        its per-player dicts stay unbuilt, and the index equals one fed
+        the same partner table directly."""
+        prefs = gnp_incomplete(30, 0.3, seed=5)
+        matching = asm(prefs, 0.5).matching
+        index = BlockingPairIndex(prefs)
+        index.update_to(matching)
+        slot = Matching.__dict__["_man_to_woman"]
+        with pytest.raises(AttributeError):
+            slot.__get__(matching)
+        table = [None] * prefs.n_men
+        for m, w in matching.pairs():
+            table[m] = w
+        direct = BlockingPairIndex(prefs)
+        direct.update_from_partner_lists(table)
+        assert index.current_matching() == direct.current_matching()
+        assert sorted(index.pairs()) == sorted(direct.pairs())
+        _assert_synced(index)
+
     def test_update_to_is_a_noop_on_same_matching(self):
         prefs = complete_uniform(6, seed=3)
         matching = asm(prefs, 1.0).matching
@@ -139,6 +159,12 @@ class TestErrorCases:
         index = BlockingPairIndex(prefs)
         with pytest.raises(InvalidParameterError):
             index.update_from_partner_lists([None, 0])
+
+    def test_update_to_rejects_man_out_of_range(self):
+        prefs = PreferenceProfile([[0], [1]], [[0], [1]])
+        index = BlockingPairIndex(prefs)
+        with pytest.raises(InvalidParameterError):
+            index.update_to(Matching([(2, 0)]))
 
     def test_update_rejects_duplicate_woman(self):
         prefs = PreferenceProfile([[0], [0]], [[0, 1]])

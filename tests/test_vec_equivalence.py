@@ -294,9 +294,16 @@ class TestVecStabilityCounter:
 @needs_numpy
 class TestCompiledProfile:
     def test_decimal_str_order_keys_match_str_sort(self):
+        """The numpy keys and their stdlib twin are the same keys, in
+        ``str`` order; the compiled labels are the Python backend's."""
         import numpy as np
 
-        from repro.vec.compile import decimal_str_order_keys
+        from repro.mm.g0 import (
+            decimal_str_order_keys,
+            str_order_keys,
+            woman_label_base,
+        )
+        from repro.vec.compile import compile_profile
 
         for n in (0, 1, 2, 9, 10, 11, 99, 100, 101, 1234):
             keys = decimal_str_order_keys(n)
@@ -304,6 +311,17 @@ class TestCompiledProfile:
             by_str = sorted(range(n), key=str)
             assert by_key == by_str, f"n={n}"
             assert len(np.unique(keys)) == n  # injective
+            assert keys.tolist() == str_order_keys(n), f"n={n}"
+            base = woman_label_base(n)
+            assert decimal_str_order_keys(3, base).tolist() == (
+                str_order_keys(3, base)
+            )
+
+        prefs = gnp_incomplete(12, 0.5, seed=1)
+        profile = compile_profile(prefs, 4)
+        state = ASMEngine(prefs, 0.5)._state
+        assert profile.m_mm_key.tolist() == state.m_label
+        assert profile.w_mm_key.tolist() == state.w_label
 
     def test_quantile_tables_match_quantized_lists(self):
         from repro.core.quantile import QuantizedList
