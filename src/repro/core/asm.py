@@ -38,8 +38,7 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import asdict, dataclass, field
-from functools import lru_cache
-from itertools import chain, islice, repeat
+from itertools import islice, repeat
 from operator import sub
 from typing import (
     TYPE_CHECKING,
@@ -54,7 +53,7 @@ from typing import (
 
 from repro.core.matching import Matching
 from repro.core.preferences import PreferenceProfile
-from repro.core.quantile import quantile_boundaries
+from repro.core.quantile import offset_quantile, quantile_run
 from repro.core.rounds import (
     CONSTANT_ROUNDS_PER_PROPOSAL_ROUND,
     HKPCost,
@@ -297,29 +296,6 @@ def _check_optimized(optimized: object) -> None:
         require_numpy()
 
 
-@lru_cache(maxsize=4096)
-def _quantile_runs(
-    degree: int, k: int
-) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
-    """Per 0-based rank, the first rank of its quantile run and the end
-    (exclusive) of that run, for a list of ``degree`` partners.
-
-    Quantiles are non-decreasing along a list, so each quantile is one
-    contiguous run of ranks; like :func:`quantile_boundaries`, the
-    runs depend only on ``(degree, k)`` and are computed once.
-    """
-    bounds = quantile_boundaries(degree, k)
-    starts = list(range(degree))
-    ends = list(range(1, degree + 1))
-    for r in range(1, degree):
-        if bounds[r] == bounds[r - 1]:
-            starts[r] = starts[r - 1]
-    for r in range(degree - 2, -1, -1):
-        if bounds[r] == bounds[r + 1]:
-            ends[r] = ends[r + 1]
-    return tuple(starts), tuple(ends)
-
-
 def _cross_positions(
     men: Tuple[array, array], women: Tuple[array, array]
 ) -> Tuple[array, array]:
@@ -360,8 +336,6 @@ class _PyState:
       list exactly when Step 5 removes her from his);
     * ``m_remaining`` — ``|Q|`` per man, plus a first-present cursor
       per man: that position's quantile is his best nonempty one;
-    * ``w_quant`` — each woman-side position's quantile (Section 3.1's
-      ``⌈rank·k/deg⌉``, from :func:`quantile_boundaries`);
     * ``m2w`` / ``w2m`` — the woman-side position of each man-side
       edge, and the inverse;
     * ``m_label`` / ``w_label`` — each player's ``G₀`` label
@@ -383,13 +357,14 @@ class _PyState:
       start);
     * only men in ``_active_men`` (set by :meth:`activate`, compacted
       as men drain) are scanned, not all men;
-    * Step 2 reads a suitor's quantile by position;
+    * Step 2 accepts the suitors before the end of the quantile run
+      holding a woman's smallest proposing position;
     * Step 4 rejects a contiguous run of the woman's segment.  The run
-      starts where her new partner's quantile starts (a cached
-      per-``(degree, k)`` table) and ends at her *cut*: by Lemma 1 she
-      has already rejected everything from her cut on except her old
-      partner, whose position she keeps.  So each position is
-      scanned once per run, and the Lemma-1 check is O(1).
+      starts where her new partner's quantile run starts and ends at
+      her *cut*: by Lemma 1 she has already rejected everything from
+      her cut on except her old partner, whose position she keeps.  So
+      each position is scanned once per run, and the Lemma-1 check is
+      O(1): her old partner's position must lie at or after the start.
     """
 
     def __init__(
@@ -410,10 +385,6 @@ class _PyState:
         self.m2w, self.w2m = _cross_positions(men, women)
         self.m_label = str_order_keys(n_men)
         self.w_label = str_order_keys(n_women, woman_label_base(n_men))
-        w_indptr = self.w_indptr
-        w_degree = list(map(sub, islice(w_indptr, 1, None), w_indptr))
-        quantiles = map(quantile_boundaries, w_degree, repeat(k))
-        self.w_quant = array("q", list(chain.from_iterable(quantiles)))
         self.present = bytearray(b"\x01") * len(self.m_woman)
         self.m_remaining = array(
             "q", list(map(sub, islice(self.m_indptr, 1, None), self.m_indptr))
@@ -426,7 +397,7 @@ class _PyState:
         # where her rejected suffix starts (her segment's end until she
         # first matches).
         self.woman_partner_pos = array("q", [-1]) * n_women
-        self._w_cut = w_indptr[1:]
+        self._w_cut = self.w_indptr[1:]
         self.active: List[Dict[int, None]] = [{} for _ in range(n_men)]
         # Almost-regular mode: men removed from play.
         self.removed: List[bool] = [False] * n_men
@@ -556,8 +527,9 @@ class _PyState:
                 f += 1
             first[m] = f
             base = indptr[m]
-            run_ends = _quantile_runs(indptr[m + 1] - base, k)[1]
-            end = base + run_ends[f - base]
+            deg = indptr[m + 1] - base
+            q = offset_quantile(f - base, deg, k)
+            end = base + quantile_run(q, deg, k)[1]
             a = [p for p in range(f, end) if present[p]]
             a.sort(key=m_woman.__getitem__)
             active[m] = dict.fromkeys(a)
@@ -616,7 +588,7 @@ class _PyState:
         woman-side position of each of its edges.
         """
         suitor_buf = self._suitor_buf
-        w_quant, w_man = self.w_quant, self.w_man
+        w_indptr, w_man, k = self.w_indptr, self.w_man, self.k
         acc_w: List[int] = []
         acc_wp: List[int] = []
         step_max = 0
@@ -632,9 +604,13 @@ class _PyState:
                             f"man {w_man[wp]} proposed to woman {w} after "
                             f"removal from her list"
                         )
-            best = min(map(w_quant.__getitem__, suitors))
+            # Her best proposing quantile holds her smallest position.
+            base = w_indptr[w]
+            deg = w_indptr[w + 1] - base
+            q = offset_quantile(min(suitors) - base, deg, k)
+            end = base + quantile_run(q, deg, k)[1]
             before = len(acc_wp)
-            acc_wp.extend([wp for wp in suitors if w_quant[wp] == best])
+            acc_wp.extend([wp for wp in suitors if wp < end])
             acc_w.extend(repeat(w, len(acc_wp) - before))
         acc_m = list(map(w_man.__getitem__, acc_wp))
         # Every touched woman accepts someone.
@@ -703,14 +679,16 @@ class _PyState:
             m0, w, wp0 = acc_m[e], acc_w[e], acc_wp[e]
             matched_in_m0 += 1
             base = w_indptr[w]
-            run_starts = _quantile_runs(w_indptr[w + 1] - base, k)[0]
-            start = base + run_starts[wp0 - base]
+            deg = w_indptr[w + 1] - base
+            q0 = offset_quantile(wp0 - base, deg, k)
+            start = base + quantile_run(q0, deg, k)[0]
             old = woman_partner[w]
             old_wp = partner_pos[w]
+            # Lemma 1: her old partner is on her list at or after start.
             if self.check_invariants and old is not None and (
                 old == m0
                 or not self.present[self.w2m[old_wp]]
-                or self.w_quant[old_wp] < self.w_quant[wp0]
+                or old_wp < start
             ):
                 raise SimulationError(
                     f"woman {w} traded up to man {m0} but did not "

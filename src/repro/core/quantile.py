@@ -16,16 +16,60 @@ which yields exactly ``k`` quantiles of size at most ``⌈deg(v)/k⌉``.
 When ``deg(v) < k`` some quantiles are empty and each holds at most one
 partner — the algorithm then degenerates to classical Gale–Shapley
 behavior for that player, as noted after Algorithm 1.
+
+Quantiles never decrease along a list, so each ``Q_q`` is a run of list
+offsets; :func:`offset_quantile` and :func:`quantile_run` are the two
+formulas every engine reads them through, on ints and int64 arrays.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import (
+    Any, Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple,
+)
 
 from repro.errors import InvalidParameterError
 
-__all__ = ["quantile_index", "quantile_boundaries", "QuantizedList"]
+__all__ = [
+    "offset_quantile", "quantile_run", "quantile_index",
+    "quantile_boundaries", "QuantizedList",
+]
+
+
+#: An int, or an int64 numpy array (this module never imports numpy).
+_IntOrArray = Any
+
+
+def offset_quantile(
+    off: _IntOrArray, deg: _IntOrArray, k: int
+) -> _IntOrArray:
+    """The quantile of the partner at 0-based list offset ``off``.
+
+    ``⌈(off + 1)·k / deg⌉`` in integer arithmetic; ``off`` and ``deg``
+    may be ints or int64 arrays (``0 <= off < deg``, ``k >= 1``).
+
+    >>> [offset_quantile(off, 10, 5) for off in range(10)]
+    [1, 1, 2, 2, 3, 3, 4, 4, 5, 5]
+    """
+    return -((-1 - off) * k // deg)
+
+
+def quantile_run(
+    q: _IntOrArray, deg: _IntOrArray, k: int
+) -> Tuple[_IntOrArray, _IntOrArray]:
+    """``(first, end)``: the offsets ``[first, end)`` of quantile ``q``.
+
+    The run is empty (``first == end``) when ``deg < k`` leaves ``Q_q``
+    without a partner.  Takes ints or int64 arrays, as
+    :func:`offset_quantile`.
+
+    >>> [quantile_run(q, 10, 5) for q in (1, 5)]
+    [(0, 2), (8, 10)]
+    >>> quantile_run(1, 3, 8)
+    (0, 0)
+    """
+    return (q - 1) * deg // k, q * deg // k
 
 
 def quantile_index(rank: int, degree: int, k: int) -> int:
@@ -53,8 +97,7 @@ def quantile_index(rank: int, degree: int, k: int) -> int:
         raise InvalidParameterError(
             f"rank must be in [1, degree]; got rank={rank}, degree={degree}"
         )
-    # ceil(rank * k / degree) without floating point.
-    return -(-rank * k // degree)
+    return offset_quantile(rank - 1, degree, k)
 
 
 @lru_cache(maxsize=4096)
@@ -72,7 +115,7 @@ def quantile_boundaries(degree: int, k: int) -> Tuple[int, ...]:
         raise InvalidParameterError(f"quantile count k must be >= 1, got {k}")
     if degree < 0:
         raise InvalidParameterError(f"degree must be >= 0, got {degree}")
-    return tuple(-(-rank * k // degree) for rank in range(1, degree + 1))
+    return tuple(offset_quantile(off, degree, k) for off in range(degree))
 
 
 class QuantizedList:

@@ -82,25 +82,6 @@ class Graph:
         self._adj.setdefault(u, set()).add(v)
         self._adj.setdefault(v, set()).add(u)
 
-    def remove_node(self, v: NodeId) -> None:
-        """Remove ``v`` and all incident edges (no-op if absent)."""
-        nbrs = self._adj.pop(v, None)
-        if nbrs is None:
-            return
-        for u in nbrs:
-            self._adj[u].discard(v)
-
-    def remove_nodes(self, nodes: Iterable[NodeId]) -> None:
-        """Remove several nodes and their incident edges."""
-        for v in list(nodes):
-            self.remove_node(v)
-
-    def copy(self) -> "Graph":
-        """A deep copy of the graph."""
-        g = Graph()
-        g._adj = {v: set(nbrs) for v, nbrs in self._adj.items()}
-        return g
-
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
@@ -136,10 +117,6 @@ class Graph:
                     seen.add(key)
                     out.append((v, u))
         return out
-
-    def isolated_nodes(self) -> List[NodeId]:
-        """Nodes with no incident edges."""
-        return [v for v in self.nodes() if not self._adj[v]]
 
     @property
     def num_nodes(self) -> int:

@@ -1,23 +1,23 @@
 """Compile a :class:`PreferenceProfile` into flat struct-of-arrays form.
 
 The ASM hot path asks four questions per edge per round — who owns it,
-which quantile is it in for each endpoint, is it still present, and what
-is the partner's id under the deterministic maximal-matching order.
-:class:`VecProfile` answers all of them with O(1) array gathers:
+where does it sit on each endpoint's list, is it still present, and
+what is the partner's id under the deterministic maximal-matching
+order.  :class:`VecProfile` answers all of them with O(1) array
+gathers:
 
 * CSR adjacency per side (``m_indptr``/``m_woman``, ``w_indptr``/
   ``w_man``) in preference order, so ranks are implicit in position —
   int64 views of the profile's own buffers
   (:meth:`~repro.core.preferences.PreferenceProfile.men_csr`), not copies;
-* dense per-edge quantile tables (``m_quant``, ``w_quant``) — the
-  precomputed form of :func:`repro.core.quantile.quantile_index`;
+  ``m_owner`` is each man-side position's man;
 * cross-side position maps (``m2w_pos``/``w2m_pos``) aligning the two
   CSR views of the same edge;
-* no table of quantile runs: quantiles are non-decreasing along a
-  preference list, so quantile ``q`` of a ``deg``-long list is the run
-  of positions ``[indptr + ((q-1)·deg)//k, indptr + (q·deg)//k)``,
-  computed where a step needs it (Step 4's run start, activation's
-  run end);
+* no per-edge quantile table: quantiles are non-decreasing along a
+  preference list, so each quantile is a run of positions, and a step
+  reads quantiles and run bounds from positions through
+  :func:`~repro.core.quantile.offset_quantile` and
+  :func:`~repro.core.quantile.quantile_run` where it needs them;
 * ``m_mm_key``/``w_mm_key`` — each player's ``G₀`` label
   (:func:`repro.mm.g0.decimal_str_order_keys`, the numpy twin of the
   Python backend's), whose order is the id order the deterministic
@@ -53,23 +53,20 @@ __all__ = ["VecProfile", "compile_profile"]
 
 
 def _adopt_csr(
-    csr: Tuple["array", "array"], k: int
-) -> Tuple["np.ndarray", "np.ndarray", "np.ndarray", "np.ndarray"]:
-    """``(indptr, targets, owner, quant)`` of one side's ``(indptr, targets)``.
+    csr: Tuple["array", "array"]
+) -> Tuple["np.ndarray", "np.ndarray", "np.ndarray"]:
+    """``(indptr, targets, degree)`` of one side's ``(indptr, targets)``.
 
     ``indptr`` and ``targets`` are int64 views of the profile's own
     ``array('q')`` buffers, not copies.
     """
     indptr, targets = (np.frombuffer(buf, dtype=np.int64) for buf in csr)
-    n = len(indptr) - 1
-    num_edges = len(targets)
-    lens = np.diff(indptr)
-    owner = np.repeat(np.arange(n, dtype=np.int64), lens)
-    # rank r in 1..deg per position; quantile = ceil(r*k/deg), all integer.
-    deg_rep = np.repeat(lens, lens)
-    rank = np.arange(num_edges, dtype=np.int64) - np.repeat(indptr[:-1], lens) + 1
-    quant = (rank * k + deg_rep - 1) // deg_rep if num_edges else rank
-    return indptr, targets, owner, quant
+    return indptr, targets, np.diff(indptr)
+
+
+def _owners(degree: "np.ndarray") -> "np.ndarray":
+    """The owner of each CSR position, from the per-player degrees."""
+    return np.repeat(np.arange(degree.size, dtype=np.int64), degree)
 
 
 class VecProfile:
@@ -89,16 +86,12 @@ class VecProfile:
         "m_indptr",
         "m_woman",
         "m_owner",
-        "m_quant",
         "m_degree",
         "w_indptr",
         "w_man",
-        "w_owner",
-        "w_quant",
         "w_degree",
         "m2w_pos",
         "w2m_pos",
-        "wq_of_edge",
         "m_mm_key",
         "w_mm_key",
         "_pair_keys",
@@ -113,14 +106,10 @@ class VecProfile:
         self.num_edges = prefs.num_edges
         self.k = k
 
-        self.m_indptr, self.m_woman, self.m_owner, self.m_quant = _adopt_csr(
-            prefs.men_csr(), k
-        )
-        self.w_indptr, self.w_man, self.w_owner, self.w_quant = _adopt_csr(
-            prefs.women_csr(), k
-        )
-        self.m_degree = np.diff(self.m_indptr)
-        self.w_degree = np.diff(self.w_indptr)
+        men, women = prefs.men_csr(), prefs.women_csr()
+        self.m_indptr, self.m_woman, self.m_degree = _adopt_csr(men)
+        self.w_indptr, self.w_man, self.w_degree = _adopt_csr(women)
+        self.m_owner = _owners(self.m_degree)
 
         # Align the two CSR views of each edge by sorting both sides by
         # (woman, man); matching sort positions are the same edge.  The
@@ -132,13 +121,12 @@ class VecProfile:
         e = self.num_edges
         order_m = np.argsort(self.m_woman * self.n_men + self.m_owner)
         order_w = np.argsort(
-            self.w_owner * self.n_men + self.w_man, kind="stable"
+            _owners(self.w_degree) * self.n_men + self.w_man, kind="stable"
         )
         self.m2w_pos = np.empty(e, dtype=np.int64)
         self.w2m_pos = np.empty(e, dtype=np.int64)
         self.m2w_pos[order_m] = order_w
         self.w2m_pos[order_w] = order_m
-        self.wq_of_edge = self.w_quant[self.m2w_pos]
 
         self.m_mm_key = decimal_str_order_keys(self.n_men)
         self.w_mm_key = decimal_str_order_keys(
@@ -152,16 +140,12 @@ class VecProfile:
             "m_indptr",
             "m_woman",
             "m_owner",
-            "m_quant",
             "m_degree",
             "w_indptr",
             "w_man",
-            "w_owner",
-            "w_quant",
             "w_degree",
             "m2w_pos",
             "w2m_pos",
-            "wq_of_edge",
             "m_mm_key",
             "w_mm_key",
         ):

@@ -30,7 +30,9 @@ active man at once:
 1. *propose* — along the activated-position array ``P``: each
    candidate's present positions in his best nonempty quantile, read
    from his cursor to the end of that quantile's run;
-2. *accept* — per-woman best proposing quantile via ``np.minimum.at``;
+2. *accept* — per-woman smallest proposing woman-side position via
+   ``np.minimum.at``; she accepts the suitors before the end of the
+   quantile run holding it;
 3. *maximal matching* — the deterministic mutual-pointer protocol,
    vectorized, on the compiled ``G₀`` labels of :mod:`repro.mm.g0`
    (identical iteration counts, hence identical round charges, to its
@@ -66,6 +68,7 @@ from array import array
 from typing import List, Optional, Tuple
 
 from repro.core.matching import Matching
+from repro.core.quantile import offset_quantile, quantile_run
 from repro.errors import InvalidMatchingError, SimulationError
 from repro.mm.deterministic import ROUNDS_PER_POINTER_ROUND
 from repro.mm.g0 import G0
@@ -79,7 +82,7 @@ except ImportError:  # pragma: no cover
 
 __all__ = ["VecState"]
 
-# Larger than any valid mm key / quantile; scratch-reset sentinel.
+# Larger than any valid mm key / position; scratch-reset sentinel.
 _BIG = np.iinfo(np.int64).max if np is not None else 0
 
 
@@ -159,7 +162,6 @@ class VecState:
         self._at_least: Optional["np.ndarray"] = None
 
         # Scratch arrays, reset per use on exactly the touched indices.
-        self._best_q_of_woman = np.empty(n_women, dtype=np.int64)
         self._scratch_m = np.empty(n_men, dtype=np.int64)
         self._scratch_w = np.empty(n_women, dtype=np.int64)
         self._married_m = np.zeros(n_men, dtype=bool)
@@ -280,10 +282,10 @@ class VecState:
         ``men`` is what :meth:`candidates` returns.  A man's first
         present position is his best remaining rank, whose quantile is
         his best nonempty quantile (quantiles are non-decreasing along a
-        list); ``A`` is the present positions of that quantile's run,
-        which ends at ``indptr + (q·deg)//k``.  His cursor finds the
-        first one, so a call reads only the skipped positions and the
-        activated runs.  Every other man's ``A`` is (and stays) empty —
+        list); ``A`` is the present positions from there to the end of
+        that quantile's run.  His cursor finds the first one, so a call
+        reads only the skipped positions and the activated runs.  Every
+        other man's ``A`` is (and stays) empty —
         Lemma 2 guarantees all sets are empty on entry, so only the
         previous activation's men need their ``active_q`` cleared.
         """
@@ -294,9 +296,10 @@ class VecState:
             self._P = np.empty(0, dtype=np.int64)
             return
         first = self._advance_cursors(men)
-        q = p.m_quant[first]
+        base, deg = p.m_indptr[men], p.m_degree[men]
+        q = offset_quantile(first - base, deg, p.k)
         self.active_q[men] = q
-        ends = p.m_indptr[men] + (q * p.m_degree[men]) // p.k
+        ends = base + quantile_run(q, deg, p.k)[1]
         idx = _ranges(first, ends - first)
         self._P = idx[self.present[idx]]
 
@@ -322,8 +325,9 @@ class VecState:
         P = self._P
         if not P.size:
             return True
-        p = self.profile
-        live = self.present[P] & (self.active_q[p.m_owner[P]] == p.m_quant[P])
+        # ``P`` only holds positions of its owners' activated runs.
+        owners = self.profile.m_owner[P]
+        live = self.present[P] & (self.active_q[owners] != -1)
         return not bool(live.any())
 
     # ------------------------------------------------------------------
@@ -349,17 +353,22 @@ class VecState:
     def step_accept(self) -> Tuple[int, int]:
         """Step 2: each woman accepts her best proposing quantile.
 
+        That is the quantile run holding her smallest proposing
+        woman-side position: she accepts the suitors before its end.
+
         Returns ``(n_accepts, step_max_work)``; the accepted edge arrays
         are held for the MM and rejection steps.
         """
         p = self.profile
         P = self._P
         pw = p.m_woman[P]
-        wq = p.wq_of_edge[P]
-        best = self._best_q_of_woman
+        wpos = p.m2w_pos[P]
+        best = self._scratch_w
         best[pw] = _BIG  # reset exactly the touched entries
-        np.minimum.at(best, pw, wq)
-        acc = wq == best[pw]
+        np.minimum.at(best, pw, wpos)
+        base, deg = p.w_indptr[pw], p.w_degree[pw]
+        q = offset_quantile(best[pw] - base, deg, p.k)
+        acc = wpos < base + quantile_run(q, deg, p.k)[1]
         step_max = _tally(pw, self._scratch_w)[1]
         self._acc_pos = P[acc]
         self._acc_m = p.m_owner[self._acc_pos]
@@ -445,14 +454,14 @@ class VecState:
         # Each woman's "quantile >= q0" set starts at the first position
         # of her new partner's quantile run; by the cut invariant, what
         # she still holds of it is [start, cut) plus her old partner.
-        q0 = p.wq_of_edge[mm_pos]
         wp0 = p.m2w_pos[mm_pos]
-        base = p.w_indptr[mm_w]
-        start = base + ((q0 - 1) * (p.w_indptr[mm_w + 1] - base)) // p.k
+        base, deg = p.w_indptr[mm_w], p.w_degree[mm_w]
+        q0 = offset_quantile(wp0 - base, deg, p.k)
+        start = base + quantile_run(q0, deg, p.k)[0]
         cut = self._w_cut[mm_w]
         old = self.woman_partner[mm_w]
         if self.check_invariants:
-            self._check_trade_up(mm_m, mm_w, q0, old)
+            self._check_trade_up(mm_m, mm_w, start, old)
         had = old != -1
         old = old[had]
         old_pos = self.woman_partner_pos[mm_w[had]]
@@ -493,18 +502,19 @@ class VecState:
         self,
         mm_m: "np.ndarray",
         mm_w: "np.ndarray",
-        q0: "np.ndarray",
+        start: "np.ndarray",
         old: "np.ndarray",
     ) -> None:
         """Lemma 1 invariant: a matched woman only trades up.
 
         Her old partner must still be on her list with a weakly-worse
-        quantile than the new one — i.e. he is in the rejected set.
-        Raises for the first offending woman in ``mm_w`` order.
+        quantile than the new one — at or after ``start``, where the new
+        one's run starts — i.e. he is in the rejected set.  Raises for
+        the first offending woman in ``mm_w`` order.
         """
-        p = self.profile
         old_pos = self.woman_partner_pos[mm_w]
-        kept = self.present[old_pos] & (p.wq_of_edge[old_pos] >= q0)
+        old_wp = self.profile.m2w_pos[old_pos]
+        kept = self.present[old_pos] & (old_wp >= start)
         bad = (old != -1) & ((old == mm_m) | ~kept)
         if bad.any():
             i = int(np.flatnonzero(bad)[0])

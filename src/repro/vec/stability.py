@@ -53,11 +53,11 @@ def count_blocking_pairs_vec(
         The matching as ``(man, woman)`` pairs — a
         :class:`~repro.core.matching.Matching` works directly.
     profile:
-        An existing compilation of ``prefs`` to reuse (any ``k``; the
-        quantile tables are not consulted).  Defaults to the cached
-        compilation with the smallest ``k``, so counting after a vec
-        solve reuses the solve's arrays; ``k=1`` is compiled only when
-        the profile has no compilation yet.
+        An existing compilation of ``prefs`` to reuse (any ``k``: the
+        count reads positions only, never quantiles).  Defaults to the
+        cached compilation with the smallest ``k``, so counting after a
+        vec solve reuses the solve's arrays; ``k=1`` is compiled only
+        when the profile has no compilation yet.
     """
     require_numpy()
     if profile is None:

@@ -8,15 +8,47 @@ from typing import List, Optional
 from repro.analysis.stability import count_blocking_pairs
 from repro.core.matching import Matching
 from repro.core.preferences import PreferenceProfile
+from repro.core.quantile import offset_quantile
 from repro.vec import HAS_NUMPY
 
 #: The compiled arrays a vec solve reads, compared by
 #: :func:`assert_freeze_both_ways`.
 _VEC_ARRAYS = (
-    "m_indptr", "m_woman", "m_owner", "m_quant",
-    "w_indptr", "w_man", "w_owner", "w_quant",
-    "m2w_pos", "w2m_pos", "wq_of_edge",
+    "m_indptr", "m_woman", "m_owner", "m_degree",
+    "w_indptr", "w_man", "w_degree",
+    "m2w_pos", "w2m_pos",
 )
+
+
+#: Lemma 1's hand-made offence, built on both backends (the
+#: ``TestTradeUpCheck`` classes of ``tests/test_asm_engine.py`` and
+#: ``tests/test_vec_pointers.py``).  Three men and three women rank
+#: each other in id order, with k = 3, so every rank is its own
+#: quantile.  ``TRADE_UP_SEATS`` seats woman 0 with man 0 and woman 1
+#: with man 1 as ``(man, woman)`` pairs.  The M0 pairs re-match woman 0
+#: to her own partner and woman 1 to a worse man than hers, so both
+#: offend; Step 4 names the first offender in M0 order, which
+#: ``TRADE_UP_CASES`` gives per order of ``TRADE_UP_M0``.
+TRADE_UP_LISTS = ([[0, 1, 2]] * 3, [[0, 1, 2]] * 3)
+TRADE_UP_SEATS = ((0, 0), (1, 1))
+TRADE_UP_M0 = ((0, 0), (2, 1))
+TRADE_UP_CASES = [
+    ((0, 1), "woman 0 traded up to man 0 but did not reject "
+             "previous partner 0"),
+    ((1, 0), "woman 1 traded up to man 2 but did not reject "
+             "previous partner 1"),
+]
+
+
+def position_quantiles(indptr, degree, k):
+    """Each CSR position's quantile on its owner's list, as one table,
+    by :func:`offset_quantile` over int64 arrays (``indptr`` and
+    ``degree`` of one side; needs numpy)."""
+    import numpy as np
+
+    base = np.repeat(indptr[:-1], degree)
+    deg = np.repeat(degree, degree)
+    return offset_quantile(np.arange(int(indptr[-1])) - base, deg, k)
 
 
 def artifact_fault_records(artifact) -> List[dict]:

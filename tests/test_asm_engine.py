@@ -27,8 +27,9 @@ from repro.core.rounds import (
     FixedCost,
     HKPCost,
 )
-from repro.errors import InvalidParameterError
+from repro.errors import InvalidParameterError, SimulationError
 from repro.mm.oracles import greedy_oracle, israeli_itai_oracle
+from repro.mm.result import MMResult
 from repro.workloads.generators import (
     adversarial_gale_shapley,
     bounded_degree,
@@ -36,6 +37,12 @@ from repro.workloads.generators import (
     euclidean,
     gnp_incomplete,
     master_list,
+)
+from tests.helpers import (
+    TRADE_UP_CASES,
+    TRADE_UP_LISTS,
+    TRADE_UP_M0,
+    TRADE_UP_SEATS,
 )
 
 
@@ -163,6 +170,41 @@ class TestMonotonicity:
         monitor = self._Monitor()
         asm(prefs, 0.3, observer=monitor)
         assert monitor.violations == []
+
+
+class TestTradeUpCheck:
+    """Lemma 1's check on the Python backend: the hand-made state of
+    :data:`tests.helpers.TRADE_UP_M0`, as the vec backend's test in
+    ``tests/test_vec_pointers.py`` builds it, raises the same message."""
+
+    def _state(self, order):
+        prefs = PreferenceProfile(*TRADE_UP_LISTS)
+        state = ASMEngine(prefs, 0.5, k=3, check_invariants=True)._state
+        for m, w in TRADE_UP_SEATS:
+            state.man_partner[m] = w
+            state.woman_partner[w] = m
+            state.woman_partner_pos[w] = state.w_indptr[w] + m
+        pairs = [TRADE_UP_M0[i] for i in order]
+        state._acc_m = [m for m, _ in pairs]
+        state._acc_w = [w for _, w in pairs]
+        state._acc_wp = [state.w_indptr[w] + m for m, w in pairs]
+        state._mm_result = MMResult(
+            partner={}, rounds=0, edges=list(range(len(pairs)))
+        )
+        return state
+
+    @pytest.mark.parametrize("order,message", TRADE_UP_CASES)
+    def test_first_offender_is_named(self, order, message):
+        state = self._state(order)
+        with pytest.raises(SimulationError) as exc:
+            state.step_reject()
+        assert str(exc.value) == message
+
+    def test_lemma2_fails_right_after_activation(self):
+        state = ASMEngine(PreferenceProfile(*TRADE_UP_LISTS), 0.5, k=3)._state
+        assert state.lemma2_holds()
+        state.activate(state.candidates(0))
+        assert not state.lemma2_holds()
 
 
 class TestLemma2:

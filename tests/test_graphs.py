@@ -58,36 +58,6 @@ class TestGraph:
         assert g.num_nodes == 1
         assert g.degree(5) == 0
 
-    def test_remove_node(self):
-        g = Graph()
-        g.add_edge(1, 2)
-        g.add_edge(2, 3)
-        g.remove_node(2)
-        assert not g.has_node(2)
-        assert not g.has_edge(1, 2)
-        assert g.degree(1) == 0
-        assert g.num_edges == 0
-
-    def test_remove_absent_node_noop(self):
-        g = Graph()
-        g.remove_node(99)
-        assert g.num_nodes == 0
-
-    def test_remove_nodes_bulk(self):
-        g = Graph()
-        g.add_edge(1, 2)
-        g.add_edge(3, 4)
-        g.remove_nodes([1, 3])
-        assert g.nodes() == [2, 4]
-
-    def test_copy_is_deep(self):
-        g = Graph()
-        g.add_edge(1, 2)
-        h = g.copy()
-        h.remove_node(1)
-        assert g.has_edge(1, 2)
-        assert not h.has_node(1)
-
     def test_edges_deterministic_and_unique(self):
         g = Graph()
         g.add_edge(2, 1)
@@ -95,13 +65,7 @@ class TestGraph:
         edges = g.edges()
         assert len(edges) == 2
         assert len({frozenset(e) for e in edges}) == 2
-        assert edges == g.copy().edges()
-
-    def test_isolated_nodes(self):
-        g = Graph()
-        g.add_node(1)
-        g.add_edge(2, 3)
-        assert g.isolated_nodes() == [1]
+        assert edges == g.edges()
 
     def test_repr(self):
         g = Graph()

@@ -174,7 +174,7 @@ class TestIsraeliItai:
         for seed in range(10):
             g = random_graph(120, 0.05, seed)
             result = israeli_itai_maximal_matching(g, random.Random(seed))
-            active0 = g.num_nodes - len(g.isolated_nodes())
+            active0 = sum(1 for v in g.nodes() if g.degree(v))
             counts = [active0] + result.per_iteration_active
             # one-step decay averaged over the first iteration
             decays.append(counts[1] / counts[0])

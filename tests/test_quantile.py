@@ -6,8 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.quantile import QuantizedList, quantile_index
+from repro.core.quantile import (
+    QuantizedList,
+    offset_quantile,
+    quantile_index,
+    quantile_run,
+)
 from repro.errors import InvalidParameterError
+from repro.vec import HAS_NUMPY
 
 
 class TestQuantileIndex:
@@ -59,6 +65,39 @@ def test_quantile_index_properties(degree, k):
     cap = -(-degree // k)
     for q in range(1, k + 1):
         assert values.count(q) <= cap
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 7, 16])
+class TestRunFormulas:
+    """``offset_quantile`` and ``quantile_run``: each quantile is the run
+    of offsets ``quantile_run`` names, on ints and int64 arrays alike.
+    ``deg < k`` leaves some quantiles empty."""
+
+    def test_run_is_the_offsets_of_its_quantile(self, k):
+        for deg in range(41):
+            quant = [quantile_index(r, deg, k) for r in range(1, deg + 1)]
+            assert [offset_quantile(off, deg, k) for off in range(deg)] == quant
+            for q in range(1, k + 1):
+                first, end = quantile_run(q, deg, k)
+                assert list(range(first, end)) == [
+                    off for off in range(deg) if quant[off] == q
+                ]
+
+    @pytest.mark.skipif(not HAS_NUMPY, reason="numpy not installed")
+    def test_int64_arrays_agree_with_ints(self, k):
+        import numpy as np
+
+        for deg in range(41):
+            offs = np.arange(deg, dtype=np.int64)
+            degs = np.full(deg, deg, dtype=np.int64)
+            got = offset_quantile(offs, degs, k)
+            assert got.dtype == np.int64
+            assert got.tolist() == [offset_quantile(o, deg, k) for o in range(deg)]
+            qs = np.arange(1, k + 1, dtype=np.int64)
+            first, end = quantile_run(qs, np.full(k, deg, dtype=np.int64), k)
+            assert list(zip(first.tolist(), end.tolist())) == [
+                quantile_run(q, deg, k) for q in range(1, k + 1)
+            ]
 
 
 class TestQuantizedList:

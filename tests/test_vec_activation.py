@@ -3,8 +3,11 @@
 ``VecState.activate`` reads only its candidate men's positions from their
 first-present cursors to the end of their best nonempty quantile.  The
 seed implementation scanned every present edge of the market on
-each call; it is kept here verbatim as :func:`full_scan_activate`, a
-test-only oracle in the manner of :mod:`tests.reference_asm`.  At every
+each call; it is kept here as :func:`full_scan_activate`, a test-only
+oracle in the manner of :mod:`tests.reference_asm`, which reads each
+position's quantile from a whole-market table
+(:func:`tests.helpers.position_quantiles`) instead of from the run
+arithmetic the product uses.  At every
 QuantileMatch of every solve on the vec equivalence grid, the product
 activation's ``active_q`` and candidate positions ``_P`` must equal the
 oracle's exactly, recomputed from the same state and the same
@@ -31,6 +34,7 @@ from repro.core.preferences import PreferenceProfile  # noqa: E402
 from repro.vec.compile import compile_profile  # noqa: E402
 from repro.vec.engine import VecState  # noqa: E402
 from repro.workloads.generators import GENERATORS  # noqa: E402
+from tests.helpers import position_quantiles  # noqa: E402
 from tests.reference_asm import reference_asm  # noqa: E402
 from tests.test_vec_equivalence import GRID  # noqa: E402
 
@@ -42,6 +46,7 @@ def full_scan_activate(self, part_mask: "np.ndarray") -> None:
     empty — Lemma 2 guarantees all sets are empty on entry.
     """
     p = self.profile
+    m_quant = position_quantiles(p.m_indptr, p.m_degree, p.k)
     active_q = self.active_q
     active_q.fill(-1)
     cand = part_mask & (self.man_partner == -1) & (self.m_remaining > 0)
@@ -60,8 +65,8 @@ def full_scan_activate(self, part_mask: "np.ndarray") -> None:
     f_pos = pos[first]
     f_own = owners[first]
     sel = cand[f_own]
-    active_q[f_own[sel]] = p.m_quant[f_pos[sel]]
-    self._P = pos[active_q[owners] == p.m_quant[pos]]
+    active_q[f_own[sel]] = m_quant[f_pos[sel]]
+    self._P = pos[active_q[owners] == m_quant[pos]]
 
 
 def _check_against_oracle(activate, state: VecState, part_mask, cand) -> None:

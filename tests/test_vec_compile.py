@@ -2,14 +2,17 @@
 
 ``VecProfile.__init__`` aligns the men's and women's CSR views of each
 edge by sorting both sides by (woman, man).  The seed implementation
-did that with two ``np.lexsort`` calls; it is kept here verbatim as
+did that with two ``np.lexsort`` calls; it is kept here as
 :func:`lexsort_alignment`, a test-only oracle in the manner of
 :mod:`tests.reference_asm`.  The product argsorts one packed key,
 ``woman * n_men + man``, per side, and must give exactly the oracle's
-cross-position maps, woman quantile per edge and quantile-run starts
-on every market of the grid — including ``n_men != n_women`` (a wrong
-key multiplier would collide keys there), players with empty lists,
-and profiles without a single edge.
+cross-position maps on every market of the grid — including
+``n_men != n_women`` (a wrong key multiplier would collide keys there),
+players with empty lists, and profiles without a single edge.  The
+same grid pins the quantile formulas a step reads in place of per-edge
+tables: at every position :func:`~repro.core.quantile.offset_quantile`
+is :func:`~repro.core.quantile.quantile_index`, and
+:func:`~repro.core.quantile.quantile_run` brackets each quantile.
 
 Also pins that the vectorized stability counter reuses a cached
 compilation instead of compiling its own, and that the whole vec flow
@@ -36,7 +39,11 @@ import numpy as np  # noqa: E402
 from repro.analysis.stability import count_blocking_pairs  # noqa: E402
 from repro.core.asm import asm  # noqa: E402
 from repro.core.preferences import PreferenceProfile  # noqa: E402
-from repro.core.quantile import quantile_index  # noqa: E402
+from repro.core.quantile import (  # noqa: E402
+    offset_quantile,
+    quantile_index,
+    quantile_run,
+)
 from repro.vec.compile import VecProfile, compile_profile  # noqa: E402
 from repro.vec.stability import count_blocking_pairs_vec  # noqa: E402
 from repro.workloads.generators import (  # noqa: E402
@@ -48,20 +55,25 @@ from repro.workloads.generators import (  # noqa: E402
 )
 
 
+def _w_owner(p: VecProfile):
+    """The woman owning each woman-side position."""
+    return np.repeat(np.arange(p.n_women, dtype=np.int64), p.w_degree)
+
+
 def lexsort_alignment(p: VecProfile):
-    """``(m2w_pos, w2m_pos, wq_of_edge)`` by lexsort.
+    """``(m2w_pos, w2m_pos)`` by lexsort.
 
     The seed alignment: sort both CSR views by (woman, man); matching
     sort positions are the same edge.
     """
     e = p.num_edges
     order_m = np.lexsort((p.m_owner, p.m_woman))
-    order_w = np.lexsort((p.w_man, p.w_owner))
+    order_w = np.lexsort((p.w_man, _w_owner(p)))
     m2w_pos = np.empty(e, dtype=np.int64)
     w2m_pos = np.empty(e, dtype=np.int64)
     m2w_pos[order_m] = order_w
     w2m_pos[order_w] = order_m
-    return m2w_pos, w2m_pos, p.w_quant[m2w_pos]
+    return m2w_pos, w2m_pos
 
 
 MARKETS = [
@@ -89,51 +101,49 @@ MARKETS = [
 class TestAlignment:
     def test_matches_lexsort_oracle(self, name, build, k):
         p = VecProfile(build(), k)
-        m2w_pos, w2m_pos, wq_of_edge = lexsort_alignment(p)
+        m2w_pos, w2m_pos = lexsort_alignment(p)
         assert np.array_equal(p.m2w_pos, m2w_pos)
         assert np.array_equal(p.w2m_pos, w2m_pos)
-        assert np.array_equal(p.wq_of_edge, wq_of_edge)
 
     def test_quantile_runs_by_arithmetic(self, name, build, k):
-        """Step 4's run start ``indptr + ((q-1)·deg)//k`` and
-        activation's run end ``indptr + (q·deg)//k`` bracket exactly
-        the positions of each quantile, found by a plain walk."""
+        """Step 4's run start and activation's run end, both from
+        :func:`quantile_run`, bracket exactly the positions of each
+        quantile, found by a plain walk over :func:`quantile_index`."""
         p = VecProfile(build(), k)
-        sides = (
-            (p.w_indptr, p.w_quant, p.w_degree),
-            (p.m_indptr, p.m_quant, p.m_degree),
-        )
-        for indptr, quant, degree in sides:
-            for v in range(len(degree)):
-                lo, deg = int(indptr[v]), int(degree[v])
-                for pos in range(lo, lo + deg):
-                    q = int(quant[pos])
-                    run = [
-                        r for r in range(lo, lo + deg) if quant[r] == q
-                    ]
-                    assert lo + (q - 1) * deg // k == run[0]
-                    assert lo + q * deg // k == run[-1] + 1
+        for degree in (p.w_degree, p.m_degree):
+            for deg in degree.tolist():
+                quant = [quantile_index(r, deg, k) for r in range(1, deg + 1)]
+                for off, q in enumerate(quant):
+                    assert offset_quantile(off, deg, k) == q
+                    run = [r for r in range(deg) if quant[r] == q]
+                    assert quantile_run(q, deg, k) == (run[0], run[-1] + 1)
 
     def test_invariants(self, name, build, k):
         p = VecProfile(build(), k)
         e = p.num_edges
         assert np.array_equal(p.w2m_pos[p.m2w_pos], np.arange(e))
         assert np.array_equal(p.w_man[p.m2w_pos], p.m_owner)
-        assert np.array_equal(p.w_owner[p.m2w_pos], p.m_woman)
+        assert np.array_equal(_w_owner(p)[p.m2w_pos], p.m_woman)
+        assert np.array_equal(
+            p.m_owner, np.repeat(np.arange(p.n_men), p.m_degree)
+        )
 
     def test_csr_views_follow_the_lists(self, name, build, k):
         prefs = build()
         p = VecProfile(prefs, k)
         sides = (
-            (p.m_indptr, p.m_woman, p.m_quant, prefs.men_lists()),
-            (p.w_indptr, p.w_man, p.w_quant, prefs.women_lists()),
+            (p.m_indptr, p.m_woman, p.m_degree, prefs.men_lists()),
+            (p.w_indptr, p.w_man, p.w_degree, prefs.women_lists()),
         )
-        for indptr, targets, quant, lists in sides:
+        for indptr, targets, degree, lists in sides:
             assert len(indptr) == len(lists) + 1
             for v, lst in enumerate(lists):
                 lo, hi = int(indptr[v]), int(indptr[v + 1])
                 assert targets[lo:hi].tolist() == list(lst)
-                assert quant[lo:hi].tolist() == [
+                assert int(degree[v]) == len(lst)
+                # The quantiles a step reads from these positions.
+                offsets = np.arange(hi - lo, dtype=np.int64)
+                assert offset_quantile(offsets, len(lst), k).tolist() == [
                     quantile_index(r, len(lst), k)
                     for r in range(1, len(lst) + 1)
                 ]

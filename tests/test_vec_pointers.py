@@ -34,6 +34,12 @@ from repro.errors import SimulationError  # noqa: E402
 from repro.vec.compile import compile_profile  # noqa: E402
 from repro.vec.engine import VecState  # noqa: E402
 from repro.workloads.generators import GENERATORS  # noqa: E402
+from tests.helpers import (  # noqa: E402
+    TRADE_UP_CASES,
+    TRADE_UP_LISTS,
+    TRADE_UP_M0,
+    TRADE_UP_SEATS,
+)
 from tests.reference_asm import reference_asm  # noqa: E402
 from tests.test_vec_equivalence import GRID  # noqa: E402
 
@@ -113,38 +119,33 @@ class TestPointerInvariants:
 
 
 class TestTradeUpCheck:
-    """Lemma 1's check names the first offending woman in M0 order."""
+    """Lemma 1's check names the first offending woman in M0 order, on
+    the hand-made state of :data:`tests.helpers.TRADE_UP_M0` (the
+    Python backend's twin is in ``tests/test_asm_engine.py``)."""
 
     def _state(self, order):
-        # Three men, three women, complete lists in id order; k = 3, so
-        # every rank is its own quantile.  Woman 0 holds man 0 and
-        # woman 1 holds man 1.  The hand-made M0 re-matches woman 0 to
-        # her own partner and woman 1 to a worse man: both offend.
-        prefs = PreferenceProfile([[0, 1, 2]] * 3, [[0, 1, 2]] * 3)
+        prefs = PreferenceProfile(*TRADE_UP_LISTS)
         state = VecState(compile_profile(prefs, 3), check_invariants=True)
         p = state.profile
-        for m, w in ((0, 0), (1, 1)):
+        for m, w in TRADE_UP_SEATS:
             state.man_partner[m] = w
             state.woman_partner[w] = m
             state.woman_partner_pos[w] = int(p.m_indptr[m]) + w
-        pairs = [(0, 0), (2, 1)]
-        pairs = [pairs[i] for i in order]
+        pairs = [TRADE_UP_M0[i] for i in order]
         state._mm_m = np.array([m for m, _ in pairs], dtype=np.int64)
         state._mm_w = np.array([w for _, w in pairs], dtype=np.int64)
         state._mm_pos = p.m_indptr[state._mm_m] + state._mm_w
         return state
 
-    @pytest.mark.parametrize(
-        "order,message",
-        [
-            ((0, 1), "woman 0 traded up to man 0 but did not reject "
-                     "previous partner 0"),
-            ((1, 0), "woman 1 traded up to man 2 but did not reject "
-                     "previous partner 1"),
-        ],
-    )
+    @pytest.mark.parametrize("order,message", TRADE_UP_CASES)
     def test_first_offender_is_named(self, order, message):
         state = self._state(order)
         with pytest.raises(SimulationError) as exc:
             state.step_reject()
         assert str(exc.value) == message
+
+    def test_lemma2_fails_right_after_activation(self):
+        state = VecState(compile_profile(PreferenceProfile(*TRADE_UP_LISTS), 3))
+        assert state.lemma2_holds()
+        state.activate(state.candidates(0))
+        assert not state.lemma2_holds()
