@@ -19,7 +19,6 @@ from repro.core import (
     ASMResult,
     Matching,
     PreferenceProfile,
-    QuantizedList,
     almost_regular_asm,
     asm,
     params_for_eps,
@@ -87,7 +86,6 @@ __all__ = [
     "ASMResult",
     "Matching",
     "PreferenceProfile",
-    "QuantizedList",
     "almost_regular_asm",
     "asm",
     "params_for_eps",

@@ -119,15 +119,24 @@ def _rate_arg(text: str) -> float:
     return value
 
 
-def _positive_int_arg(text: str) -> int:
-    """argparse type for ``--workers`` and ``--max-delay``: an int >= 1."""
+def _int_at_least(text: str, low: int) -> int:
     try:
         value = int(text)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from exc
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    if value < low:
+        raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
     return value
+
+
+def _positive_int_arg(text: str) -> int:
+    """argparse type for counts, budgets and rounds: an int >= 1."""
+    return _int_at_least(text, 1)
+
+
+def _nonnegative_int_arg(text: str) -> int:
+    """argparse type for sizes and counts that may be 0: an int >= 0."""
+    return _int_at_least(text, 0)
 
 
 def _add_workers_flag(parser: argparse.ArgumentParser) -> None:
@@ -202,12 +211,14 @@ def _add_fault_flags(parser: argparse.ArgumentParser) -> None:
     fault_g.add_argument("--max-delay", type=_positive_int_arg, default=2,
                          metavar="R",
                          help="maximum delay in rounds (default 2)")
-    fault_g.add_argument("--crash", type=int, default=0, metavar="COUNT",
+    fault_g.add_argument("--crash", type=_nonnegative_int_arg, default=0,
+                         metavar="COUNT",
                          help="crash COUNT deterministically sampled nodes")
-    fault_g.add_argument("--crash-round", type=int, default=3, metavar="R",
-                         help="round the crashes take effect (default 3)")
-    fault_g.add_argument("--crash-restart", type=int, default=None,
+    fault_g.add_argument("--crash-round", type=_positive_int_arg, default=3,
                          metavar="R",
+                         help="round the crashes take effect (default 3)")
+    fault_g.add_argument("--crash-restart", type=_positive_int_arg,
+                         default=None, metavar="R",
                          help="restart crashed nodes after R rounds "
                          "(default: crashes are permanent)")
     fault_g.add_argument("--fault-seed", type=int, default=0,
@@ -1066,12 +1077,12 @@ def build_parser() -> argparse.ArgumentParser:
         default="asm",
     )
     run_p.add_argument("--workload", choices=sorted(GENERATORS), default="complete")
-    run_p.add_argument("--n", type=int, default=128)
+    run_p.add_argument("--n", type=_nonnegative_int_arg, default=128)
     run_p.add_argument("--eps", type=_eps_arg, default=0.2)
     run_p.add_argument("--seed", type=int, default=0)
     run_p.add_argument(
         "--gs-iterations",
-        type=int,
+        type=_nonnegative_int_arg,
         default=16,
         help="truncation budget for truncated-gs",
     )
@@ -1090,8 +1101,8 @@ def build_parser() -> argparse.ArgumentParser:
                        metavar="EPS",
                        help="declare an eps-stability SLO target (ASM "
                        "variants); exit 1 if it is not met")
-    run_p.add_argument("--slo-deadline", type=int, default=None,
-                       metavar="ROUNDS",
+    run_p.add_argument("--slo-deadline", type=_nonnegative_int_arg,
+                       default=None, metavar="ROUNDS",
                        help="ProposalRound deadline after which the "
                        "SLO must hold (default: final matching only)")
     _add_telemetry_flags(run_p)
@@ -1102,7 +1113,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     gen_p.add_argument("--workload", choices=sorted(GENERATORS),
                        default="complete")
-    gen_p.add_argument("--n", type=int, default=128)
+    gen_p.add_argument("--n", type=_nonnegative_int_arg, default=128)
     gen_p.add_argument("--seed", type=int, default=0)
     gen_p.add_argument("--out", required=True, help="output path")
     gen_p.set_defaults(func=_cmd_generate)
@@ -1154,14 +1165,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     con_p.add_argument("--workload", choices=sorted(GENERATORS),
                        default="complete")
-    con_p.add_argument("--n", type=int, default=8)
+    con_p.add_argument("--n", type=_nonnegative_int_arg, default=8)
     con_p.add_argument("--eps", type=_eps_arg, default=0.5)
     con_p.add_argument("--seed", type=int, default=0)
-    con_p.add_argument("--inner", type=int, default=6,
+    con_p.add_argument("--inner", type=_positive_int_arg, default=6,
                        help="inner-loop / flat iterations override")
-    con_p.add_argument("--outer", type=int, default=4,
+    con_p.add_argument("--outer", type=_positive_int_arg, default=4,
                        help="outer-loop iterations override")
-    con_p.add_argument("--mm-iterations", type=int, default=16,
+    con_p.add_argument("--mm-iterations", type=_positive_int_arg, default=16,
                        help="matching-phase iteration budget")
     _add_fault_flags(con_p)
     _add_transport_flags(con_p)
@@ -1178,22 +1189,23 @@ def build_parser() -> argparse.ArgumentParser:
     )
     trace_p.add_argument("--workload", choices=sorted(GENERATORS),
                          default="complete")
-    trace_p.add_argument("--n", type=int, default=8)
+    trace_p.add_argument("--n", type=_nonnegative_int_arg, default=8)
     trace_p.add_argument("--eps", type=_eps_arg, default=0.5)
     trace_p.add_argument("--seed", type=int, default=0,
                          help="root seed; per-trial seeds are derived "
                          "deterministically from it")
-    trace_p.add_argument("--k", type=int, default=None,
+    trace_p.add_argument("--k", type=_positive_int_arg, default=None,
                          help="quantile-count override (default: the "
                          "eps-derived schedule; small k keeps traces "
                          "small)")
-    trace_p.add_argument("--inner", type=int, default=None,
+    trace_p.add_argument("--inner", type=_positive_int_arg, default=None,
                          help="inner-loop iterations override")
-    trace_p.add_argument("--outer", type=int, default=None,
+    trace_p.add_argument("--outer", type=_positive_int_arg, default=None,
                          help="outer-loop iterations override")
-    trace_p.add_argument("--mm-iterations", type=int, default=None,
+    trace_p.add_argument("--mm-iterations", type=_positive_int_arg,
+                         default=None,
                          help="matching-phase iteration budget")
-    trace_p.add_argument("--trials", type=int, default=1,
+    trace_p.add_argument("--trials", type=_positive_int_arg, default=1,
                          help="independent traced trials (merged in "
                          "spec order; default 1)")
     trace_p.add_argument("--explain", nargs=2, type=int, default=None,
@@ -1217,7 +1229,7 @@ def build_parser() -> argparse.ArgumentParser:
                        default="complete",
                        help="starting-instance generator (default "
                        "complete)")
-    dyn_p.add_argument("--n", type=int, default=64,
+    dyn_p.add_argument("--n", type=_nonnegative_int_arg, default=64,
                        help="starting-instance size (default 64)")
     dyn_p.add_argument("--eps", type=_eps_arg, default=0.2,
                        help="target instability: ASM parameter for the "
@@ -1225,7 +1237,7 @@ def build_parser() -> argparse.ArgumentParser:
     dyn_p.add_argument("--seed", type=int, default=0,
                        help="root seed: instance and per-trial churn "
                        "seeds derive from it")
-    dyn_p.add_argument("--churn-steps", type=int, default=64,
+    dyn_p.add_argument("--churn-steps", type=_nonnegative_int_arg, default=64,
                        metavar="STEPS",
                        help="deltas per trial (default 64)")
     dyn_p.add_argument("--slo-eps", type=_rate_arg, default=None,
@@ -1233,12 +1245,12 @@ def build_parser() -> argparse.ArgumentParser:
                        help="fallback threshold: a full ASM re-run "
                        "restores stability whenever post-repair eps "
                        "exceeds this (default: --eps)")
-    dyn_p.add_argument("--repair-radius", type=int, default=2,
+    dyn_p.add_argument("--repair-radius", type=_nonnegative_int_arg, default=2,
                        metavar="HOPS",
                        help="BFS hops around perturbed players the "
                        "localized repair may touch (default 2; 0 "
                        "disables repair)")
-    dyn_p.add_argument("--repair-passes", type=int, default=None,
+    dyn_p.add_argument("--repair-passes", type=_positive_int_arg, default=None,
                        metavar="N",
                        help="propose-accept pass budget per delta "
                        "(default: ceil(8/eps), QuantileMatch's k)")
@@ -1258,7 +1270,7 @@ def build_parser() -> argparse.ArgumentParser:
                        metavar="W",
                        help="relative draw weight of adjacent "
                        "preference swaps (default 4.0)")
-    dyn_p.add_argument("--trials", type=int, default=1,
+    dyn_p.add_argument("--trials", type=_positive_int_arg, default=1,
                        help="independent churn trials (default 1)")
     dyn_p.add_argument("--json", action="store_true",
                        help="emit the merged trial document as JSON "

@@ -19,6 +19,12 @@ last  (listen)                                 send REJECT to every
                                                weakly-worse suitor
 ====  =======================================  =====================
 
+A node keeps its own list as 0-based offsets with a present flag
+each.  Its quantiles are runs of those offsets (Section 3.1), read
+through :func:`repro.core.quantile.offset_quantile` and
+:func:`~repro.core.quantile.quantile_run` as the logical backends read
+theirs.
+
 With the deterministic pointer fragment and a sufficient
 maximal-matching budget, the final matching is *identical* to the
 logical :class:`repro.core.asm.ASMEngine` run with the matching
@@ -42,7 +48,7 @@ from repro.congest.protocols.fragments import (
 from repro.congest.simulator import SimulationStats
 from repro.core.matching import Matching
 from repro.core.preferences import PreferenceProfile
-from repro.core.quantile import QuantizedList
+from repro.core.quantile import offset_quantile, quantile_run
 from repro.core.asm import (
     default_inner_iterations,
     default_outer_iterations,
@@ -121,6 +127,22 @@ def _fragment_rounds(sched: ASMSchedule) -> int:
     return sched.mm_iterations * per_mm_iteration
 
 
+def _list_state(
+    pref_list: Tuple[int, ...],
+) -> Tuple[Dict[int, int], bytearray]:
+    """``(pos, present)``: a node's own list as 0-based offsets.
+
+    ``pos`` maps each partner to its offset; ``present[i]`` says whether
+    the partner at offset ``i`` is still in ``Q``.  ``present`` has one
+    more, always-absent slot at ``deg``: ``pos.get(u, deg)`` sends an
+    id that is not on the list (stray mail) there, so it reads as
+    absent.
+    """
+    deg = len(pref_list)
+    present = bytearray(b"\x01") * deg + b"\x00"
+    return dict(zip(pref_list, range(deg))), present
+
+
 def _man_program(
     m: int,
     pref_list: Tuple[int, ...],
@@ -135,12 +157,20 @@ def _man_program(
     the matching phase, when some woman accepted him.  Everywhere else
     he awaits mail, up to the next slot in which he would propose: a
     matched man waits for a REJECT, and an unmatched one below his
-    threshold waits out the schedule (``q.remaining`` never grows and
-    the threshold never shrinks).  Mail that wakes him is read as the
+    threshold waits out the schedule (``|Q|`` never grows and the
+    threshold never shrinks).  Mail that wakes him is read as the
     round-by-round program read it in that slot; the first slot's
     inbox is dropped unread, as there.
+
+    His list is offsets (:func:`_list_state`): ``A`` is the present
+    partners of the quantile run that holds his first present offset,
+    his best nonempty quantile.
     """
-    q = QuantizedList(pref_list, sched.k)
+    k = sched.k
+    deg = len(pref_list)
+    pos, present = _list_state(pref_list)
+    remaining = deg  # |Q|
+    first = 0  # every offset before it is absent
     partner: Optional[int] = None
     active: set = set()
     removed = False
@@ -156,15 +186,19 @@ def _man_program(
     def refills(start: int) -> bool:
         """Whether QuantileMatch starting at round ``start`` refills A."""
         threshold = 1 if sched.flat_schedule else 2 ** (start // outer_rounds)
-        return not removed and partner is None and q.remaining >= threshold
+        return not removed and partner is None and remaining >= threshold
 
     while at < total:
         if at % length == 0:
             mm_partner = None
             if at % qm_rounds == 0 and refills(at):
                 # --- QuantileMatch: refill A.
-                best = q.best_nonempty_quantile()
-                active = set(q.members_of(best)) if best is not None else set()
+                while not present[first]:  # |Q| > 0: stops before deg
+                    first += 1
+                end = quantile_run(offset_quantile(first, deg, k), deg, k)[1]
+                active = {
+                    pref_list[i] for i in range(first, end) if present[i]
+                }
         if at % length == 0 and active:
             # --- ProposalRound slot 1: propose (inbox unread).
             yield {
@@ -221,7 +255,10 @@ def _man_program(
             for s, msg in inbox.items():
                 if msg.kind == "REJECT":
                     w = node_index(s)
-                    q.remove(w)
+                    i = pos.get(w, deg)
+                    if present[i]:
+                        present[i] = 0
+                        remaining -= 1
                     active.discard(w)
                     if partner == w:
                         partner = None
@@ -246,8 +283,15 @@ def _woman_program(
     man never proposes again), so she retransmits the REJECT in the
     final slot.  The retry fires only on that evidence, keeping
     fault-free runs bit-identical; ``tally`` counts the retries.
+
+    Her list is offsets (:func:`_list_state`): she accepts her present
+    suitors before the end of the quantile run holding the smallest
+    present suitor offset, and her new partner ``m0`` makes her reject
+    every present offset from the start of his run on except his.
     """
-    q = QuantizedList(pref_list, sched.k)
+    k = sched.k
+    deg = len(pref_list)
+    pos, present = _list_state(pref_list)
     partner: Optional[int] = None
     frag = _fragment_rounds(sched)
     length = _rounds_per_proposal_round(sched)
@@ -268,14 +312,13 @@ def _woman_program(
                 for s, msg in inbox.items()
                 if msg.kind == "PROPOSE"
             ]
-            stale = sorted(m for m in suitors if not q.contains(m))
-            best = q.best_nonempty_among(suitors)
-            if best is not None:
-                accepted = {
-                    m
-                    for m in suitors
-                    if q.contains(m) and q.quantile_of(m) == best
-                }
+            offs = [pos.get(m, deg) for m in suitors]
+            stale = sorted(m for m, i in zip(suitors, offs) if not present[i])
+            live = [i for i in offs if present[i]]
+            if live:
+                best = offset_quantile(min(live), deg, k)
+                end = quantile_run(best, deg, k)[1]
+                accepted = {pref_list[i] for i in live if i < end}
             if not accepted and not stale:
                 continue
             # --- slot 2: send ACCEPTs.
@@ -302,17 +345,22 @@ def _woman_program(
             }
         # --- final slot: reject weakly-worse suitors.
         outbox: Dict[NodeId, Message] = {}
-        # The q.contains guard is for faulty runs only: a stray
-        # delayed message can marry the fragment to a man she never
-        # accepted (hence already removed).
-        if mm_partner is not None and q.contains(node_index(mm_partner)):
-            m0 = node_index(mm_partner)
-            q0 = q.quantile_of(m0)
-            rejected = q.members_at_least(q0) - {m0}
-            for m in sorted(rejected):
-                q.remove(m)
+        # p0 reads as absent when the phase left her unmatched, and when
+        # it married her to a man no longer on her list: only a stray
+        # delayed message in a faulty run can do that.
+        p0 = deg
+        if mm_partner is not None:
+            p0 = pos.get(node_index(mm_partner), deg)
+        if present[p0]:
+            start = quantile_run(offset_quantile(p0, deg, k), deg, k)[0]
+            rejected = [
+                i for i in range(start, deg) if present[i] and i != p0
+            ]
+            for i in rejected:
+                present[i] = 0
+            for m in sorted(map(pref_list.__getitem__, rejected)):
                 outbox[man_node(m)] = Message("REJECT")
-            partner = m0
+            partner = pref_list[p0]
         # Retransmit lost REJECTs to stale suitors (see docstring);
         # never reached in a fault-free run.
         for m in stale:
@@ -540,6 +588,10 @@ def _run_with_schedule(
     transport=None,
 ) -> CongestASMResult:
     """Build the node programs for ``sched`` and run the simulation."""
+    if sched.k < 1:
+        raise InvalidParameterError(
+            f"quantile count k must be >= 1, got {sched.k}"
+        )
     programs: Dict[NodeId, Generator] = {}
     randomized = sched.mm_kind == "israeli_itai"
     seed = sched.seed

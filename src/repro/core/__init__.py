@@ -2,7 +2,7 @@
 
 from repro.core.preferences import PreferenceProfile
 from repro.core.matching import Matching, MutableMatching
-from repro.core.quantile import QuantizedList, quantile_index
+from repro.core.quantile import quantile_index
 from repro.core.asm import (
     ASMEngine,
     ASMObserver,
@@ -21,7 +21,6 @@ __all__ = [
     "PreferenceProfile",
     "Matching",
     "MutableMatching",
-    "QuantizedList",
     "quantile_index",
     "ASMEngine",
     "ASMObserver",

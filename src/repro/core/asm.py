@@ -160,13 +160,6 @@ class OuterIterationStats:
     quantile_match_calls_scheduled: int
 
     @property
-    def bad_fraction_end(self) -> float:
-        """Bad men as a fraction of participating men at iteration end."""
-        if self.participating_men_end == 0:
-            return 0.0
-        return self.bad_participating_men_end / self.participating_men_end
-
-    @property
     def lemma6_bad_fraction(self) -> float:
         """Lemma 6's quantity: bad men within the iteration's starting
         active set ``A``, as a fraction of ``|A|`` — bounded by δ after

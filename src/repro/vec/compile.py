@@ -154,11 +154,11 @@ class VecProfile:
     def pair_position(
         self, men: "np.ndarray", women: "np.ndarray"
     ) -> "np.ndarray":
-        """Man-side CSR positions of the edges ``(men[i], women[i])``.
+        """Man-side CSR positions of the pairs ``(men[i], women[i])``.
 
-        Every queried pair must be an edge of the profile; positions of
-        non-edges are undefined.  Lazily builds (and caches) a
-        sorted-key index over all edges.
+        ``-1`` where the pair is not an edge of the profile, out-of-range
+        ids included.  Lazily builds (and caches) a sorted-key index
+        over all edges.
         """
         if self._pair_keys is None:
             keys = self.m_owner * max(self.n_women, 1) + self.m_woman
@@ -168,8 +168,18 @@ class VecProfile:
             order.flags.writeable = False
             self._pair_keys = keys
             self._pair_order = order
-        q = men.astype(np.int64) * max(self.n_women, 1) + women
-        return self._pair_order[np.searchsorted(self._pair_keys, q)]
+        keys = self._pair_keys
+        men = men.astype(np.int64)
+        out = np.full(men.size, -1, dtype=np.int64)
+        ok = (men >= 0) & (men < self.n_men) & (women >= 0) & (
+            women < self.n_women
+        )
+        if not keys.size:
+            return out
+        q = men[ok] * max(self.n_women, 1) + women[ok]
+        i = np.minimum(np.searchsorted(keys, q), keys.size - 1)
+        out[ok] = np.where(keys[i] == q, self._pair_order[i], -1)
+        return out
 
 
 def compile_profile(prefs: "PreferenceProfile", k: int) -> VecProfile:

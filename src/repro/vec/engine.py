@@ -8,7 +8,7 @@ One bool array ``present`` replaces both sides' removal sets (edge
 removals are always paired: Step 4 removes a man from a woman's list
 exactly when Step 5 removes her from his), and a
 man's active set ``A`` is represented implicitly as *the present edges
-of his activated quantile* (``active_q[m]``; ``-1`` = empty).
+of his activated quantile* (``activated[m]``; ``False`` = empty).
 
 Three per-player pointers make every step cost O(what it changes), not
 O(n) or O(|E|):
@@ -140,9 +140,9 @@ class VecState:
         # Man-side position of each woman's matched edge (-1 = none);
         # lets invariant checks find her current partner's quantile.
         self.woman_partner_pos = np.full(n_women, -1, dtype=np.int64)
-        # Activated quantile per man (-1 = A empty); only the men of
-        # the last activation can hold another value.
-        self.active_q = np.full(n_men, -1, dtype=np.int64)
+        # Whether each man's A is nonempty; only the men of the last
+        # activation can be True.
+        self.activated = np.zeros(n_men, dtype=bool)
         self._activated = np.empty(0, dtype=np.int64)
         # Candidate positions of the activated quantiles, refiltered
         # each round (monotonically shrinking within a QuantileMatch).
@@ -287,10 +287,11 @@ class VecState:
         reads only the skipped positions and the activated runs.  Every
         other man's ``A`` is (and stays) empty —
         Lemma 2 guarantees all sets are empty on entry, so only the
-        previous activation's men need their ``active_q`` cleared.
+        previous activation's men need their ``activated`` flag
+        cleared.
         """
         p = self.profile
-        self.active_q[self._activated] = -1
+        self.activated[self._activated] = False
         self._activated = men
         if not men.size:
             self._P = np.empty(0, dtype=np.int64)
@@ -298,7 +299,7 @@ class VecState:
         first = self._advance_cursors(men)
         base, deg = p.m_indptr[men], p.m_degree[men]
         q = offset_quantile(first - base, deg, p.k)
-        self.active_q[men] = q
+        self.activated[men] = True
         ends = base + quantile_run(q, deg, p.k)[1]
         idx = _ranges(first, ends - first)
         self._P = idx[self.present[idx]]
@@ -327,7 +328,7 @@ class VecState:
             return True
         # ``P`` only holds positions of its owners' activated runs.
         owners = self.profile.m_owner[P]
-        live = self.present[P] & (self.active_q[owners] != -1)
+        live = self.present[P] & self.activated[owners]
         return not bool(live.any())
 
     # ------------------------------------------------------------------
@@ -484,7 +485,7 @@ class VecState:
         self.woman_partner[mm_w] = mm_m
         self.woman_partner_pos[mm_w] = mm_pos
         self.man_partner[mm_m] = mm_w
-        self.active_q[mm_m] = -1
+        self.activated[mm_m] = False
         # Step 5: a man loses his partner when she is among his
         # rejectors, i.e. he is a re-matched woman's old partner.  He
         # was matched, so he proposed to no one this round and is not
@@ -495,7 +496,7 @@ class VecState:
             self._joiners.append(joiners)
         # Next round's P: what is still present of still-unmatched men.
         P = self._P
-        self._P = P[present[P] & (self.active_q[p.m_owner[P]] != -1)]
+        self._P = P[present[P] & self.activated[p.m_owner[P]]]
         return n_rejects, matched_in_m0, step_max
 
     def _check_trade_up(

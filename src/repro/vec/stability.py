@@ -18,8 +18,9 @@ The result is pinned bit-equal to the Python oracle by
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable, Optional, Tuple
+from typing import TYPE_CHECKING, Iterable, List, Optional, Tuple
 
+from repro.errors import InvalidMatchingError
 from repro.vec import require_numpy
 from repro.vec.compile import VecProfile, compile_profile
 
@@ -58,6 +59,14 @@ def count_blocking_pairs_vec(
         cached compilation with the smallest ``k``, so counting after a
         vec solve reuses the solve's arrays; ``k=1`` is compiled only
         when the profile has no compilation yet.
+
+    Raises
+    ------
+    InvalidMatchingError
+        If ``pairs`` is not a matching of ``prefs``: a pair that is not
+        an edge (out-of-range ids included), or a man or woman in two
+        pairs.  The message names the first offending pair in input
+        order.
     """
     require_numpy()
     if profile is None:
@@ -82,6 +91,13 @@ def count_blocking_pairs_vec(
             (w for _, w in pair_list), dtype=np.int64, count=len(pair_list)
         )
         mpos = p.pair_position(men, women)
+        # bincount runs only once every id is known to be in range.
+        if (
+            (mpos < 0).any()
+            or np.bincount(men).max() > 1
+            or np.bincount(women).max() > 1
+        ):
+            _raise_first_invalid(prefs, pair_list, mpos.tolist())
         m_partner_rank = m_partner_rank.copy()
         w_partner_rank = w_partner_rank.copy()
         m_partner_rank[men] = mpos - p.m_indptr[men] + 1
@@ -98,3 +114,33 @@ def count_blocking_pairs_vec(
         w_rank < w_partner_rank[p.m_woman]
     )
     return int(blocking.sum())
+
+
+def _raise_first_invalid(
+    prefs: "PreferenceProfile",
+    pair_list: List[Tuple[int, int]],
+    mpos: List[int],
+) -> None:
+    """Raise :class:`InvalidMatchingError` for the first pair of
+    ``pair_list`` (in input order) that breaks the matching."""
+    men, women = set(), set()
+    for (m, w), pos in zip(pair_list, mpos):
+        if not (0 <= m < prefs.n_men and 0 <= w < prefs.n_women):
+            raise InvalidMatchingError(
+                f"pair ({m}, {w}) is out of range for {prefs!r}"
+            )
+        if pos < 0:
+            raise InvalidMatchingError(
+                f"pair ({m}, {w}) is not an edge: "
+                f"woman {w} is unacceptable to man {m}"
+            )
+        if m in men:
+            raise InvalidMatchingError(
+                f"pair ({m}, {w}): man {m} is matched more than once"
+            )
+        if w in women:
+            raise InvalidMatchingError(
+                f"pair ({m}, {w}): woman {w} is matched more than once"
+            )
+        men.add(m)
+        women.add(w)

@@ -2,13 +2,14 @@
 
 :class:`ReferenceASMEngine` is an :class:`~repro.core.asm.ASMEngine`
 whose state and ProposalRound are the seed implementation: a
-:class:`~repro.core.quantile.QuantizedList` per player, dict active
+:class:`~tests.reference_quantile.QuantizedList` per player, dict active
 sets activated from ``members_of(best_nonempty_quantile())``, dicts
 rebuilt every round, a woman's best proposing quantile found with
 ``best_nonempty_among`` and her rejection set with
 ``members_at_least`` set algebra.  Only the schedule (Algorithms 2–3,
 round and message accounting) comes from the engine; the state and
-step code share nothing with either product backend, so the
+step code share nothing with either product backend (the quantile
+arithmetic included: ``QuantizedList`` computes its own), so the
 equivalence suites pin both the pure-Python and the vec backend
 against it: oracle ≡ Python ≡ vec.
 """
@@ -20,11 +21,11 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.core.asm import ASMEngine, ASMResult, ProposalRoundStats
 from repro.core.matching import Matching
 from repro.core.preferences import PreferenceProfile
-from repro.core.quantile import QuantizedList
 from repro.errors import SimulationError
 from repro.graphs import Graph, is_man_node, man_node, node_index, woman_node
 from repro.mm.result import MMResult
 from repro.mm.verify import violating_vertices
+from tests.reference_quantile import QuantizedList
 
 
 class SeedState:

@@ -23,7 +23,6 @@ from typing import Dict, Generator, Optional, Tuple
 
 from repro.congest.message import Message
 from repro.congest.protocols.asm_protocol import ASMSchedule
-from repro.core.quantile import QuantizedList
 from repro.errors import InvalidParameterError
 from repro.faults.plan import RetryTally
 from repro.graphs import NodeId, man_node, node_index, woman_node
@@ -32,6 +31,7 @@ from tests.reference_fragments import (
     pointer_matching_fragment,
     port_order_fragment,
 )
+from tests.reference_quantile import QuantizedList
 
 
 def _mm_fragment(sched: ASMSchedule, g0_neighbors, rng, is_left: bool):

@@ -20,7 +20,7 @@ from repro.core.asm import (
     params_for_eps,
 )
 from repro.core.preferences import PreferenceProfile
-from repro.core.quantile import QuantizedList, quantile_boundaries
+from repro.core.quantile import offset_quantile
 from repro.core.rounds import (
     CONSTANT_ROUNDS_PER_PROPOSAL_ROUND,
     ActualCost,
@@ -229,9 +229,12 @@ class TestLemma2:
         for m in range(12):
             lo, hi = indptr[m], indptr[m + 1]
             live = [p for p in range(lo, hi) if engine.present[p]]
-            quantiles = quantile_boundaries(hi - lo, engine.k)
-            best = quantiles[live[0] - lo]
-            activated[m] = [p for p in live if quantiles[p - lo] == best]
+            deg = hi - lo
+            best = -(-(live[0] - lo + 1) * engine.k // deg)  # ⌈r·k/deg⌉
+            activated[m] = [
+                p for p in live
+                if offset_quantile(p - lo, deg, engine.k) == best
+            ]
         engine.quantile_match()
         for m, positions in activated.items():
             partner = engine.man_partner[m]
@@ -412,21 +415,17 @@ class TestOverridesAndOracles:
             (m, w) for m, w in enumerate(engine.man_partner) if w is not None
         ) == sorted(run.matching.pairs())
 
-    def test_python_backend_builds_no_quantized_lists(self, monkeypatch):
-        """The stdlib backend keeps its state flat over the profile's
-        CSR positions: no variant builds a per-player QuantizedList."""
-        from repro.core.almost_regular import almost_regular_asm
-        from repro.core.rand_asm import rand_asm
-        from repro.workloads.generators import almost_regular
+    def test_python_backend_builds_no_quantized_lists(self):
+        """No engine can build a per-player QuantizedList: every one
+        keeps its lists as positions, and the set model lives only in
+        tests/reference_quantile.py, as the test oracles' own."""
+        import repro
+        import repro.core
+        import repro.core.quantile
 
-        def refuse(self, *args, **kwargs):
-            raise AssertionError("QuantizedList built")
-
-        monkeypatch.setattr(QuantizedList, "__init__", refuse)
-        prefs = almost_regular(16, 3, 5, seed=2)
-        asm(prefs, 0.5)
-        rand_asm(prefs, 0.5, seed=1)
-        almost_regular_asm(prefs, 0.5, seed=1)
+        for module in (repro, repro.core, repro.core.quantile):
+            assert not hasattr(module, "QuantizedList"), module.__name__
+            assert not hasattr(module, "quantile_boundaries")
 
 
 class TestEdgeCases:

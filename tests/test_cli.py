@@ -113,6 +113,53 @@ class TestCommands:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["experiment", "e8", "--workers", "0"])
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["congest", "--crash", "-1"],
+            ["congest", "--crash", "2", "--crash-round", "-5"],
+            ["congest", "--crash", "2", "--crash-round", "0"],
+            ["congest", "--crash", "2", "--crash-restart", "0"],
+            ["congest", "--n", "-2"],
+            ["congest", "--inner", "0"],
+            ["congest", "--outer", "-1"],
+            ["congest", "--mm-iterations", "0"],
+            ["trace", "--k", "0"],
+            ["trace", "--trials", "0"],
+            ["trace", "--inner", "0"],
+            ["run", "--n", "-1"],
+            ["run", "--gs-iterations", "-1"],
+            ["run", "--slo-deadline", "-1"],
+            ["generate", "--n", "-1", "--out", "x.json"],
+            ["dynamic", "--churn-steps", "-1"],
+            ["dynamic", "--repair-radius", "-1"],
+            ["dynamic", "--repair-passes", "0"],
+            ["dynamic", "--trials", "0"],
+            ["congest", "--n", "two"],
+        ],
+    )
+    def test_integer_flags_out_of_range_are_usage_errors(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage:" in err and "error: argument --" in err
+
+    @pytest.mark.parametrize(
+        "argv, dest",
+        [
+            (["congest", "--crash", "0"], "crash"),
+            (["run", "--slo-deadline", "0"], "slo_deadline"),
+            (["dynamic", "--repair-radius", "0"], "repair_radius"),
+            (["dynamic", "--churn-steps", "0"], "churn_steps"),
+            (["run", "--gs-iterations", "0"], "gs_iterations"),
+            (["trace", "--k", "1"], "k"),
+        ],
+    )
+    def test_integer_flags_accept_their_least_value(self, argv, dest):
+        args = build_parser().parse_args(argv)
+        assert getattr(args, dest) == int(argv[-1])
+
     def test_experiment_seed_override(self, capsys):
         assert main(["experiment", "e8", "--quick", "--seed", "3"]) == 0
 

@@ -31,7 +31,11 @@ from repro.congest.protocols.asm_protocol import run_congest_asm
 from repro.core.asm import ASMEngine, ASMObserver
 from repro.faults import FaultPlan
 from repro.mm.deterministic import deterministic_maximal_matching
-from repro.workloads.generators import complete_uniform, gnp_incomplete
+from repro.workloads.generators import (
+    bounded_degree,
+    complete_uniform,
+    gnp_incomplete,
+)
 from tests.reference_asm import ReferenceASMEngine
 
 #: Instances per invariant; the CI fault-smoke job reduces this.
@@ -159,13 +163,36 @@ def _congest_cases():
     ]
 
 
+def _sparse_congest_cases():
+    """Markets whose lists can be shorter than k = 4, so a quantile run
+    can be empty on the message level too: ``(label, prefs, eps)``."""
+    rng = random.Random(0x5BA25E)
+    cases = []
+    for _ in range(CONGEST_TRIALS):
+        n, eps, seed = (
+            rng.randint(4, 7), rng.choice([0.5, 0.8]), rng.randrange(2**31)
+        )
+        if rng.random() < 0.5:
+            d = rng.choice([2, 3])
+            label = f"bounded_degree({n}, {d}, {seed})"
+            cases.append((label, bounded_degree(n, d, seed), eps))
+        else:
+            label = f"gnp_incomplete({n}, 0.3, {seed})"
+            cases.append((label, gnp_incomplete(n, 0.3, seed), eps))
+    return cases
+
+
 def test_congest_matches_engine_and_eps_bound():
     """Differential grid: message-level ASM equals the logical engine
     (backend and oracle) on the same truncated schedule, and its output
-    respects the ε-bound on every pinned instance."""
-    for n, eps, seed in _congest_cases():
-        prefs = complete_uniform(n, seed)
-        mm_iters = 2 * n
+    respects the ε-bound on every pinned instance, complete and
+    sparse."""
+    cases = [
+        (f"complete_uniform({n}, {seed})", complete_uniform(n, seed), eps)
+        for n, eps, seed in _congest_cases()
+    ] + _sparse_congest_cases()
+    for label, prefs, eps in cases:
+        mm_iters = 2 * prefs.n_men
         congest = run_congest_asm(
             prefs, eps, mm_iterations=mm_iters, **_CONGEST_SCHED
         )
@@ -182,11 +209,10 @@ def test_congest_matches_engine_and_eps_bound():
             )
             logical = engine.run()
             assert congest.matching == logical.matching, (
-                f"congest != {engine_cls.__name__} on "
-                f"n={n} eps={eps} seed={seed}"
+                f"congest != {engine_cls.__name__} on {label} eps={eps}"
             )
         blocking = count_blocking_pairs(prefs, congest.matching)
-        assert blocking <= eps * prefs.num_edges
+        assert blocking <= eps * prefs.num_edges, f"{label} eps={eps}"
 
 
 def test_congest_zero_rate_plan_is_inert_over_grid():

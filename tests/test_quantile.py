@@ -6,14 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.quantile import (
-    QuantizedList,
-    offset_quantile,
-    quantile_index,
-    quantile_run,
-)
+from repro.core.quantile import offset_quantile, quantile_index, quantile_run
 from repro.errors import InvalidParameterError
 from repro.vec import HAS_NUMPY
+from tests.reference_quantile import QuantizedList
 
 
 class TestQuantileIndex:

@@ -16,8 +16,8 @@ from hypothesis.stateful import (
 )
 
 from repro.core.matching import MutableMatching
-from repro.core.quantile import QuantizedList
 from repro.errors import InvalidMatchingError
+from tests.reference_quantile import QuantizedList
 
 MEN = st.integers(0, 8)
 WOMEN = st.integers(0, 8)

@@ -9,8 +9,8 @@ position's quantile from a whole-market table
 (:func:`tests.helpers.position_quantiles`) instead of from the run
 arithmetic the product uses.  At every
 QuantileMatch of every solve on the vec equivalence grid, the product
-activation's ``active_q`` and candidate positions ``_P`` must equal the
-oracle's exactly, recomputed from the same state and the same
+activation's ``activated`` flags and candidate positions ``_P`` must
+equal the oracle's exactly, recomputed from the same state and the same
 participating mask.
 
 Skipped as a whole when numpy is absent.
@@ -47,8 +47,9 @@ def full_scan_activate(self, part_mask: "np.ndarray") -> None:
     """
     p = self.profile
     m_quant = position_quantiles(p.m_indptr, p.m_degree, p.k)
-    active_q = self.active_q
-    active_q.fill(-1)
+    # Activated quantile per man (-1 = A empty).
+    active_q = np.full(p.n_men, -1, dtype=np.int64)
+    self.activated[:] = False
     cand = part_mask & (self.man_partner == -1) & (self.m_remaining > 0)
     pos = np.flatnonzero(self.present)
     if not pos.size or not cand.any():
@@ -66,15 +67,16 @@ def full_scan_activate(self, part_mask: "np.ndarray") -> None:
     f_own = owners[first]
     sel = cand[f_own]
     active_q[f_own[sel]] = m_quant[f_pos[sel]]
+    self.activated[:] = active_q != -1
     self._P = pos[active_q[owners] == m_quant[pos]]
 
 
 def _check_against_oracle(activate, state: VecState, part_mask, cand) -> None:
     """Run ``activate(state, cand)``, then the oracle on the same state."""
     activate(state, cand)
-    got_q, got_p = state.active_q.copy(), state._P.copy()
+    got_a, got_p = state.activated.copy(), state._P.copy()
     full_scan_activate(state, part_mask)  # activate writes nothing else
-    np.testing.assert_array_equal(got_q, state.active_q)
+    np.testing.assert_array_equal(got_a, state.activated)
     np.testing.assert_array_equal(got_p, state._P)
 
 
@@ -168,7 +170,7 @@ class TestHandBuiltState:
         part = state.m_remaining >= 1
         cand = state.candidates(1)
         _check_against_oracle(VecState.activate, state, part, cand)
-        assert state.active_q.tolist() == [1, 2]
+        assert state.activated.tolist() == [True, True]
         assert state._P.tolist() == [
             start0 + 1, start0 + 3, start1 + 2, start1 + 3,
         ]
@@ -183,5 +185,5 @@ class TestHandBuiltState:
         cand = state.candidates(0)
         assert not cand.size
         _check_against_oracle(VecState.activate, state, part, cand)
-        assert state.active_q.tolist() == [-1, -1]
+        assert state.activated.tolist() == [False, False]
         assert state._P.size == 0

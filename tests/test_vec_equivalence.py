@@ -28,7 +28,7 @@ from repro.analysis.stability import count_blocking_pairs
 from repro.core.asm import ASMEngine, asm
 from repro.core.matching import Matching
 from repro.core.preferences import PreferenceProfile
-from repro.core.quantile import quantile_boundaries
+from repro.core.quantile import offset_quantile, quantile_index
 from repro.errors import (
     InvalidMatchingError,
     InvalidParameterError,
@@ -290,6 +290,29 @@ class TestVecStabilityCounter:
             prefs, result.matching.pairs(), profile=profile
         ) == count_blocking_pairs(prefs, result.matching)
 
+    @pytest.mark.parametrize(
+        "pairs, message",
+        [
+            # (0, 0) is not an edge: its key sorts next to man 0's.
+            ([(1, 2), (0, 0)], r"pair \(0, 0\) is not an edge"),
+            ([(0, 0)], r"pair \(0, 0\) is not an edge"),
+            # The first offender in input order is named.
+            ([(0, 1), (0, 4), (3, 0)], r"pair \(0, 4\): man 0 is matched"),
+            ([(0, 1), (6, 0)], r"pair \(6, 0\) is out of range"),
+            ([(-1, 0)], r"pair \(-1, 0\) is out of range"),
+            ([(0, 6)], r"pair \(0, 6\) is out of range"),
+            ([(0, 1), (0, 4)], r"pair \(0, 4\): man 0 is matched more"),
+            ([(1, 0), (5, 0)], r"pair \(5, 0\): woman 0 is matched more"),
+        ],
+    )
+    def test_rejects_pairs_that_are_not_a_matching(self, pairs, message):
+        from repro.vec.stability import count_blocking_pairs_vec
+
+        prefs = bounded_degree(6, 2, 1)
+        assert prefs.man_list(0) == (1, 4)
+        with pytest.raises(InvalidMatchingError, match=message):
+            count_blocking_pairs_vec(prefs, pairs)
+
 
 @needs_numpy
 class TestCompiledProfile:
@@ -325,10 +348,11 @@ class TestCompiledProfile:
 
     def test_quantile_tables_match_quantized_lists(self):
         """The quantile a vec step reads from a position is the one a
-        CONGEST node's :class:`QuantizedList` holds for that partner."""
-        from repro.core.quantile import QuantizedList
+        set-model oracle's :class:`QuantizedList` holds for that
+        partner."""
         from repro.vec.compile import compile_profile
         from tests.helpers import position_quantiles
+        from tests.reference_quantile import QuantizedList
 
         prefs = gnp_incomplete(12, 0.6, seed=4)
         k = 7
@@ -463,26 +487,22 @@ class TestVecParameterValidation:
 
 
 class TestQuantileBoundaryCache:
-    """Satellite: per-(degree, k) boundaries computed once, reused."""
+    """The quantile of each list offset, by the one formula."""
 
     def test_boundaries_match_ceiling_arithmetic(self):
         for degree in range(0, 25):
             for k in (1, 2, 3, 7, 16):
-                expected = tuple(
+                expected = [
                     -(-rank * k // degree) for rank in range(1, degree + 1)
-                )
-                assert quantile_boundaries(degree, k) == expected
-
-    def test_cached_identity(self):
-        a = quantile_boundaries(12, 16)
-        b = quantile_boundaries(12, 16)
-        assert a is b
+                ]
+                got = [offset_quantile(off, degree, k) for off in range(degree)]
+                assert got == expected
 
     def test_invalid_parameters_rejected(self):
         with pytest.raises(InvalidParameterError):
-            quantile_boundaries(5, 0)
+            quantile_index(1, 5, 0)
         with pytest.raises(InvalidParameterError):
-            quantile_boundaries(-1, 4)
+            quantile_index(1, 0, 4)
 
 
 @needs_numpy
