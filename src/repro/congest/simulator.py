@@ -377,9 +377,9 @@ class Simulator:
         for v in self._touched_inboxes:
             inboxes[v].clear()
         self._touched_inboxes.clear()
-        # Delivery is the transport's job (docs/transport.md):
-        # injector deferrals land first, then transport deferrals,
-        # then fresh sends in canonical node order.
+        # Delivery is the transport's job (docs/transport.md): fault
+        # copies land first, then latency copies, then fresh sends in
+        # canonical node order.
         kind_counts: Optional[Dict[str, int]] = (
             {} if observing else None
         )

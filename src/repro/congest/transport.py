@@ -23,20 +23,20 @@ Two implementations:
     (:mod:`repro.workloads.latency`).  A message drawn latency ``L``
     lands at the start of *virtual round* ``send_round + L`` — rounds
     remain the clock, so Theorem-3 ε accounting, trace spans, and the
-    per-round timings keep their meaning.  Event order is deterministic: the
-    queue is keyed ``(delivery round, send sequence)`` where the
-    sequence number follows the canonical send order, so the same run
-    replays byte-identically everywhere.  With zero latency every
-    event takes the synchronous fast path and the transport is
+    per-round timings keep their meaning.  With zero latency every
+    message takes the synchronous fast path and the transport is
     bit-identical to :class:`SyncTransport`.
 
-Determinism contract (``docs/transport.md``): a run is a pure function
-of ``(programs, plan, transport kind, latency model, link_seed)``.
-Per-round delivery order is: injector-deferred messages (delay /
-duplicate faults) first, then transport-deferred messages, then fresh
-sends in canonical node order — each group internally deterministic,
-and a fresh send overwrites a stale copy from the same sender
-(last-write-wins, exactly like the lockstep loop).
+Every message that lands in a later round than it was sent — a fault
+copy (an injector ``delay`` or ``duplicate``) or a latency copy — waits
+in the base class's one in-flight queue, a heap keyed ``(landing
+round, origin, enqueue order)``.  Fault copies sort before latency
+copies and the enqueue order follows the canonical send order, so a
+round delivers fault copies first, then latency copies, then fresh
+sends in canonical node order, and a fresh send overwrites a stale
+copy from the same sender (last-write-wins, exactly like the lockstep
+loop).  A run is therefore a pure function of ``(programs, plan,
+transport kind, latency model, link_seed)`` (``docs/transport.md``).
 """
 
 from __future__ import annotations
@@ -54,16 +54,23 @@ __all__ = [
     "AsyncEventTransport",
 ]
 
+# Origin of an in-flight copy; a round lands fault copies first.
+_FAULT, _LATENCY = 0, 1
+
 
 class Transport:
     """Delivery policy for one simulator run.
 
-    The base class implements the full synchronous delivery loop
-    (moved verbatim from ``Simulator.step``); subclasses override the
-    two hooks — :meth:`_route` for fresh sends and :meth:`_flush_due`
-    for transport-deferred events — and inherit everything else:
-    validation, canonical ordering, fault filtering, causal tracing,
-    and stats accounting.
+    The base class implements the full delivery loop and holds the
+    one queue of messages in flight; subclasses override only
+    :meth:`_route`, which places each fresh send, and inherit
+    everything else: validation, canonical ordering, fault filtering,
+    the in-flight queue, causal tracing, and stats accounting.
+
+    ``deferred``, ``delivered_late``, ``dropped_late`` and
+    ``latency_counts`` count latency copies only, so they stay zero
+    under :class:`SyncTransport`; fault copies are counted by the
+    injector's :class:`~repro.faults.injector.FaultStats`.
 
     A transport instance is bound to exactly one simulator
     (:meth:`bind`); it is a friend of the :class:`~repro.congest.
@@ -74,6 +81,22 @@ class Transport:
 
     def __init__(self) -> None:
         self._sim: Optional[Any] = None
+        # Messages in flight: (landing round, origin, enqueue order,
+        # sender, recipient, msg, trace id).  The enqueue order is
+        # unique, so heap order never compares messages.
+        self._queue: List[
+            Tuple[int, int, int, Any, Any, Any, Optional[str]]
+        ] = []
+        self._enqueued = 0
+        #: Latency copies queued (fresh sends drawn a nonzero latency).
+        self.deferred = 0
+        #: Latency copies that landed.
+        self.delivered_late = 0
+        #: Latency copies dropped because their recipient crashed or
+        #: went down before the landing round.
+        self.dropped_late = 0
+        #: Draw histogram {latency: count}, nonzero draws only.
+        self.latency_counts: Dict[int, int] = {}
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -103,8 +126,8 @@ class Transport:
         return False
 
     def in_flight(self) -> int:
-        """Messages accepted for delivery but not yet deposited."""
-        return 0
+        """Latency copies queued but not yet landed or dropped."""
+        return self.deferred - self.delivered_late - self.dropped_late
 
     def describe(self) -> Dict[str, Any]:
         """JSON-safe description (manifest provenance)."""
@@ -134,31 +157,38 @@ class Transport:
             raise SimulationError("transport used before bind()")
         injector = sim.faults
         tracer = sim.telemetry.tracer
-        if injector is not None:
-            # Deferred (delayed/duplicated) messages land first, so a
-            # fresh message from the same sender overwrites a stale
-            # copy — deterministic last-write-wins, like the lockstep
-            # delivery below.  Already counted at send time.
-            fault_mark = len(injector.records)
-            for sender, recipient, msg in injector.due(
-                executing_round, sim.crashed
-            ):
-                sim._deposit(sender, recipient, msg)
+        # Copies due now land before fresh sends, so a fresh message
+        # from the same sender overwrites a stale copy — deterministic
+        # last-write-wins, like the lockstep delivery below.  They
+        # were counted at send time.
+        queue = self._queue
+        while queue and queue[0][0] <= executing_round:
+            _, origin, _, sender, recipient, msg, tid = heapq.heappop(queue)
+            if origin == _FAULT:
+                lands = injector.due(
+                    executing_round, sender, recipient, msg, sim.crashed
+                )
+            else:
+                # A latency copy to a dead node is lost, like a fault
+                # copy, but leaves no fault record.
+                lands = recipient not in sim.crashed and (
+                    injector is None
+                    or not injector.is_down(recipient, executing_round)
+                )
+                if lands:
+                    self.delivered_late += 1
+                else:
+                    self.dropped_late += 1
+            if not lands:
                 if tracer is not None:
-                    tracer.on_deferred_delivery(
-                        executing_round, repr(sender), repr(recipient),
-                        msg.kind,
-                    )
+                    tracer.on_late_drop(tid)
+                continue
+            sim._deposit(sender, recipient, msg)
             if tracer is not None:
-                # due() recorded a drop_late for every deferred message
-                # it swallowed; retire their trace ids in the same order.
-                for record in injector.records[fault_mark:]:
-                    if record["action"] == "drop_late":
-                        tracer.on_deferred_drop(
-                            record["round"], record["from"], record["to"],
-                            record["message"],
-                        )
-        self._flush_due(executing_round)
+                tracer.on_redelivery(
+                    executing_round, tid, repr(recipient),
+                    "transport" if origin == _LATENCY else None,
+                )
         # Deliver each outbox in node-registration order, not dict
         # insertion order: programs that broadcast from a set (e.g. the
         # pointer-MM MM_TAKEN fan-out) would otherwise send in an order
@@ -181,20 +211,21 @@ class Transport:
                 )
                 if injector is None:
                     delivered = True
-                elif tid is None:
-                    delivered = injector.filter_send(
-                        executing_round, sender, recipient, msg, sim.crashed
-                    )
                 else:
                     # Slice the injector trace around the decision so
                     # the faults that touched this message annotate its
-                    # span.
+                    # trace record.
                     fault_mark = len(injector.records)
-                    delivered = injector.filter_send(
+                    delivered, copies = injector.filter_send(
                         executing_round, sender, recipient, msg, sim.crashed
                     )
-                    for record in injector.records[fault_mark:]:
-                        tracer.on_fault(tid, record)
+                    if tid is not None:
+                        for record in injector.records[fault_mark:]:
+                            tracer.on_fault(tid, record)
+                    for until in copies:
+                        self._enqueue(
+                            until, _FAULT, sender, recipient, msg, tid
+                        )
                 if delivered:
                     self._route(executing_round, sender, recipient, msg, tid)
                 round_messages += 1
@@ -206,12 +237,25 @@ class Transport:
                     kind_counts[msg.kind] = kind_counts.get(msg.kind, 0) + 1
         return round_messages, round_bits
 
-    # ------------------------------------------------------------------
-    # Subclass hooks
-    # ------------------------------------------------------------------
+    def _enqueue(
+        self,
+        until: int,
+        origin: int,
+        sender: NodeId,
+        recipient: NodeId,
+        msg: Any,
+        tid: Optional[str],
+    ) -> None:
+        """Hold one copy of ``msg`` until round ``until``."""
+        self._enqueued += 1
+        heapq.heappush(
+            self._queue,
+            (until, origin, self._enqueued, sender, recipient, msg, tid),
+        )
 
-    def _flush_due(self, executing_round: int) -> None:
-        """Deposit transport-deferred messages due this round (no-op)."""
+    # ------------------------------------------------------------------
+    # Subclass hook
+    # ------------------------------------------------------------------
 
     def _route(
         self,
@@ -256,28 +300,10 @@ class AsyncEventTransport(Transport):
         super().__init__()
         self.latency = latency
         self.link_seed = link_seed
-        # Event queue: (delivery round, send seq, sender, recipient,
-        # msg, trace id).  The sequence number is assigned in canonical
-        # send order, so heap order — and therefore deposit order — is
-        # a pure function of the run, never of heap internals.
-        self._events: List[Tuple[int, int, Any, Any, Any, Optional[str]]] = []
-        self._seq = 0
-        #: Messages that took the deferred path (latency > 0).
-        self.deferred = 0
-        #: Deferred messages that landed.
-        self.delivered_late = 0
-        #: Deferred messages dropped because their recipient crashed
-        #: or went down before the delivery round.
-        self.dropped_late = 0
-        #: Draw histogram {latency: count}, nonzero draws only.
-        self.latency_counts: Dict[int, int] = {}
 
     @property
     def reorders(self) -> bool:
         return self.latency.bound() > 0
-
-    def in_flight(self) -> int:
-        return len(self._events)
 
     def describe(self) -> Dict[str, Any]:
         return {
@@ -285,13 +311,6 @@ class AsyncEventTransport(Transport):
             "latency": self.latency.to_dict(),
             "link_seed": self.link_seed,
         }
-
-    def _latency_of(
-        self, executing_round: int, sender: NodeId, recipient: NodeId
-    ) -> int:
-        return self.latency.draw(
-            self.link_seed, executing_round, repr(sender), repr(recipient)
-        )
 
     def _route(
         self,
@@ -301,18 +320,17 @@ class AsyncEventTransport(Transport):
         msg: Any,
         tid: Optional[str],
     ) -> None:
-        lat = self._latency_of(executing_round, sender, recipient)
+        lat = self.latency.draw(
+            self.link_seed, executing_round, repr(sender), repr(recipient)
+        )
         if lat <= 0:
             # Synchronous fast path: byte-identical to SyncTransport,
             # including the causal-head update timing.
             super()._route(executing_round, sender, recipient, msg, tid)
             return
         sim = self._sim
-        self._seq += 1
         until = executing_round + lat
-        heapq.heappush(
-            self._events, (until, self._seq, sender, recipient, msg, tid)
-        )
+        self._enqueue(until, _LATENCY, sender, recipient, msg, tid)
         self.deferred += 1
         self.latency_counts[lat] = self.latency_counts.get(lat, 0) + 1
         if tid is not None:
@@ -323,28 +341,3 @@ class AsyncEventTransport(Transport):
             metrics = sim.telemetry.metrics
             metrics.inc("congest.transport_deferred")
             metrics.observe("congest.transport_latency", lat)
-
-    def _flush_due(self, executing_round: int) -> None:
-        sim = self._sim
-        events = self._events
-        injector = sim.faults
-        tracer = sim.telemetry.tracer
-        while events and events[0][0] <= executing_round:
-            _until, _seq, sender, recipient, msg, tid = heapq.heappop(events)
-            if recipient in sim.crashed or (
-                injector is not None
-                and injector.is_down(recipient, executing_round)
-            ):
-                # Same semantics as the injector's drop_late: a message
-                # in flight to a dead node is lost.
-                self.dropped_late += 1
-                if tracer is not None:
-                    tracer.on_transport_drop(executing_round, tid)
-                continue
-            sim._deposit(sender, recipient, msg)
-            self.delivered_late += 1
-            if tracer is not None:
-                tracer.on_transport_delivery(
-                    executing_round, tid, repr(recipient)
-                )
-

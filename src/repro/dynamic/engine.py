@@ -240,7 +240,7 @@ class DynamicMatchingEngine:
         passes = marriages = 0
         region_men: Dict[int, None] = {}
         region_women: Dict[int, None] = {}
-        if len(self.index):
+        if self.repair_radius and len(self.index):
             region_men, region_women = self._region(dirty_men, dirty_women)
             passes, marriages = self._repair(region_men, region_women)
             self.marriages += marriages

@@ -6,10 +6,14 @@ for one simulation run.  The simulator consults it at three points:
 * :meth:`begin_round` — at the start of every round, to learn which
   nodes permanently crash now (and to log down/restart window edges);
 * :meth:`filter_send` — for every validated outgoing message, to
-  decide whether it is delivered this round, dropped, delayed, or
-  scheduled for duplication;
-* :meth:`due` — to collect previously delayed/duplicated messages
-  whose delivery round has arrived.
+  decide whether it is delivered this round and in which later rounds
+  its fault copies (a delay, a duplicate) land;
+* :meth:`due` — when a fault copy's round comes, to decide whether it
+  still lands.
+
+The injector decides and records; it holds no messages.  The
+transport queues every fault copy with its other messages in flight
+(:mod:`repro.congest.transport`).
 
 Every injected fault appends one plain-dict record to :attr:`records`
 — round, action, link, message kind, and (for deferrals) the delivery
@@ -62,15 +66,6 @@ class FaultInjector:
         #: The deterministic fault trace (see module docstring).
         self.records: List[Dict[str, Any]] = []
         self.telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
-        # Deferred deliveries: delivery round -> [(sender, recipient, msg)].
-        self._pending: Dict[int, List[Tuple[NodeId, NodeId, Any]]] = {}
-        # Logical message identity: per-round, per-link sequence
-        # counters so repeated filter_send calls on the same link in
-        # the same round draw independent decisions (the transport
-        # layer may legitimately produce them; the sync loop never
-        # does, so seq stays 0 there and traces are unchanged).
-        self._seq_round = 0
-        self._link_seq: Dict[Tuple[str, str], int] = {}
         # Omission windows per node: (start, restart) pairs.
         self._windows: Dict[NodeId, List[Tuple[int, int]]] = {}
         for crash in plan.crashes:
@@ -120,7 +115,6 @@ class FaultInjector:
         recipient: NodeId,
         message: Any,
         until: Optional[int] = None,
-        seq: int = 0,
     ) -> None:
         record: Dict[str, Any] = {
             "round": round_index,
@@ -131,11 +125,6 @@ class FaultInjector:
         }
         if until is not None:
             record["until"] = until
-        # seq identifies the Nth message on this link this round; the
-        # common (and, under sync delivery, only) value 0 is omitted so
-        # committed traces stay byte-identical.
-        if seq:
-            record["seq"] = seq
         self._emit(record)
 
     # ------------------------------------------------------------------
@@ -191,90 +180,63 @@ class FaultInjector:
         recipient: NodeId,
         message: Any,
         crashed: Container[NodeId],
-    ) -> bool:
-        """Decide one validated message's fate; True = deliver now.
+    ) -> Tuple[bool, Tuple[int, ...]]:
+        """Decide one validated message's fate.
 
-        Dropped/deferred messages are recorded; deferred ones surface
-        later through :meth:`due`.  The decision order (omission,
-        crash, partition, drop, delay, duplicate) is part of the trace
-        contract — do not reorder.
-
-        Decisions are keyed by logical message identity ``(round,
-        sender, recipient, seq)`` — seq counts calls per link per
-        round — never by call order across links, so any transport's
-        iteration order reproduces the same trace.
+        Returns whether it lands now and the rounds in which its fault
+        copies land (a delayed copy, then a duplicate), and records
+        every fault it decides.  The decision order (omission, crash,
+        partition, drop, delay, duplicate) is part of the trace
+        contract — do not reorder.  Each decision is keyed by the
+        message's ``(round, sender, recipient)``; an outbox holds one
+        message per link, so that identifies it.
         """
-        if round_index != self._seq_round:
-            self._seq_round = round_index
-            self._link_seq.clear()
-        link = (repr(sender), repr(recipient))
-        seq = self._link_seq.get(link, 0)
-        self._link_seq[link] = seq + 1
         plan = self.plan
         if self.is_down(sender, round_index):
-            self._record_message(
-                round_index, "omit_send", sender, recipient, message, seq=seq
-            )
-            return False
-        if recipient in crashed:
-            self._record_message(
-                round_index, "drop_crashed", sender, recipient, message,
-                seq=seq,
-            )
-            return False
-        if self.is_down(recipient, round_index):
-            self._record_message(
-                round_index, "omit_recv", sender, recipient, message, seq=seq
-            )
-            return False
-        if plan.partitioned(round_index, sender, recipient):
-            self._record_message(
-                round_index, "drop_partition", sender, recipient, message,
-                seq=seq,
-            )
-            return False
-        if plan.drops(round_index, sender, recipient, seq):
-            self._record_message(
-                round_index, "drop", sender, recipient, message, seq=seq
-            )
-            return False
-        deliver_now = True
-        delay = plan.delay_of(round_index, sender, recipient, seq)
-        if delay > 0:
-            until = round_index + delay
-            self._pending.setdefault(until, []).append(
-                (sender, recipient, message)
-            )
-            self._record_message(
-                round_index, "delay", sender, recipient, message, until=until,
-                seq=seq,
-            )
-            deliver_now = False
-        if plan.duplicates(round_index, sender, recipient, seq):
-            until = round_index + 1
-            self._pending.setdefault(until, []).append(
-                (sender, recipient, message)
-            )
-            self._record_message(
-                round_index, "duplicate", sender, recipient, message,
-                until=until, seq=seq,
-            )
-        return deliver_now
+            action = "omit_send"
+        elif recipient in crashed:
+            action = "drop_crashed"
+        elif self.is_down(recipient, round_index):
+            action = "omit_recv"
+        elif plan.partitioned(round_index, sender, recipient):
+            action = "drop_partition"
+        elif plan.drops(round_index, sender, recipient):
+            action = "drop"
+        else:
+            copies: Tuple[int, ...] = ()
+            delay = plan.delay_of(round_index, sender, recipient)
+            if delay > 0:
+                copies = (round_index + delay,)
+                self._record_message(
+                    round_index, "delay", sender, recipient, message,
+                    until=copies[0],
+                )
+            if plan.duplicates(round_index, sender, recipient):
+                self._record_message(
+                    round_index, "duplicate", sender, recipient, message,
+                    until=round_index + 1,
+                )
+                copies += (round_index + 1,)
+            return delay == 0, copies
+        self._record_message(round_index, action, sender, recipient, message)
+        return False, ()
 
     def due(
-        self, round_index: int, crashed: Container[NodeId]
-    ) -> List[Tuple[NodeId, NodeId, Any]]:
-        """Deferred messages deliverable this round (in deferral order).
+        self,
+        round_index: int,
+        sender: NodeId,
+        recipient: NodeId,
+        message: Any,
+        crashed: Container[NodeId],
+    ) -> bool:
+        """Whether a fault copy landing this round reaches its recipient.
 
-        Messages whose recipient crashed or went down in the meantime
-        are dropped here, with a ``drop_late`` trace record.
+        A copy whose recipient crashed or went down in the meantime is
+        dropped, with a ``drop_late`` trace record.
         """
-        out: List[Tuple[NodeId, NodeId, Any]] = []
-        for sender, recipient, message in self._pending.pop(round_index, ()):
-            if recipient in crashed or self.is_down(recipient, round_index):
-                self._record_message(
-                    round_index, "drop_late", sender, recipient, message
-                )
-                continue
-            out.append((sender, recipient, message))
-        return out
+        if recipient in crashed or self.is_down(recipient, round_index):
+            self._record_message(
+                round_index, "drop_late", sender, recipient, message
+            )
+            return False
+        return True

@@ -134,92 +134,53 @@ class FaultPlan:
     # ------------------------------------------------------------------
 
     def _unit(
-        self,
-        tag: str,
-        round_index: int,
-        sender: NodeId,
-        recipient: NodeId,
-        seq: int = 0,
+        self, tag: str, round_index: int, sender: NodeId, recipient: NodeId
     ) -> float:
-        """A reproducible uniform draw in [0, 1) for one decision.
-
-        ``seq`` distinguishes multiple decisions on the same link in
-        the same round — logical message identity is ``(round, sender,
-        recipient, seq)``, never loop position, so decisions are
-        byte-stable under any transport's iteration order.  ``seq=0``
-        (the only value synchronous delivery ever produces, since an
-        outbox holds one message per link) keys identically to the
-        legacy 4-component derivation, keeping committed fault traces
-        byte-identical.
-        """
-        if seq:
-            return (
-                derive_seed(
-                    self.seed, tag, round_index,
-                    repr(sender), repr(recipient), seq,
-                )
-                / _UNIT
-            )
+        """A reproducible uniform draw in [0, 1) for one decision."""
         return (
-            derive_seed(self.seed, tag, round_index, repr(sender), repr(recipient))
+            derive_seed(
+                self.seed, tag, round_index, repr(sender), repr(recipient)
+            )
             / _UNIT
         )
 
     def drops(
-        self,
-        round_index: int,
-        sender: NodeId,
-        recipient: NodeId,
-        seq: int = 0,
+        self, round_index: int, sender: NodeId, recipient: NodeId
     ) -> bool:
         """Whether the message sent this round on this link is lost."""
         if self.drop_rate <= 0.0:
             return False
         return (
-            self._unit("drop", round_index, sender, recipient, seq)
+            self._unit("drop", round_index, sender, recipient)
             < self.drop_rate
         )
 
     def duplicates(
-        self,
-        round_index: int,
-        sender: NodeId,
-        recipient: NodeId,
-        seq: int = 0,
+        self, round_index: int, sender: NodeId, recipient: NodeId
     ) -> bool:
         """Whether the message is delivered a second time next round."""
         if self.duplicate_rate <= 0.0:
             return False
         return (
-            self._unit("duplicate", round_index, sender, recipient, seq)
+            self._unit("duplicate", round_index, sender, recipient)
             < self.duplicate_rate
         )
 
     def delay_of(
-        self,
-        round_index: int,
-        sender: NodeId,
-        recipient: NodeId,
-        seq: int = 0,
+        self, round_index: int, sender: NodeId, recipient: NodeId
     ) -> int:
         """How many rounds the message is held (0 = delivered on time)."""
         if self.delay_rate <= 0.0:
             return 0
         if (
-            self._unit("delay", round_index, sender, recipient, seq)
+            self._unit("delay", round_index, sender, recipient)
             >= self.delay_rate
         ):
             return 0
-        if seq:
-            amount = derive_seed(
-                self.seed, "delay-amount", round_index,
-                repr(sender), repr(recipient), seq,
-            )
-        else:
-            amount = derive_seed(
-                self.seed, "delay-amount", round_index,
-                repr(sender), repr(recipient),
-            )
+        amount = derive_seed(
+            self.seed, "delay-amount", round_index,
+            repr(sender), repr(recipient),
+        )
         return 1 + amount % self.max_delay
 
     def partitioned(

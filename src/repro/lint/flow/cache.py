@@ -1,36 +1,25 @@
-"""Source-hash cache for the flow analysis.
+"""Source-hash memo for the flow analysis.
 
 The whole-program pass re-derives everything from the parsed sources,
-so its result is a pure function of the source bytes.  Both layers key
+so its result is a pure function of the source bytes.  The memo keys
 on one digest — SHA-256 over the sorted ``(path, sha256(text))`` pairs
-plus the analyzer version:
-
-* an in-process memo (repeat :func:`repro.lint.engine.run_lint` calls
-  in one test session pay for the fixpoint once), and
-* an optional on-disk JSON cache for CI (``actions/cache`` keyed on
-  ``hashFiles('src/repro/**')`` restores it, so an unchanged tree
-  skips the call-graph build entirely).  Set ``REPRO_LINT_FLOW_CACHE``
-  to the cache file path to enable it; corrupt or stale files are
-  ignored, never trusted.
+plus the analyzer version — so repeat
+:func:`repro.lint.engine.run_lint` calls in one process pay for the
+fixpoint once.
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
-import os
-from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.lint.flow.taint import FlowFinding
 
 __all__ = ["digest_sources", "cached_findings", "store_findings"]
 
-# Bump when the analysis changes meaning: stale cached findings from an
-# older analyzer must never be replayed.
+# Bump when the analysis changes meaning: findings memoized by an older
+# analyzer must never be replayed.
 ANALYZER_VERSION = "flow-1"
-
-_ENV_CACHE = "REPRO_LINT_FLOW_CACHE"
 
 # digest -> findings, for repeated in-process runs.
 _MEMO: Dict[str, List[FlowFinding]] = {}
@@ -45,69 +34,13 @@ def digest_sources(sources: Sequence[Tuple[str, str]]) -> str:
     return h.hexdigest()
 
 
-def _cache_path() -> Optional[Path]:
-    configured = os.environ.get(_ENV_CACHE)
-    return Path(configured) if configured else None
-
-
 def cached_findings(digest: str) -> Optional[List[FlowFinding]]:
-    """Findings for ``digest`` from the memo or the on-disk cache."""
+    """Memoized findings for ``digest``, if any."""
     if digest in _MEMO:
         return list(_MEMO[digest])
-    path = _cache_path()
-    if path is None or not path.is_file():
-        return None
-    try:
-        payload = json.loads(path.read_text())
-    except (OSError, ValueError):
-        return None
-    if (
-        not isinstance(payload, dict)
-        or payload.get("version") != ANALYZER_VERSION
-        or payload.get("digest") != digest
-    ):
-        return None
-    try:
-        findings = [
-            FlowFinding(
-                rule=str(entry["rule"]),
-                path=str(entry["path"]),
-                line=int(entry["line"]),
-                col=int(entry["col"]),
-                message=str(entry["message"]),
-            )
-            for entry in payload["findings"]
-        ]
-    except (KeyError, TypeError, ValueError):
-        return None
-    _MEMO[digest] = list(findings)
-    return findings
+    return None
 
 
 def store_findings(digest: str, findings: Sequence[FlowFinding]) -> None:
-    """Memoize findings and persist them when a cache path is set."""
+    """Memoize ``findings`` under ``digest``."""
     _MEMO[digest] = list(findings)
-    path = _cache_path()
-    if path is None:
-        return
-    payload = {
-        "version": ANALYZER_VERSION,
-        "digest": digest,
-        "findings": [
-            {
-                "rule": f.rule,
-                "path": f.path,
-                "line": f.line,
-                "col": f.col,
-                "message": f.message,
-            }
-            for f in findings
-        ],
-    }
-    try:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(  # lint: ignore[TEL003]
-            json.dumps(payload, indent=2, sort_keys=True)
-        )
-    except OSError:
-        pass

@@ -19,10 +19,18 @@ dicts — byte-identical across runs, worker counts, and processes:
     injections (:mod:`repro.faults`) annotate the record with the
     ``fault`` action that touched it — the fault that killed a chain.
 ``redelivery``
-    A deferred (delayed/duplicated) message landing in a later round.
+    A copy of a message landing in a later round than it was sent: a
+    fault copy (delay or duplicate) or, marked ``via: "transport"``, a
+    latency copy.
 ``crash`` / ``down`` / ``restart``
     A node-level fault event, so chains ending at a dead node are
     explainable.
+
+The simulator and transport drive the ``on_*`` hooks: a send, the
+faults that decided its fate, a same-round delivery, a latency copy
+queued, and — for a queued copy of either origin — one hook when it
+lands (:meth:`CausalTracer.on_redelivery`) and one when it is lost to
+a dead recipient (:meth:`CausalTracer.on_late_drop`).
 
 The trace holds causes only.  How much each round carried and how long
 it took live in the metrics registry (a ``congest_round`` record and a
@@ -103,11 +111,6 @@ class CausalTracer:
         # round-r+1 sends — matching the simulator's yield semantics.
         self._heads: Dict[str, str] = {}
         self._pending_heads: List[Tuple[str, str]] = []
-        # Deferred (delayed/duplicated) message ids awaiting delivery,
-        # FIFO per (delivery round, from, to, kind).  Within one key the
-        # injector's fate decision is per-recipient-per-round, so FIFO
-        # order can never mis-assign ids.
-        self._deferred: Dict[Tuple[int, str, str, str], List[str]] = {}
 
     # ------------------------------------------------------------------
     # Message hooks (driven by the simulator)
@@ -152,62 +155,15 @@ class CausalTracer:
         elif action == "delay":
             record["fate"] = "deferred"
             record["fault"] = action
-            until = fault_record["until"]
-            record["until"] = until
-            self._defer(until, record, tid)
+            record["until"] = fault_record["until"]
         elif action == "duplicate":
             # Original copy still lands now; the duplicate lands later.
             record["fault"] = action
-            until = fault_record["until"]
-            record["until"] = until
-            self._defer(until, record, tid)
-
-    def _defer(self, until: int, record: Dict[str, Any], tid: str) -> None:
-        key = (until, record["from"], record["to"], record["kind"])
-        self._deferred.setdefault(key, []).append(tid)
+            record["until"] = fault_record["until"]
 
     def on_delivered(self, recipient: Any, tid: str) -> None:
         """Queue a same-round delivery's causal-head update."""
         self._pending_heads.append((repr(recipient), tid))
-
-    def on_deferred_delivery(
-        self, round_index: int, sender_repr: str, to_repr: str, kind: str
-    ) -> Optional[str]:
-        """Record a delayed/duplicated message landing this round."""
-        key = (round_index, sender_repr, to_repr, kind)
-        queue = self._deferred.get(key)
-        if not queue:
-            return None
-        tid = queue.pop(0)
-        self.records.append(
-            {
-                "type": "redelivery",
-                "round": round_index,
-                "id": tid,
-                "to": to_repr,
-            }
-        )
-        self._pending_heads.append((to_repr, tid))
-        return tid
-
-    def on_deferred_drop(
-        self, round_index: int, sender_repr: str, to_repr: str, kind: str
-    ) -> Optional[str]:
-        """Record a deferred message dropped at its delivery round."""
-        key = (round_index, sender_repr, to_repr, kind)
-        queue = self._deferred.get(key)
-        if not queue:
-            return None
-        tid = queue.pop(0)
-        record = self._by_id.get(tid)
-        if record is not None:
-            record["fate"] = "dropped"
-            record["fault"] = "drop_late"
-        return tid
-
-    # ------------------------------------------------------------------
-    # Transport hooks (non-synchronous transports; docs/transport.md)
-    # ------------------------------------------------------------------
 
     def on_transport_defer(
         self, tid: str, until: int, latency: int
@@ -216,8 +172,8 @@ class CausalTracer:
 
         Driven by latency-bearing transports; the message record keeps
         fate ``deferred`` (the injector-delay vocabulary) plus the
-        drawn ``latency``, and a ``redelivery`` record lands when the
-        transport deposits it.
+        drawn ``latency``, and :meth:`on_redelivery` records its
+        landing.
         """
         record = self._by_id.get(tid)
         if record is None:
@@ -226,35 +182,31 @@ class CausalTracer:
         record["until"] = until
         record["latency"] = latency
 
-    def on_transport_delivery(
-        self, round_index: int, tid: Optional[str], to_repr: str
+    def on_redelivery(
+        self,
+        round_index: int,
+        tid: str,
+        to_repr: str,
+        via: Optional[str] = None,
     ) -> None:
-        """Record a transport-deferred message landing this round.
+        """Record a copy of message ``tid`` landing this round.
 
-        Advances the recipient's causal head exactly like an injector
-        redelivery: the head update is buffered and applied at
-        ``end_round``, so a round-``r`` arrival parents round-``r+1``
-        sends.
+        ``via`` is ``"transport"`` for a latency copy and ``None`` for
+        a fault copy.  Like a same-round delivery, the recipient's
+        head update is buffered and applied at ``end_round``, so a
+        round-``r`` arrival parents round-``r+1`` sends.
         """
-        if tid is None:
-            return
-        self.records.append(
-            {
-                "type": "redelivery",
-                "round": round_index,
-                "id": tid,
-                "to": to_repr,
-                "via": "transport",
-            }
-        )
+        record: Dict[str, Any] = {
+            "type": "redelivery", "round": round_index, "id": tid,
+            "to": to_repr,
+        }
+        if via is not None:
+            record["via"] = via
+        self.records.append(record)
         self._pending_heads.append((to_repr, tid))
 
-    def on_transport_drop(
-        self, round_index: int, tid: Optional[str]
-    ) -> None:
-        """Record an in-flight message lost to a dead recipient."""
-        if tid is None:
-            return
+    def on_late_drop(self, tid: str) -> None:
+        """Mark message ``tid`` lost: its copy reached a dead node."""
         record = self._by_id.get(tid)
         if record is not None:
             record["fate"] = "dropped"

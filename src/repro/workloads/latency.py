@@ -198,7 +198,8 @@ class GeometricLatency:
         return latency
 
     def bound(self) -> int:
-        return self.cap
+        # At rate 0 no draw ever passes the first comparison.
+        return self.cap if self.rate > 0.0 else 0
 
     def to_dict(self) -> Dict[str, Any]:
         return {"kind": self.kind, "rate": self.rate, "cap": self.cap}

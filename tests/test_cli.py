@@ -370,13 +370,15 @@ class TestCommands:
 
         assert main(_CONGEST_SMALL) == 0
         default = _strip_seconds(capsys.readouterr().out)
-        path = tmp_path / "m.json"
-        assert main(
-            _CONGEST_SMALL
-            + ["--latency-dist", "zero", "--metrics-out", str(path)]
-        ) == 0
-        assert _strip_seconds(capsys.readouterr().out) == default
-        assert "transport" not in load_metrics(path)["manifest"]["extra"]
+        # A geometric model at rate 0 never draws a nonzero latency.
+        for spec in ("zero", "geometric:0:3"):
+            path = tmp_path / "m.json"
+            assert main(
+                _CONGEST_SMALL
+                + ["--latency-dist", spec, "--metrics-out", str(path)]
+            ) == 0
+            assert _strip_seconds(capsys.readouterr().out) == default
+            assert "transport" not in load_metrics(path)["manifest"]["extra"]
 
     def test_report_quick(self, capsys):
         assert main(["report", "--quick"]) == 0

@@ -188,6 +188,20 @@ class TestEquivalenceUnderChurn:
         )
         assert engine.worst_eps() <= 0.1 + 1e-12
 
+    @pytest.mark.parametrize("seed", range(3))
+    def test_zero_radius_runs_no_repair(self, seed):
+        prefs = bounded_degree(40, 4, seed=seed)
+        deltas = churn_stream(prefs, ChurnConfig(steps=60), seed)
+        engine = DynamicMatchingEngine(prefs, 0.5, repair_radius=0)
+        for outcome in engine.apply_stream(deltas):
+            assert (
+                outcome.repair_passes,
+                outcome.marriages,
+                outcome.region_men,
+                outcome.region_women,
+            ) == (0, 0, 0, 0)
+        assert engine.marriages == 0
+
     def test_fallback_fires_and_counts(self):
         prefs = complete_uniform(10, seed=2)
         deltas = churn_stream(prefs, ChurnConfig(steps=40), 2)

@@ -415,33 +415,6 @@ class TestCache:
         assert cached_findings(digest) == [self.FINDING]
         _MEMO.pop(digest, None)
 
-    def test_on_disk_cache_round_trip(self, tmp_path, monkeypatch):
-        cache_file = tmp_path / "flow-cache.json"
-        monkeypatch.setenv("REPRO_LINT_FLOW_CACHE", str(cache_file))
-        digest = digest_sources([("disk.py", "pass")])
-        _MEMO.pop(digest, None)
-        store_findings(digest, [self.FINDING])
-        assert cache_file.is_file()
-        _MEMO.pop(digest, None)  # force the disk path
-        assert cached_findings(digest) == [self.FINDING]
-        _MEMO.pop(digest, None)
-
-    def test_stale_disk_cache_is_ignored(self, tmp_path, monkeypatch):
-        cache_file = tmp_path / "flow-cache.json"
-        monkeypatch.setenv("REPRO_LINT_FLOW_CACHE", str(cache_file))
-        digest = digest_sources([("stale.py", "pass")])
-        other = digest_sources([("stale.py", "changed = True")])
-        _MEMO.pop(digest, None)
-        _MEMO.pop(other, None)
-        store_findings(other, [self.FINDING])
-        _MEMO.pop(other, None)
-        # The file holds `other`'s findings; asking for `digest` misses.
-        assert cached_findings(digest) is None
-        corrupted = tmp_path / "corrupt.json"
-        corrupted.write_text("{not json")
-        monkeypatch.setenv("REPRO_LINT_FLOW_CACHE", str(corrupted))
-        assert cached_findings(digest) is None
-
 
 class TestShippedTree:
     def test_analyzer_is_deterministic(self):

@@ -122,13 +122,16 @@ class TestCausalTracerUnit:
             },
         )
         assert tracer.message(tid)["fate"] == "deferred"
+        assert tracer.message(tid)["until"] == 3
         tracer.end_round(1)
-        got = tracer.on_deferred_delivery(
-            3, repr(("M", 0)), repr(("W", 1)), "PROPOSE"
-        )
-        assert got == tid
+        tracer.on_redelivery(3, tid, repr(("W", 1)))
+        assert tracer.records[-1] == {
+            "type": "redelivery", "round": 3, "id": tid,
+            "to": repr(("W", 1)),
+        }
+        # The head moves at end_round, not on landing.
+        assert tracer.head_of(("W", 1)) == ""
         tracer.end_round(3)
-        # After landing, the deferred message is W1's causal head.
         assert tracer.head_of(("W", 1)) == tid
 
     def test_deferred_drop_marks_drop_late(self):
@@ -145,18 +148,32 @@ class TestCausalTracerUnit:
                 "until": 3,
             },
         )
-        got = tracer.on_deferred_drop(
-            3, repr(("M", 0)), repr(("W", 1)), "PROPOSE"
-        )
-        assert got == tid
+        tracer.on_late_drop(tid)
         record = tracer.message(tid)
         assert record["fate"] == "dropped"
         assert record["fault"] == "drop_late"
+        # A lost copy leaves no redelivery and moves no head.
+        assert [r["type"] for r in tracer.records] == ["message"]
+        tracer.end_round(3)
+        assert tracer.head_of(("W", 1)) == ""
 
     def test_unknown_deferred_delivery_is_ignored(self):
         tracer = CausalTracer()
-        assert tracer.on_deferred_delivery(5, "a", "b", "PROPOSE") is None
-        assert tracer.on_deferred_drop(5, "a", "b", "PROPOSE") is None
+        tracer.on_late_drop("0" * 16)
+        assert tracer.records == []
+
+    def test_latency_redelivery_is_marked_via_transport(self):
+        tracer = CausalTracer()
+        tid = tracer.on_send(1, ("M", 0), ("W", 1), "PROPOSE")
+        tracer.on_transport_defer(tid, 3, 2)
+        record = tracer.message(tid)
+        assert (record["fate"], record["until"], record["latency"]) == (
+            "deferred", 3, 2
+        )
+        tracer.on_redelivery(3, tid, repr(("W", 1)), "transport")
+        assert tracer.records[-1]["via"] == "transport"
+        tracer.end_round(3)
+        assert tracer.head_of(("W", 1)) == tid
 
     def test_node_fault_records(self):
         tracer = CausalTracer()

@@ -133,6 +133,7 @@ _ZERO_TRANSPORTS = {
     "sync-explicit": lambda: SyncTransport(),
     "async-zero": lambda: AsyncEventTransport(),
     "async-fixed0": lambda: AsyncEventTransport(FixedLatency(0)),
+    "async-geometric0": lambda: AsyncEventTransport(GeometricLatency(0.0, 3)),
 }
 
 
@@ -199,6 +200,7 @@ class TestZeroLatencyIdentity:
     def test_zero_latency_transport_reports_no_reordering(self):
         assert SyncTransport().reorders is False
         assert AsyncEventTransport().reorders is False
+        assert AsyncEventTransport(GeometricLatency(0.0, 3)).reorders is False
         assert AsyncEventTransport(UniformLatency(0, 2)).reorders is True
         assert AsyncEventTransport(FixedLatency(1)).reorders is True
 

@@ -1,7 +1,7 @@
 """Fault injection × transport interaction (ISSUE 10).
 
-The injector and the transport compose in a fixed order (injector-due
-redeliveries, then transport-due redeliveries, then fresh sends), so:
+The injector and the transport compose in a fixed order (fault copies,
+then latency copies, then fresh sends), so:
 
 * a zero-latency :class:`AsyncEventTransport` must produce a fault
   trace identical to the sync lockstep path under the same
@@ -12,11 +12,9 @@ redeliveries, then transport-due redeliveries, then fresh sends), so:
   out of order: a transport-deferred message to a node that has since
   crashed or gone down is dropped late, never delivered.
 
-Also covers the sequence-keyed fault decisions: the injector keys each
-decision by ``(round, sender, recipient, seq)``, where ``seq`` counts
-sends over the same link within one round.  ``seq == 0`` derives the
-same decision as the legacy three-component key, which is what keeps
-the committed golden traces valid.
+Fault decisions are keyed by ``(round, sender, recipient)``: an outbox
+holds one message per link per round, so fault records carry no
+per-link sequence number.
 """
 
 from __future__ import annotations
@@ -30,7 +28,7 @@ from repro.cli import main
 from repro.congest import AsyncEventTransport, Simulator
 from repro.congest.message import Message
 from repro.congest.protocols.asm_protocol import run_congest_asm
-from repro.faults import FaultInjector, FaultPlan, NodeCrash, PartitionWindow
+from repro.faults import FaultPlan, NodeCrash, PartitionWindow
 from repro.graphs import Graph
 from repro.io import load_metrics
 from repro.workloads import FixedLatency, GeometricLatency
@@ -253,65 +251,14 @@ class TestOutOfOrderCrashSemantics:
 
 
 # ----------------------------------------------------------------------
-# Sequence-keyed fault decisions
+# Fault records carry no per-link sequence number
 # ----------------------------------------------------------------------
 
 
 class TestSequenceKeying:
-    def test_seq_zero_matches_legacy_key(self):
-        plan = FaultPlan(seed=5, drop_rate=0.5, delay_rate=0.5)
-        for r in range(1, 30):
-            assert plan.drops(r, "a", "b") == plan.drops(r, "a", "b", 0)
-            assert plan.delay_of(r, "a", "b") == plan.delay_of(
-                r, "a", "b", 0
-            )
-            assert plan.duplicates(r, "a", "b") == plan.duplicates(
-                r, "a", "b", 0
-            )
-
-    def test_seq_values_decide_independently(self):
-        plan = FaultPlan(seed=5, drop_rate=0.5)
-        decisions = [
-            (plan.drops(r, "a", "b", 0), plan.drops(r, "a", "b", 1))
-            for r in range(1, 60)
-        ]
-        assert any(x != y for x, y in decisions)
-
-    def test_injector_counts_sends_per_link_per_round(self):
-        plan = FaultPlan(seed=5, drop_rate=0.5)
-        inj = FaultInjector(plan)
-        outcomes = [
-            inj.filter_send(1, "a", "b", Message("PING"), crashed=())
-            for _ in range(8)
-        ]
-        expected = [
-            not plan.drops(1, "a", "b", seq) for seq in range(8)
-        ]
-        assert outcomes == expected
-
-    def test_seq_counter_resets_each_round(self):
-        plan = FaultPlan(seed=5, drop_rate=0.5)
-        inj = FaultInjector(plan)
-        inj.filter_send(1, "a", "b", Message("PING"), crashed=())
-        inj.filter_send(1, "a", "b", Message("PING"), crashed=())
-        # New round: the link counter starts over at seq 0.
-        got = inj.filter_send(2, "a", "b", Message("PING"), crashed=())
-        assert got == (not plan.drops(2, "a", "b", 0))
-
-    def test_seq_recorded_only_when_positive(self):
-        plan = FaultPlan(seed=0, drop_rate=1.0)
-        inj = FaultInjector(plan)
-        inj.filter_send(1, "a", "b", Message("PING"), crashed=())
-        inj.filter_send(1, "a", "b", Message("PING"), crashed=())
-        drops = [r for r in inj.records if r["action"] == "drop"]
-        assert len(drops) == 2
-        assert "seq" not in drops[0]  # legacy shape for seq 0
-        assert drops[1]["seq"] == 1
-
     def test_simulator_sends_stay_at_seq_zero(self):
-        # One outbox slot per link per round means the simulator never
-        # advances seq — which is why the golden traces predate and
-        # survive the seq-keyed derivation.
+        # One outbox slot per link per round: (round, sender,
+        # recipient) identifies a message, and no record needs a seq.
         prefs = complete_uniform(5, seed=3)
         result = _fault_run(prefs, None)
         assert all("seq" not in r for r in result.fault_trace)
