@@ -30,6 +30,11 @@ def _id_bits(n: int) -> int:
     return max(1, math.ceil(math.log2(max(2, n)))) + 1
 
 
+def _size_bits(id_bits: int, fields: int) -> int:
+    """Encoded size of a message carrying ``fields`` ids of ``id_bits`` bits."""
+    return TAG_BITS + id_bits * fields
+
+
 @dataclass(frozen=True)
 class MessageSchema:
     """The declared shape of one message kind.
@@ -51,7 +56,7 @@ class MessageSchema:
         >>> MESSAGE_SCHEMAS["POINT"].max_size_bits(1024)
         19
         """
-        return TAG_BITS + _id_bits(n) * self.max_fields
+        return _size_bits(_id_bits(n), self.max_fields)
 
 
 # Every message kind the protocols may construct, with its payload
@@ -99,7 +104,7 @@ class Message:
 
     def size_bits(self, n: int) -> int:
         """Encoded size for a system with id space ``{0, …, n−1}``."""
-        return TAG_BITS + _id_bits(n) * len(self.payload)
+        return _size_bits(_id_bits(n), len(self.payload))
 
     @property
     def schema(self) -> MessageSchema:

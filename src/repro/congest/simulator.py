@@ -44,12 +44,11 @@ has something to do rather than one per node.
 
 from __future__ import annotations
 
-import math
 from time import perf_counter
 from dataclasses import dataclass, field
 from typing import Any, Dict, Generator, List, Mapping, Optional
 
-from repro.congest.message import Await, Message
+from repro.congest.message import Await, Message, _id_bits, _size_bits
 from repro.congest.transport import SyncTransport, Transport
 from repro.errors import (
     InvalidParameterError,
@@ -151,8 +150,10 @@ class Simulator:
             )
         self.programs: Dict[NodeId, NodeProgram] = dict(programs)
         self.n = graph.num_nodes
-        log_n = max(1, math.ceil(math.log2(max(2, self.n)))) + 1
-        self.max_message_bits = bit_cap_factor * log_n
+        # Bits of one player id, made once per run: every message's
+        # size is _size_bits of it and the payload length.
+        self._id_bits = _id_bits(self.n)
+        self.max_message_bits = bit_cap_factor * self._id_bits
         self.stats = SimulationStats()
         self.results: Dict[NodeId, Any] = {}
         # Persistent per-node inbox pools: one dict per node for the
@@ -165,10 +166,17 @@ class Simulator:
             v: {} for v in self.programs
         }
         self._touched_inboxes: List[NodeId] = []
+        # Each node's label (its repr), made once per run: the
+        # transport hands labels to latency draws and the tracer, and
+        # the fault injector hashes and records them.
+        self._labels: Dict[NodeId, str] = {v: repr(v) for v in self.programs}
         # Deterministic scheduling order, precomputed once: step() used
         # to re-sort the live set by repr every round.
         self._order: Dict[NodeId, int] = {
-            v: i for i, v in enumerate(sorted(self.programs, key=repr))
+            v: i
+            for i, v in enumerate(
+                sorted(self.programs, key=self._labels.__getitem__)
+            )
         }
         # The schedule.  ``_awake``: programs resumed with last round's
         # inbox, in canonical order.  An awaiting program has its Await
@@ -190,7 +198,9 @@ class Simulator:
         # Optional fault injection (see repro.faults): crashes close
         # programs, and every delivery is routed through the injector.
         self.faults: Optional[FaultInjector] = (
-            FaultInjector(faults, telemetry=self.telemetry)
+            FaultInjector(
+                faults, labels=self._labels, telemetry=self.telemetry
+            )
             if faults is not None
             else None
         )
@@ -283,7 +293,7 @@ class Simulator:
                 f"locality violation [static check: repro.lint rule "
                 f"CONGEST002; see docs/static_analysis.md]"
             )
-        bits = msg.size_bits(self.n)
+        bits = _size_bits(self._id_bits, len(msg.payload))
         if bits > self.max_message_bits:
             raise ProtocolViolationError(
                 f"round {executing_round}: message {msg.kind!r} "

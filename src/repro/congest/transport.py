@@ -44,7 +44,7 @@ from __future__ import annotations
 import heapq
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.errors import SimulationError
+from repro.errors import InvalidParameterError, SimulationError
 from repro.graphs import NodeId
 from repro.workloads.latency import ZERO_LATENCY
 
@@ -186,7 +186,7 @@ class Transport:
             sim._deposit(sender, recipient, msg)
             if tracer is not None:
                 tracer.on_redelivery(
-                    executing_round, tid, repr(recipient),
+                    executing_round, tid, sim._labels[recipient],
                     "transport" if origin == _LATENCY else None,
                 )
         # Deliver each outbox in node-registration order, not dict
@@ -290,16 +290,23 @@ class AsyncEventTransport(Transport):
         (default :data:`~repro.workloads.latency.ZERO_LATENCY`, which
         makes this transport bit-identical to :class:`SyncTransport`).
     link_seed:
-        Root seed of the latency draws; together with the model it
-        fully determines the delivery schedule.
+        Root seed of the latency draws (an ``int``); together with the
+        model it fully determines the delivery schedule.  The model's
+        prebuilt head of it (``latency.head(link_seed)``) is made here,
+        once per run, and every draw takes it in place of the seed.
     """
 
     kind = "async"
 
     def __init__(self, latency: Any = ZERO_LATENCY, *, link_seed: int = 0):
         super().__init__()
+        if not isinstance(link_seed, int) or isinstance(link_seed, bool):
+            raise InvalidParameterError(
+                f"link_seed must be an int, got {link_seed!r}"
+            )
         self.latency = latency
         self.link_seed = link_seed
+        self._head = latency.head(link_seed)
 
     @property
     def reorders(self) -> bool:
@@ -320,15 +327,16 @@ class AsyncEventTransport(Transport):
         msg: Any,
         tid: Optional[str],
     ) -> None:
+        sim = self._sim
+        labels = sim._labels
         lat = self.latency.draw(
-            self.link_seed, executing_round, repr(sender), repr(recipient)
+            self._head, executing_round, labels[sender], labels[recipient]
         )
         if lat <= 0:
             # Synchronous fast path: byte-identical to SyncTransport,
             # including the causal-head update timing.
             super()._route(executing_round, sender, recipient, msg, tid)
             return
-        sim = self._sim
         until = executing_round + lat
         self._enqueue(until, _LATENCY, sender, recipient, msg, tid)
         self.deferred += 1

@@ -29,7 +29,7 @@ carries its fault trace.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Container, Dict, List, Optional, Tuple
+from typing import Any, Container, Dict, List, Mapping, Optional, Tuple
 
 from repro.faults.plan import FaultPlan
 from repro.graphs import NodeId
@@ -59,13 +59,20 @@ class FaultInjector:
     """Applies one :class:`FaultPlan` to one simulation run."""
 
     def __init__(
-        self, plan: FaultPlan, *, telemetry: Optional[Telemetry] = None
+        self,
+        plan: FaultPlan,
+        *,
+        labels: Mapping[NodeId, str],
+        telemetry: Optional[Telemetry] = None,
     ) -> None:
         self.plan = plan
         self.stats = FaultStats()
         #: The deterministic fault trace (see module docstring).
         self.records: List[Dict[str, Any]] = []
         self.telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
+        # Each node's label (its repr), the simulator's for the run:
+        # decisions hash it and records carry it.
+        self._labels = labels
         # Omission windows per node: (start, restart) pairs.
         self._windows: Dict[NodeId, List[Tuple[int, int]]] = {}
         for crash in plan.crashes:
@@ -119,8 +126,8 @@ class FaultInjector:
         record: Dict[str, Any] = {
             "round": round_index,
             "action": action,
-            "from": repr(sender),
-            "to": repr(recipient),
+            "from": self._labels[sender],
+            "to": self._labels[recipient],
             "message": message.kind,
         }
         if until is not None:
@@ -192,26 +199,30 @@ class FaultInjector:
         message per link, so that identifies it.
         """
         plan = self.plan
-        if self.is_down(sender, round_index):
+        windows = self._windows
+        s, r = self._labels[sender], self._labels[recipient]
+        if windows and self.is_down(sender, round_index):
             action = "omit_send"
         elif recipient in crashed:
             action = "drop_crashed"
-        elif self.is_down(recipient, round_index):
+        elif windows and self.is_down(recipient, round_index):
             action = "omit_recv"
-        elif plan.partitioned(round_index, sender, recipient):
+        elif plan.partitions and plan.partitioned(
+            round_index, sender, recipient
+        ):
             action = "drop_partition"
-        elif plan.drops(round_index, sender, recipient):
+        elif plan.drops(round_index, s, r):
             action = "drop"
         else:
             copies: Tuple[int, ...] = ()
-            delay = plan.delay_of(round_index, sender, recipient)
+            delay = plan.delay_of(round_index, s, r)
             if delay > 0:
                 copies = (round_index + delay,)
                 self._record_message(
                     round_index, "delay", sender, recipient, message,
                     until=copies[0],
                 )
-            if plan.duplicates(round_index, sender, recipient):
+            if plan.duplicates(round_index, s, r):
                 self._record_message(
                     round_index, "duplicate", sender, recipient, message,
                     until=round_index + 1,
@@ -234,7 +245,9 @@ class FaultInjector:
         A copy whose recipient crashed or went down in the meantime is
         dropped, with a ``drop_late`` trace record.
         """
-        if recipient in crashed or self.is_down(recipient, round_index):
+        if recipient in crashed or (
+            self._windows and self.is_down(recipient, round_index)
+        ):
             self._record_message(
                 round_index, "drop_late", sender, recipient, message
             )

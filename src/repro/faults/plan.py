@@ -4,7 +4,7 @@ A :class:`FaultPlan` describes *what goes wrong* in a simulated run:
 per-message drop / duplication / delay, node crashes (permanent or
 crash-restart omission windows), and link partitions.  Every
 per-message decision is a pure function of ``(plan seed, fault kind,
-round, sender, recipient)`` through the same SHA-256
+round, repr(sender), repr(recipient))`` through the same SHA-256
 :func:`~repro.parallel.spec.derive_seed` discipline the parallel layer
 uses — no mutable RNG state, no dependence on delivery order, worker
 count, or process identity.  The same plan over the same simulation
@@ -14,6 +14,10 @@ determinism contract of ``docs/robustness.md``).
 A plan with all rates zero and no crashes/partitions makes *no*
 decisions and leaves a run bit-identical to a plan-free one; the
 test suite pins that property.
+
+The plan builds the ``(seed, kind)`` head of each decision's derivation
+once, when it is constructed (a :class:`~repro.parallel.spec.SeedHead`),
+so a decision hashes the message's round and link and nothing else.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from typing import FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from repro.errors import InvalidParameterError
 from repro.graphs import NodeId
-from repro.parallel.spec import derive_seed
+from repro.parallel.spec import SeedHead, derive_seed
 
 __all__ = [
     "NodeCrash",
@@ -33,8 +37,16 @@ __all__ = [
     "sample_nodes",
 ]
 
-#: derive_seed yields 63-bit integers; dividing maps them to [0, 1).
+#: Seeds are 63-bit integers; dividing maps them to a uniform [0, 1).
 _UNIT = float(2**63)
+
+#: Each per-message decision's head: (plan attribute, derivation tag).
+_HEADS = (
+    ("_drop_head", "drop"),
+    ("_duplicate_head", "duplicate"),
+    ("_delay_head", "delay"),
+    ("_amount_head", "delay-amount"),
+)
 
 
 @dataclass(frozen=True)
@@ -116,6 +128,10 @@ class FaultPlan:
     partitions: Tuple[PartitionWindow, ...] = ()
 
     def __post_init__(self) -> None:
+        if not isinstance(self.seed, int) or isinstance(self.seed, bool):
+            raise InvalidParameterError(
+                f"fault plan seed must be an int, got {self.seed!r}"
+            )
         for name in ("drop_rate", "duplicate_rate", "delay_rate"):
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
@@ -128,59 +144,42 @@ class FaultPlan:
             )
         object.__setattr__(self, "crashes", tuple(self.crashes))
         object.__setattr__(self, "partitions", tuple(self.partitions))
+        # Not fields: the decisions' prebuilt heads, derived from
+        # ``seed`` and rebuilt by ``dataclasses.replace``.
+        for attr, tag in _HEADS:
+            object.__setattr__(self, attr, SeedHead(self.seed, tag))
 
     # ------------------------------------------------------------------
     # Stateless per-message decisions
+    #
+    # Each decision names the link by its nodes' ``repr`` labels, the
+    # text it hashes; the injector keeps them for the run.
     # ------------------------------------------------------------------
 
-    def _unit(
-        self, tag: str, round_index: int, sender: NodeId, recipient: NodeId
-    ) -> float:
-        """A reproducible uniform draw in [0, 1) for one decision."""
-        return (
-            derive_seed(
-                self.seed, tag, round_index, repr(sender), repr(recipient)
-            )
-            / _UNIT
-        )
-
-    def drops(
-        self, round_index: int, sender: NodeId, recipient: NodeId
-    ) -> bool:
+    def drops(self, round_index: int, sender: str, recipient: str) -> bool:
         """Whether the message sent this round on this link is lost."""
         if self.drop_rate <= 0.0:
             return False
-        return (
-            self._unit("drop", round_index, sender, recipient)
-            < self.drop_rate
-        )
+        u = self._drop_head.derive(round_index, sender, recipient)
+        return u / _UNIT < self.drop_rate
 
     def duplicates(
-        self, round_index: int, sender: NodeId, recipient: NodeId
+        self, round_index: int, sender: str, recipient: str
     ) -> bool:
         """Whether the message is delivered a second time next round."""
         if self.duplicate_rate <= 0.0:
             return False
-        return (
-            self._unit("duplicate", round_index, sender, recipient)
-            < self.duplicate_rate
-        )
+        u = self._duplicate_head.derive(round_index, sender, recipient)
+        return u / _UNIT < self.duplicate_rate
 
-    def delay_of(
-        self, round_index: int, sender: NodeId, recipient: NodeId
-    ) -> int:
+    def delay_of(self, round_index: int, sender: str, recipient: str) -> int:
         """How many rounds the message is held (0 = delivered on time)."""
         if self.delay_rate <= 0.0:
             return 0
-        if (
-            self._unit("delay", round_index, sender, recipient)
-            >= self.delay_rate
-        ):
+        u = self._delay_head.derive(round_index, sender, recipient)
+        if u / _UNIT >= self.delay_rate:
             return 0
-        amount = derive_seed(
-            self.seed, "delay-amount", round_index,
-            repr(sender), repr(recipient),
-        )
+        amount = self._amount_head.derive(round_index, sender, recipient)
         return 1 + amount % self.max_delay
 
     def partitioned(

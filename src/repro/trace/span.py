@@ -46,10 +46,10 @@ engine path).
 
 from __future__ import annotations
 
-import hashlib
+from hashlib import sha256
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
-from repro.parallel.spec import _canonical
+from repro.parallel.spec import _SEP, _canonical
 
 __all__ = ["derive_trace_id", "CausalTracer", "ROOT_PARENT"]
 
@@ -89,8 +89,13 @@ def derive_trace_id(parent: str, *components: Any) -> str:
     >>> derive_trace_id("root", 1) == derive_trace_id("root", 2)
     False
     """
-    text = "|".join([parent] + [_canonical(c) for c in components])
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()[:_ID_HEX]
+    return _trace_id(parent, *map(_canonical, components))
+
+
+def _trace_id(parent: str, *texts: str) -> str:
+    """The trace id of ``parent`` and components already canonical."""
+    text = _SEP.join((parent, *texts))
+    return sha256(text.encode("utf-8")).hexdigest()[:_ID_HEX]
 
 
 class CausalTracer:
@@ -111,6 +116,20 @@ class CausalTracer:
         # round-r+1 sends — matching the simulator's yield semantics.
         self._heads: Dict[str, str] = {}
         self._pending_heads: List[Tuple[str, str]] = []
+        # Each node's label (its repr) and that label's canonical text,
+        # made on first use: records carry the first, ids hash the second.
+        # The tracer keeps its own rather than reading the simulator's
+        # labels: it is built before and apart from any run, and its
+        # hooks take node ids.
+        self._labels: Dict[Any, Tuple[str, str]] = {}
+
+    def _label(self, node: Any) -> Tuple[str, str]:
+        """``node``'s label and the label's canonical text."""
+        label = self._labels.get(node)
+        if label is None:
+            text = repr(node)
+            label = self._labels[node] = (text, _canonical(text))
+        return label
 
     # ------------------------------------------------------------------
     # Message hooks (driven by the simulator)
@@ -119,10 +138,19 @@ class CausalTracer:
     def on_send(
         self, round_index: int, sender: Any, recipient: Any, kind: str
     ) -> str:
-        """Record one validated send; returns its trace id."""
-        s, r = repr(sender), repr(recipient)
+        """Record one validated send; returns its trace id.
+
+        The id is ``derive_trace_id(parent or ROOT_PARENT, round_index,
+        repr(sender), repr(recipient), kind)``, hashed from the labels'
+        kept canonical texts.
+        """
+        s, s_text = self._label(sender)
+        r, r_text = self._label(recipient)
         parent = self._heads.get(s, "")
-        tid = derive_trace_id(parent or ROOT_PARENT, round_index, s, r, kind)
+        tid = _trace_id(
+            parent or ROOT_PARENT, _canonical(round_index), s_text, r_text,
+            _canonical(kind),
+        )
         record: Dict[str, Any] = {
             "type": "message",
             "round": round_index,
@@ -163,7 +191,7 @@ class CausalTracer:
 
     def on_delivered(self, recipient: Any, tid: str) -> None:
         """Queue a same-round delivery's causal-head update."""
-        self._pending_heads.append((repr(recipient), tid))
+        self._pending_heads.append((self._label(recipient)[0], tid))
 
     def on_transport_defer(
         self, tid: str, until: int, latency: int

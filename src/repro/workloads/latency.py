@@ -32,16 +32,24 @@ The zoo:
 Probabilities are compared in integer space (``derive_seed`` yields a
 63-bit integer; the threshold is ``int(rate * 2**63)``) — the only
 float operation is the one-time threshold conversion, mirroring
-:meth:`repro.faults.plan.FaultPlan._unit`.
+the per-message decisions of :class:`repro.faults.plan.FaultPlan`.
+
+Each hashing model's :meth:`head` builds the ``(link_seed, tag)`` part
+of its derivation once (a :class:`~repro.parallel.spec.SeedHead`); a
+transport holds it for the run and passes it to ``draw`` in place of
+the seed, which draws exactly what the seed itself would.  A model
+whose draw cannot vary — ``UniformLatency(a, a)``,
+``PerLinkLatency(a, a)``, ``GeometricLatency`` with a zero threshold —
+returns its constant without hashing.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict
+from typing import Any, Dict, Optional, Union
 
 from repro.errors import InvalidParameterError
-from repro.parallel.spec import derive_seed
+from repro.parallel.spec import SeedHead
 
 __all__ = [
     "FixedLatency",
@@ -55,6 +63,10 @@ __all__ = [
 
 #: derive_seed yields 63-bit integers; thresholds live in that space.
 _UNIT = 2**63
+
+
+#: What ``draw`` takes as its seed: the root seed or its prebuilt head.
+LinkSeed = Union[int, SeedHead]
 
 
 def _threshold(rate: float) -> int:
@@ -75,8 +87,12 @@ class FixedLatency:
                 f"latency rounds must be >= 0, got {self.rounds}"
             )
 
+    def head(self, link_seed: int) -> Optional[SeedHead]:
+        """Nothing to prebuild: a fixed draw hashes nothing."""
+        return None
+
     def draw(
-        self, link_seed: int, round_index: int, sender: str, recipient: str
+        self, link_seed: Any, round_index: int, sender: str, recipient: str
     ) -> int:
         """Rounds in flight for one message (deterministic constant)."""
         return self.rounds
@@ -105,14 +121,20 @@ class UniformLatency:
                 f"[{self.low}, {self.high}]"
             )
 
+    def head(self, link_seed: int) -> SeedHead:
+        """The prebuilt ``(link_seed, tag)`` head of this model's draws."""
+        return SeedHead(link_seed, "latency-uniform")
+
     def draw(
-        self, link_seed: int, round_index: int, sender: str, recipient: str
+        self, link_seed: LinkSeed, round_index: int, sender: str,
+        recipient: str,
     ) -> int:
-        span = self.high - self.low + 1
-        u = derive_seed(
-            link_seed, "latency-uniform", round_index, sender, recipient
-        )
-        return self.low + u % span
+        if self.high == self.low:
+            return self.low
+        if type(link_seed) is not SeedHead:
+            link_seed = self.head(link_seed)
+        u = link_seed.derive(round_index, sender, recipient)
+        return self.low + u % (self.high - self.low + 1)
 
     def bound(self) -> int:
         return self.high
@@ -141,12 +163,20 @@ class PerLinkLatency:
                 f"[{self.low}, {self.high}]"
             )
 
+    def head(self, link_seed: int) -> SeedHead:
+        """The prebuilt ``(link_seed, tag)`` head of this model's draws."""
+        return SeedHead(link_seed, "latency-perlink")
+
     def draw(
-        self, link_seed: int, round_index: int, sender: str, recipient: str
+        self, link_seed: LinkSeed, round_index: int, sender: str,
+        recipient: str,
     ) -> int:
-        span = self.high - self.low + 1
-        u = derive_seed(link_seed, "latency-perlink", sender, recipient)
-        return self.low + u % span
+        if self.high == self.low:
+            return self.low
+        if type(link_seed) is not SeedHead:
+            link_seed = self.head(link_seed)
+        u = link_seed.derive(sender, recipient)
+        return self.low + u % (self.high - self.low + 1)
 
     def bound(self) -> int:
         return self.high
@@ -177,21 +207,26 @@ class GeometricLatency:
             raise InvalidParameterError(
                 f"geometric latency cap must be >= 1, got {self.cap}"
             )
+        # Not a field: derived from ``rate`` once, never compared.
+        object.__setattr__(self, "_below", _threshold(self.rate))
+
+    def head(self, link_seed: int) -> SeedHead:
+        """The prebuilt ``(link_seed, tag)`` head of this model's draws."""
+        return SeedHead(link_seed, "latency-geom")
 
     def draw(
-        self, link_seed: int, round_index: int, sender: str, recipient: str
+        self, link_seed: LinkSeed, round_index: int, sender: str,
+        recipient: str,
     ) -> int:
-        threshold = _threshold(self.rate)
+        threshold = self._below
+        if threshold == 0:
+            # No 63-bit draw is below a zero threshold.
+            return 0
+        if type(link_seed) is not SeedHead:
+            link_seed = self.head(link_seed)
         latency = 0
         while latency < self.cap and (
-            derive_seed(
-                link_seed,
-                "latency-geom",
-                round_index,
-                sender,
-                recipient,
-                latency,
-            )
+            link_seed.derive(round_index, sender, recipient, latency)
             < threshold
         ):
             latency += 1
